@@ -39,7 +39,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import UnsupportedLawOperation, ValidationError
-from .empirical import EmpiricalMeasure
+from .empirical import EmpiricalMeasure, _law_atoms
 from .limits import (
     MarchenkoPastur,
     PointMass,
@@ -128,11 +128,6 @@ def _weighted_mp_continuous(
     return _cquad(f, 0.0, 0.5 * math.pi)
 
 
-def _law_atom_list(mu) -> list[tuple[float, float]]:
-    getter = getattr(mu, "atoms", None)
-    return list(getter()) if callable(getter) else []
-
-
 def _weighted_transform(mu, z: complex, weight, power: int) -> complex:
     """E[weight(x) (x - z)^{-power}] under a measure or law ``mu``."""
     if isinstance(mu, EmpiricalMeasure):
@@ -162,7 +157,7 @@ def _weighted_transform(mu, z: complex, weight, power: int) -> complex:
         return acc
     if getattr(mu, "has_density", False):
         lo, hi = mu.bounds()
-        acc = _weighted_atoms(_law_atom_list(mu), z, weight, power)
+        acc = _weighted_atoms(_law_atoms(mu), z, weight, power)
         acc += _cquad(
             lambda x: float(mu.density(x)) * complex(weight(x)) / (x - z) ** power, lo, hi
         )

@@ -55,6 +55,7 @@ from .config import ExperimentConfig, load_config
 from .empirical import EmpiricalMeasureProcess, limit_equation_residual
 from .errors import NumericalError, ValidationError
 from .presets import (
+    _MOMENT_COUNT,
     PARAMETER_SCHEMAS,
     ResultRow,
     make_bundle,
@@ -65,7 +66,6 @@ from .presets import (
 
 __all__ = ["main"]
 
-_MOMENT_COUNT = 8
 _INVERT_POINTS = 201
 _INVERT_EPS = (0.05, 0.025, 0.0125, 0.00625)
 _RESIDUAL_ATOMS = 400

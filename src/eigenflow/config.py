@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ValidationError
+from .flows import _FIELDS, _PROJECTIONS
 
 __all__ = [
     "PRESET_NAMES",
@@ -41,9 +42,6 @@ PRESET_NAMES = (
     "free_ou",
     "custom",
 )
-
-_FIELDS = ("complex", "real")
-_PROJECTIONS = ("none", "nonneg", "unit_interval")
 
 
 @dataclass
@@ -92,6 +90,8 @@ class ExperimentConfig:
         self.n_list = n_list
         if self.replica_count < 1:
             raise ValidationError("replica_count must be >= 1")
+        if self.base_seed < 0:
+            raise ValidationError("base_seed must be >= 0")
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
         t_grid = tuple(float(t) for t in self.t_grid)

@@ -13,6 +13,15 @@ with G(x, y) = g^2(x) h^2(y) + g^2(y) h^2(x) and the divided difference
 equal to f'' on the diagonal (automatic for polynomial f), together with
 the finite-n decomposition of d<mu, f> into drift, (2-beta)/(2n)
 correction, interaction, and martingale parts.
+
+The double integral is never formed atom pair by atom pair. For
+polynomial f it separates into power sums,
+
+    iint (f'(x) - f'(y))/(x - y) G dmu dmu = 2 sum_j f'_j (P_g * P_h)[j-1],
+
+with P_g[l] = <mu, x^l g^2>, P_h[l] = <mu, x^l h^2> and * discrete
+convolution, exact at coincident atoms and for any g^2, h^2 (see
+:func:`eigenflow.limits._interaction_kernel`): O(n deg f) per measure.
 """
 
 from __future__ import annotations
@@ -21,9 +30,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import UnsupportedLawOperation, ValidationError
 from .flows import EigenPath, FlowSpec
+from .limits import _cumtrapz, _interaction_kernel
 
 __all__ = [
     "EmpiricalMeasure",
@@ -184,44 +195,33 @@ def _poly_coeffs(f) -> np.ndarray:
     return np.atleast_1d(np.asarray(f, dtype=float))
 
 
-def _poly_derivative(c: np.ndarray) -> np.ndarray:
-    if c.size <= 1:
-        return np.zeros(1)
-    return c[1:] * np.arange(1, c.size)
-
-
-def _divided_difference_matrix(fp: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Matrix of (f'(x) - f'(y))/(x - y) at atom pairs, f'' on the diagonal.
-
-    For polynomial f' with coefficients fp this is
-    sum_j fp_j sum_{l=0}^{j-1} x^l y^{j-1-l}, exact everywhere including
-    coincident atoms.
-    """
-    deg = fp.size - 1
-    powers = lam[None, :] ** np.arange(max(deg, 1))[:, None]  # powers[l] = lam^l
-    out = np.zeros((lam.size, lam.size))
-    for j in range(1, deg + 1):
-        if fp[j] == 0.0:
-            continue
-        block = np.zeros_like(out)
-        for ell in range(j):
-            block += np.outer(powers[ell], powers[j - 1 - ell])
-        out += fp[j] * block
-    return out
-
-
-def _interaction_mean(
-    lam: np.ndarray,
-    fp: np.ndarray,
+def _limit_terms(
+    proc: EmpiricalMeasureProcess,
+    coeffs: np.ndarray,
     g2: Callable,
     h2: Callable,
-) -> float:
-    """(1/n^2) sum_{ij} dd(lam_i, lam_j) G(lam_i, lam_j)."""
-    g2v = np.asarray(g2(lam), dtype=float)
-    h2v = np.asarray(h2(lam), dtype=float)
-    big_g = np.outer(g2v, h2v) + np.outer(h2v, g2v)
-    dd = _divided_difference_matrix(fp, lam)
-    return float(np.sum(dd * big_g)) / lam.size**2
+    b: Callable,
+) -> np.ndarray:
+    """Per-time <mu, f>, <mu, f' b> and iint dd_{f'} G dmu dmu, as 3 rows.
+
+    The double integral runs over the full product measure (diagonal =
+    f'') and comes from the atoms' power sums through the interaction
+    kernel.
+    """
+    fp = polyder(coeffs)
+    terms = np.empty((3, len(proc)))
+    for idx, m in enumerate(proc.measures):
+        lam = m.atoms
+        powers = np.vander(lam, coeffs.size, increasing=True) / lam.size  # lam^l / n
+        head = powers[:, : fp.size - 1].T
+        p_g = head @ np.broadcast_to(g2(lam), lam.shape)
+        p_h = head @ np.broadcast_to(h2(lam), lam.shape)
+        terms[:, idx] = (
+            np.sum(powers @ coeffs),
+            np.sum(b(lam) * (powers[:, : fp.size] @ fp)),
+            fp @ _interaction_kernel(p_g, p_h),
+        )
+    return terms
 
 
 def limit_equation_residual(
@@ -243,23 +243,9 @@ def limit_equation_residual(
     coeffs = _poly_coeffs(f)
     if coeffs.size > 13:
         raise ValidationError("polynomial degree must be <= 12")
-    fp = _poly_derivative(coeffs)
-    polyval = np.polynomial.polynomial.polyval
-
-    integrand = np.empty(len(proc))
-    observable = np.empty(len(proc))
-    for idx, m in enumerate(proc.measures):
-        lam = m.atoms
-        observable[idx] = float(np.mean(polyval(lam, coeffs)))
-        drift = float(np.mean(np.asarray(b(lam), dtype=float) * polyval(lam, fp)))
-        inter = _interaction_mean(lam, fp, g2, h2)
-        integrand[idx] = drift + 0.5 * beta * inter
-    rhs = np.zeros(len(proc))
-    rhs[1:] = np.cumsum(
-        0.5 * (integrand[1:] + integrand[:-1]) * np.diff(proc.t_grid)
-    )
-    residual = observable - observable[0] - rhs
-    return float(np.max(np.abs(residual)))
+    observable, drift, inter = _limit_terms(proc, coeffs, g2, h2, b)
+    rhs = _cumtrapz(drift + 0.5 * beta * inter, proc.t_grid)
+    return float(np.max(np.abs(observable - observable[0] - rhs)))
 
 
 def em_sde_decomposition(proc: EmpiricalMeasureProcess, f, spec: FlowSpec) -> dict:
@@ -278,9 +264,7 @@ def em_sde_decomposition(proc: EmpiricalMeasureProcess, f, spec: FlowSpec) -> di
     - ``lhs``:         <mu_t, f> - <mu_0, f>.
     """
     coeffs = _poly_coeffs(f)
-    fp = _poly_derivative(coeffs)
-    fpp = _poly_derivative(fp)
-    polyval = np.polynomial.polynomial.polyval
+    fpp = polyder(coeffs, 2)
     n = spec.n
     beta = spec.beta
     drift_scale = 1.0 if spec.drift_prescaled else 1.0 / n
@@ -291,30 +275,15 @@ def em_sde_decomposition(proc: EmpiricalMeasureProcess, f, spec: FlowSpec) -> di
     def h2(lam):
         return np.asarray(spec.h(lam), dtype=float) ** 2
 
-    lhs = np.empty(len(proc))
-    drift_i = np.empty(len(proc))
-    corr_i = np.empty(len(proc))
-    inter_i = np.empty(len(proc))
-    for idx, m in enumerate(proc.measures):
-        lam = m.atoms
-        lhs[idx] = float(np.mean(polyval(lam, coeffs)))
-        drift_i[idx] = drift_scale * float(
-            np.mean(np.asarray(spec.b(lam), dtype=float) * polyval(lam, fp))
-        )
-        corr_i[idx] = ((2.0 - beta) / (2.0 * n)) * float(
-            np.mean(polyval(lam, fpp) * 2.0 * g2(lam) * h2(lam))
-        )
-        inter_i[idx] = 0.5 * beta * _interaction_mean(lam, fp, g2, h2)
-
-    def cum(y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(proc.t_grid))
-        return out
-
-    lhs = lhs - lhs[0]
-    drift = cum(drift_i)
-    correction = cum(corr_i)
-    interaction = cum(inter_i)
+    observable, drift_i, inter_i = _limit_terms(proc, coeffs, g2, h2, spec.b)
+    corr_i = np.array([
+        np.mean(polyval(m.atoms, fpp) * 2.0 * g2(m.atoms) * h2(m.atoms))
+        for m in proc.measures
+    ])
+    lhs = observable - observable[0]
+    drift = _cumtrapz(drift_scale * drift_i, proc.t_grid)
+    correction = _cumtrapz((2.0 - beta) / (2.0 * n) * corr_i, proc.t_grid)
+    interaction = _cumtrapz(0.5 * beta * inter_i, proc.t_grid)
     return {
         "lhs": lhs,
         "drift": drift,

@@ -122,6 +122,12 @@ class FlowSpec:
         grid = np.asarray(self.t_grid, dtype=float)
         if grid.size == 0 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
             raise ValidationError("t_grid must be ascending and start at 0")
+        off_step = np.abs(np.rint(grid / self.dt) * self.dt - grid) > 1e-9 * grid
+        if np.any(off_step):
+            raise ValidationError(
+                f"t_grid times must be multiples of dt={self.dt:g}; "
+                f"t={grid[off_step][0]:g} is not"
+            )
         init = np.asarray(self.initial_spectrum, dtype=float)
         if init.shape != (self.n,):
             raise ValidationError(f"initial_spectrum must have shape ({self.n},)")
@@ -267,10 +273,10 @@ def _warn_if_superlinear_growth(spec: FlowSpec, lo: float, hi: float) -> None:
 def simulate_path(spec: FlowSpec, seed) -> EigenPath:
     """Integrate one path, recording sorted spectra at the grid times.
 
-    Each grid time t is recorded after round(t / dt) steps (nearest-step
-    snapping). Deterministic given the seed / RNG stream. Raises
-    NumericalError if the state stops being finite, reporting the time of
-    failure.
+    Each grid time t is recorded after round(t / dt) steps (FlowSpec
+    admits only grid times that are multiples of dt). Deterministic given
+    the seed / RNG stream. Raises NumericalError if the state stops being
+    finite, reporting the time of failure.
     """
     rng = _as_generator(seed)
     n = spec.n

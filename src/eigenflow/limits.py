@@ -14,13 +14,8 @@ Moment engines come in two flavors:
   polynomial-in-t coefficients, used as hard oracles in tests;
 * :func:`generic_moment_ode`, an RK4 integrator of the closed moment
   hierarchy generated by the limiting evolution equation for polynomial
-  coefficient functions
-
-      dm_k/dt = k sum_j b_j m_{k-1+j}
-                + (beta/2) k sum_{i=0}^{k-2} sum_{j1,j2} gam_{j1} eta_{j2}
-                  (m_{i+j1} m_{k-2-i+j2} + m_{i+j2} m_{k-2-i+j1}),
-
-  with gam, eta the coefficient arrays of g^2 and h^2.
+  coefficient functions, evaluated through the same separable
+  interaction kernel as the empirical residuals.
 
 Normalization note (load-bearing): ``MarchenkoPastur(alpha, t, beta)`` is
 defined as the law solving the beta-indexed hierarchy with constant drift
@@ -190,10 +185,11 @@ class MomentPath:
 
 
 # ---------------------------------------------------------------------------
-# CDF mesh helpers shared by the density-carrying laws
+# Trapezoid integration (CDF meshes, time integrals) and CDF mesh helpers
 # ---------------------------------------------------------------------------
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral of y over x, starting at 0."""
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
     return out
@@ -817,6 +813,32 @@ def _poly_degree(coeffs) -> int:
     return int(nz[-1]) if nz.size else 0
 
 
+def _interaction_kernel(p_g: np.ndarray, p_h: np.ndarray) -> np.ndarray:
+    """Interaction integrals of every monomial f' = x^j from power sums.
+
+    Given P_g[l] = <mu, x^l g^2> and P_h[l] = <mu, x^l h^2> for
+    l = 0..J-1, returns I[0..J] with
+
+        I[j] = iint (x^j - y^j)/(x - y) G(x, y) mu(dx) mu(dy)
+             = 2 (P_g * P_h)[j-1],          I[0] = 0,
+
+    where * is discrete convolution: the divided difference of x^j is
+    sum_l x^l y^{j-1-l} and G(x, y) = g^2(x) h^2(y) + g^2(y) h^2(x) is a
+    sum of products, so the double integral separates into power sums
+    (O(J^2) given P, for any g^2 and h^2, polynomial or not). The
+    interaction of a polynomial f' with coefficients fp is fp @ I.
+    """
+    out = np.zeros(p_g.size + 1)
+    if p_g.size:
+        out[1:] = 2.0 * np.convolve(p_g, p_h)[: p_g.size]
+    return out
+
+
+def _shift_operator(c: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Matrix S with (S @ m)[r] = sum_j c_j m_{r+j}."""
+    return sum(cj * np.eye(rows, cols, k=j) for j, cj in enumerate(c))
+
+
 def generic_moment_ode(
     b,
     g2,
@@ -830,16 +852,17 @@ def generic_moment_ode(
     """Integrate the closed moment hierarchy of the limiting equation.
 
     ``b``, ``g2``, ``h2`` are ascending polynomial coefficient arrays of
-    the drift and squared coefficient functions. The hierarchy
+    the drift and squared coefficient functions. For f = x^k the limiting
+    equation's interaction term is (beta/2) k I[k-1] with I from
+    :func:`_interaction_kernel`, and for polynomial g^2 the power sums are
+    moments, P_g[l] = sum_j g2_j m_{l+j}; so the hierarchy reads
 
-        dm_k/dt = k sum_j b_j m_{k-1+j}
-                  + (beta/2) k sum_{i=0}^{k-2} sum_{j1,j2}
-                    g2_{j1} h2_{j2} (m_{i+j1} m_{k-2-i+j2}
-                                     + m_{i+j2} m_{k-2-i+j1})
+        dm_k/dt = k (sum_j b_j m_{k-1+j} + beta (P_g * P_h)[k-2]),
 
-    closes at k_max iff deg(b) <= 1 and max(deg(g2), deg(h2)) <= 2;
-    otherwise a TruncationError is raised (the needed moment triangle
-    would be unbounded). Integration is classical RK4 with fixed dt.
+    with * discrete convolution. It closes at k_max iff deg(b) <= 1 and
+    max(deg(g2), deg(h2)) <= 2; otherwise a TruncationError is raised
+    (the needed moment triangle would be unbounded). Integration is
+    classical RK4 with fixed dt.
     """
     b = np.atleast_1d(np.asarray(b, dtype=float))
     g2 = np.atleast_1d(np.asarray(g2, dtype=float))
@@ -862,27 +885,16 @@ def generic_moment_ode(
         raise ValidationError("mu0_moments[0] must be 1")
     m0 = m0[: k_max + 1].copy()
 
-    b_idx = [(j, bj) for j, bj in enumerate(b) if bj != 0.0]
-    gh_idx = [
-        (j1, j2, gj * hj)
-        for j1, gj in enumerate(g2)
-        if gj != 0.0
-        for j2, hj in enumerate(h2)
-        if hj != 0.0
-    ]
+    # rows k - 1 (k = 1..k_max) of the drift, rows l = 0..k_max-2 of P_g, P_h
+    b_op = _shift_operator(b, k_max, k_max + 1)
+    g_op = _shift_operator(g2, k_max - 1, k_max + 1)
+    h_op = _shift_operator(h2, k_max - 1, k_max + 1)
+    ks = np.arange(1, k_max + 1)
     half_beta = 0.5 * beta
 
     def rhs(m: np.ndarray) -> np.ndarray:
         dm = np.zeros_like(m)
-        for k in range(1, k_max + 1):
-            acc = 0.0
-            for j, bj in b_idx:
-                acc += bj * m[k - 1 + j]
-            inter = 0.0
-            for i in range(k - 1):
-                for j1, j2, c in gh_idx:
-                    inter += c * (m[i + j1] * m[k - 2 - i + j2] + m[i + j2] * m[k - 2 - i + j1])
-            dm[k] = k * (acc + half_beta * inter)
+        dm[1:] = ks * (b_op @ m + half_beta * _interaction_kernel(g_op @ m, h_op @ m))
         return dm
 
     n_steps = max(1, int(round(t_final / dt))) if t_final > 0 else 0

@@ -24,6 +24,7 @@ from eigenflow import (
     simulate_path,
     wasserstein1,
 )
+from eigenflow.empirical import _limit_terms
 
 ZERO = SpectralFunction.constant(0.0)
 ONE = SpectralFunction.constant(1.0)
@@ -195,6 +196,51 @@ def test_residual_semicircle_family_second_moment():
         lambda x: 0.0 * x, beta=2.0,
     )
     assert res <= 2e-2
+
+
+def _direct_interaction(lam, coeffs, g2, h2):
+    """Reference O(n^2) atom-pair sum (1/n^2) sum_ij dd(lam_i, lam_j) G(lam_i, lam_j).
+
+    The divided difference of f' = sum_j fp_j x^j is assembled as
+    sum_j fp_j sum_l x^l y^{j-1-l} from outer products, exact at
+    coincident atoms (where it equals f'').
+    """
+    fp = np.polynomial.polynomial.polyder(coeffs)
+    dd = np.zeros((lam.size, lam.size))
+    for j in range(1, fp.size):
+        for ell in range(j):
+            dd += fp[j] * np.outer(lam**ell, lam ** (j - 1 - ell))
+    g2v, h2v = g2(lam), h2(lam)
+    big_g = np.outer(g2v, h2v) + np.outer(h2v, g2v)
+    return float(np.sum(dd * big_g)) / lam.size**2
+
+
+@pytest.mark.parametrize(
+    "atoms, g2, h2",
+    [
+        # coincident atoms: the divided difference is f'' on every repeated pair
+        (np.repeat([0.1, 0.4, 0.45, 1.3], 25), lambda x: 0.25 + 0.0 * x, lambda x: 1.0 + 0.0 * x),
+        (np.repeat([0.2, 0.5, 0.9], [40, 1, 19]), lambda x: x, lambda x: 1.0 - x),
+        # non-polynomial g^2 = |x| on a spectrum of both signs
+        (np.linspace(-0.8, 1.6, 97), np.abs, lambda x: 1.0 + 0.0 * x),
+        (np.concatenate([np.full(10, -0.5), np.linspace(0.1, 1.2, 50)]), np.abs, lambda x: 0.3 + x**2),
+    ],
+)
+def test_interaction_kernel_matches_direct_double_sum(atoms, g2, h2):
+    proc = EmpiricalMeasureProcess((0.0,), (EmpiricalMeasure(atoms),))
+    lam = proc.measures[0].atoms
+    for k in range(1, 13):
+        coeffs = np.zeros(k + 1)
+        coeffs[k] = 1.0
+        inter = _limit_terms(proc, coeffs, g2, h2, lambda x: 0.0 * x)[2, 0]
+        assert np.isclose(inter, _direct_interaction(lam, coeffs, g2, h2), rtol=1e-12, atol=0.0), k
+    mixed = np.array([0.3, -1.0, 0.5, 2.0, 0.0, -0.25])
+    assert np.isclose(
+        _limit_terms(proc, mixed, g2, h2, lambda x: 0.0 * x)[2, 0],
+        _direct_interaction(lam, mixed, g2, h2),
+        rtol=1e-12,
+        atol=0.0,
+    )
 
 
 def test_residual_rejects_high_degree():

@@ -320,6 +320,15 @@ def test_flow_spec_validation():
         FlowSpec(n=3, g=ONE, h=ONE, b=ZERO, initial_spectrum=np.zeros(3), dt=0.0)
     with pytest.raises(ValidationError):
         FlowSpec(n=3, g=ONE, h=ONE, b=ZERO, initial_spectrum=np.zeros(3), field="octonion")
+    # record times off the step grid: 0.0004 would be recorded at step 0
+    # and 0.0015 at step 2 (t = 0.002)
+    with pytest.raises(ValidationError, match="multiples of dt"):
+        _flat_spec(2, dt=1e-3, t_grid=(0.0, 0.0004, 0.0015))
+    with pytest.raises(ValidationError, match="multiples of dt"):
+        _flat_spec(2, dt=0.01, t_grid=(0.0, 0.025))
+    # float grids that are dt multiples up to rounding are accepted
+    assert _flat_spec(2, dt=1e-3, t_grid=(0.0, 0.2 * 3 / 4)).t_grid[-1] == 0.2 * 3 / 4
+    assert _flat_spec(2, dt=0.01, t_grid=(0.0, 0.03)).t_grid[-1] == 0.03
 
 
 def test_beta_property():

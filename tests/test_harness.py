@@ -3,9 +3,13 @@ run_preset row contracts, sweep reduction, the CLI subcommands, and CSV
 reproducibility (byte-identical modulo the timestamp comment line).
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eigenflow
 import eigenflow.presets as presets_mod
 from eigenflow import (
     ExperimentConfig,
@@ -111,6 +115,22 @@ def test_experiment_config_validation():
         ExperimentConfig(preset="wigner", dt=-1e-3)
     with pytest.raises(ValidationError, match="replica_count"):
         ExperimentConfig(preset="wigner", replica_count=0)
+    with pytest.raises(ValidationError, match="base_seed"):
+        ExperimentConfig(preset="wigner", base_seed=-1)
+    assert ExperimentConfig(preset="wigner", base_seed=0).base_seed == 0
+
+
+def test_version_has_one_source():
+    """pyproject.toml names the package and reads its version from
+    eigenflow.__version__ (plain-text checks: no TOML parser needed)."""
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\nname = "eigenflow"\n' in pyproject
+    assert '\ndynamic = ["version"]\n' in pyproject
+    assert '\nversion = {attr = "eigenflow.__version__"}\n' in pyproject
+    assert not re.search(r'^version = "', pyproject, re.MULTILINE)
+    init = (root / "src" / "eigenflow" / "__init__.py").read_text(encoding="utf-8")
+    assert f'\n__version__ = "{eigenflow.__version__}"\n' in init
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +337,26 @@ def test_cli_validation_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "alpha*n" in err
+
+
+def test_cli_simulate_rejects_record_times_off_the_step_grid(tmp_path, capsys):
+    cfg = _write_cfg(
+        tmp_path, "preset = wigner\nn_list = 4\ndt = 0.001\nt_grid = 0.0, 0.0004, 0.0015\n"
+    )
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "multiples of dt" in err
+    assert not (tmp_path / "o" / "simulate.csv").exists()
+
+
+def test_cli_negative_seed_exit_code(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TINY_WIGNER)
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "base_seed must be >= 0" in capsys.readouterr().err
+    neg = _write_cfg(tmp_path, TINY_WIGNER.replace("base_seed = 11", "base_seed = -1"), "neg.cfg")
+    assert cli_main(["simulate", "--config", neg, "--out", str(tmp_path / "o")]) == 2
+    assert "base_seed must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_missing_config_exit_code(tmp_path, capsys):

@@ -448,6 +448,57 @@ def test_generic_ode_time_path():
     assert np.isclose(path.at_time(0.0)[2], 0.0)
 
 
+def _loop_hierarchy_path(b, g2, h2, beta, m0, t_final, dt):
+    """RK4 of the hierarchy with the interaction as a loop over (i, j1, j2):
+
+        dm_k/dt = k sum_j b_j m_{k-1+j}
+                  + (beta/2) k sum_{i=0}^{k-2} sum_{j1,j2} g2_{j1} h2_{j2}
+                    (m_{i+j1} m_{k-2-i+j2} + m_{i+j2} m_{k-2-i+j1})
+    """
+    k_max = len(m0) - 1
+
+    def rhs(m):
+        out = np.zeros_like(m)
+        for k in range(1, k_max + 1):
+            drift = sum(bj * m[k - 1 + j] for j, bj in enumerate(b))
+            inter = 0.0
+            for i in range(k - 1):
+                for j1, gj in enumerate(g2):
+                    for j2, hj in enumerate(h2):
+                        inter += gj * hj * (
+                            m[i + j1] * m[k - 2 - i + j2] + m[i + j2] * m[k - 2 - i + j1]
+                        )
+            out[k] = k * (drift + 0.5 * beta * inter)
+        return out
+
+    steps = int(round(t_final / dt))
+    m = np.asarray(m0, dtype=float)
+    values = [m]
+    for _ in range(steps):
+        k1 = rhs(m)
+        k2 = rhs(m + 0.5 * dt * k1)
+        k3 = rhs(m + 0.5 * dt * k2)
+        k4 = rhs(m + dt * k3)
+        m = m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        values.append(m)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_generic_ode_matches_loop_hierarchy_at_closure_boundary(beta):
+    """deg b = 1 and deg g^2 = deg h^2 = 2, the largest degrees that close:
+    the separable right-hand side equals the (i, j1, j2) loop."""
+    b, g2, h2 = [0.3, -0.5], [0.2, 0.1, 0.05], [1.0, -0.3, 0.2]
+    atoms = np.array([0.2, 0.5, 0.9])
+    m0 = [float(np.mean(atoms**k)) for k in range(9)]
+    path = generic_moment_ode(
+        b=b, g2=g2, h2=h2, beta=beta, mu0_moments=m0, k_max=8, t_final=0.2, dt=0.01
+    )
+    ref = _loop_hierarchy_path(b, g2, h2, beta, m0, 0.2, 0.01)
+    assert np.allclose(path.values, ref, rtol=1e-12, atol=0.0)
+    assert not np.allclose(path.values[-1], ref[0], rtol=1e-3)
+
+
 def test_generic_ode_truncation_errors():
     with pytest.raises(TruncationError):
         generic_moment_ode(
