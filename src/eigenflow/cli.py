@@ -120,9 +120,13 @@ def _law_or_fail(cfg: ExperimentConfig):
 
 
 def _law_moment_rows(cfg: ExperimentConfig, law) -> list[ResultRow]:
+    # a law whose moments come from an ODE integrates it once along the grid
+    if hasattr(law, "moments_at"):
+        seqs = law.moments_at(cfg.t_grid, _MOMENT_COUNT)
+    else:
+        seqs = [law.at(t).moments(_MOMENT_COUNT) for t in cfg.t_grid]
     rows = []
-    for t in cfg.t_grid:
-        ms = law.at(t).moments(_MOMENT_COUNT)
+    for t, ms in zip(cfg.t_grid, seqs):
         for k in range(1, _MOMENT_COUNT + 1):
             rows.append(ResultRow(cfg.preset, 0, "law", float(t), f"m{k}", ms[k]))
     return rows

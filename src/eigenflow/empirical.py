@@ -254,8 +254,7 @@ def em_sde_decomposition(proc: EmpiricalMeasureProcess, f, spec: FlowSpec) -> di
     Returns cumulative (time-integrated, trapezoid on the recorded grid)
     arrays aligned with the grid:
 
-    - ``drift``:       int int f' b dmu ds, with b the spec's drift scaled
-                       by 1/n unless prescaled;
+    - ``drift``:       int int f' b dmu ds, with b the spec's drift;
     - ``correction``:  (2-beta)/(2n) int int f'' G(x,x) dmu ds with
                        G(x,x) = 2 g^2 h^2 — identically 0 at beta = 2;
     - ``interaction``: (beta/2) int iint dd_f G dmu dmu ds over the full
@@ -267,7 +266,6 @@ def em_sde_decomposition(proc: EmpiricalMeasureProcess, f, spec: FlowSpec) -> di
     fpp = polyder(coeffs, 2)
     n = spec.n
     beta = spec.beta
-    drift_scale = 1.0 if spec.drift_prescaled else 1.0 / n
 
     def g2(lam):
         return np.asarray(spec.g(lam), dtype=float) ** 2
@@ -281,7 +279,7 @@ def em_sde_decomposition(proc: EmpiricalMeasureProcess, f, spec: FlowSpec) -> di
         for m in proc.measures
     ])
     lhs = observable - observable[0]
-    drift = _cumtrapz(drift_scale * drift_i, proc.t_grid)
+    drift = _cumtrapz(drift_i, proc.t_grid)
     correction = _cumtrapz((2.0 - beta) / (2.0 * n) * corr_i, proc.t_grid)
     interaction = _cumtrapz(0.5 * beta * inter_i, proc.t_grid)
     return {

@@ -3,12 +3,22 @@
 The state is a Hermitian (complex field, beta = 2) or symmetric (real
 field, beta = 1) n x n matrix evolving as
 
-    dX = g(X) dW^(n) h(X) + h(X) d(W^(n))* g(X) + drift(X) dt,
+    dX = g(X) dW^(n) h(X) + h(X) d(W^(n))* g(X) + b(X) dt,
 
-where g, h act spectrally, W^(n) = n^{-1/2} W for a matrix W of i.i.d.
-(complex or real) standard Brownian entries, and drift(X) = b(X)/n unless
-the drift is supplied prescaled. Only the eigenvalue paths are recorded:
-the object of study is the empirical spectral measure.
+where g, h, b act spectrally and W^(n) = n^{-1/2} W for a matrix W of
+i.i.d. (complex or real) standard Brownian entries. The drift b enters
+the step as b(X) dt. Only the eigenvalue paths are recorded: the object
+of study is the empirical spectral measure.
+
+Eigenframe stepping: with X = V diag(w) V*, one Euler step
+(:func:`matrix_euler_step`, kept as the reference) is X' = V [diag(w +
+dt b(w)) + A + A*] V*, A = (g(w) h(w)^T) o (V* dW V) entrywise. V depends
+only on the past and dW is bi-unitarily (real field: bi-orthogonally)
+invariant, so V* dW V has the law of dW, independent of the past; the
+spectrum stepper :func:`euler_step` therefore keeps only w and draws dW
+afresh, with exactly the law of the matrix scheme. Unprojected flows with
+constant g, h and b, for which Euler is exact, step straight from one
+record time to the next.
 
 Noise convention: a standard complex Brownian entry is B^1 + i B^2 with
 independent standard real parts, so E|W_ij(t)|^2 = 2t (real case:
@@ -40,6 +50,7 @@ __all__ = [
     "NoiseIncrement",
     "PathDiagnostics",
     "euler_step",
+    "matrix_euler_step",
     "replica_stream",
     "sample_noise",
     "simulate_ensemble",
@@ -48,7 +59,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_PROJECTIONS = ("none", "nonneg", "unit_interval")
+# projection -> the domain each step's eigenvalues are clipped into
+_DOMAINS = {"none": (-math.inf, math.inf), "nonneg": (0.0, math.inf), "unit_interval": (0.0, 1.0)}
+_PROJECTIONS = tuple(_DOMAINS)
 _FIELDS = ("complex", "real")
 
 
@@ -91,9 +104,8 @@ def sample_noise(n: int, field: str, dt: float, stream: np.random.Generator) -> 
 class FlowSpec:
     """Full specification of one matrix flow simulation.
 
-    ``g``, ``h``, ``b`` are spectral coefficient functions; ``b`` is the
-    finite-n drift b_n (applied as b(X)/n dt) unless ``drift_prescaled``
-    is set, in which case it is applied as b(X) dt directly.
+    ``g``, ``h``, ``b`` are spectral coefficient functions; the drift
+    ``b`` is applied as b(X) dt.
     ``projection`` optionally clamps eigenvalues back into a domain after
     each step ("nonneg" -> [0, inf), "unit_interval" -> [0, 1]); it is off
     by default because the flows of interest preserve their domains on
@@ -108,7 +120,6 @@ class FlowSpec:
     field: str = "complex"
     dt: float = 1e-3
     t_grid: tuple = (0.0, 1.0)
-    drift_prescaled: bool = False
     projection: str = "none"
     name: str = "custom"
 
@@ -155,8 +166,8 @@ class PathDiagnostics:
     """Path-level diagnostics over the recorded grid times.
 
     ``min_eigenvalue``/``max_eigenvalue`` are extrema over all recorded
-    spectra; ``first_domain_exit`` is the first recorded (or clamped) time
-    the spectrum left the projection domain, if any.
+    spectra; ``first_domain_exit`` is the end time of the first step whose
+    spectrum left the projection domain and was clamped, if any.
     """
 
     min_eigenvalue: float = math.inf
@@ -175,60 +186,49 @@ class EigenPath:
     replica: int = 0
 
 
-def _domain_bounds(projection: str) -> tuple[float, float]:
-    if projection == "nonneg":
-        return 0.0, math.inf
-    if projection == "unit_interval":
-        return 0.0, 1.0
-    return -math.inf, math.inf
-
-
 def euler_step(
-    x: np.ndarray,
+    w: np.ndarray,
     spec: FlowSpec,
     noise: NoiseIncrement,
     info: dict | None = None,
 ) -> np.ndarray:
-    """One Euler-Maruyama step from Hermitian state ``x``.
+    """One Euler-Maruyama step of the sorted spectrum ``w``, in the eigenframe.
 
-    Returns hermitize(x + g(x) dW h(x) + h(x) dW* g(x) + drift dt), with
-    drift = b(x)/n (or b(x) if the spec's drift is prescaled). If a
-    projection is configured, eigenvalues of the result are clamped into
-    the domain and the matrix reassembled in the unchanged eigenbasis;
-    pass ``info`` (a dict) to receive the number of clamped eigenvalues
-    under key ``"clamped"``.
+    Returns the ascending eigenvalues of diag(w + dt b(w)) + A + A* with
+    A = (g(w) h(w)^T) o dW and dt = ``noise.dt``, clipped into the
+    projection domain; pass ``info`` (a dict) to receive the number of
+    clipped eigenvalues under key ``"clamped"``. Raises NumericalError,
+    naming the flow and n, if the step matrix is not finite.
+    """
+    if noise.n != spec.n:
+        raise ValidationError("noise dimension does not match flow dimension")
+    a = np.multiply.outer(spec.g(w), spec.h(w)) * noise.dw
+    m = a + a.conj().T
+    m[np.diag_indices(spec.n)] += w + noise.dt * spec.b(w)
+    # checked before eigvalsh, which can return finite eigenvalues for NaN input
+    if not np.all(np.isfinite(m)):
+        raise NumericalError(f"flow {spec.name!r} (n={spec.n}): step matrix is not finite")
+    w_next = np.linalg.eigvalsh(m)
+    clipped = np.clip(w_next, *_DOMAINS[spec.projection])
+    if info is not None:
+        info["clamped"] = int(np.count_nonzero(clipped != w_next))
+    return clipped
+
+
+def matrix_euler_step(x: np.ndarray, spec: FlowSpec, noise: NoiseIncrement) -> np.ndarray:
+    """One Euler-Maruyama step of the Hermitian matrix state ``x``, unprojected.
+
+    Returns hermitize(x + g(x) dW h(x) + h(x) dW* g(x) + dt b(x)), with g,
+    h and b applied through the eigendecomposition of ``x``.
     """
     if noise.n != spec.n:
         raise ValidationError("noise dimension does not match flow dimension")
     dw = noise.dw
-    dt = noise.dt
-    drift_scale = 1.0 if spec.drift_prescaled else 1.0 / spec.n
-    if spec.is_constant_coefficients:
-        gv = spec.g.constant_value()
-        hv = spec.h.constant_value()
-        bv = spec.b.constant_value()
-        x_next = x + gv * hv * (dw + dw.conj().T)
-        if bv != 0.0:
-            x_next = x_next + (bv * drift_scale * dt) * np.eye(spec.n, dtype=x.dtype)
-        x_next = hermitize(x_next)
-    else:
-        w, v = eigen(x)
-        gm = apply_spectral((w, v), spec.g)
-        hm = apply_spectral((w, v), spec.h)
-        bm = apply_spectral((w, v), spec.b)
-        x_next = hermitize(x + gm @ dw @ hm + hm @ dw.conj().T @ gm + (drift_scale * dt) * bm)
-    if spec.projection != "none":
-        lo, hi = _domain_bounds(spec.projection)
-        w, v = eigen(x_next)
-        clamped = np.clip(w, lo, hi)
-        n_clamped = int(np.sum(clamped != w))
-        if info is not None:
-            info["clamped"] = n_clamped
-        if n_clamped:
-            x_next = hermitize((v * clamped) @ v.conj().T)
-    elif info is not None:
-        info["clamped"] = 0
-    return x_next
+    w, v = eigen(x)
+    gm = apply_spectral((w, v), spec.g)
+    hm = apply_spectral((w, v), spec.h)
+    bm = apply_spectral((w, v), spec.b)
+    return hermitize(x + gm @ dw @ hm + hm @ dw.conj().T @ gm + noise.dt * bm)
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -273,49 +273,41 @@ def _warn_if_superlinear_growth(spec: FlowSpec, lo: float, hi: float) -> None:
 def simulate_path(spec: FlowSpec, seed) -> EigenPath:
     """Integrate one path, recording sorted spectra at the grid times.
 
-    Each grid time t is recorded after round(t / dt) steps (FlowSpec
-    admits only grid times that are multiples of dt). Deterministic given
-    the seed / RNG stream. Raises NumericalError if the state stops being
-    finite, reporting the time of failure.
+    Each grid time t is recorded after round(t / dt) steps of
+    :func:`euler_step` (FlowSpec admits only grid times that are multiples
+    of dt). With constant g, h and b and no projection the Euler scheme is
+    exact (its increments are Gaussian sums), so such a flow takes one
+    step per record gap. Deterministic given the seed / RNG stream. Raises
+    NumericalError if the state stops being finite, reporting the time.
     """
     rng = _as_generator(seed)
-    n = spec.n
     dt = spec.dt
     record_steps = [int(round(t / dt)) for t in spec.t_grid]
-    total_steps = record_steps[-1]
-    dtype = complex if spec.field == "complex" else float
-    x = np.diag(np.asarray(spec.initial_spectrum, dtype=float)).astype(dtype)
+    record_rows = {step: row for row, step in enumerate(record_steps)}
+    if spec.is_constant_coefficients and spec.projection == "none":
+        step_ends = record_steps
+    else:
+        step_ends = range(record_steps[-1] + 1)
 
     diags = PathDiagnostics()
-    spectra = np.empty((len(record_steps), n))
-    rec_pos = {}
-    for idx, step in enumerate(record_steps):
-        rec_pos.setdefault(step, []).append(idx)
-
+    spectra = np.empty((len(record_steps), spec.n))
+    w = np.sort(spec.initial_spectrum)
+    spectra[0] = w
     info: dict = {}
-    lo, hi = _domain_bounds(spec.projection)
-
-    def record(step_index: int) -> None:
-        w = np.linalg.eigvalsh(x)
-        for idx in rec_pos.get(step_index, ()):
-            spectra[idx] = w
-        diags.min_eigenvalue = min(diags.min_eigenvalue, float(w[0]))
-        diags.max_eigenvalue = max(diags.max_eigenvalue, float(w[-1]))
-        if diags.first_domain_exit is None and (w[0] < lo or w[-1] > hi):
-            diags.first_domain_exit = step_index * dt
-
-    record(0)
-    for step in range(1, total_steps + 1):
-        noise = sample_noise(n, spec.field, dt, rng)
-        x = euler_step(x, spec, noise, info=info)
-        if info.get("clamped"):
+    for prev, step in zip(step_ends, step_ends[1:]):
+        noise = sample_noise(spec.n, spec.field, (step - prev) * dt, rng)
+        try:
+            w = euler_step(w, spec, noise, info=info)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} at t={step * dt:.6g}") from None
+        if info["clamped"]:
             diags.clamp_events += info["clamped"]
             if diags.first_domain_exit is None:
                 diags.first_domain_exit = step * dt
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(f"state exploded (non-finite entries) at t={step * dt:.6g}")
-        if step in rec_pos:
-            record(step)
+        if step in record_rows:
+            spectra[record_rows[step]] = w
+    diags.min_eigenvalue = float(spectra[:, 0].min())
+    diags.max_eigenvalue = float(spectra[:, -1].max())
 
     _warn_if_superlinear_growth(spec, diags.min_eigenvalue, diags.max_eigenvalue)
     return EigenPath(

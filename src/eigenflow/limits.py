@@ -929,28 +929,32 @@ def jacobi_moments(
     Raises NumericalError if the computed moments stop satisfying
     0 <= m_{k+1} <= m_k (the signature of a misconfigured drift sign).
     """
+    return _jacobi_moments_at(p, q, beta, a, (t_final,), dt, k_max)[0]
+
+
+def _jacobi_moments_at(p, q, beta, a, times, dt, k_max) -> list[MomentSequence]:
+    """:func:`jacobi_moments` at each of the ascending ``times``, integrating
+    each gap once from the previous time's moments (off-grid times exact)."""
     if not 0.0 <= a <= 1.0:
         raise ValidationError("a must lie in [0, 1]")
     if p <= 0 or q <= 0:
         raise ValidationError("p and q must be positive")
-    mu0 = np.array([a**k for k in range(k_max + 1)], dtype=float)
-    path = generic_moment_ode(
-        b=[p, -(p + q)],
-        g2=[0.0, 1.0],
-        h2=[1.0, -1.0],
-        beta=beta,
-        mu0_moments=mu0,
-        k_max=k_max,
-        t_final=t_final,
-        dt=dt,
-    )
-    vals = path.values
-    if np.any(vals < -1e-6) or np.any(vals[:, 1:] - vals[:, :-1] > 1e-6):
-        raise NumericalError(
-            "Jacobi moments left [0,1] ordering (0 <= m_{k+1} <= m_k violated); "
-            "check the drift sign"
-        )
-    return path.final.check_hankel()
+    m = np.array([a**k for k in range(k_max + 1)], dtype=float)
+    out, t_prev = [], 0.0
+    for t in times:
+        if t != t_prev:  # generic_moment_ode rejects t < t_prev
+            vals = generic_moment_ode(
+                b=[p, -(p + q)], g2=[0.0, 1.0], h2=[1.0, -1.0], beta=beta,
+                mu0_moments=m, k_max=k_max, t_final=t - t_prev, dt=dt,
+            ).values
+            if np.any(vals < -1e-6) or np.any(vals[:, 1:] - vals[:, :-1] > 1e-6):
+                raise NumericalError(
+                    "Jacobi moments left [0,1] ordering (0 <= m_{k+1} <= m_k violated); "
+                    "check the drift sign"
+                )
+            m, t_prev = vals[-1], t
+        out.append(MomentSequence(m.copy(), t=float(t)).check_hankel())
+    return out
 
 
 @dataclass(eq=False)
@@ -972,6 +976,11 @@ class JacobiLaw:
 
     def moments(self, k_max: int) -> MomentSequence:
         return jacobi_moments(self.p, self.q, self.beta, self.a, self.t, self.dt, k_max)
+
+    def moments_at(self, times, k_max: int) -> list[MomentSequence]:
+        """``[self.at(t).moments(k_max) for t in times]`` for ascending
+        ``times``, from one integration of the hierarchy along them."""
+        return _jacobi_moments_at(self.p, self.q, self.beta, self.a, times, self.dt, k_max)
 
     def cdf(self, x):
         raise UnsupportedLawOperation("Jacobi law exposes moments only")

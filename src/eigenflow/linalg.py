@@ -48,9 +48,9 @@ class SpectralFunction:
 
     ``fn`` evaluates the function on an array of (real) eigenvalues. When
     the function is a polynomial, ``poly`` holds its coefficients in
-    ascending-degree order; spectral application can then skip the
-    eigendecomposition entirely for constant functions, and moment engines
-    can consume the coefficients symbolically.
+    ascending-degree order; the path simulator can then recognise constant
+    coefficients, and moment engines can consume the coefficients
+    symbolically.
 
     Coefficient functions of the flows are of the form sqrt(|p(x)|) for a
     low-degree polynomial p (so that their squares are polynomials); use
@@ -104,11 +104,6 @@ class SpectralFunction:
     @property
     def is_constant(self) -> bool:
         return self.poly is not None and len(np.atleast_1d(self.poly)) == 1
-
-    def constant_value(self) -> float:
-        if not self.is_constant:
-            raise ValueError(f"{self.name} is not constant")
-        return float(np.atleast_1d(self.poly)[0])
 
     def __call__(self, lam: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(lam, dtype=float))

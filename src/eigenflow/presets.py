@@ -24,9 +24,8 @@ starting spectrum, per-n drift) together with its limit law:
 ``custom``                coefficient polynomials straight from the config
 ========================  =====================================================
 
-Drifts are handled prescaled: a preset's ``b`` is the *limiting* drift
-b(x) and enters the step as b(x) dt, which is identical to the b_n(x)/n dt
-convention with b_n = n b.
+A preset's ``b`` is the *limiting* drift b(x) and enters the step as
+b(x) dt; the per-n drifts b_n listed above are n b.
 
 :func:`run_preset` simulates every (n, replica) pair and emits a flat list
 of :class:`ResultRow` entries with a closed statistic vocabulary:
@@ -399,7 +398,6 @@ def build_flow_spec(cfg: ExperimentConfig, n: int) -> FlowSpec:
         field=bundle.field,
         dt=cfg.dt,
         t_grid=cfg.t_grid,
-        drift_prescaled=True,
         projection=bundle.projection,
         name=bundle.name,
     )

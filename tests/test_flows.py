@@ -1,22 +1,28 @@
 """Tests for eigenflow.flows.
 
 Pins the noise normalization (entry second moments 2 dt/n complex,
-dt/n real), Euler step algebra on cases solvable by hand, recording and
-reproducibility contracts, thread-count invariance, and the superlinear
-coefficient-growth warning.
+dt/n real), Euler step algebra on cases solvable by hand, the eigenframe
+spectrum step against the matrix step (exactly for one step, in law over
+many), record-to-record stepping of flat flows, projection diagnostics,
+recording and reproducibility contracts, thread-count invariance, and the
+superlinear coefficient-growth warning.
 """
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eigenflow import (
     FlowSpec,
+    NoiseIncrement,
     NumericalError,
     SpectralFunction,
     ValidationError,
     euler_step,
+    flows,
+    matrix_euler_step,
     replica_stream,
     sample_noise,
     simulate_ensemble,
@@ -96,7 +102,42 @@ def test_noise_validation():
 
 
 # ---------------------------------------------------------------------------
-# euler_step
+# euler_step (spectrum, eigenframe) and matrix_euler_step (matrix oracle)
+
+SQRT_X = SpectralFunction.sqrt_abs_poly([0.0, 1.0], name="sqrt|x|")
+COEFFICIENTS = {
+    "wishart": (SQRT_X, ONE, SpectralFunction.constant(2.5)),
+    "jacobi": (
+        SQRT_X,
+        SpectralFunction.sqrt_abs_poly([1.0, -1.0], name="sqrt|1-x|"),
+        SpectralFunction.from_poly([3.0, -6.0]),
+    ),
+    "constant": (HALF, ONE, SpectralFunction.constant(0.3)),
+}
+
+
+def _spec(n, coefficients, field="complex", dt=1e-3, t_grid=None):
+    g, h, b = COEFFICIENTS[coefficients]
+    return FlowSpec(
+        n=n,
+        g=g,
+        h=h,
+        b=b,
+        initial_spectrum=np.linspace(0.2, 0.8, n),
+        field=field,
+        dt=dt,
+        t_grid=t_grid or (0.0, dt),
+        name=coefficients,
+    )
+
+
+def _haar(n, field, rng):
+    if field == "complex":
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    else:
+        z = rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def test_euler_step_pure_drift():
@@ -110,23 +151,11 @@ def test_euler_step_pure_drift():
         dt=dt,
         t_grid=(0.0, dt),
     )
-    x = np.diag(np.arange(n, dtype=float)).astype(complex)
+    w = np.arange(n, dtype=float)
     noise = sample_noise(n, "complex", dt, np.random.default_rng(1))
-    out = euler_step(x, spec, noise)
-    assert np.allclose(out, x + (c / n) * dt * np.eye(n), atol=1e-15)
-
-    prescaled = FlowSpec(
-        n=n,
-        g=ZERO,
-        h=ONE,
-        b=SpectralFunction.constant(c),
-        initial_spectrum=np.zeros(n),
-        dt=dt,
-        t_grid=(0.0, dt),
-        drift_prescaled=True,
-    )
-    out = euler_step(x, prescaled, noise)
-    assert np.allclose(out, x + c * dt * np.eye(n), atol=1e-15)
+    out = matrix_euler_step(np.diag(w).astype(complex), spec, noise)
+    assert np.allclose(out, np.diag(w) + c * dt * np.eye(n), atol=1e-15)
+    assert np.allclose(euler_step(w, spec, noise), w + c * dt, atol=1e-15)
 
 
 def test_euler_step_scalar_variance():
@@ -136,7 +165,7 @@ def test_euler_step_scalar_variance():
     x = np.zeros((1, 1), dtype=complex)
     incs = np.array(
         [
-            euler_step(x, spec, sample_noise(1, "complex", spec.dt, rng))[0, 0].real
+            matrix_euler_step(x, spec, sample_noise(1, "complex", spec.dt, rng))[0, 0].real
             for _ in range(20000)
         ]
     )
@@ -148,19 +177,10 @@ def test_euler_step_scalar_variance():
 @pytest.mark.parametrize("field", ["complex", "real"])
 def test_euler_step_output_hermitian(field):
     n = 6
-    spec = FlowSpec(
-        n=n,
-        g=SpectralFunction.sqrt_abs_poly([0.0, 1.0]),
-        h=ONE,
-        b=SpectralFunction.constant(2.5),
-        initial_spectrum=np.linspace(0.5, 2.0, n),
-        field=field,
-        dt=1e-3,
-        t_grid=(0.0, 1e-3),
-    )
+    spec = _spec(n, "wishart", field=field)
     dtype = complex if field == "complex" else float
-    x = np.diag(np.linspace(0.5, 2.0, n)).astype(dtype)
-    out = euler_step(x, spec, sample_noise(n, field, spec.dt, np.random.default_rng(2)))
+    x = np.diag(np.linspace(0.2, 0.8, n)).astype(dtype)
+    out = matrix_euler_step(x, spec, sample_noise(n, field, spec.dt, np.random.default_rng(2)))
     assert np.allclose(out, out.conj().T, atol=1e-15)
     if field == "real":
         assert not np.iscomplexobj(out)
@@ -170,7 +190,51 @@ def test_euler_step_dimension_mismatch():
     spec = _flat_spec(3)
     noise = sample_noise(4, "complex", spec.dt, np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        euler_step(np.zeros((3, 3), dtype=complex), spec, noise)
+        matrix_euler_step(np.zeros((3, 3), dtype=complex), spec, noise)
+    with pytest.raises(ValidationError):
+        euler_step(np.zeros(3), spec, noise)
+
+
+@pytest.mark.parametrize("coefficients", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_euler_step_is_matrix_step_in_eigenframe(field, coefficients):
+    """With X = V diag(w) V*, the spectrum step fed V* dW V returns exactly
+    the eigenvalues of the matrix step fed dW."""
+    n, dt = 7, 0.05
+    rng = np.random.default_rng(17)
+    spec = _spec(n, coefficients, field=field, dt=dt)
+    w = np.sort(rng.uniform(0.1, 0.9, n))
+    v = _haar(n, field, rng)
+    noise = sample_noise(n, field, dt, rng)
+    rotated = NoiseIncrement(n=n, field=field, dt=dt, dw=v.conj().T @ noise.dw @ v)
+    expected = np.linalg.eigvalsh(matrix_euler_step((v * w) @ v.conj().T, spec, noise))
+    out = euler_step(w, spec, rotated)
+    assert np.all(np.diff(out) >= 0.0)
+    assert np.allclose(out, expected, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_euler_step_matches_matrix_step_in_law(field):
+    """Ensemble m1..m3 after 50 steps (n = 6) agree within 4 SE between the
+    spectrum stepper and a loop over the matrix step."""
+    n, steps, dt, replicas = 6, 50, 0.01, 400
+    spec = _spec(n, "jacobi", field=field, dt=dt, t_grid=(0.0, steps * dt))
+    ks = np.arange(1, 4)
+    fast = np.array(
+        [
+            np.mean(p.spectra[-1][:, None] ** ks, axis=0)
+            for p in simulate_ensemble(spec, replicas, base_seed=61)
+        ]
+    )
+    slow = np.empty_like(fast)
+    for r in range(replicas):
+        rng = replica_stream(62, r)
+        x = np.diag(spec.initial_spectrum).astype(complex if field == "complex" else float)
+        for _ in range(steps):
+            x = matrix_euler_step(x, spec, sample_noise(n, field, dt, rng))
+        slow[r] = np.mean(np.linalg.eigvalsh(x)[:, None] ** ks, axis=0)
+    se = np.sqrt(fast.var(axis=0, ddof=1) / replicas + slow.var(axis=0, ddof=1) / replicas)
+    assert np.all(np.abs(fast.mean(axis=0) - slow.mean(axis=0)) <= 4.0 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +285,22 @@ def test_simulate_path_reports_explosion():
         initial_spectrum=np.zeros(2),
         dt=1.0,
         t_grid=(0.0, 3.0),
-        drift_prescaled=True,
     )
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalError, match="t="):
+        simulate_path(spec, 0)
+    # a drift that turns NaN past x = 0.5; eigvalsh alone would not notice it
+    nan_drift = SpectralFunction(fn=lambda x: np.where(x > 0.5, np.nan, 1.0), name="nan")
+    spec = FlowSpec(
+        n=2,
+        g=ZERO,
+        h=ONE,
+        b=nan_drift,
+        initial_spectrum=np.zeros(2),
+        dt=0.25,
+        t_grid=(0.0, 2.0),
+        name="nan_past_half",
+    )
+    with pytest.raises(NumericalError, match=r"'nan_past_half' \(n=2\).* at t=1$"):
         simulate_path(spec, 0)
 
 
@@ -239,6 +316,51 @@ def test_scaling_consistency_across_n():
         means[n] = (m2.mean(), m2.std(ddof=1) / np.sqrt(m2.size))
     for n, (mean, se) in means.items():
         assert abs(mean - t) <= 3.0 * se + 0.01, f"n={n}: m2={mean}"
+
+
+def test_flat_flow_steps_record_to_record(monkeypatch):
+    """A flat flow draws one increment per record gap; at beta = 2 its
+    ensemble m2 = t and m4 = t^2 (2 + 1/n^2) hold exactly at finite n."""
+    n, t_grid = 8, (0.0, 0.25, 0.5, 1.0)
+    spec = _flat_spec(n, dt=1e-3, t_grid=t_grid)
+    draws = []
+
+    def counting_noise(n, field, dt, stream):
+        draws.append(dt)
+        return sample_noise(n, field, dt, stream)
+
+    monkeypatch.setattr(flows, "sample_noise", counting_noise)
+    simulate_path(spec, 0)
+    assert np.allclose(draws, np.diff(t_grid), rtol=1e-12, atol=0.0)
+    paths = simulate_ensemble(spec, 2000, base_seed=63)
+    for ti, t in enumerate(t_grid[1:], start=1):
+        rows = np.array([p.spectra[ti] for p in paths])
+        for k, exact in ((2, t), (4, t * t * (2.0 + 1.0 / n**2))):
+            m = np.mean(rows**k, axis=1)
+            se = m.std(ddof=1) / np.sqrt(m.size)
+            assert abs(m.mean() - exact) <= 4.0 * se, (t, k, m.mean(), exact)
+
+
+def test_projection_clamps_and_reports_exit():
+    # sqrt|x| diffusion from just above 0 with no drift leaves [0, inf)
+    spec = FlowSpec(
+        n=6,
+        g=SQRT_X,
+        h=ONE,
+        b=ZERO,
+        initial_spectrum=np.full(6, 1e-3),
+        field="real",
+        dt=1e-2,
+        t_grid=(0.0, 0.1, 0.2),
+        projection="nonneg",
+    )
+    diags = simulate_path(spec, 4).diagnostics
+    assert diags.clamp_events > 0
+    assert diags.first_domain_exit is not None
+    assert 0.0 < diags.first_domain_exit <= 0.2
+    assert diags.min_eigenvalue >= 0.0
+    free = simulate_path(replace(spec, projection="none"), 4).diagnostics
+    assert free.clamp_events == 0 and free.first_domain_exit is None
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +406,6 @@ def test_superlinear_growth_warns(caplog):
         field="complex",
         dt=1e-3,
         t_grid=(0.0, 0.01),
-        drift_prescaled=True,
         name="quadratic",
     )
     with caplog.at_level(logging.WARNING, logger="eigenflow.flows"):
@@ -303,7 +424,6 @@ def test_linear_growth_does_not_warn(caplog):
         field="complex",
         dt=1e-3,
         t_grid=(0.0, 0.01),
-        drift_prescaled=True,
         name="linear",
     )
     with caplog.at_level(logging.WARNING, logger="eigenflow.flows"):

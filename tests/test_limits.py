@@ -542,6 +542,22 @@ def test_jacobi_moments_unit_interval_ordering():
     seq.check_hankel()
 
 
+def test_jacobi_moments_at_matches_one_integration_per_time():
+    """moments_at integrates the hierarchy once along the times; it must give
+    the moments of integrating from 0 to each time separately, including at
+    times off the dt grid (reached exactly, not snapped to the grid)."""
+    law = JacobiLaw(3.0, 3.0, beta=2, a=0.5, t=1.0, dt=1e-3)
+    on_grid = tuple(i / 20 for i in range(21))
+    off_grid = (0.0, 0.0015, 0.3337, 1.0)
+    for times, rtol in ((on_grid, 1e-12), (off_grid, 1e-10)):
+        seqs = law.moments_at(times, 8)
+        assert [s.t for s in seqs] == list(times)
+        for t, seq in zip(times, seqs):
+            assert np.allclose(seq.values, law.at(t).moments(8).values, rtol=rtol, atol=0.0)
+    with pytest.raises(ValidationError):
+        law.moments_at((0.0, 0.5, 0.25), 4)
+
+
 def test_jacobi_law_is_moments_only():
     law = JacobiLaw(3.0, 3.0, beta=2, a=0.5, t=1.0, dt=1e-3)
     assert np.isclose(law.at(1.0).moments(1)[1], jacobi_moments(3.0, 3.0, 2.0, 0.5, 1.0)[1])

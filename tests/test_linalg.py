@@ -191,11 +191,8 @@ def test_apply_spectral_accepts_precomputed_eigenpair():
 def test_spectral_function_constant_flags():
     c = SpectralFunction.constant(0.5)
     assert c.is_constant
-    assert c.constant_value() == 0.5
     lin = SpectralFunction.from_poly([0.0, 1.0])
     assert not lin.is_constant
-    with pytest.raises(ValueError):
-        lin.constant_value()
 
 
 def test_sqrt_abs_poly_uses_absolute_value():
