@@ -27,6 +27,15 @@ is the centered semicircle with variance sigma^2 (e^{2 theta t} - 1) /
 equation hold for these closed forms at beta = 2 is g^2 = h^2 = sigma/2
 (so that 2 beta g^2 h^2 = sigma^2); :func:`free_pde_residual` implements
 and verifies exactly that convention.
+
+The law families have closed-form transforms, each the Herglotz root of a
+quadratic a r^2 + b r + 1 = 0: the semicircle with variance v and center c
+has (a, b) = (v, z - c), the Marchenko-Pastur law with scale s and ratio
+c has (z s, z + s (1 - c)) (Marchenko-Pastur 1967; the atom is included),
+and a mixture combines its components through the reflection identity
+int (-x - z)^{-1} nu(dx) = -conj(G_nu(-conj z)). Weighted transforms
+E[phi R^k] (the evolution right-hand side) and every other measure still
+use quadrature or atom sums.
 """
 
 from __future__ import annotations
@@ -172,9 +181,46 @@ def _one(x):
     return np.ones_like(arr) if arr.ndim else 1.0
 
 
+def _herglotz_root(num_plus: complex, num_minus: complex, denom: complex, z: complex) -> complex:
+    roots = [num_plus / denom, num_minus / denom]
+    for r in roots:
+        if r.imag > 0:
+            return r
+    # Degenerate boundary (not reachable for Im z > 0): nearest to -1/z.
+    target = -1.0 / z
+    return min(roots, key=lambda r: abs(r - target))
+
+
+def _quadratic_root(a: complex, b: complex, z: complex) -> complex:
+    """The root with Im r > 0 of a r^2 + b r + 1 = 0; -1/b when a = 0."""
+    if a == 0:
+        return -1.0 / b
+    disc = cmath.sqrt(b * b - 4.0 * a)
+    return _herglotz_root(-b + disc, -b - disc, 2.0 * a, z)
+
+
+def _mp_transform(law: MarchenkoPastur, z: complex) -> complex:
+    if law.is_degenerate:
+        return -1.0 / z
+    s = law.scale
+    return _quadratic_root(z * s, z + s * (1.0 - law.ratio), z)
+
+
 def cauchy_transform(mu, z: complex) -> complex:
-    """G(z) = int (x - z)^{-1} mu(dx), for Im z > 0."""
+    """G(z) = int (x - z)^{-1} mu(dx), for Im z > 0.
+
+    Closed form for the semicircle, Marchenko-Pastur and mixture laws;
+    any other measure goes through :func:`_weighted_transform`.
+    """
     z = _require_upper(z)
+    if isinstance(mu, Semicircle):
+        return _quadratic_root(mu.variance, z - mu.center, z)
+    if isinstance(mu, MarchenkoPastur):
+        return _mp_transform(mu, z)
+    if isinstance(mu, _MixtureBase):
+        lam, lam_star, gamma, pos, neg = mu._components()
+        reflected = _mp_transform(neg, -z.conjugate()).conjugate()
+        return -gamma / z + lam * _mp_transform(pos, z) - lam_star * reflected
     return _weighted_transform(mu, z, _one, 1)
 
 
@@ -227,16 +273,6 @@ def ct_evolution_rhs(mu, z: complex, g2, h2, b, beta: float = 2.0) -> complex:
     return drift + beta * (g_r1 * h_r2 + g_r2 * h_r1)
 
 
-def _herglotz_root(num_plus: complex, num_minus: complex, denom: complex, z: complex) -> complex:
-    roots = [num_plus / denom, num_minus / denom]
-    for r in roots:
-        if r.imag > 0:
-            return r
-    # Degenerate boundary (not reachable for Im z > 0): nearest to -1/z.
-    target = -1.0 / z
-    return min(roots, key=lambda r: abs(r - target))
-
-
 def free_bm_transform(theta: float, sigma: float, t: float, z: complex) -> complex:
     """Transform of free Brownian motion with drift theta and scale sigma.
 
@@ -247,12 +283,7 @@ def free_bm_transform(theta: float, sigma: float, t: float, z: complex) -> compl
     if t <= 0:
         raise ValidationError("t must be > 0")
     z = _require_upper(z)
-    zz = z - theta * t
-    s2t = sigma**2 * t
-    if s2t == 0.0:
-        return -1.0 / zz
-    disc = cmath.sqrt(zz * zz - 4.0 * s2t)
-    return _herglotz_root(-zz + disc, -zz - disc, 2.0 * s2t, z)
+    return _quadratic_root(sigma**2 * t, z - theta * t, z)
 
 
 def free_ou_variance(theta: float, sigma: float, t: float) -> float:
@@ -277,11 +308,7 @@ def free_ou_transform(theta: float, sigma: float, t: float, z: complex) -> compl
     if t <= 0:
         raise ValidationError("t must be > 0")
     z = _require_upper(z)
-    v = free_ou_variance(theta, sigma, t)
-    if v == 0.0:
-        return -1.0 / z
-    disc = cmath.sqrt(z * z - 4.0 * v)
-    return _herglotz_root(-z + disc, -z - disc, 2.0 * v, z)
+    return _quadratic_root(free_ou_variance(theta, sigma, t), z, z)
 
 
 def free_bm_law(theta: float, sigma: float, t: float) -> Semicircle:

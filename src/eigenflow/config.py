@@ -18,6 +18,7 @@ defaults when the experiment runs (see :mod:`eigenflow.presets`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -92,14 +93,20 @@ class ExperimentConfig:
             raise ValidationError("replica_count must be >= 1")
         if self.base_seed < 0:
             raise ValidationError("base_seed must be >= 0")
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError("dt must be positive and finite")
         t_grid = tuple(float(t) for t in self.t_grid)
+        if not all(math.isfinite(t) for t in t_grid):
+            raise ValidationError("t_grid entries must be finite")
         if not t_grid or t_grid[0] != 0.0 or any(
             t2 <= t1 for t1, t2 in zip(t_grid, t_grid[1:])
         ):
             raise ValidationError("t_grid must be ascending and start at 0")
         self.t_grid = t_grid
+        for key in ("alpha", "a", "p", "q", "theta", "sigma"):
+            val = getattr(self, key)
+            if val is not None and not math.isfinite(val):
+                raise ValidationError(f"{key} must be finite")
         if self.field not in _FIELDS:
             raise ValidationError(f"field must be one of {_FIELDS}")
         if self.projection not in _PROJECTIONS:
@@ -109,7 +116,10 @@ class ExperimentConfig:
         for key in ("g2", "h2", "b"):
             val = getattr(self, key)
             if val is not None:
-                setattr(self, key, tuple(float(c) for c in val))
+                coeffs = tuple(float(c) for c in val)
+                if not all(math.isfinite(c) for c in coeffs):
+                    raise ValidationError(f"{key} coefficients must be finite")
+                setattr(self, key, coeffs)
 
 
 _INT_KEYS = {"replica_count", "base_seed", "threads"}

@@ -29,6 +29,7 @@ alpha*n.  Under this definition the law's moments, :func:`mp_moments`, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -450,27 +451,40 @@ class MarchenkoPastur(_LawBase):
     def _build_mesh(self) -> tuple[np.ndarray, np.ndarray]:
         if self.is_degenerate:
             return np.array([0.0, 0.0]), np.array([0.0, 1.0])
-        a, b = self.edges
-        # Edge-adapted substitution x = a + (b-a) sin^2(theta): the
-        # integrand of the CDF becomes smooth even at a = 0, where the
-        # density has an integrable x^{-1/2} singularity.
-        theta = np.linspace(0.0, 0.5 * math.pi, _MESH_POINTS)
-        xs = a + (b - a) * np.sin(theta) ** 2
-        sin2t = np.sin(2.0 * theta)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            integrand = (b - a) ** 2 * sin2t**2 / (4.0 * math.pi * xs * self.scale)
-        if a == 0.0:
-            # x = b sin^2(theta): integrand reduces to (b/pi/scale) cos^2.
-            integrand = (b / (math.pi * self.scale)) * np.cos(theta) ** 2
-        fs = _cumtrapz(integrand, theta)
-        atom = self.atom_mass
-        if atom > 0.0:
-            xs = np.concatenate(([0.0, 0.0], xs))
-            fs = np.concatenate(([0.0, atom], atom + fs))
-        return xs, fs
+        xs, fs = _mp_shape_mesh(self.ratio)
+        return self.scale * xs, fs
 
     def moments(self, k_max: int) -> MomentSequence:
         return mp_moments(self.alpha, self.beta, self.t, k_max)
+
+
+@functools.lru_cache(maxsize=8)
+def _mp_shape_mesh(ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """CDF mesh of the unit-scale MP shape with ``ratio``, atom included.
+
+    Dilation scales the abscissae and leaves the CDF values alone, so every
+    time of one MP family shares this mesh (``MarchenkoPastur._build_mesh``
+    returns ``(scale * xs, fs)``). Both arrays are read-only.
+    """
+    a, b = mp_params(ratio)
+    # Edge-adapted substitution x = a + (b-a) sin^2(theta): the integrand
+    # of the CDF becomes smooth even at a = 0, where the density has an
+    # integrable x^{-1/2} singularity.
+    theta = np.linspace(0.0, 0.5 * math.pi, _MESH_POINTS)
+    xs = a + (b - a) * np.sin(theta) ** 2
+    if a == 0.0:
+        # x = b sin^2(theta): the integrand reduces to (b/pi) cos^2.
+        integrand = (b / math.pi) * np.cos(theta) ** 2
+    else:
+        integrand = (b - a) ** 2 * np.sin(2.0 * theta) ** 2 / (4.0 * math.pi * xs)
+    fs = _cumtrapz(integrand, theta)
+    atom = max(0.0, 1.0 - ratio)
+    if atom > 0.0:
+        xs = np.concatenate(([0.0, 0.0], xs))
+        fs = np.concatenate(([0.0, atom], atom + fs))
+    xs.flags.writeable = False
+    fs.flags.writeable = False
+    return xs, fs
 
 
 def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequence:

@@ -28,6 +28,7 @@ from eigenflow import (
     mp_mixture_two,
     stieltjes_invert,
 )
+from eigenflow.cauchy import _one, _weighted_transform
 
 LAWS = [
     Semicircle(1.0, beta=2),
@@ -86,6 +87,32 @@ def test_semicircle_transform_closed_form():
         if (root / z).real < 0:
             root = -root
         assert np.isclose(cauchy_transform(law, z), (-z + root) / 2.0, atol=1e-12)
+
+
+ORACLE_LAWS = LAWS + [
+    Semicircle(0.3, beta=1, center=0.4),
+    MarchenkoPastur(0.5, 0.7),  # ratio 1/4: atom of mass 3/4 at 0
+    MarchenkoPastur(0.0, 1.0),  # degenerate: alpha = 0
+    MarchenkoPastur(2.5, 0.0),  # degenerate: t = 0
+    mp_mixture_two(0.0, 0.3),
+]
+
+
+@pytest.mark.parametrize(
+    "law",
+    ORACLE_LAWS,
+    ids=["semicircle", "mp", "mp_atom", "mix2", "mix3",
+         "semicircle_centered", "mp_small_ratio", "mp_alpha0", "mp_t0", "mix2_alpha0"],
+)
+def test_closed_form_transform_matches_quadrature(law):
+    """The closed-form G of each law family equals the quadrature of
+    int (x - z)^{-1} mu(dx), also close to the support."""
+    lo, hi = law.bounds()
+    for re in np.linspace(lo - 1.0, hi + 1.0, 17):
+        for eps in (1.0, 0.05, 0.00625, 1e-3):
+            z = complex(re, eps)
+            ref = _weighted_transform(law, z, _one, 1)
+            assert abs(cauchy_transform(law, z) - ref) <= 1e-10 * abs(ref), (re, eps)
 
 
 # ---------------------------------------------------------------------------

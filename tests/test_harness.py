@@ -359,6 +359,30 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys):
     assert "base_seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("simulate", "preset = wigner\nt_grid = 0.0, nan\n", "t_grid entries must be finite"),
+        ("simulate", "preset = wigner\ndt = nan\n", "dt must be positive and finite"),
+        ("simulate", "preset = wigner\nt_grid = 0.0, inf\n", "t_grid entries must be finite"),
+        ("moments", "preset = wishart\nalpha = nan\n", "alpha must be finite"),
+        ("invert", "preset = wishart\nalpha = nan\n", "alpha must be finite"),
+        ("simulate", "preset = free_ou\ntheta = -inf\n", "theta must be finite"),
+        ("simulate", "preset = custom\ng2 = 0.25, nan\nh2 = 1.0\n", "g2 coefficients must be finite"),
+    ],
+    ids=["t_grid_nan", "dt_nan", "t_grid_inf", "moments_alpha_nan", "invert_alpha_nan",
+         "theta_inf", "g2_nan"],
+)
+def test_cli_rejects_non_finite_config_values(tmp_path, capsys, command, text, message):
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert cli_main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert message in err
+    assert not out.exists()
+
+
 def test_cli_missing_config_exit_code(tmp_path, capsys):
     assert cli_main(["simulate"]) == 2
     assert "requires --config" in capsys.readouterr().err

@@ -36,6 +36,7 @@ from eigenflow import (
     mp_params,
     semicircle_moments,
 )
+from eigenflow.limits import _mp_shape_mesh
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -199,6 +200,53 @@ def test_mp_cdf_monotone_normalized():
     cdf = law.cdf(xs)
     assert np.all(np.diff(cdf) >= -1e-12)
     assert cdf[0] == 0.0 and abs(cdf[-1] - 1.0) <= 1e-8
+
+
+def _per_law_mp_mesh(law):
+    """The CDF mesh built from the law's own edges and scale (the formula
+    the shared unit-scale shape mesh replaces), atom prepended."""
+    a, b = law.edges
+    theta = np.linspace(0.0, 0.5 * math.pi, 20001)
+    xs = a + (b - a) * np.sin(theta) ** 2
+    if a == 0.0:
+        integrand = (b / (math.pi * law.scale)) * np.cos(theta) ** 2
+    else:
+        integrand = (b - a) ** 2 * np.sin(2.0 * theta) ** 2 / (4.0 * math.pi * xs * law.scale)
+    fs = np.concatenate(([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(theta))))
+    if law.atom_mass > 0.0:
+        xs = np.concatenate(([0.0, 0.0], xs))
+        fs = np.concatenate(([0.0, law.atom_mass], law.atom_mass + fs))
+    return xs, fs
+
+
+@pytest.mark.parametrize(
+    "alpha, t, beta",
+    [(2.5, 1.0, 2), (2.5, 0.37, 2), (3.0, 1.7, 1), (1.0, 0.6, 1), (2.0, 2.5, 2), (1.0, 0.8, 2)],
+    ids=["ratio>1", "ratio>1-t0.37", "ratio>1-beta1", "ratio=1", "ratio=1-beta2", "ratio<1-atom"],
+)
+def test_mp_shape_mesh_matches_per_law_mesh(alpha, t, beta):
+    law = MarchenkoPastur(alpha, t, beta)
+    xs, fs = law._mesh()
+    ref_xs, ref_fs = _per_law_mp_mesh(law)
+    assert xs.shape == ref_xs.shape
+    assert np.allclose(xs, ref_xs, rtol=1e-12, atol=0.0)
+    assert np.allclose(fs, ref_fs, rtol=1e-12, atol=0.0)
+
+
+def test_mp_shape_mesh_dilates_with_time():
+    base = mp_mixture_two(0.5, 1.0).quantile_atoms(400)
+    for t in (0.005, 0.3, 1.0, 2.75):
+        atoms = mp_mixture_two(0.5, t).quantile_atoms(400)
+        assert np.allclose(atoms, t * base, rtol=1e-12, atol=0.0)
+
+
+def test_mp_shape_mesh_is_read_only():
+    law = MarchenkoPastur(2.5, 1.0, beta=2)
+    for arr in _mp_shape_mesh(law.ratio) + (law._mesh()[1],):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    # another time of the same family shares the CDF values
+    assert MarchenkoPastur(2.5, 0.4, beta=2)._mesh()[1] is law._mesh()[1]
 
 
 def test_mp_hankel_psd():
