@@ -57,6 +57,7 @@ from .errors import NumericalError, ValidationError
 from .presets import (
     _MOMENT_COUNT,
     PARAMETER_SCHEMAS,
+    _monomials,
     ResultRow,
     make_bundle,
     resolve_config,
@@ -284,12 +285,15 @@ def cmd_residual(args) -> int:
     proc = EmpiricalMeasureProcess.from_law(bundle.law, cfg.t_grid, _RESIDUAL_ATOMS)
     rows = []
     t_final = cfg.t_grid[-1]
-    for k in _RESIDUAL_DEGREES:
-        coeffs = np.zeros(k + 1)
-        coeffs[k] = 1.0
-        val = limit_equation_residual(
-            proc, coeffs, bundle.g2_fn, bundle.h2_fn, bundle.b_fn, beta=bundle.beta
-        )
+    vals = limit_equation_residual(
+        proc,
+        _monomials(_RESIDUAL_DEGREES),
+        bundle.g2_fn,
+        bundle.h2_fn,
+        bundle.b_fn,
+        beta=bundle.beta,
+    )
+    for k, val in zip(_RESIDUAL_DEGREES, vals):
         rows.append(ResultRow(cfg.preset, 0, "law", t_final, f"residual_x{k}", val))
         print(f"residual (f = x^{k}): {val:.6g}")
     _write_csv(_out_dir(cfg) / "residual.csv", rows)

@@ -101,6 +101,8 @@ class EmpiricalMeasureProcess:
         measures = tuple(self.measures)
         if grid.size != len(measures) or grid.size == 0:
             raise ValidationError("t_grid and measures must align and be nonempty")
+        if not np.all(np.isfinite(grid)):
+            raise ValidationError("t_grid entries must be finite")
         if np.any(np.diff(grid) <= 0) and grid.size > 1:
             raise ValidationError("t_grid must be strictly ascending")
         counts = {m.n for m in measures}
@@ -204,24 +206,28 @@ def _limit_terms(
 ) -> np.ndarray:
     """Per-time <mu, f>, <mu, f' b> and iint dd_{f'} G dmu dmu, as 3 rows.
 
+    ``coeffs`` is one ascending coefficient array, giving shape (3, T), or
+    a 2-D array of rows, giving shape (3, rows, T): each measure's powers
+    and power sums are formed once, at the largest degree, for every row.
     The double integral runs over the full product measure (diagonal =
     f'') and comes from the atoms' power sums through the interaction
     kernel.
     """
-    fp = polyder(coeffs)
-    terms = np.empty((3, len(proc)))
+    rows = np.atleast_2d(coeffs)
+    width = max(rows.shape[1], 2)  # f' has at least one coefficient
+    rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+    fp = rows[:, 1:] * np.arange(1, width)
+    terms = np.empty((3, rows.shape[0], len(proc)))
     for idx, m in enumerate(proc.measures):
         lam = m.atoms
-        powers = np.vander(lam, coeffs.size, increasing=True) / lam.size  # lam^l / n
-        head = powers[:, : fp.size - 1].T
+        powers = np.vander(lam, width, increasing=True) / lam.size  # lam^l / n
+        head = powers[:, : width - 2].T
         p_g = head @ np.broadcast_to(g2(lam), lam.shape)
         p_h = head @ np.broadcast_to(h2(lam), lam.shape)
-        terms[:, idx] = (
-            np.sum(powers @ coeffs),
-            np.sum(b(lam) * (powers[:, : fp.size] @ fp)),
-            fp @ _interaction_kernel(p_g, p_h),
-        )
-    return terms
+        terms[0, :, idx] = rows @ powers.sum(axis=0)
+        terms[1, :, idx] = fp @ (np.broadcast_to(b(lam), lam.shape) @ powers[:, :-1])
+        terms[2, :, idx] = fp @ _interaction_kernel(p_g, p_h)
+    return terms if np.ndim(coeffs) == 2 else terms[:, 0]
 
 
 def limit_equation_residual(
@@ -231,21 +237,27 @@ def limit_equation_residual(
     h2: Callable,
     b: Callable,
     beta: float,
-) -> float:
+) -> float | np.ndarray:
     """Max-over-grid residual of the limiting evolution equation.
 
     ``f`` is a polynomial (coefficient array or an object with ``poly``),
-    ``g2``, ``h2``, ``b`` are callables evaluating g^2, h^2 and the drift
-    on atom arrays. Time integration is trapezoidal on the recorded grid;
-    the double integral is the exact atom sum over the product measure.
-    Returns max_t |<mu_t,f> - <mu_0,f> - int_0^t RHS ds|.
+    or a 2-D array whose rows are coefficient arrays; ``g2``, ``h2``,
+    ``b`` are callables evaluating g^2, h^2 and the drift on atom arrays.
+    Time integration is trapezoidal on the recorded grid; the double
+    integral is the exact atom sum over the product measure.
+    Returns max_t |<mu_t,f> - <mu_0,f> - int_0^t RHS ds| as a float, or
+    one such residual per row of a 2-D ``f`` (one pass over the measures
+    serves every row).
     """
     coeffs = _poly_coeffs(f)
-    if coeffs.size > 13:
+    if coeffs.ndim > 2:
+        raise ValidationError("f must be a coefficient array or a 2-d array of rows")
+    if coeffs.shape[-1] > 13:
         raise ValidationError("polynomial degree must be <= 12")
     observable, drift, inter = _limit_terms(proc, coeffs, g2, h2, b)
     rhs = _cumtrapz(drift + 0.5 * beta * inter, proc.t_grid)
-    return float(np.max(np.abs(observable - observable[0] - rhs)))
+    res = np.max(np.abs(observable - observable[..., :1] - rhs), axis=-1)
+    return res if coeffs.ndim == 2 else float(res)
 
 
 def em_sde_decomposition(proc: EmpiricalMeasureProcess, f, spec: FlowSpec) -> dict:

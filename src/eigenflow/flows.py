@@ -89,8 +89,8 @@ def sample_noise(n: int, field: str, dt: float, stream: np.random.Generator) -> 
     """
     if field not in _FIELDS:
         raise ValidationError(f"field must be one of {_FIELDS}, got {field!r}")
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be positive and finite")
     scale = math.sqrt(dt / n)
     if field == "complex":
         z = stream.standard_normal((2, n, n))
@@ -128,9 +128,11 @@ class FlowSpec:
             raise ValidationError(f"field must be one of {_FIELDS}")
         if self.projection not in _PROJECTIONS:
             raise ValidationError(f"projection must be one of {_PROJECTIONS}")
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError("dt must be positive and finite")
         grid = np.asarray(self.t_grid, dtype=float)
+        if not np.all(np.isfinite(grid)):
+            raise ValidationError("t_grid entries must be finite")
         if grid.size == 0 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
             raise ValidationError("t_grid must be ascending and start at 0")
         off_step = np.abs(np.rint(grid / self.dt) * self.dt - grid) > 1e-9 * grid

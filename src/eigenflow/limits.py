@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -190,9 +190,9 @@ class MomentPath:
 # ---------------------------------------------------------------------------
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integral of y over x, starting at 0."""
+    """Cumulative trapezoid integral of y over x (along y's last axis), from 0."""
     out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    out[..., 1:] = np.cumsum(0.5 * (y[..., 1:] + y[..., :-1]) * np.diff(x), axis=-1)
     return out
 
 
@@ -202,6 +202,29 @@ def _invert_mesh(xs: np.ndarray, fs: np.ndarray, u: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(fs, np.clip(u, 0.0, fs[-1]), side="left")
     idx = np.clip(idx, 0, xs.size - 1)
     return xs[idx]
+
+
+def _midpoints(count: int) -> np.ndarray:
+    """Quantile levels (i - 1/2)/count, i = 1..count."""
+    return (np.arange(count) + 0.5) / count
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_quantiles(shape_mesh, key, count: int) -> np.ndarray:
+    """Midpoint quantiles of the cached unit-scale mesh ``shape_mesh(key)``.
+
+    A dilation family's quantiles at scale s are s times these: inverting
+    the dilated mesh (s xs, fs) picks the same indices, and
+    (s xs)[idx] == s xs[idx] bit for bit. The array is read-only.
+    """
+    q = _invert_mesh(*shape_mesh(key), _midpoints(count))
+    q.flags.writeable = False
+    return q
+
+
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError("t must be finite and >= 0")
 
 
 class _LawBase:
@@ -230,9 +253,7 @@ class _LawBase:
 
     def quantile_atoms(self, count: int) -> np.ndarray:
         """Midpoint-quantile discretization: atoms at F^{-1}((i-1/2)/count)."""
-        u = (np.arange(count) + 0.5) / count
-        xs, fs = self._mesh()
-        return _invert_mesh(xs, fs, u)
+        return _invert_mesh(*self._mesh(), _midpoints(count))
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         xs, fs = self._mesh()
@@ -264,8 +285,9 @@ class Semicircle(_LawBase):
     center: float = 0.0
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValidationError("t must be >= 0")
+        _check_time(self.t)
+        if not math.isfinite(self.center):
+            raise ValidationError("center must be finite")
         if self.beta not in (1, 2):
             raise ValidationError("beta must be 1 or 2")
 
@@ -395,10 +417,9 @@ class MarchenkoPastur(_LawBase):
     beta: int = 2
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValidationError("alpha must be >= 0")
-        if self.t < 0:
-            raise ValidationError("t must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValidationError("alpha must be finite and >= 0")
+        _check_time(self.t)
         if self.beta not in (1, 2):
             raise ValidationError("beta must be 1 or 2")
 
@@ -454,6 +475,11 @@ class MarchenkoPastur(_LawBase):
         xs, fs = _mp_shape_mesh(self.ratio)
         return self.scale * xs, fs
 
+    def quantile_atoms(self, count: int) -> np.ndarray:
+        if self.is_degenerate:
+            return np.zeros(count)
+        return self.scale * _shape_quantiles(_mp_shape_mesh, self.ratio, count)
+
     def moments(self, k_max: int) -> MomentSequence:
         return mp_moments(self.alpha, self.beta, self.t, k_max)
 
@@ -464,7 +490,8 @@ def _mp_shape_mesh(ratio: float) -> tuple[np.ndarray, np.ndarray]:
 
     Dilation scales the abscissae and leaves the CDF values alone, so every
     time of one MP family shares this mesh (``MarchenkoPastur._build_mesh``
-    returns ``(scale * xs, fs)``). Both arrays are read-only.
+    returns ``(scale * xs, fs)``) and its quantiles (``quantile_atoms``
+    returns ``scale * _shape_quantiles(...)``). Both arrays are read-only.
     """
     a, b = mp_params(ratio)
     # Edge-adapted substitution x = a + (b-a) sin^2(theta): the integrand
@@ -548,7 +575,10 @@ class _MixtureBase(_LawBase):
     of two dilated MP components (beta=1 normalization), where nu-~ is the
     reflection of nu- about the origin.  Subclasses provide
     ``_components()`` returning the three weights and the two component
-    laws (unreflected; the negative side is reflected here).
+    laws (unreflected; the negative side is reflected here). Subclasses
+    are dataclasses whose last field is ``t``; the law at time t is the
+    time-1 law dilated by t, so the CDF mesh and the quantiles are those
+    of the time-1 law (cached per class and parameters) scaled by t.
     """
 
     def _components(
@@ -584,32 +614,23 @@ class _MixtureBase(_LawBase):
         lam, lam_star, gamma, pos, neg = self._components()
         return 0.0 if neg.is_degenerate else lam_star
 
-    def _build_mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        lam, lam_star, gamma, pos, neg = self._components()
-        pieces_x: list[np.ndarray] = []
-        pieces_f: list[np.ndarray] = []
-        mass_so_far = 0.0
-        if not neg.is_degenerate:
-            xs, fs = neg._build_mesh()
-            pieces_x.append(-xs[::-1])
-            pieces_f.append(lam_star * (1.0 - fs[::-1]))
-            mass_so_far = lam_star
-        atom = (
-            gamma
-            + (lam if pos.is_degenerate else 0.0)
-            + (lam_star if neg.is_degenerate else 0.0)
+    @property
+    def _shape_key(self) -> tuple:
+        """(class, parameters other than t): the key of the time-1 mesh."""
+        return (type(self),) + tuple(
+            getattr(self, f.name) for f in fields(self) if f.name != "t"
         )
-        if atom > 0:
-            pieces_x.append(np.array([0.0, 0.0]))
-            pieces_f.append(np.array([mass_so_far, mass_so_far + atom]))
-            mass_so_far += atom
-        if not pos.is_degenerate:
-            xs, fs = pos._build_mesh()
-            pieces_x.append(xs)
-            pieces_f.append(mass_so_far + lam * fs)
-        xs = np.concatenate(pieces_x)
-        fs = np.concatenate(pieces_f)
-        return xs, np.maximum.accumulate(fs)
+
+    def _build_mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.t == 0.0:
+            return np.array([0.0, 0.0]), np.array([0.0, self.atoms()[0][1]])
+        xs, fs = _mixture_unit_mesh(self._shape_key)
+        return self.t * xs, fs
+
+    def quantile_atoms(self, count: int) -> np.ndarray:
+        if self.t == 0.0:
+            return np.zeros(count)
+        return self.t * _shape_quantiles(_mixture_unit_mesh, self._shape_key, count)
 
     def moments(self, k_max: int) -> MomentSequence:
         lam, lam_star, gamma, pos, neg = self._components()
@@ -639,8 +660,7 @@ class MPMixtureTwo(_MixtureBase):
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValidationError("mixture-two requires 0 <= alpha < 1")
-        if self.t < 0:
-            raise ValidationError("t must be >= 0")
+        _check_time(self.t)
 
     @property
     def lam(self) -> float:
@@ -689,8 +709,9 @@ class MPMixtureThree(_MixtureBase):
     def __post_init__(self):
         if not (self.alpha_minus >= self.alpha_plus > 1.0):
             raise ValidationError("mixture-three requires alpha_minus >= alpha_plus > 1")
-        if self.t < 0:
-            raise ValidationError("t must be >= 0")
+        if not math.isfinite(self.alpha_minus):
+            raise ValidationError("alpha_minus must be finite")
+        _check_time(self.t)
 
     @property
     def lam(self) -> float:
@@ -725,6 +746,29 @@ class MPMixtureThree(_MixtureBase):
             MarchenkoPastur(self.alpha_plus, self.lam * self.t, beta=1),
             MarchenkoPastur(self.alpha_minus, self.lam_star * self.t, beta=1),
         )
+
+
+@functools.lru_cache(maxsize=8)
+def _mixture_unit_mesh(key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """CDF mesh of the time-1 member of the mixture family ``key``.
+
+    Both components dilate with t (each is an MP law at time lam*t or
+    lam_star*t), so the mixture at time t is this law dilated by t:
+    ``_MixtureBase._build_mesh`` returns ``(t * xs, fs)``. At t = 1 neither
+    component is degenerate. Both arrays are read-only.
+    """
+    law_type, *params = key
+    lam, lam_star, gamma, pos, neg = law_type(*params, t=1.0)._components()
+    neg_xs, neg_fs = neg._build_mesh()
+    pos_xs, pos_fs = pos._build_mesh()
+    atom_x, atom_f = ([0.0, 0.0], [lam_star, lam_star + gamma]) if gamma > 0 else ([], [])
+    xs = np.concatenate([-neg_xs[::-1], atom_x, pos_xs])
+    fs = np.maximum.accumulate(
+        np.concatenate([lam_star * (1.0 - neg_fs[::-1]), atom_f, lam_star + gamma + lam * pos_fs])
+    )
+    xs.flags.writeable = False
+    fs.flags.writeable = False
+    return xs, fs
 
 
 def mp_mixture_two(alpha: float, t: float = 1.0) -> MPMixtureTwo:

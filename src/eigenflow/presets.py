@@ -91,6 +91,11 @@ _MOMENT_COUNT = 8
 _RESIDUAL_DEGREES = (1, 2, 3, 4)
 
 
+def _monomials(degrees) -> np.ndarray:
+    """Coefficient rows of x^k for each k in ``degrees``, one residual call's f."""
+    return np.eye(max(degrees) + 1)[list(degrees)]
+
+
 @dataclass(frozen=True)
 class ResultRow:
     """One (preset, n, replica, t, statistic) observation."""
@@ -413,6 +418,7 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
     cfg = resolve_config(cfg)
     validate_config(cfg)
     bundle = make_bundle(cfg)
+    monomials = _monomials(_RESIDUAL_DEGREES)
     rows: list[ResultRow] = []
     for n in cfg.n_list:
         spec = build_flow_spec(cfg, n)
@@ -445,17 +451,10 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
                     rows.append(
                         ResultRow(cfg.preset, n, rep, t, "neg_mass", meas.mass_below(0.0))
                     )
-            for k in _RESIDUAL_DEGREES:
-                coeffs = np.zeros(k + 1)
-                coeffs[k] = 1.0
-                val = limit_equation_residual(
-                    proc,
-                    coeffs,
-                    bundle.g2_fn,
-                    bundle.h2_fn,
-                    bundle.b_fn,
-                    beta=bundle.beta,
-                )
+            residuals = limit_equation_residual(
+                proc, monomials, bundle.g2_fn, bundle.h2_fn, bundle.b_fn, beta=bundle.beta
+            )
+            for k, val in zip(_RESIDUAL_DEGREES, residuals):
                 rows.append(ResultRow(cfg.preset, n, rep, t_final, f"residual_x{k}", val))
             rows.append(
                 ResultRow(

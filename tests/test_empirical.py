@@ -215,17 +215,17 @@ def _direct_interaction(lam, coeffs, g2, h2):
     return float(np.sum(dd * big_g)) / lam.size**2
 
 
-@pytest.mark.parametrize(
-    "atoms, g2, h2",
-    [
-        # coincident atoms: the divided difference is f'' on every repeated pair
-        (np.repeat([0.1, 0.4, 0.45, 1.3], 25), lambda x: 0.25 + 0.0 * x, lambda x: 1.0 + 0.0 * x),
-        (np.repeat([0.2, 0.5, 0.9], [40, 1, 19]), lambda x: x, lambda x: 1.0 - x),
-        # non-polynomial g^2 = |x| on a spectrum of both signs
-        (np.linspace(-0.8, 1.6, 97), np.abs, lambda x: 1.0 + 0.0 * x),
-        (np.concatenate([np.full(10, -0.5), np.linspace(0.1, 1.2, 50)]), np.abs, lambda x: 0.3 + x**2),
-    ],
-)
+_KERNEL_CASES = [
+    # coincident atoms: the divided difference is f'' on every repeated pair
+    (np.repeat([0.1, 0.4, 0.45, 1.3], 25), lambda x: 0.25 + 0.0 * x, lambda x: 1.0 + 0.0 * x),
+    (np.repeat([0.2, 0.5, 0.9], [40, 1, 19]), lambda x: x, lambda x: 1.0 - x),
+    # non-polynomial g^2 = |x| on a spectrum of both signs
+    (np.linspace(-0.8, 1.6, 97), np.abs, lambda x: 1.0 + 0.0 * x),
+    (np.concatenate([np.full(10, -0.5), np.linspace(0.1, 1.2, 50)]), np.abs, lambda x: 0.3 + x**2),
+]
+
+
+@pytest.mark.parametrize("atoms, g2, h2", _KERNEL_CASES)
 def test_interaction_kernel_matches_direct_double_sum(atoms, g2, h2):
     proc = EmpiricalMeasureProcess((0.0,), (EmpiricalMeasure(atoms),))
     lam = proc.measures[0].atoms
@@ -241,6 +241,34 @@ def test_interaction_kernel_matches_direct_double_sum(atoms, g2, h2):
         rtol=1e-12,
         atol=0.0,
     )
+
+
+@pytest.mark.parametrize("atoms, g2, h2", _KERNEL_CASES[2:], ids=["abs", "abs-repeated"])
+def test_residual_rows_match_per_row_calls(atoms, g2, h2):
+    """A 2-D f gives each row's residual in one pass: mixed degrees, a
+    degree-0 row (residual 0) and rows shorter than the widest."""
+    grid = np.linspace(0.0, 0.5, 6)
+    measures = tuple(EmpiricalMeasure(atoms * (1.0 + t) + t * t) for t in grid)
+    proc = EmpiricalMeasureProcess(grid, measures)
+    rows = np.array([
+        [4.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.3, -1.0, 0.5, 2.0, 0.0, -0.25, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, -2.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    b = lambda x: 0.5 - x  # noqa: E731
+    batched = limit_equation_residual(proc, rows, g2, h2, b, beta=1.0)
+    assert batched.shape == (rows.shape[0],)
+    assert batched[0] == 0.0
+    for row, val in zip(rows, batched):
+        single = limit_equation_residual(proc, np.trim_zeros(row, "b"), g2, h2, b, beta=1.0)
+        assert isinstance(single, float)
+        assert abs(val - single) <= 1e-12 * max(1.0, abs(single))
+    terms = _limit_terms(proc, rows, g2, h2, b)
+    assert terms.shape == (3, rows.shape[0], grid.size)
+    for r, row in enumerate(rows):
+        assert np.allclose(terms[:, r], _limit_terms(proc, row, g2, h2, b), rtol=1e-12, atol=1e-15)
 
 
 def test_residual_rejects_high_degree():

@@ -383,6 +383,52 @@ def test_cli_rejects_non_finite_config_values(tmp_path, capsys, command, text, m
     assert not out.exists()
 
 
+def _tiny_flow_spec(**overrides):
+    kwargs = dict(
+        n=3,
+        g=eigenflow.SpectralFunction.constant(0.5),
+        h=eigenflow.SpectralFunction.constant(1.0),
+        b=eigenflow.SpectralFunction.constant(0.0),
+        initial_spectrum=np.zeros(3),
+        dt=0.01,
+        t_grid=(0.0, 0.1),
+    )
+    kwargs.update(overrides)
+    return eigenflow.FlowSpec(**kwargs)
+
+
+def _measures(count):
+    return (eigenflow.EmpiricalMeasure(np.zeros(2)),) * count
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _tiny_flow_spec(dt=float("nan")),
+        lambda: _tiny_flow_spec(dt=float("inf")),
+        lambda: _tiny_flow_spec(t_grid=(0.0, float("nan"))),
+        lambda: eigenflow.sample_noise(3, "complex", float("nan"), np.random.default_rng(0)),
+        lambda: eigenflow.sample_noise(3, "real", float("inf"), np.random.default_rng(0)),
+        lambda: eigenflow.MarchenkoPastur(float("nan"), 1.0),
+        lambda: eigenflow.MarchenkoPastur(2.0, float("nan")),
+        lambda: eigenflow.MarchenkoPastur(float("inf"), 1.0),
+        lambda: eigenflow.Semicircle(float("nan")),
+        lambda: eigenflow.Semicircle(1.0, center=float("nan")),
+        lambda: eigenflow.mp_mixture_two(0.5, float("nan")),
+        lambda: eigenflow.mp_mixture_three(1.5, float("inf")),
+        lambda: eigenflow.mp_mixture_three(1.5, 2.0, float("inf")),
+        lambda: eigenflow.EmpiricalMeasureProcess((0.0, float("nan")), _measures(2)),
+    ],
+    ids=["flow_dt_nan", "flow_dt_inf", "flow_t_grid_nan", "noise_dt_nan", "noise_dt_inf",
+         "mp_alpha_nan", "mp_t_nan", "mp_alpha_inf", "semicircle_t_nan",
+         "semicircle_center_nan", "mixture_two_t_nan", "mixture_three_alpha_inf",
+         "mixture_three_t_inf", "process_t_grid_nan"],
+)
+def test_python_api_rejects_non_finite_inputs(build):
+    with pytest.raises(ValidationError, match="finite"):
+        build()
+
+
 def test_cli_missing_config_exit_code(tmp_path, capsys):
     assert cli_main(["simulate"]) == 2
     assert "requires --config" in capsys.readouterr().err

@@ -36,7 +36,13 @@ from eigenflow import (
     mp_params,
     semicircle_moments,
 )
-from eigenflow.limits import _mp_shape_mesh
+from eigenflow.limits import (
+    _invert_mesh,
+    _midpoints,
+    _mixture_unit_mesh,
+    _mp_shape_mesh,
+    _shape_quantiles,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -247,6 +253,78 @@ def test_mp_shape_mesh_is_read_only():
             arr[0] = 7.0
     # another time of the same family shares the CDF values
     assert MarchenkoPastur(2.5, 0.4, beta=2)._mesh()[1] is law._mesh()[1]
+
+
+_MP_CASES = pytest.mark.parametrize(
+    "alpha, t, beta",
+    [(2.5, 0.37, 2), (3.0, 1.7, 1), (1.0, 0.6, 1), (2.0, 2.5, 2), (1.0, 0.8, 2), (0.4, 1.3, 1)],
+    ids=["ratio>1", "ratio>1-beta1", "ratio=1", "ratio=1-beta2", "ratio<1-atom",
+         "ratio<1-atom-beta1"],
+)
+
+
+@_MP_CASES
+def test_mp_quantile_atoms_are_dilated_shape_quantiles(alpha, t, beta):
+    law = MarchenkoPastur(alpha, t, beta)
+    for count in (1, 400, 4001):
+        atoms = law.quantile_atoms(count)
+        assert np.array_equal(atoms, _invert_mesh(*law._mesh(), _midpoints(count)))
+    assert np.array_equal(MarchenkoPastur(alpha, 0.0, beta).quantile_atoms(50), np.zeros(50))
+    assert np.array_equal(MarchenkoPastur(0.0, t, beta).quantile_atoms(50), np.zeros(50))
+
+
+def _per_time_mixture_mesh(law):
+    """The mixture CDF mesh composed from its components at the law's own
+    time (the formula the dilated time-1 mesh replaces)."""
+    lam, lam_star, gamma, pos, neg = law._components()
+    pieces_x, pieces_f, mass_so_far = [], [], 0.0
+    if not neg.is_degenerate:
+        xs, fs = neg._mesh()
+        pieces_x.append(-xs[::-1])
+        pieces_f.append(lam_star * (1.0 - fs[::-1]))
+        mass_so_far = lam_star
+    atom = gamma + (lam if pos.is_degenerate else 0.0) + (lam_star if neg.is_degenerate else 0.0)
+    if atom > 0:
+        pieces_x.append(np.array([0.0, 0.0]))
+        pieces_f.append(np.array([mass_so_far, mass_so_far + atom]))
+        mass_so_far += atom
+    if not pos.is_degenerate:
+        xs, fs = pos._mesh()
+        pieces_x.append(xs)
+        pieces_f.append(mass_so_far + lam * fs)
+    return np.concatenate(pieces_x), np.maximum.accumulate(np.concatenate(pieces_f))
+
+
+@pytest.mark.parametrize(
+    "family", [lambda t: mp_mixture_two(0.5, t), lambda t: mp_mixture_three(1.5, 2.0, t)],
+    ids=["mix2", "mix3"],
+)
+def test_mixture_quantiles_match_per_time_mesh(family):
+    u = _midpoints(400)
+    for t in np.linspace(0.0, 1.0, 201):
+        law = family(t)
+        ref_xs, ref_fs = _per_time_mixture_mesh(law)
+        xs, fs = law._mesh()
+        assert np.array_equal(fs, ref_fs), t
+        assert np.all(np.abs(xs - ref_xs) <= 1e-15 * np.abs(ref_xs)), t
+        atoms = law.quantile_atoms(400)
+        ref = _invert_mesh(ref_xs, ref_fs, u)
+        assert np.all(np.abs(atoms - ref) <= 1e-15 * np.abs(ref)), t
+    assert np.array_equal(family(0.0).quantile_atoms(400), np.zeros(400))
+
+
+def test_dilation_caches_are_read_only():
+    law = mp_mixture_three(1.5, 2.0, 0.3)
+    law.quantile_atoms(400)
+    cached = _mixture_unit_mesh(law._shape_key) + (
+        _shape_quantiles(_mixture_unit_mesh, law._shape_key, 400),
+        _shape_quantiles(_mp_shape_mesh, 2.5, 400),
+    )
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    # every time of one family shares the time-1 CDF values
+    assert mp_mixture_three(1.5, 2.0, 0.9)._mesh()[1] is law._mesh()[1]
 
 
 def test_mp_hankel_psd():
