@@ -42,9 +42,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
 from .errors import UnsupportedLawOperation, ValidationError
@@ -343,27 +345,14 @@ def free_pde_residual(
         raise ValidationError("need t - delta_t > 0 for the centered difference")
     z = _require_upper(z)
     if case == "free_bm":
-        def transform(s: float) -> complex:
-            return free_bm_transform(theta, sigma, s, z)
-
-        law = free_bm_law(theta, sigma, t)
-
-        def drift(x):
-            return theta * _one(x)
+        transform, law, drift = free_bm_transform, free_bm_law(theta, sigma, t), [theta]
     else:
-        def transform(s: float) -> complex:
-            return free_ou_transform(theta, sigma, s, z)
-
-        law = free_ou_law(theta, sigma, t)
-
-        def drift(x):
-            arr = np.asarray(x, dtype=float)
-            return theta * (arr if arr.ndim else float(arr))
-    dr_dt = (transform(t + delta_t) - transform(t - delta_t)) / (2.0 * delta_t)
-    c2 = sigma / 2.0
-
-    def const(x):
-        return c2 * _one(x)
-
-    rhs = ct_evolution_rhs(law, z, g2=const, h2=const, b=drift, beta=2.0)
+        transform, law, drift = free_ou_transform, free_ou_law(theta, sigma, t), [0.0, theta]
+    dr_dt = (
+        transform(theta, sigma, t + delta_t, z) - transform(theta, sigma, t - delta_t, z)
+    ) / (2.0 * delta_t)
+    diffusion = partial(polyval, c=[sigma / 2.0])
+    rhs = ct_evolution_rhs(
+        law, z, g2=diffusion, h2=diffusion, b=partial(polyval, c=drift), beta=2.0
+    )
     return abs(dr_dt - rhs)

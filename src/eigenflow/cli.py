@@ -56,11 +56,10 @@ from .empirical import EmpiricalMeasureProcess, limit_equation_residual
 from .errors import NumericalError, ValidationError
 from .presets import (
     _MOMENT_COUNT,
-    PARAMETER_SCHEMAS,
+    PRESETS,
     _monomials,
     ResultRow,
     make_bundle,
-    resolve_config,
     run_preset,
     sweep_report,
 )
@@ -113,10 +112,11 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _law_or_fail(cfg: ExperimentConfig):
-    bundle = make_bundle(cfg)
+def _law_or_fail(args):
+    """The resolved preset of the subcommand's config, which must have a law."""
+    bundle = make_bundle(_load_config(args))
     if bundle.law is None:
-        raise ValidationError(f"preset {cfg.preset!r} has no limit law for this subcommand")
+        raise ValidationError(f"preset {bundle.name!r} has no limit law for this subcommand")
     return bundle
 
 
@@ -135,11 +135,11 @@ def _law_moment_rows(cfg: ExperimentConfig, law) -> list[ResultRow]:
 
 def cmd_presets(args) -> int:
     print("available presets:")
-    for name, schema in PARAMETER_SCHEMAS.items():
+    for name, row in PRESETS.items():
         print(f"  {name}")
-        for key, desc in schema.items():
-            print(f"    {key}: {desc}")
-        if not schema:
+        for key, (default, desc) in row.params.items():
+            print(f"    {key}: {desc}" + ("" if default is None else f" (default {default!r})"))
+        if not row.params:
             print("    (no class parameters)")
     print(
         "common keys: n_list, replica_count, base_seed, dt, t_grid, out_dir, threads"
@@ -155,8 +155,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    cfg = resolve_config(_load_config(args))
-    bundle = _law_or_fail(cfg)
+    bundle = _law_or_fail(args)
+    cfg = bundle.cfg
     rows = _law_moment_rows(cfg, bundle.law)
     final = [r for r in rows if r.t == cfg.t_grid[-1]]
     print(f"limit-law moments of {cfg.preset} at t={cfg.t_grid[-1]:g}:")
@@ -167,8 +167,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = resolve_config(_load_config(args))
-    bundle = _law_or_fail(cfg)
+    bundle = _law_or_fail(args)
+    cfg = bundle.cfg
     sim_rows = run_preset(cfg)
     out = _out_dir(cfg)
     t_final = cfg.t_grid[-1]
@@ -249,11 +249,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    cfg = resolve_config(_load_config(args))
-    bundle = _law_or_fail(cfg)
+    bundle = _law_or_fail(args)
+    cfg = bundle.cfg
     t_final = cfg.t_grid[-1]
     law_t = bundle.law.at(t_final)
-    if not getattr(law_t, "has_density", False) or getattr(law_t, "is_degenerate", False):
+    # a law that is all atoms (up to the rounding of its summed weights) has no density
+    if not getattr(law_t, "has_density", False) or law_t.continuous_mass() <= 1e-12:
         raise ValidationError(
             f"preset {cfg.preset!r} has no continuous density at t={t_final:g} to invert"
         )
@@ -275,8 +276,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    cfg = resolve_config(_load_config(args))
-    bundle = _law_or_fail(cfg)
+    bundle = _law_or_fail(args)
+    cfg = bundle.cfg
     if not getattr(bundle.law.at(cfg.t_grid[-1]), "has_cdf", False):
         raise ValidationError(
             f"preset {cfg.preset!r} exposes moments only; its law cannot be "
@@ -286,12 +287,7 @@ def cmd_residual(args) -> int:
     rows = []
     t_final = cfg.t_grid[-1]
     vals = limit_equation_residual(
-        proc,
-        _monomials(_RESIDUAL_DEGREES),
-        bundle.g2_fn,
-        bundle.h2_fn,
-        bundle.b_fn,
-        beta=bundle.beta,
+        proc, _monomials(_RESIDUAL_DEGREES), *bundle.residual_coefficients(), beta=bundle.beta
     )
     for k, val in zip(_RESIDUAL_DEGREES, vals):
         rows.append(ResultRow(cfg.preset, 0, "law", t_final, f"residual_x{k}", val))

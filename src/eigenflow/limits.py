@@ -347,8 +347,33 @@ class Semicircle(_LawBase):
         xs = np.linspace(lo, hi, _MESH_POINTS)
         return xs, np.asarray(self.cdf(xs))
 
+    def quantile_atoms(self, count: int) -> np.ndarray:
+        if self.is_degenerate:
+            return np.full(count, self.center)
+        idx = _shape_quantiles(_semicircle_index_mesh, None, count)
+        lo, hi = self.bounds()
+        # the law's mesh points linspace(lo, hi, M)[idx], in numpy's arithmetic
+        return lo + idx * ((hi - lo) / (_MESH_POINTS - 1))
+
     def moments(self, k_max: int) -> MomentSequence:
         return semicircle_moments(self.t, self.beta, k_max, center=self.center)
+
+
+@functools.lru_cache(maxsize=1)
+def _semicircle_index_mesh(_key=None) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, CDF values) of the mesh every semicircle shares up to rounding.
+
+    ``_build_mesh`` puts every semicircle's CDF on the same standardized
+    points, so a quantile level picks the same mesh index for each; only
+    the abscissae move. (A level that ties a mesh value, u = 1/2 at the
+    center, can round to the next index on a shifted law's own mesh.) Both
+    arrays are read-only.
+    """
+    _, fs = Semicircle.from_radius(1.0)._build_mesh()
+    idx = np.arange(fs.size)
+    idx.flags.writeable = False
+    fs.flags.writeable = False
+    return idx, fs
 
 
 def semicircle_moments(

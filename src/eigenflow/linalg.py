@@ -103,7 +103,8 @@ class SpectralFunction:
 
     @property
     def is_constant(self) -> bool:
-        return self.poly is not None and len(np.atleast_1d(self.poly)) == 1
+        """True for a degree-0 polynomial, or sqrt(|p|) of one."""
+        return any(c is not None and np.size(c) == 1 for c in (self.poly, self.square_poly))
 
     def __call__(self, lam: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(lam, dtype=float))

@@ -1,31 +1,33 @@
 """Experiment presets and orchestration over the universality classes.
 
-Each preset names a matrix flow family (coefficient functions, field,
-starting spectrum, per-n drift) together with its limit law:
+A class is the flow dX = g dW h + h dW* g + b dt, whose limit equation
+sees g and h only through g^2 and h^2. Each preset is one row of
+:data:`PRESETS`: its class parameters (default, description) and a map
+from the resolved config to the field, the ascending coefficient arrays
+``g2``, ``h2`` and ``b``, the start spectrum and the limit law. The stepper
+runs g = sqrt|g2|, h = sqrt|h2| and b; the residual sees g^2 and h^2.
 
-========================  =====================================================
-``wigner``                flat flow, complex field: g^2 = 1/4, h^2 = 1, b = 0;
-                          semicircle limit with variance t
-``wigner_real``           the same flow over the real field (beta = 1)
-``wishart``               square-root flow g^2 = |x|, h^2 = 1 with constant
-                          drift b_n = alpha n, positive start; Marchenko-
-                          Pastur limit
-``wishart_nonunique``     the same flow started with ceil((n+1-alpha n)/2)
-                          eigenvalues just below zero (real field); converges
-                          to the two-component mixture, not the MP law —
-                          the uniqueness failure made observable
-``geometric``             multiplicative flow g = h = sqrt(|x|), drift
-                          b_n = alpha n x, start a > 0; moments-only limit
-``jacobi``                g^2 = x, h^2 = 1 - x, drift b_n = n (p - (p+q) x),
-                          start in [0, 1]; moments-only limit
-``free_bm``/``free_ou``   flat flows g^2 = h^2 = sigma/2 with drift theta
-                          (resp. theta x); semicircle limits with the free
-                          Brownian / free Ornstein-Uhlenbeck parameters
-``custom``                coefficient polynomials straight from the config
-========================  =====================================================
+=====================  =========  =========  ===============  ==========================
+preset                 g2         h2         b                start; limit law
+=====================  =========  =========  ===============  ==========================
+``wigner``             [1/4]      [1]        [0]              0; semicircle, variance t
+``wigner_real``        [1/4]      [1]        [0]              0, real field; semicircle
+``wishart``            [0, 1]     [1]        [alpha]          just above 0; Marchenko-
+                                                              Pastur
+``wishart_nonunique``  [0, 1]     [1]        [alpha]          around 0, real field;
+                                                              two-component MP mixture
+``geometric``          [0, 1]     [0, 1]     [0, alpha]       a > 0; moments only
+``jacobi``             [0, 1]     [1, -1]    [p, -(p+q)]      a in [0, 1]; moments only
+``free_bm``            [sigma/2]  [sigma/2]  [theta]          0; free Brownian semicircle
+``free_ou``            [sigma/2]  [sigma/2]  [0, theta]       0; free OU semicircle
+``custom``             g2         h2         b (default [0])  a; none
+=====================  =========  =========  ===============  ==========================
 
-A preset's ``b`` is the *limiting* drift b(x) and enters the step as
-b(x) dt; the per-n drifts b_n listed above are n b.
+``wishart_nonunique`` starts with ceil((n+1-alpha n)/2) eigenvalues just
+below zero and the rest just above: it converges to the mixture, not the
+MP law — the uniqueness failure made observable. A preset's ``b`` is the
+*limiting* drift b(x) and enters the step as b(x) dt; the per-n drift is
+b_n = n b.
 
 :func:`run_preset` simulates every (n, replica) pair and emits a flat list
 of :class:`ResultRow` entries with a closed statistic vocabulary:
@@ -48,13 +50,13 @@ slope, and a monotone-decrease flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .cauchy import free_bm_law, free_ou_law
-from .config import PRESET_NAMES, ExperimentConfig
+from .config import ExperimentConfig
 from .empirical import (
     EmpiricalMeasureProcess,
     ks_distance,
@@ -73,8 +75,9 @@ from .limits import (
 from .linalg import SpectralFunction
 
 __all__ = [
-    "PARAMETER_SCHEMAS",
+    "PRESETS",
     "PresetBundle",
+    "PresetRow",
     "ResultRow",
     "SweepLine",
     "build_flow_spec",
@@ -124,116 +127,203 @@ class FreeDiffusionFamily:
 
 @dataclass(frozen=True)
 class PresetBundle:
-    """A preset resolved into flow ingredients plus its limit law.
+    """A preset resolved into its coefficient arrays, start and limit law.
 
-    ``law`` exposes ``.at(t)`` (or is None for ``custom``); ``g2_fn``,
-    ``h2_fn``, ``b_fn`` evaluate g^2, h^2 and the limiting drift pointwise
-    for residual computations.
+    ``g2``, ``h2`` and ``b`` are ascending coefficient arrays, from which
+    :meth:`coefficients` builds every function of the class.
+    ``initial_spectrum`` maps n to the start; ``law`` exposes ``.at(t)``
+    (or is None for ``custom``); ``cfg`` is the resolved config.
     """
 
-    name: str
+    cfg: ExperimentConfig
     field: str
-    projection: str
-    g: SpectralFunction
-    h: SpectralFunction
-    b: SpectralFunction
+    g2: tuple
+    h2: tuple
+    b: tuple
     initial_spectrum: Callable[[int], np.ndarray]
     law: object | None
+    projection: str = "none"
+
+    @property
+    def name(self) -> str:
+        return self.cfg.preset
 
     @property
     def beta(self) -> int:
         return 2 if self.field == "complex" else 1
 
-    @property
-    def g2_fn(self) -> Callable:
-        g = self.g
-        return lambda x: np.asarray(g(x), dtype=float) ** 2
+    def coefficients(self) -> tuple[SpectralFunction, SpectralFunction, SpectralFunction]:
+        """The stepper's g = sqrt|g2|, h = sqrt|h2| and drift b."""
+        return (
+            SpectralFunction.sqrt_abs_poly(self.g2, name="g"),
+            SpectralFunction.sqrt_abs_poly(self.h2, name="h"),
+            SpectralFunction.from_poly(self.b, name="b"),
+        )
 
-    @property
-    def h2_fn(self) -> Callable:
-        h = self.h
-        return lambda x: np.asarray(h(x), dtype=float) ** 2
+    def residual_coefficients(self) -> tuple[Callable, Callable, Callable]:
+        """g^2, h^2 and b for the limit-equation residual: the squares of the
+        stepper's g and h, so the residual checks the flow that was run."""
+        g, h, b = self.coefficients()
+        return (lambda x: g(x) ** 2), (lambda x: h(x) ** 2), b
 
-    @property
-    def b_fn(self) -> Callable:
-        b = self.b
-        return lambda x: np.asarray(b(x), dtype=float)
+    def flow_spec(self, n: int) -> FlowSpec:
+        """The FlowSpec this preset runs at matrix size n."""
+        g, h, b = self.coefficients()
+        return FlowSpec(
+            n, g, h, b, self.initial_spectrum(n), field=self.field, dt=self.cfg.dt,
+            t_grid=self.cfg.t_grid, projection=self.projection, name=self.name,
+        )
 
 
-_DEFAULT_PARAMS: dict[str, dict[str, float]] = {
-    "wigner": {},
-    "wigner_real": {},
-    "wishart": {"alpha": 2.5},
-    "wishart_nonunique": {"alpha": 0.5},
-    "geometric": {"a": 1.0, "alpha": 0.0},
-    "jacobi": {"p": 3.0, "q": 3.0, "a": 0.5},
-    "free_bm": {"theta": 0.0, "sigma": 1.0},
-    "free_ou": {"theta": -1.0, "sigma": 1.0},
-    "custom": {"a": 0.0},
-}
+@dataclass(frozen=True)
+class PresetRow:
+    """One universality class as data.
 
-PARAMETER_SCHEMAS: dict[str, dict[str, str]] = {
-    "wigner": {},
-    "wigner_real": {},
-    "wishart": {
-        "alpha": "drift constant, b_n = alpha n; requires alpha n >= beta(n-1)+2 "
-        "at every n (default 2.5)",
-    },
-    "wishart_nonunique": {
-        "alpha": "drift constant in [0, 1); the mixture splits mass "
-        "(1+alpha)/2 : (1-alpha)/2 (default 0.5)",
-    },
-    "geometric": {
-        "a": "starting point mass position, a > 0 (default 1.0)",
-        "alpha": "exponential drift rate, b_n = alpha n x (default 0.0)",
-    },
-    "jacobi": {
-        "p": "limiting drift parameter, b(x) = p - (p+q) x (default 3.0)",
-        "q": "limiting drift parameter (default 3.0)",
-        "a": "starting point mass in [0, 1] (default 0.5)",
-    },
-    "free_bm": {
-        "theta": "constant drift (default 0.0)",
-        "sigma": "diffusion scale, g^2 = h^2 = sigma/2 (default 1.0)",
-    },
-    "free_ou": {
-        "theta": "linear drift rate, b(x) = theta x (default -1.0)",
-        "sigma": "diffusion scale, g^2 = h^2 = sigma/2 (default 1.0)",
-    },
-    "custom": {
-        "g2": "ascending coefficients of g^2 (required)",
-        "h2": "ascending coefficients of h^2 (required)",
-        "b": "ascending coefficients of the limiting drift (default 0)",
-        "a": "starting point mass position (default 0.0)",
-        "field": "complex (beta=2) or real (beta=1)",
-        "projection": "none | nonneg | unit_interval",
-    },
+    ``params`` maps each class parameter to ``(default, description)``; a
+    None default fills nothing in. ``build`` maps the resolved config to the
+    :class:`PresetBundle` fields other than ``cfg``. ``config_defaults``
+    holds the preset's own defaults for common config keys.
+    """
+
+    params: dict
+    build: Callable[[ExperimentConfig], dict]
+    config_defaults: dict = field(default_factory=dict)
+
+
+_ZERO = (0.0,)
+_ONE = (1.0,)
+_X = (0.0, 1.0)
+_SIGMA = (1.0, "diffusion scale, g^2 = h^2 = sigma/2")
+
+
+def _near_zero(n: int) -> np.ndarray:
+    """n eigenvalues just above 0."""
+    return _EPS_START * np.arange(1, n + 1) / n
+
+
+def _point_mass(a: float) -> Callable[[int], np.ndarray]:
+    return lambda n: np.full(n, a)
+
+
+def _nonunique_start(n: int, alpha: float) -> np.ndarray:
+    """k* = ceil((n+1-alpha n)/2) eigenvalues just below 0, rest just above."""
+    k_star = max(0, math.ceil((n + 1 - alpha * n) / 2))
+    k_star = min(k_star, n)
+    neg = -_EPS_START * np.arange(1, k_star + 1) / n
+    pos = _EPS_START * np.arange(1, n - k_star + 1) / n
+    return np.sort(np.concatenate([neg, pos]))
+
+
+def _flat(field: str) -> dict:
+    return dict(
+        field=field, g2=(0.25,), h2=_ONE, b=_ZERO, initial_spectrum=np.zeros,
+        law=Semicircle(1.0, beta=2 if field == "complex" else 1),
+    )
+
+
+def _free_diffusion(cfg: ExperimentConfig, b: tuple) -> dict:
+    half = (cfg.sigma / 2.0,)
+    return dict(
+        field="complex", g2=half, h2=half, b=b, initial_spectrum=np.zeros,
+        law=FreeDiffusionFamily(cfg.preset, cfg.theta, cfg.sigma),
+    )
+
+
+PRESETS: dict[str, PresetRow] = {
+    "wigner": PresetRow({}, lambda c: _flat("complex")),
+    "wigner_real": PresetRow({}, lambda c: _flat("real")),
+    "wishart": PresetRow(
+        {
+            "alpha": (2.5, "drift constant, b_n = alpha n; requires alpha n >= "
+                      "beta(n-1)+2 at every n"),
+        },
+        lambda c: dict(
+            field="complex", g2=_X, h2=_ONE, b=(c.alpha,), initial_spectrum=_near_zero,
+            law=MarchenkoPastur(c.alpha, 1.0, beta=2),
+        ),
+    ),
+    "wishart_nonunique": PresetRow(
+        {
+            "alpha": (0.5, "drift constant in [0, 1); the mixture splits mass "
+                      "(1+alpha)/2 : (1-alpha)/2"),
+        },
+        lambda c: dict(
+            field="real", g2=_X, h2=_ONE, b=(c.alpha,),
+            initial_spectrum=lambda n: _nonunique_start(n, c.alpha),
+            law=MPMixtureTwo(c.alpha, 1.0),
+        ),
+        config_defaults={"n_list": (100,)},
+    ),
+    "geometric": PresetRow(
+        {
+            "a": (1.0, "starting point mass position, a > 0"),
+            "alpha": (0.0, "exponential drift rate, b_n = alpha n x"),
+        },
+        lambda c: dict(
+            field="complex", g2=_X, h2=_X, b=(0.0, c.alpha),
+            initial_spectrum=_point_mass(c.a), law=GeometricLaw(c.a, c.alpha, beta=2, t=1.0),
+        ),
+    ),
+    "jacobi": PresetRow(
+        {
+            "p": (3.0, "limiting drift parameter, b(x) = p - (p+q) x"),
+            "q": (3.0, "limiting drift parameter"),
+            "a": (0.5, "starting point mass in [0, 1]"),
+        },
+        lambda c: dict(
+            field="complex", g2=_X, h2=(1.0, -1.0), b=(c.p, -(c.p + c.q)),
+            initial_spectrum=_point_mass(c.a),
+            law=JacobiLaw(c.p, c.q, beta=2, a=c.a, t=1.0, dt=c.dt),
+        ),
+    ),
+    "free_bm": PresetRow(
+        {"theta": (0.0, "constant drift"), "sigma": _SIGMA},
+        lambda c: _free_diffusion(c, (c.theta,)),
+    ),
+    "free_ou": PresetRow(
+        {"theta": (-1.0, "linear drift rate, b(x) = theta x"), "sigma": _SIGMA},
+        lambda c: _free_diffusion(c, (0.0, c.theta)),
+    ),
+    "custom": PresetRow(
+        {
+            "g2": (None, "ascending coefficients of g^2 (required)"),
+            "h2": (None, "ascending coefficients of h^2 (required)"),
+            "b": (None, "ascending coefficients of the limiting drift (default 0)"),
+            "a": (0.0, "starting point mass position"),
+            "field": (None, "complex (beta=2) or real (beta=1)"),
+            "projection": (None, "none | nonneg | unit_interval"),
+        },
+        lambda c: dict(
+            field=c.field, projection=c.projection, g2=c.g2, h2=c.h2,
+            b=_ZERO if c.b is None else c.b, initial_spectrum=_point_mass(c.a), law=None,
+        ),
+    ),
 }
 
 
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Fill unset class parameters with the preset's defaults."""
     updates = {
-        key: value
-        for key, value in _DEFAULT_PARAMS[cfg.preset].items()
-        if getattr(cfg, key) is None
+        key: default
+        for key, (default, _) in PRESETS[cfg.preset].params.items()
+        if default is not None and getattr(cfg, key) is None
     }
     return replace(cfg, **updates) if updates else cfg
 
 
 def default_config(preset: str) -> ExperimentConfig:
     """The default experiment configuration of a preset."""
-    if preset not in PRESET_NAMES:
+    if preset not in PRESETS:
         raise ValidationError(f"unknown preset {preset!r}")
-    cfg = ExperimentConfig(preset=preset)
-    if preset == "wishart_nonunique":
-        cfg = replace(cfg, n_list=(100,))
-    return resolve_config(cfg)
+    return resolve_config(ExperimentConfig(preset=preset, **PRESETS[preset].config_defaults))
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Preset-specific validation; raises ValidationError before any compute."""
-    cfg = resolve_config(cfg)
+    _validate(resolve_config(cfg))
+
+
+def _validate(cfg: ExperimentConfig) -> None:
     name = cfg.preset
     if name == "wishart":
         if cfg.alpha is None or cfg.alpha <= 0:
@@ -284,128 +374,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
             )
 
 
-def _nonunique_start(n: int, alpha: float) -> np.ndarray:
-    """k* = ceil((n+1-alpha n)/2) eigenvalues just below 0, rest just above."""
-    k_star = max(0, math.ceil((n + 1 - alpha * n) / 2))
-    k_star = min(k_star, n)
-    neg = -_EPS_START * np.arange(1, k_star + 1) / n
-    pos = _EPS_START * np.arange(1, n - k_star + 1) / n
-    return np.sort(np.concatenate([neg, pos]))
-
-
 def make_bundle(cfg: ExperimentConfig) -> PresetBundle:
-    """Resolve a config into flow ingredients and the preset's limit law."""
+    """Resolve and validate a config, then build its row of :data:`PRESETS`."""
     cfg = resolve_config(cfg)
-    validate_config(cfg)
-    name = cfg.preset
-    one = SpectralFunction.constant(1.0, name="1")
-    zero = SpectralFunction.constant(0.0, name="0")
-    if name in ("wigner", "wigner_real"):
-        field = "complex" if name == "wigner" else "real"
-        return PresetBundle(
-            name=name,
-            field=field,
-            projection="none",
-            g=SpectralFunction.constant(0.5, name="1/2"),
-            h=one,
-            b=zero,
-            initial_spectrum=np.zeros,
-            law=Semicircle(1.0, beta=2 if field == "complex" else 1),
-        )
-    if name == "wishart":
-        return PresetBundle(
-            name=name,
-            field="complex",
-            projection="none",
-            g=SpectralFunction.sqrt_abs_poly([0.0, 1.0], name="sqrt|x|"),
-            h=one,
-            b=SpectralFunction.constant(cfg.alpha, name="alpha"),
-            initial_spectrum=lambda n: _EPS_START * np.arange(1, n + 1) / n,
-            law=MarchenkoPastur(cfg.alpha, 1.0, beta=2),
-        )
-    if name == "wishart_nonunique":
-        alpha = cfg.alpha
-        return PresetBundle(
-            name=name,
-            field="real",
-            projection="none",
-            g=SpectralFunction.sqrt_abs_poly([0.0, 1.0], name="sqrt|x|"),
-            h=one,
-            b=SpectralFunction.constant(alpha, name="alpha"),
-            initial_spectrum=lambda n: _nonunique_start(n, alpha),
-            law=MPMixtureTwo(alpha, 1.0),
-        )
-    if name == "geometric":
-        a = cfg.a
-        return PresetBundle(
-            name=name,
-            field="complex",
-            projection="none",
-            g=SpectralFunction.sqrt_abs_poly([0.0, 1.0], name="sqrt|x|"),
-            h=SpectralFunction.sqrt_abs_poly([0.0, 1.0], name="sqrt|x|"),
-            b=SpectralFunction.from_poly([0.0, cfg.alpha], name="alpha x"),
-            initial_spectrum=lambda n: np.full(n, a),
-            law=GeometricLaw(a, cfg.alpha, beta=2, t=1.0),
-        )
-    if name == "jacobi":
-        a = cfg.a
-        return PresetBundle(
-            name=name,
-            field="complex",
-            projection="none",
-            g=SpectralFunction.sqrt_abs_poly([0.0, 1.0], name="sqrt|x|"),
-            h=SpectralFunction.sqrt_abs_poly([1.0, -1.0], name="sqrt|1-x|"),
-            b=SpectralFunction.from_poly([cfg.p, -(cfg.p + cfg.q)], name="p-(p+q)x"),
-            initial_spectrum=lambda n: np.full(n, a),
-            law=JacobiLaw(cfg.p, cfg.q, beta=2, a=a, t=1.0, dt=cfg.dt),
-        )
-    if name in ("free_bm", "free_ou"):
-        c = math.sqrt(cfg.sigma / 2.0) if cfg.sigma > 0 else 0.0
-        drift = (
-            SpectralFunction.constant(cfg.theta, name="theta")
-            if name == "free_bm"
-            else SpectralFunction.from_poly([0.0, cfg.theta], name="theta x")
-        )
-        return PresetBundle(
-            name=name,
-            field="complex",
-            projection="none",
-            g=SpectralFunction.constant(c, name="sqrt(sigma/2)"),
-            h=SpectralFunction.constant(c, name="sqrt(sigma/2)"),
-            b=drift,
-            initial_spectrum=np.zeros,
-            law=FreeDiffusionFamily(name, cfg.theta, cfg.sigma),
-        )
-    # custom
-    a = cfg.a if cfg.a is not None else 0.0
-    return PresetBundle(
-        name=name,
-        field=cfg.field,
-        projection=cfg.projection,
-        g=SpectralFunction.sqrt_abs_poly(cfg.g2, name="sqrt|g2|"),
-        h=SpectralFunction.sqrt_abs_poly(cfg.h2, name="sqrt|h2|"),
-        b=SpectralFunction.from_poly(cfg.b if cfg.b is not None else [0.0], name="b"),
-        initial_spectrum=lambda n: np.full(n, a),
-        law=None,
-    )
+    _validate(cfg)
+    return PresetBundle(cfg=cfg, **PRESETS[cfg.preset].build(cfg))
 
 
 def build_flow_spec(cfg: ExperimentConfig, n: int) -> FlowSpec:
     """The FlowSpec a preset runs at matrix size n."""
-    bundle = make_bundle(cfg)
-    cfg = resolve_config(cfg)
-    return FlowSpec(
-        n=n,
-        g=bundle.g,
-        h=bundle.h,
-        b=bundle.b,
-        initial_spectrum=bundle.initial_spectrum(n),
-        field=bundle.field,
-        dt=cfg.dt,
-        t_grid=cfg.t_grid,
-        projection=bundle.projection,
-        name=bundle.name,
-    )
+    return make_bundle(cfg).flow_spec(n)
 
 
 def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -415,13 +393,13 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
     (n, then replica, then grid time, then statistic) and independent of
     the thread count.
     """
-    cfg = resolve_config(cfg)
-    validate_config(cfg)
     bundle = make_bundle(cfg)
+    cfg = bundle.cfg
+    g2, h2, b = bundle.residual_coefficients()
     monomials = _monomials(_RESIDUAL_DEGREES)
     rows: list[ResultRow] = []
     for n in cfg.n_list:
-        spec = build_flow_spec(cfg, n)
+        spec = bundle.flow_spec(n)
         paths = simulate_ensemble(
             spec, cfg.replica_count, cfg.base_seed, threads=cfg.threads
         )
@@ -451,9 +429,7 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
                     rows.append(
                         ResultRow(cfg.preset, n, rep, t, "neg_mass", meas.mass_below(0.0))
                     )
-            residuals = limit_equation_residual(
-                proc, monomials, bundle.g2_fn, bundle.h2_fn, bundle.b_fn, beta=bundle.beta
-            )
+            residuals = limit_equation_residual(proc, monomials, g2, h2, b, beta=bundle.beta)
             for k, val in zip(_RESIDUAL_DEGREES, residuals):
                 rows.append(ResultRow(cfg.preset, n, rep, t_final, f"residual_x{k}", val))
             rows.append(

@@ -3,6 +3,7 @@ run_preset row contracts, sweep reduction, the CLI subcommands, and CSV
 reproducibility (byte-identical modulo the timestamp comment line).
 """
 
+import math
 import re
 from pathlib import Path
 
@@ -19,9 +20,17 @@ from eigenflow import (
     run_preset,
     sweep_report,
 )
+import eigenflow.flows as flows_mod
+from eigenflow import SpectralFunction, Semicircle, build_flow_spec, make_bundle
 from eigenflow.cli import main as cli_main
 from eigenflow.config import PRESET_NAMES
-from eigenflow.presets import ResultRow, default_config, resolve_config, validate_config
+from eigenflow.presets import (
+    PRESETS,
+    ResultRow,
+    default_config,
+    resolve_config,
+    validate_config,
+)
 
 TINY_WIGNER = """\
 # smallest useful wigner run
@@ -184,6 +193,164 @@ def test_default_config_fills_parameters():
     assert resolve_config(ExperimentConfig(preset="geometric")).a == 1.0
     with pytest.raises(ValidationError):
         default_config("bogus")
+
+
+# ---------------------------------------------------------------------------
+# the preset table
+
+
+def _oracle_coefficients(cfg):
+    """g, h and b of a preset, written out per class (the form the presets
+    had before they became table rows)."""
+    name = cfg.preset
+    one = SpectralFunction.constant(1.0)
+    sqrt_x = SpectralFunction.sqrt_abs_poly([0.0, 1.0])
+    if name in ("wigner", "wigner_real"):
+        return SpectralFunction.constant(0.5), one, SpectralFunction.constant(0.0)
+    if name in ("wishart", "wishart_nonunique"):
+        return sqrt_x, one, SpectralFunction.constant(cfg.alpha)
+    if name == "geometric":
+        return sqrt_x, sqrt_x, SpectralFunction.from_poly([0.0, cfg.alpha])
+    if name == "jacobi":
+        return (
+            sqrt_x,
+            SpectralFunction.sqrt_abs_poly([1.0, -1.0]),
+            SpectralFunction.from_poly([cfg.p, -(cfg.p + cfg.q)]),
+        )
+    if name == "custom":
+        return (
+            SpectralFunction.sqrt_abs_poly(cfg.g2),
+            SpectralFunction.sqrt_abs_poly(cfg.h2),
+            SpectralFunction.from_poly(cfg.b if cfg.b is not None else [0.0]),
+        )
+    c = SpectralFunction.constant(math.sqrt(cfg.sigma / 2.0) if cfg.sigma > 0 else 0.0)
+    if name == "free_bm":
+        return c, c, SpectralFunction.constant(cfg.theta)
+    return c, c, SpectralFunction.from_poly([0.0, cfg.theta])
+
+
+_NAMED = PRESET_NAMES[:-1]
+_NON_DEFAULT = {
+    "wigner": {"dt": 0.01},
+    "wigner_real": {"dt": 0.01},
+    "wishart": {"alpha": 3.7},
+    "wishart_nonunique": {"alpha": 0.0},
+    "geometric": {"a": 2.0, "alpha": -0.3},
+    "jacobi": {"p": 2.0, "q": 5.0, "a": 0.1},
+    "free_bm": {"theta": 0.4, "sigma": 0.3},
+    "free_ou": {"theta": 0.5, "sigma": 0.0},
+}
+_CUSTOM = {"g2": (0.5, -1.0, 2.0), "h2": (1.0, 0.0, -0.25), "b": (0.3, -2.0)}
+_TABLE_CASES = [(name, {}) for name in _NAMED] + list(_NON_DEFAULT.items()) + [
+    ("custom", _CUSTOM),
+    ("custom", {"g2": (0.25,), "h2": (1.0,)}),
+]
+_GRID = np.concatenate([np.linspace(-3.0, 3.0, 61), [-1e3, -0.5, 1e-9, 1.5, 7.25, 1e3]])
+
+
+_TABLE_IDS = [f"{name}-{'set' if p else 'default'}-{i}" for i, (name, p) in enumerate(_TABLE_CASES)]
+
+
+@pytest.mark.parametrize("name, params", _TABLE_CASES, ids=_TABLE_IDS)
+def test_table_coefficients_match_oracle(name, params):
+    cfg = ExperimentConfig(preset=name, **params)
+    spec = build_flow_spec(cfg, 5)
+    for got, want in zip((spec.g, spec.h, spec.b), _oracle_coefficients(resolve_config(cfg))):
+        assert np.array_equal(got(_GRID), want(_GRID))
+
+
+def test_constant_coefficient_presets_step_as_before():
+    # free_ou is flat too, but its drift theta x is linear: it steps every dt
+    flat = {
+        name for name in _NAMED
+        if build_flow_spec(default_config(name), 3).is_constant_coefficients
+    }
+    assert flat == {"wigner", "wigner_real", "free_bm"}
+    for name, params in _TABLE_CASES:
+        cfg = resolve_config(ExperimentConfig(preset=name, **params))
+        oracle = all(f.is_constant for f in _oracle_coefficients(cfg))
+        assert build_flow_spec(cfg, 3).is_constant_coefficients == oracle
+
+
+@pytest.mark.parametrize("name, params", _TABLE_CASES[:len(_NAMED)] + [("custom", _CUSTOM)])
+def test_residual_coefficients_are_the_squared_stepper_coefficients(name, params):
+    bundle = make_bundle(ExperimentConfig(preset=name, **params))
+    g2, h2, b = bundle.residual_coefficients()
+    poly = np.polynomial.polynomial.polyval
+    np.testing.assert_allclose(g2(_GRID), np.abs(poly(_GRID, bundle.g2)), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(h2(_GRID), np.abs(poly(_GRID, bundle.h2)), rtol=1e-15, atol=0)
+    assert np.array_equal(b(_GRID), poly(_GRID, bundle.b))
+
+
+def test_table_rows_follow_preset_names():
+    assert tuple(PRESETS) == PRESET_NAMES
+
+
+def test_run_preset_resolves_validates_and_builds_once(monkeypatch):
+    counts = {"resolve_config": 0, "_validate": 0, "make_bundle": 0}
+    for key in counts:
+        original = getattr(presets_mod, key)
+
+        def counted(*args, _original=original, _key=key):
+            counts[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(presets_mod, key, counted)
+    run_preset(parse_config_text(TINY_WIGNER))
+    assert counts == {"resolve_config": 1, "_validate": 1, "make_bundle": 1}
+
+
+def _count_noise_draws(monkeypatch):
+    draws = []
+    original = flows_mod.sample_noise
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flows_mod, "sample_noise", counted)
+    return draws
+
+
+def test_one_coefficient_custom_flow_steps_once_per_record_gap(monkeypatch):
+    draws = _count_noise_draws(monkeypatch)
+    cfg = ExperimentConfig(
+        preset="custom", g2=(0.25,), h2=(1.0,), n_list=(40,), replica_count=30,
+        t_grid=(0.0, 0.5, 1.0), base_seed=17,
+    )
+    rows = run_preset(cfg)
+    assert len(draws) == 30 * 2
+    m2 = np.array([r.value for r in rows if r.stat == "m2" and r.t == 1.0 and r.replica != "ens"])
+    se = m2.std(ddof=1) / math.sqrt(m2.size)
+    assert abs(m2.mean() - Semicircle(1.0).moments(2)[2]) <= 4.0 * se
+
+
+def test_degree_one_custom_flow_steps_every_dt(monkeypatch):
+    draws = _count_noise_draws(monkeypatch)
+    cfg = ExperimentConfig(
+        preset="custom", g2=(0.0, 1.0), h2=(1.0,), b=(2.0,), a=0.5, n_list=(4,),
+        replica_count=1, dt=0.01, t_grid=(0.0, 0.1, 0.2),
+    )
+    assert not build_flow_spec(cfg, 4).is_constant_coefficients
+    run_preset(cfg)
+    assert len(draws) == 20
+
+
+def test_cli_presets_prints_each_default_once(capsys):
+    assert cli_main(["presets"]) == 0
+    sections, current = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  ") and not line.startswith("    "):
+            current = sections.setdefault(line.strip(), [])
+        elif current is not None and line.startswith("    "):
+            current.append(line.strip())
+    assert list(sections) == list(PRESETS)
+    for name, row in PRESETS.items():
+        for key, (default, desc) in row.params.items():
+            line = f"{key}: {desc}" + ("" if default is None else f" (default {default!r})")
+            assert sections[name].count(line) == 1
+        if row.params:
+            assert len(sections[name]) == len(row.params)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +649,23 @@ def test_cli_invert_rejects_moments_only_law(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "preset = geometric\n")
     assert cli_main(["invert", "--config", cfg]) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "preset = wishart_nonunique\nt_grid = 0.0\n",
+        "preset = wishart\nt_grid = 0.0\n",
+        "preset = free_bm\nsigma = 0.0\n",
+    ],
+    ids=["mixture_at_0", "mp_at_0", "free_bm_sigma_0"],
+)
+def test_cli_invert_rejects_law_without_continuous_part(tmp_path, capsys, text):
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "inv"
+    assert cli_main(["invert", "--config", cfg, "--out", str(out)]) == 2
+    assert "no continuous density" in capsys.readouterr().err
+    assert not (out / "invert.csv").exists()
 
 
 def test_cli_residual_subcommand(tmp_path, capsys):

@@ -39,8 +39,10 @@ from eigenflow import (
 from eigenflow.limits import (
     _invert_mesh,
     _midpoints,
+    _MESH_POINTS,
     _mixture_unit_mesh,
     _mp_shape_mesh,
+    _semicircle_index_mesh,
     _shape_quantiles,
 )
 
@@ -313,12 +315,35 @@ def test_mixture_quantiles_match_per_time_mesh(family):
     assert np.array_equal(family(0.0).quantile_atoms(400), np.zeros(400))
 
 
+@pytest.mark.parametrize(
+    "t, beta, center",
+    [(1.0, 2, 0.0), (1.0, 1, 3.0), (0.37, 2, -0.7), (3.7, 2, 3.0), (1e-6, 1, 1e3)],
+    ids=["unit", "beta1-shifted", "beta2-shifted", "wide-shifted", "narrow-far"],
+)
+def test_semicircle_quantiles_match_per_law_mesh(t, beta, center):
+    law = Semicircle(t, beta=beta, center=center)
+    step = 2.0 * law.radius / (_MESH_POINTS - 1)
+    for count in (1, 400, 4001):
+        u = _midpoints(count)
+        atoms = law.quantile_atoms(count)
+        reference = _invert_mesh(*law._mesh(), u)
+        median = u == 0.5
+        assert np.all(np.abs(atoms - reference)[~median] <= 1e-12 * law.radius)
+        # u = 1/2 ties the mesh value at the center: the shared mesh picks the
+        # center, a shifted law's own mesh may round to its neighbour
+        assert np.all(np.abs(atoms[median] - center) <= 1e-12 * max(law.radius, abs(center)))
+        assert np.all(np.abs(atoms - reference)[median] <= step * (1.0 + 1e-9))
+    assert np.array_equal(Semicircle(0.0, beta, center).quantile_atoms(7), np.full(7, center))
+
+
 def test_dilation_caches_are_read_only():
     law = mp_mixture_three(1.5, 2.0, 0.3)
     law.quantile_atoms(400)
     cached = _mixture_unit_mesh(law._shape_key) + (
         _shape_quantiles(_mixture_unit_mesh, law._shape_key, 400),
         _shape_quantiles(_mp_shape_mesh, 2.5, 400),
+        *_semicircle_index_mesh(),
+        _shape_quantiles(_semicircle_index_mesh, None, 400),
     )
     for arr in cached:
         with pytest.raises(ValueError):
