@@ -29,7 +29,8 @@ Subcommands
 
 Flags (all subcommands): ``--config PATH``, ``--out DIR`` (overrides the
 config's ``out_dir``), ``--seed U64`` (overrides ``base_seed``),
-``--threads N`` (speed only — results are scheduling-independent).
+``--threads N`` (accepted for compatibility; it has no effect, since the
+replicas of each n step together as stacked blocks in one thread).
 
 CSV format: one comment line ``# timestamp=...`` (excluded from
 reproducibility comparisons), a header ``preset,n,replica,t,stat,value``,
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="experiment config file")
         p.add_argument("--out", metavar="DIR", help="output directory override")
         p.add_argument("--seed", type=int, metavar="U64", help="base seed override")
-        p.add_argument("--threads", type=int, metavar="N", help="replica thread count")
+        p.add_argument("--threads", type=int, metavar="N", help="accepted; has no effect (replicas step as blocks)")
         p.set_defaults(handler=handler)
     return parser
 

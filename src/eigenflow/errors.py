@@ -36,5 +36,10 @@ class UnsupportedLawOperation(ValidationError):
 class NumericalError(EigenflowError):
     """Numerical failure during compute (explosion, invariant violation).
 
-    CLI exit code 3.
+    ``replica`` is the index of the failing replica, when the failure is in
+    one. CLI exit code 3.
     """
+
+    def __init__(self, message: str, replica: int | None = None):
+        super().__init__(message)
+        self.replica = replica

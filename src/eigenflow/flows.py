@@ -27,16 +27,23 @@ moment 2 dt/n (complex) or dt/n (real). This normalization is what makes
 the flat Dyson flow (g^2 = 1/4, h^2 = 1, b = 0, beta = 2) converge to the
 semicircle law with variance t, and is asserted by the test suite.
 
+Replica blocks: the replicas of one ensemble step together, as a stack
+w of shape (R, n) with one stacked ``eigvalsh`` per step, in consecutive
+blocks whose R n^2 is capped by ``_BLOCK_ENTRIES`` (memory stays O(n^2)).
+There are no replica threads: the step is eigensolver-bound, and two
+Python threads of ``eigvalsh`` ran no faster than one on a 2-core machine.
+
 Reproducibility: a path is a pure function of its RNG stream; ensembles
-derive per-replica streams from (base_seed, replica_index) so results are
-independent of scheduling and thread count.
+derive per-replica streams from (base_seed, replica_index), and each
+replica draws its own increment from its own stream every step, so results
+are independent of the block split (the stacked solve runs the same LAPACK
+routine on each matrix).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +70,8 @@ logger = logging.getLogger(__name__)
 _DOMAINS = {"none": (-math.inf, math.inf), "nonneg": (0.0, math.inf), "unit_interval": (0.0, 1.0)}
 _PROJECTIONS = tuple(_DOMAINS)
 _FIELDS = ("complex", "real")
+# cap on R * n^2 of one replica block: about 8 MB per complex temporary
+_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -198,22 +207,33 @@ def euler_step(
 
     Returns the ascending eigenvalues of diag(w + dt b(w)) + A + A* with
     A = (g(w) h(w)^T) o dW and dt = ``noise.dt``, clipped into the
-    projection domain; pass ``info`` (a dict) to receive the number of
-    clipped eigenvalues under key ``"clamped"``. Raises NumericalError,
-    naming the flow and n, if the step matrix is not finite.
+    projection domain. ``w`` is one spectrum of shape (n,) with ``noise.dw``
+    of shape (n, n), or a stack of replicas of shape (R, n) with ``noise.dw``
+    of shape (R, n, n); every operation acts on the trailing axes, and a
+    stack takes one ``eigvalsh``. Pass ``info`` (a dict) to receive the
+    number of clipped eigenvalues under key ``"clamped"`` (an int, or one
+    count per replica). Raises NumericalError, naming the flow and n, if a
+    step matrix is not finite; for a stack its ``replica`` is the index of
+    the first such replica.
     """
     if noise.n != spec.n:
         raise ValidationError("noise dimension does not match flow dimension")
-    a = np.multiply.outer(spec.g(w), spec.h(w)) * noise.dw
-    m = a + a.conj().T
-    m[np.diag_indices(spec.n)] += w + noise.dt * spec.b(w)
+    a = spec.g(w)[..., :, None] * spec.h(w)[..., None, :] * noise.dw
+    m = a + np.swapaxes(a.conj(), -1, -2)
+    diag = np.arange(spec.n)
+    m[..., diag, diag] += w + noise.dt * spec.b(w)
     # checked before eigvalsh, which can return finite eigenvalues for NaN input
     if not np.all(np.isfinite(m)):
-        raise NumericalError(f"flow {spec.name!r} (n={spec.n}): step matrix is not finite")
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        raise NumericalError(
+            f"flow {spec.name!r} (n={spec.n}): step matrix is not finite",
+            replica=int(np.argmin(finite)) if finite.ndim else None,
+        )
     w_next = np.linalg.eigvalsh(m)
     clipped = np.clip(w_next, *_DOMAINS[spec.projection])
     if info is not None:
-        info["clamped"] = int(np.count_nonzero(clipped != w_next))
+        clamped = np.count_nonzero(clipped != w_next, axis=-1)
+        info["clamped"] = clamped if clipped.ndim > 1 else int(clamped)
     return clipped
 
 
@@ -272,17 +292,19 @@ def _warn_if_superlinear_growth(spec: FlowSpec, lo: float, hi: float) -> None:
         )
 
 
-def simulate_path(spec: FlowSpec, seed) -> EigenPath:
-    """Integrate one path, recording sorted spectra at the grid times.
+def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[EigenPath]:
+    """Integrate one path per stream, stepping all of them as one block.
 
     Each grid time t is recorded after round(t / dt) steps of
-    :func:`euler_step` (FlowSpec admits only grid times that are multiples
-    of dt). With constant g, h and b and no projection the Euler scheme is
-    exact (its increments are Gaussian sums), so such a flow takes one
-    step per record gap. Deterministic given the seed / RNG stream. Raises
-    NumericalError if the state stops being finite, reporting the time.
+    :func:`euler_step` on the (R, n) stack (FlowSpec admits only grid
+    times that are multiples of dt). With constant g, h and b and no
+    projection the Euler scheme is exact (its increments are Gaussian
+    sums), so such a flow takes one step per record gap. Every step, each
+    replica draws its increment from its own stream, so a path does not
+    depend on the other streams of its block. Path r is replica
+    ``first_replica + r``. Raises NumericalError, naming the replica and
+    the time, if a step matrix stops being finite.
     """
-    rng = _as_generator(seed)
     dt = spec.dt
     record_steps = [int(round(t / dt)) for t in spec.t_grid]
     record_rows = {step: row for row, step in enumerate(record_steps)}
@@ -291,32 +313,58 @@ def simulate_path(spec: FlowSpec, seed) -> EigenPath:
     else:
         step_ends = range(record_steps[-1] + 1)
 
-    diags = PathDiagnostics()
-    spectra = np.empty((len(record_steps), spec.n))
-    w = np.sort(spec.initial_spectrum)
-    spectra[0] = w
+    count = len(streams)
+    w = np.tile(np.sort(spec.initial_spectrum), (count, 1))
+    spectra = np.empty((count, len(record_steps), spec.n))
+    spectra[:, 0] = w
+    clamp_events = np.zeros(count, dtype=int)
+    first_exit = np.full(count, np.nan)
     info: dict = {}
     for prev, step in zip(step_ends, step_ends[1:]):
-        noise = sample_noise(spec.n, spec.field, (step - prev) * dt, rng)
+        gap = (step - prev) * dt
+        dw = np.stack([sample_noise(spec.n, spec.field, gap, stream).dw for stream in streams])
         try:
-            w = euler_step(w, spec, noise, info=info)
+            w = euler_step(w, spec, NoiseIncrement(spec.n, spec.field, gap, dw), info=info)
         except NumericalError as exc:
-            raise NumericalError(f"{exc} at t={step * dt:.6g}") from None
-        if info["clamped"]:
-            diags.clamp_events += info["clamped"]
-            if diags.first_domain_exit is None:
-                diags.first_domain_exit = step * dt
+            replica = first_replica + exc.replica
+            raise NumericalError(
+                f"{exc} in replica {replica} at t={step * dt:.6g}", replica=replica
+            ) from None
+        clamped = info["clamped"]
+        if clamped.any():
+            clamp_events += clamped
+            first_exit[np.isnan(first_exit) & (clamped > 0)] = step * dt
         if step in record_rows:
-            spectra[record_rows[step]] = w
-    diags.min_eigenvalue = float(spectra[:, 0].min())
-    diags.max_eigenvalue = float(spectra[:, -1].max())
+            spectra[:, record_rows[step]] = w
 
-    _warn_if_superlinear_growth(spec, diags.min_eigenvalue, diags.max_eigenvalue)
-    return EigenPath(
-        t_grid=np.asarray(spec.t_grid, dtype=float),
-        spectra=spectra,
-        diagnostics=diags,
-    )
+    paths = []
+    for r, rows in enumerate(spectra):
+        diags = PathDiagnostics(
+            min_eigenvalue=float(rows[:, 0].min()),
+            max_eigenvalue=float(rows[:, -1].max()),
+            first_domain_exit=None if np.isnan(first_exit[r]) else float(first_exit[r]),
+            clamp_events=int(clamp_events[r]),
+        )
+        _warn_if_superlinear_growth(spec, diags.min_eigenvalue, diags.max_eigenvalue)
+        paths.append(
+            EigenPath(
+                t_grid=np.asarray(spec.t_grid, dtype=float),
+                spectra=rows,
+                diagnostics=diags,
+                replica=first_replica + r,
+            )
+        )
+    return paths
+
+
+def simulate_path(spec: FlowSpec, seed) -> EigenPath:
+    """Integrate one path, recording sorted spectra at the grid times.
+
+    The one-replica block of :func:`simulate_ensemble`'s stepper.
+    Deterministic given the seed / RNG stream. Raises NumericalError if the
+    state stops being finite, reporting the time.
+    """
+    return _simulate_block(spec, [_as_generator(seed)], 0)[0]
 
 
 def replica_stream(base_seed: int, replica: int) -> np.random.Generator:
@@ -337,27 +385,19 @@ def simulate_ensemble(
     base_seed: int,
     threads: int | None = None,
 ) -> list[EigenPath]:
-    """Simulate independent replicas; result independent of thread count.
+    """Simulate independent replicas, ordered by replica index.
 
-    Replica r runs on the stream of :func:`replica_stream`; the returned
-    list is ordered by replica index regardless of execution order.
+    Replica r runs on the stream of :func:`replica_stream`. The replicas
+    step in consecutive blocks of at most ``_BLOCK_ENTRIES // n^2`` (at
+    least one). ``threads`` is accepted for compatibility and has no
+    effect.
     """
     if replica_count < 1:
         raise ValidationError("replica_count must be >= 1")
-    streams = [replica_stream(base_seed, r) for r in range(replica_count)]
-
-    def run(args):
-        r, stream = args
-        path = simulate_path(spec, stream)
-        return EigenPath(
-            t_grid=path.t_grid,
-            spectra=path.spectra,
-            diagnostics=path.diagnostics,
-            replica=r,
-        )
-
-    jobs = list(enumerate(streams))
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
+    per_block = max(1, _BLOCK_ENTRIES // spec.n**2)
+    paths: list[EigenPath] = []
+    for first in range(0, replica_count, per_block):
+        stop = min(first + per_block, replica_count)
+        streams = [replica_stream(base_seed, r) for r in range(first, stop)]
+        paths += _simulate_block(spec, streams, first)
+    return paths

@@ -613,6 +613,8 @@ class _MixtureBase(_LawBase):
 
     def atoms(self) -> list[tuple[float, float]]:
         lam, lam_star, gamma, pos, neg = self._components()
+        if pos.is_degenerate and neg.is_degenerate:
+            return [(0.0, 1.0)]  # exact: the three weights need not sum to 1 in floats
         mass = gamma
         if pos.is_degenerate:
             mass += lam

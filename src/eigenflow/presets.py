@@ -390,8 +390,7 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
     """Simulate a preset over its n_list and emit all statistic rows.
 
     Validation runs before any simulation; row order is deterministic
-    (n, then replica, then grid time, then statistic) and independent of
-    the thread count.
+    (n, then replica, then grid time, then statistic).
     """
     bundle = make_bundle(cfg)
     cfg = bundle.cfg

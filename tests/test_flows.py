@@ -4,8 +4,10 @@ Pins the noise normalization (entry second moments 2 dt/n complex,
 dt/n real), Euler step algebra on cases solvable by hand, the eigenframe
 spectrum step against the matrix step (exactly for one step, in law over
 many), record-to-record stepping of flat flows, projection diagnostics,
-recording and reproducibility contracts, thread-count invariance, and the
-superlinear coefficient-growth warning.
+recording and reproducibility contracts, the replica-block stepper against
+a per-replica loop (bit for bit), thread-count invariance, the free OU
+finite-n identity of the Euler scheme, and the superlinear coefficient-growth
+warning.
 """
 
 import logging
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from eigenflow import (
+    ExperimentConfig,
     FlowSpec,
     NoiseIncrement,
     NumericalError,
@@ -28,6 +31,8 @@ from eigenflow import (
     simulate_ensemble,
     simulate_path,
 )
+from eigenflow.cauchy import free_ou_variance
+from eigenflow.presets import build_flow_spec
 
 ZERO = SpectralFunction.constant(0.0)
 ONE = SpectralFunction.constant(1.0)
@@ -304,6 +309,41 @@ def test_simulate_path_reports_explosion():
         simulate_path(spec, 0)
 
 
+@pytest.mark.parametrize("block_entries", [flows._BLOCK_ENTRIES, 2 * 2])
+def test_ensemble_names_the_non_finite_replica(monkeypatch, block_entries):
+    """Replica 1 of 3 draws a NaN increment at its third step; the error
+    names replica 1 and the time, whether the replicas share one block or
+    each steps in a block of its own."""
+    monkeypatch.setattr(flows, "_BLOCK_ENTRIES", block_entries)
+    spec = _flat_spec(2, dt=0.01, t_grid=(0.0, 0.05), b=SpectralFunction.from_poly([0.0, 0.1]))
+    spec = replace(spec, name="x")
+    replica_1 = {}
+    real_stream = flows.replica_stream
+
+    def tagged_stream(base_seed, replica):
+        stream = real_stream(base_seed, replica)
+        if replica == 1:
+            replica_1.update(stream=stream, draws=0)
+        return stream
+
+    def poisoned_noise(n, field, dt, stream):
+        noise = sample_noise(n, field, dt, stream)
+        if stream is replica_1.get("stream"):
+            replica_1["draws"] += 1
+            if replica_1["draws"] == 3:
+                return replace(noise, dw=np.full_like(noise.dw, np.nan))
+        return noise
+
+    monkeypatch.setattr(flows, "replica_stream", tagged_stream)
+    monkeypatch.setattr(flows, "sample_noise", poisoned_noise)
+    with pytest.raises(NumericalError) as caught:
+        simulate_ensemble(spec, 3, base_seed=5)
+    assert str(caught.value) == (
+        "flow 'x' (n=2): step matrix is not finite in replica 1 at t=0.03"
+    )
+    assert caught.value.replica == 1
+
+
 def test_scaling_consistency_across_n():
     """The n^{-1/2} noise scaling makes ensemble moments n-independent:
     the flat flow's mean second moment is t at every matrix size."""
@@ -382,6 +422,101 @@ def test_ensemble_thread_count_invariance():
     assert [p.replica for p in serial] == [p.replica for p in threaded] == list(range(6))
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.spectra, b.spectra)
+
+
+def _oracle_path(spec, stream):
+    """The per-replica stepping loop that the replica blocks replaced: one
+    1-D euler_step per step, record-to-record for unprojected constant
+    coefficients. Returns the recorded spectra and the clamp diagnostics."""
+    dt = spec.dt
+    record_steps = [int(round(t / dt)) for t in spec.t_grid]
+    if spec.is_constant_coefficients and spec.projection == "none":
+        step_ends = record_steps
+    else:
+        step_ends = range(record_steps[-1] + 1)
+    w = np.sort(spec.initial_spectrum)
+    spectra = [w]
+    clamps, first_exit, info = 0, None, {}
+    for prev, step in zip(step_ends, step_ends[1:]):
+        noise = sample_noise(spec.n, spec.field, (step - prev) * dt, stream)
+        w = euler_step(w, spec, noise, info=info)
+        if info["clamped"]:
+            clamps += info["clamped"]
+            if first_exit is None:
+                first_exit = step * dt
+        if step in record_steps:
+            spectra.append(w)
+    return np.array(spectra), clamps, first_exit
+
+
+BLOCK_CASES = {
+    "complex-polynomial": (_spec(5, "jacobi", dt=0.01, t_grid=(0.0, 0.05, 0.2)), 7, None),
+    "real-polynomial": (_spec(5, "wishart", field="real", dt=0.01, t_grid=(0.0, 0.1)), 7, None),
+    "constant": (_spec(5, "constant", dt=0.01, t_grid=(0.0, 0.1, 0.3)), 7, None),
+    "nonneg-clamps": (
+        FlowSpec(
+            n=5,
+            g=SQRT_X,
+            h=ONE,
+            b=ZERO,
+            initial_spectrum=np.full(5, 1e-3),
+            field="real",
+            dt=1e-2,
+            t_grid=(0.0, 0.1, 0.2),
+            projection="nonneg",
+        ),
+        7,
+        None,
+    ),
+    "one-replica": (_spec(5, "jacobi", dt=0.01, t_grid=(0.0, 0.1)), 1, None),
+    # blocks of 3, 3 and 1 replicas
+    "three-blocks": (_spec(5, "jacobi", dt=0.01, t_grid=(0.0, 0.1)), 7, 3 * 5 * 5 + 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_ensemble_blocks_match_per_replica_loop(monkeypatch, case):
+    """simulate_ensemble steps replicas as stacked blocks; spectra and
+    diagnostics equal the per-replica loop on the same streams bit for bit."""
+    spec, replicas, block_entries = BLOCK_CASES[case]
+    if block_entries is not None:
+        monkeypatch.setattr(flows, "_BLOCK_ENTRIES", block_entries)
+    paths = simulate_ensemble(spec, replicas, base_seed=21)
+    assert [p.replica for p in paths] == list(range(replicas))
+    clamped = 0
+    for r, path in enumerate(paths):
+        spectra, clamps, first_exit = _oracle_path(spec, replica_stream(21, r))
+        assert np.array_equal(path.spectra, spectra)
+        assert np.array_equal(path.t_grid, spec.t_grid)
+        diags = path.diagnostics
+        assert diags.clamp_events == clamps
+        assert diags.first_domain_exit == first_exit
+        assert diags.min_eigenvalue == spectra[:, 0].min()
+        assert diags.max_eigenvalue == spectra[:, -1].max()
+        clamped += clamps
+    assert (clamped > 0) == (spec.projection != "none")
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_free_ou_euler_second_moment_is_exact_at_finite_n(n):
+    """Each Euler step of free_ou scales m2 by (1 + theta dt)^2 and adds
+    sigma^2 dt in mean at beta = 2, so E m2(K dt) is a geometric sum at
+    every n. At theta = -1, sigma = 1, dt = 0.01, t = 1 that sum lies
+    2.9e-3 above the exact flow's free_ou_variance: the Euler bias."""
+    theta, sigma, dt, t = -1.0, 1.0, 0.01, 1.0
+    replicas = 4000 // n  # SE about 3e-3 at either n
+    cfg = ExperimentConfig(
+        preset="free_ou", theta=theta, sigma=sigma, dt=dt, t_grid=(0.0, t), n_list=(n,)
+    )
+    spec = build_flow_spec(cfg, n)
+    paths = simulate_ensemble(spec, replicas, base_seed=70 + n)
+    m2 = np.array([np.mean(p.spectra[-1] ** 2) for p in paths])
+    q = (1.0 + theta * dt) ** 2
+    euler = sigma**2 * dt * (q ** round(t / dt) - 1.0) / (q - 1.0)
+    se = m2.std(ddof=1) / np.sqrt(replicas)
+    assert abs(m2.mean() - euler) <= 4.0 * se, (m2.mean(), euler, se)
+    bias = euler - free_ou_variance(theta, sigma, t)
+    assert 2.8e-3 < bias < 3.0e-3, bias
 
 
 def test_replica_streams_are_independent():

@@ -414,6 +414,16 @@ def test_mixture_three_weights_and_atom():
         mp_mixture_three(3.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "law", [mp_mixture_three(1.5, 1.8, 0.0), mp_mixture_two(0.5, 0.0), mp_mixture_two(0.37, 0.0)]
+)
+def test_mixture_at_time_zero_is_one_exact_atom(law):
+    """At t = 0 every component is degenerate: the law is the unit point
+    mass at 0 exactly, not the float sum of the three weights."""
+    assert law.atoms() == [(0.0, 1.0)]
+    assert law.continuous_mass() == 0.0
+
+
 def test_mixture_three_mass_decomposition():
     law = mp_mixture_three(2.0, 3.0, t=0.8)
     lo, hi = law.bounds()
