@@ -36,6 +36,12 @@ and a mixture combines its components through the reflection identity
 int (-x - z)^{-1} nu(dx) = -conj(G_nu(-conj z)). Weighted transforms
 E[phi R^k] (the evolution right-hand side) and every other measure still
 use quadrature or atom sums.
+
+NumPy is the only third-party module this package imports when it loads.
+SciPy's adaptive quadrature is imported on first use, by the weighted
+transforms of laws behind :func:`ct_evolution_rhs` and
+:func:`free_pde_residual`; no ``eigenflow`` subcommand reaches them, so none
+loads SciPy.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate import quad
 
 from .errors import UnsupportedLawOperation, ValidationError
 from .empirical import EmpiricalMeasure, _law_atoms
@@ -81,6 +86,9 @@ def _require_upper(z: complex) -> complex:
 
 
 def _cquad(f: Callable[[float], complex], a: float, b: float) -> complex:
+    # imported on first use: no subcommand reaches quadrature or pays for SciPy
+    from scipy.integrate import quad
+
     re = quad(lambda s: f(s).real, a, b, **_QUAD_OPTS)[0]
     im = quad(lambda s: f(s).imag, a, b, **_QUAD_OPTS)[0]
     return complex(re, im)

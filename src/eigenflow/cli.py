@@ -38,7 +38,9 @@ then data rows with floats rendered to 17 significant digits. Law-side
 rows (no matrix dimension) carry ``n=0`` and ``replica=law``. Plot files
 are two-column ``x y`` text.
 
-Exit codes: 0 success; 2 validation failure; 3 numerical failure.
+Exit codes: 0 success; 2 validation failure, including a config that
+cannot be read and an output path that cannot be created or written;
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -77,12 +79,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_lines(path: Path, lines) -> None:
+    try:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: Path, rows) -> None:
     lines = [f"# timestamp={datetime.now(timezone.utc).isoformat()}"]
     lines.append("preset,n,replica,t,stat,value")
     for r in rows:
         lines.append(f"{r.preset},{r.n},{r.replica},{_fmt(r.t)},{r.stat},{_fmt(r.value)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
     print(f"wrote {len(rows)} rows to {path}")
 
 
@@ -90,7 +99,7 @@ def _write_plot(path: Path, xs, ys) -> None:
     lines = ["# x y"]
     for x, y in zip(xs, ys):
         lines.append(f"{_fmt(x)} {_fmt(y)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
     print(f"wrote plot data to {path}")
 
 
@@ -104,12 +113,33 @@ def _load_config(args) -> ExperimentConfig:
         cfg = replace(cfg, threads=args.threads)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
+    _check_out_dir(Path(cfg.out_dir))
     return cfg
+
+
+def _check_out_dir(out: Path) -> None:
+    """Reject an output path that cannot become a directory, before any work.
+
+    Only inspects the file system: the directory is created when the first
+    output is written.
+    """
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValidationError(
+                    f"output directory {out} is unusable: {path} exists and is not a directory"
+                )
+            return
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot create output directory {out}: {exc.strerror or exc}"
+        ) from exc
     return out
 
 

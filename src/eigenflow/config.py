@@ -172,7 +172,11 @@ def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config file {p}: {exc}") from exc
+    return parse_config_text(text)
 
 
 def config_field_names() -> tuple[str, ...]:

@@ -103,7 +103,9 @@ def sample_noise(n: int, field: str, dt: float, stream: np.random.Generator) -> 
     scale = math.sqrt(dt / n)
     if field == "complex":
         z = stream.standard_normal((2, n, n))
-        dw = scale * (z[0] + 1j * z[1])
+        dw = np.empty((n, n), dtype=complex)
+        np.multiply(scale, z[0], out=dw.real)
+        np.multiply(scale, z[1], out=dw.imag)
     else:
         dw = scale * stream.standard_normal((n, n))
     return NoiseIncrement(n=n, field=field, dt=dt, dw=dw)

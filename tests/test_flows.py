@@ -98,6 +98,21 @@ def test_noise_deterministic_given_stream():
     assert np.array_equal(a, b)
 
 
+def _oracle_complex_noise(n, dt, seed):
+    # the expression the in-place assembly replaced
+    z = np.random.default_rng(seed).standard_normal((2, n, n))
+    return np.sqrt(dt / n) * (z[0] + 1j * z[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 50, 200])
+@pytest.mark.parametrize("dt", [1e-3, 0.05, 0.37])
+def test_complex_noise_is_bit_identical_to_the_expression_form(n, dt):
+    for seed in range(5):
+        dw = sample_noise(n, "complex", dt, np.random.default_rng(seed)).dw
+        assert dw.shape == (n, n) and dw.dtype == np.complex128
+        assert dw.tobytes() == _oracle_complex_noise(n, dt, seed).tobytes()
+
+
 def test_noise_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValidationError):

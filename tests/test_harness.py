@@ -3,14 +3,19 @@ run_preset row contracts, sweep reduction, the CLI subcommands, and CSV
 reproducibility (byte-identical modulo the timestamp comment line).
 """
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eigenflow
+import eigenflow.cli as cli_mod
 import eigenflow.presets as presets_mod
 from eigenflow import (
     ExperimentConfig,
@@ -600,6 +605,120 @@ def test_cli_missing_config_exit_code(tmp_path, capsys):
     assert cli_main(["simulate"]) == 2
     assert "requires --config" in capsys.readouterr().err
     assert cli_main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_unreadable_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00")
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: cannot read config file")
+    assert str(cfg) in err
+    assert not (tmp_path / "o").exists()
+
+
+_OUT_COMMANDS = {
+    "simulate": TINY_WIGNER,
+    "compare": TINY_WIGNER,
+    "sweep": TINY_WIGNER,
+    "invert": "preset = free_bm\nt_grid = 0.0, 0.5\n",
+}
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_cli_out_path_that_is_a_file_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, command, nested
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli_mod, "run_preset", no_work)
+    monkeypatch.setattr(cli_mod, "make_bundle", no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    out = taken / "sub" if nested else taken
+    cfg = _write_cfg(tmp_path, _OUT_COMMANDS[command])
+    assert cli_main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: output directory")
+    assert f"{taken} exists and is not a directory" in err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_cli_output_write_failure_exits_2_naming_the_path(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    blocker = out / f"{command}.csv"
+    blocker.mkdir(parents=True)
+    cfg = _write_cfg(tmp_path, _OUT_COMMANDS[command])
+    assert cli_main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot write output file {blocker}:")
+
+
+def test_cli_output_mkdir_failure_exits_2_naming_the_path(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    out = tmp_path / "o"
+    cfg = _write_cfg(tmp_path, TINY_WIGNER)
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot create output directory {out}:")
+    assert "Permission denied" in err
+
+
+# Runs in a fresh interpreter: every subcommand on a tiny config of every
+# preset, then reports the exit codes and any SciPy module that got loaded.
+_COLD_PATH_CHILD = """\
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+from eigenflow.cli import main
+from eigenflow.config import PRESET_NAMES
+
+tiny = "n_list = 4, 8\\nreplica_count = 2\\nbase_seed = 3\\ndt = 0.05\\nt_grid = 0.0, 0.1\\n"
+codes = {}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(
+    io.StringIO()
+), contextlib.redirect_stderr(io.StringIO()):
+    codes["presets"] = main(["presets"])
+    for name in PRESET_NAMES:
+        cfg = Path(tmp) / (name + ".cfg")
+        extra = "g2 = 0.25\\nh2 = 1.0\\n" if name == "custom" else ""
+        cfg.write_text("preset = " + name + "\\n" + tiny + extra, encoding="utf-8")
+        for cmd in ("simulate", "compare", "sweep", "moments", "invert", "residual"):
+            out = Path(tmp) / name / cmd
+            codes[cmd + " " + name] = main([cmd, "--config", str(cfg), "--out", str(out)])
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_no_subcommand_imports_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH_CHILD],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    # laws without a CDF (geometric, jacobi) have no sweep, density or
+    # residual; the custom flow has no law at all
+    expected_2 = {
+        f"{cmd} {name}"
+        for name in ("geometric", "jacobi")
+        for cmd in ("sweep", "invert", "residual")
+    } | {f"{cmd} custom" for cmd in ("compare", "sweep", "moments", "invert", "residual")}
+    assert len(report["codes"]) == 1 + 6 * len(PRESET_NAMES)
+    assert {k for k, code in report["codes"].items() if code == 2} == expected_2
+    assert {k for k, code in report["codes"].items() if code not in (0, 2)} == set()
+    assert report["scipy"] == []
 
 
 def test_cli_moments_subcommand(tmp_path, capsys):
