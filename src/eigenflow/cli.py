@@ -143,22 +143,24 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _law_or_fail(args):
-    """The resolved preset of the subcommand's config, which must have a law."""
+def _law_or_fail(args, cdf_for: str | None = None):
+    """The resolved preset of the subcommand's config, which must have a law;
+    when ``cdf_for`` names a use, one with a CDF at the final record time.
+    Both are read off the bundle, before any simulation."""
     bundle = make_bundle(_load_config(args))
     if bundle.law is None:
         raise ValidationError(f"preset {bundle.name!r} has no limit law for this subcommand")
+    if cdf_for and not bundle.law.at(bundle.cfg.t_grid[-1]).has_cdf:
+        raise ValidationError(
+            f"preset {bundle.name!r} exposes moments only; its law has no CDF for {cdf_for}"
+        )
     return bundle
 
 
 def _law_moment_rows(cfg: ExperimentConfig, law) -> list[ResultRow]:
-    # a law whose moments come from an ODE integrates it once along the grid
-    if hasattr(law, "moments_at"):
-        seqs = law.moments_at(cfg.t_grid, _MOMENT_COUNT)
-    else:
-        seqs = [law.at(t).moments(_MOMENT_COUNT) for t in cfg.t_grid]
     rows = []
-    for t, ms in zip(cfg.t_grid, seqs):
+    for t in cfg.t_grid:
+        ms = law.at(t).moments(_MOMENT_COUNT)
         for k in range(1, _MOMENT_COUNT + 1):
             rows.append(ResultRow(cfg.preset, 0, "law", float(t), f"m{k}", ms[k]))
     return rows
@@ -217,29 +219,15 @@ def cmd_compare(args) -> int:
             err = abs(ens_final[f"m{k}"] - law_final[f"m{k}"])
             moment_errs.append(err)
             rows.append(ResultRow(cfg.preset, n, "ens", t_final, f"m{k}_err", err))
-        w1_by_t = {
-            t: [
-                r.value
-                for r in sim_rows
-                if r.stat == "w1" and r.n == n and r.replica != "ens" and r.t == t
-            ]
-            for t in cfg.t_grid
-        }
-        if all(len(vals) > 0 for vals in w1_by_t.values()):
-            medians = [float(np.median(w1_by_t[t])) for t in cfg.t_grid]
-            rows.append(
-                ResultRow(cfg.preset, n, "ens", t_final, "w1_median", medians[-1])
-            )
-            ks_vals = [
-                r.value
-                for r in sim_rows
-                if r.stat == "ks" and r.n == n and r.replica != "ens" and r.t == t_final
-            ]
-            rows.append(
-                ResultRow(
-                    cfg.preset, n, "ens", t_final, "ks_median", float(np.median(ks_vals))
-                )
-            )
+        if bundle.law.at(t_final).has_cdf:  # then run_preset gave w1 and ks rows
+            by_cell: dict[tuple, list] = {}
+            for r in sim_rows:
+                if r.n == n and r.replica != "ens":
+                    by_cell.setdefault((r.stat, r.t), []).append(r.value)
+            medians = [float(np.median(by_cell["w1", t])) for t in cfg.t_grid]
+            ks_median = float(np.median(by_cell["ks", t_final]))
+            rows.append(ResultRow(cfg.preset, n, "ens", t_final, "w1_median", medians[-1]))
+            rows.append(ResultRow(cfg.preset, n, "ens", t_final, "ks_median", ks_median))
             _write_plot(out / f"{cfg.preset}_n{n}_w1_vs_t.dat", cfg.t_grid, medians)
             print(f"n={n}: median w1(t={t_final:g}) = {medians[-1]:.6g}")
         else:
@@ -249,7 +237,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+    cfg = _law_or_fail(args, cdf_for="distance statistics to sweep").cfg
     sim_rows = run_preset(cfg)
     report = sweep_report(sim_rows)
     out = _out_dir(cfg)
@@ -285,7 +273,7 @@ def cmd_invert(args) -> int:
     t_final = cfg.t_grid[-1]
     law_t = bundle.law.at(t_final)
     # a law that is all atoms (up to the rounding of its summed weights) has no density
-    if not getattr(law_t, "has_density", False) or law_t.continuous_mass() <= 1e-12:
+    if not law_t.has_density or law_t.continuous_mass() <= 1e-12:
         raise ValidationError(
             f"preset {cfg.preset!r} has no continuous density at t={t_final:g} to invert"
         )
@@ -307,13 +295,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    bundle = _law_or_fail(args)
+    bundle = _law_or_fail(args, cdf_for="quantile-discretized residuals")
     cfg = bundle.cfg
-    if not getattr(bundle.law.at(cfg.t_grid[-1]), "has_cdf", False):
-        raise ValidationError(
-            f"preset {cfg.preset!r} exposes moments only; its law cannot be "
-            "quantile-discretized for residual evaluation"
-        )
     proc = EmpiricalMeasureProcess.from_law(bundle.law, cfg.t_grid, _RESIDUAL_ATOMS)
     rows = []
     t_final = cfg.t_grid[-1]

@@ -19,7 +19,7 @@ defaults when the experiment runs (see :mod:`eigenflow.presets`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError
@@ -177,7 +177,3 @@ def load_config(path) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {p}: {exc}") from exc
     return parse_config_text(text)
-
-
-def config_field_names() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(ExperimentConfig))

@@ -1,21 +1,19 @@
-"""Limit laws and exact moment engines for the universality classes.
+"""Limit laws and the moment engine of the universality classes.
 
-Four families of limit laws appear: semicircle (flat flows), a one-
-parameter Marchenko-Pastur family (square-root flows with constant drift),
-a geometric family (moments only), and a Jacobi family (moments only).
-Additionally, the Wishart-type limit equation admits *mixtures* of
-time-rescaled Marchenko-Pastur laws as further solutions — the
-non-uniqueness examples — which are provided as first-class laws.
+Laws with a CDF: the semicircle (flat flows), a one-parameter
+Marchenko-Pastur family (square-root flows with constant drift), and the
+*mixtures* of time-rescaled Marchenko-Pastur laws that also solve the
+Wishart-type limit equation (the non-uniqueness examples). Every class whose
+moment hierarchy closes (deg b <= 1, deg g^2, deg h^2 <= 2), the geometric
+and Jacobi classes among them, has a moments-only :class:`HierarchyLaw`.
 
-Moment engines come in two flavors:
-
-* exact engines (:func:`semicircle_moments`, :func:`mp_moments`,
-  :func:`geometric_w` / :func:`geometric_moments`) that carry rational
-  polynomial-in-t coefficients, used as hard oracles in tests;
-* :func:`generic_moment_ode`, an RK4 integrator of the closed moment
-  hierarchy generated by the limiting evolution equation for polynomial
-  coefficient functions, evaluated through the same separable
-  interaction kernel as the empirical residuals.
+One engine computes those moments: exact Taylor steps of the quadratic
+hierarchy (:func:`_taylor_family`), through the same separable interaction
+kernel as the empirical residuals. Kept as the tests' oracles: the closed
+forms (:func:`semicircle_moments`, :func:`mp_moments`, :func:`geometric_w` /
+:func:`geometric_moments`, rational polynomial-in-t coefficients) and
+:func:`generic_moment_ode`, RK4 of the same hierarchy at a fixed dt, with
+:func:`jacobi_moments` on it.
 
 Normalization note (load-bearing): ``MarchenkoPastur(alpha, t, beta)`` is
 defined as the law solving the beta-indexed hierarchy with constant drift
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,8 +42,7 @@ from .errors import (
 )
 
 __all__ = [
-    "GeometricLaw",
-    "JacobiLaw",
+    "HierarchyLaw",
     "MarchenkoPastur",
     "MomentPath",
     "MomentSequence",
@@ -807,7 +804,7 @@ def mp_mixture_three(alpha_plus: float, alpha_minus: float, t: float = 1.0) -> M
 
 
 # ---------------------------------------------------------------------------
-# Geometric class (moments only)
+# Geometric class: closed form (oracle)
 # ---------------------------------------------------------------------------
 
 def geometric_w(k_max: int) -> list[list[Fraction]]:
@@ -859,44 +856,9 @@ def geometric_moments(a: float, alpha: float, beta: float, t: float, k_max: int)
     return MomentSequence(np.array(values), t=float(t)).check_hankel()
 
 
-@dataclass(eq=False)
-class GeometricLaw:
-    """Geometric-class limit law: moments only (no known density)."""
-
-    a: float
-    alpha: float
-    beta: int = 2
-    t: float = 1.0
-
-    has_density = False
-    has_cdf = False
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValidationError("a must be > 0")
-
-    def at(self, t: float) -> "GeometricLaw":
-        return GeometricLaw(self.a, self.alpha, self.beta, float(t))
-
-    def moments(self, k_max: int) -> MomentSequence:
-        return geometric_moments(self.a, self.alpha, self.beta, self.t, k_max)
-
-    def cdf(self, x):
-        raise UnsupportedLawOperation("geometric law exposes moments only")
-
-    def density(self, x):
-        raise UnsupportedLawOperation("geometric law exposes moments only")
-
-
 # ---------------------------------------------------------------------------
-# Generic moment hierarchy (RK4) and the Jacobi class built on it
+# Generic moment hierarchy: RK4 (oracle) and the Jacobi class on it
 # ---------------------------------------------------------------------------
-
-def _poly_degree(coeffs) -> int:
-    c = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(c)[0]
-    return int(nz[-1]) if nz.size else 0
-
 
 def _interaction_kernel(p_g: np.ndarray, p_h: np.ndarray) -> np.ndarray:
     """Interaction integrals of every monomial f' = x^j from power sums.
@@ -922,6 +884,17 @@ def _interaction_kernel(p_g: np.ndarray, p_h: np.ndarray) -> np.ndarray:
 def _shift_operator(c: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Matrix S with (S @ m)[r] = sum_j c_j m_{r+j}."""
     return sum(cj * np.eye(rows, cols, k=j) for j, cj in enumerate(c))
+
+
+def _check_closes(b, g2, h2) -> None:
+    """Raise TruncationError unless deg(b) <= 1 and deg g^2, deg h^2 <= 2."""
+    deg_b, deg_g, deg_h = (int(max(np.flatnonzero(c), default=0)) for c in (b, g2, h2))
+    if deg_b > 1 or max(deg_g, deg_h) > 2:
+        raise TruncationError(
+            "moment hierarchy does not close at k_max: requires deg(b) <= 1 "
+            f"and max(deg g^2, deg h^2) <= 2, got deg(b)={deg_b}, "
+            f"deg(g^2)={deg_g}, deg(h^2)={deg_h}"
+        )
 
 
 def generic_moment_ode(
@@ -956,13 +929,7 @@ def generic_moment_ode(
         raise ValidationError("k_max must be >= 1")
     if t_final < 0 or dt <= 0:
         raise ValidationError("t_final must be >= 0 and dt > 0")
-    deg_b, deg_g, deg_h = _poly_degree(b), _poly_degree(g2), _poly_degree(h2)
-    if deg_b > 1 or max(deg_g, deg_h) > 2:
-        raise TruncationError(
-            "moment hierarchy does not close at k_max: requires deg(b) <= 1 "
-            f"and max(deg g^2, deg h^2) <= 2, got deg(b)={deg_b}, "
-            f"deg(g^2)={deg_g}, deg(h^2)={deg_h}"
-        )
+    _check_closes(b, g2, h2)
     m0 = np.asarray(mu0_moments, dtype=float)
     if m0.size < k_max + 1:
         raise ValidationError("mu0_moments must provide m_0..m_kmax")
@@ -998,6 +965,8 @@ def generic_moment_ode(
     return MomentPath(t_grid=t_grid, values=values)
 
 
+
+
 def jacobi_moments(
     p: float,
     q: float,
@@ -1007,68 +976,118 @@ def jacobi_moments(
     dt: float = 1e-3,
     k_max: int = 8,
 ) -> MomentSequence:
-    """Jacobi-class moments from a point mass at ``a`` in [0, 1].
+    """Jacobi-class moments from a point mass at ``a`` in [0, 1], by RK4.
 
     Delegates to :func:`generic_moment_ode` with drift b(x) = p - (p+q)x
     (inward-pointing at both ends of [0, 1]) and g^2 = x, h^2 = 1 - x.
     Raises NumericalError if the computed moments stop satisfying
     0 <= m_{k+1} <= m_k (the signature of a misconfigured drift sign).
     """
-    return _jacobi_moments_at(p, q, beta, a, (t_final,), dt, k_max)[0]
-
-
-def _jacobi_moments_at(p, q, beta, a, times, dt, k_max) -> list[MomentSequence]:
-    """:func:`jacobi_moments` at each of the ascending ``times``, integrating
-    each gap once from the previous time's moments (off-grid times exact)."""
     if not 0.0 <= a <= 1.0:
         raise ValidationError("a must lie in [0, 1]")
     if p <= 0 or q <= 0:
         raise ValidationError("p and q must be positive")
-    m = np.array([a**k for k in range(k_max + 1)], dtype=float)
-    out, t_prev = [], 0.0
-    for t in times:
-        if t != t_prev:  # generic_moment_ode rejects t < t_prev
-            vals = generic_moment_ode(
-                b=[p, -(p + q)], g2=[0.0, 1.0], h2=[1.0, -1.0], beta=beta,
-                mu0_moments=m, k_max=k_max, t_final=t - t_prev, dt=dt,
-            ).values
-            if np.any(vals < -1e-6) or np.any(vals[:, 1:] - vals[:, :-1] > 1e-6):
-                raise NumericalError(
-                    "Jacobi moments left [0,1] ordering (0 <= m_{k+1} <= m_k violated); "
-                    "check the drift sign"
-                )
-            m, t_prev = vals[-1], t
-        out.append(MomentSequence(m.copy(), t=float(t)).check_hankel())
-    return out
+    vals = generic_moment_ode(
+        b=[p, -(p + q)], g2=[0.0, 1.0], h2=[1.0, -1.0], beta=beta,
+        mu0_moments=[a**k for k in range(k_max + 1)], k_max=k_max, t_final=t_final, dt=dt,
+    ).values
+    if np.any(vals < -1e-6) or np.any(vals[:, 1:] - vals[:, :-1] > 1e-6):
+        raise NumericalError(
+            "Jacobi moments left [0,1] ordering (0 <= m_{k+1} <= m_k violated); "
+            "check the drift sign"
+        )
+    return MomentSequence(vals[-1].copy(), t=float(t_final)).check_hankel()
 
 
-@dataclass(eq=False)
-class JacobiLaw:
-    """Jacobi-class limit law: moments only (no known density)."""
+# ---------------------------------------------------------------------------
+# The law of every class whose hierarchy closes: Taylor steps
+# ---------------------------------------------------------------------------
 
-    p: float
-    q: float
-    beta: int = 2
-    a: float = 0.5
+_TAYLOR_ORDERS = np.arange(25)  # 0..24, the terms of every Taylor expansion
+
+
+@dataclass(frozen=True, eq=False)
+class HierarchyLaw:
+    """Time-t law of a class whose moment hierarchy closes: moments only.
+
+    ``b``, ``g2``, ``h2`` are the ascending coefficients the flow steps with
+    (deg b <= 1, deg g^2, deg h^2 <= 2, else TruncationError), at Dyson index
+    ``beta``, from a point mass at ``a``. Every ``.at(t)`` of one law shares
+    its Taylor steps (:func:`_taylor_family`); no simulation dt enters.
+    """
+
+    b: tuple
+    g2: tuple
+    h2: tuple
+    beta: float
+    a: float
     t: float = 1.0
-    dt: float = 1e-3
+    _families: dict = field(default_factory=dict, repr=False)  # k_max -> _taylor_family
 
-    has_density = False
     has_cdf = False
+    has_density = False
 
-    def at(self, t: float) -> "JacobiLaw":
-        return JacobiLaw(self.p, self.q, self.beta, self.a, float(t), self.dt)
+    def __post_init__(self):
+        if not all(map(math.isfinite, (*self.b, *self.g2, *self.h2, self.beta, self.a))):
+            raise ValidationError("hierarchy coefficients, beta and a must be finite")
+        _check_closes(self.b, self.g2, self.h2)
+        _check_time(self.t)
+
+    def at(self, t: float) -> "HierarchyLaw":
+        return replace(self, t=float(t))
 
     def moments(self, k_max: int) -> MomentSequence:
-        return jacobi_moments(self.p, self.q, self.beta, self.a, self.t, self.dt, k_max)
-
-    def moments_at(self, times, k_max: int) -> list[MomentSequence]:
-        """``[self.at(t).moments(k_max) for t in times]`` for ascending
-        ``times``, from one integration of the hierarchy along them."""
-        return _jacobi_moments_at(self.p, self.q, self.beta, self.a, times, self.dt, k_max)
+        if k_max < 1:
+            raise ValidationError("k_max must be >= 1")
+        if k_max not in self._families:
+            family = _taylor_family(self.b, self.g2, self.h2, self.beta, self.a, k_max)
+            self._families[k_max] = family
+        lin, quad, per_unit, expansions = self._families[k_max]
+        j = math.floor(self.t * per_unit)
+        while len(expansions) <= j:
+            knot = (1 / per_unit) ** _TAYLOR_ORDERS @ expansions[-1]
+            expansions.append(_taylor_expand(lin, quad, knot))
+        values = (self.t - j / per_unit) ** _TAYLOR_ORDERS @ expansions[j]
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(f"hierarchy moments overflow at t={self.t:g}")
+        return MomentSequence(values, t=self.t).check_hankel()
 
     def cdf(self, x):
-        raise UnsupportedLawOperation("Jacobi law exposes moments only")
+        raise UnsupportedLawOperation("hierarchy law exposes moments only")
 
-    def density(self, x):
-        raise UnsupportedLawOperation("Jacobi law exposes moments only")
+    density = cdf
+
+
+def _taylor_family(b, g2, h2, beta, a, k_max) -> tuple:
+    """(L, Q, N, expansions) of one closed hierarchy, from a point mass at a.
+
+    The hierarchy dm/dt = L m + Q(m, m) of :func:`generic_moment_ode` is
+    quadratic, so its Taylor coefficients follow exactly from Cauchy products
+    (:func:`_taylor_expand`; Jorba-Zou, Experimental Math. 14, 2005). The step
+    1/N, N = ceil(k_max max(|b_1|, 1)), keeps k |b_1| / N <= 1. The list
+    ``expansions`` (j-th about knot j/N, the previous one summed at 1/N)
+    grows on demand, so the moments at t are always expansion floor(t N)
+    summed at t - j/N, whatever times were asked for before.
+    """
+    size, ks = k_max + 1, np.arange(k_max + 1)[:, None]
+    g_op, h_op = (_shift_operator(c, k_max - 1, size) for c in (g2, h2))
+    lin = ks * np.vstack([np.zeros(size), _shift_operator(b, k_max, size)])
+    # Q(u, v)[k] = (beta/2) k I[k-1], I the interaction kernel of the power
+    # sums g_op u and h_op v; column i * size + j is Q(e_i, e_j)
+    quad = 0.5 * beta * ks * np.array([
+        np.append(0.0, _interaction_kernel(g_op[:, i], h_op[:, j]))
+        for i in range(size) for j in range(size)
+    ]).T
+    per_unit = math.ceil(k_max * max(abs(b[1]) if len(b) > 1 else 0.0, 1.0))
+    return lin, quad, per_unit, [_taylor_expand(lin, quad, a ** np.arange(size))]
+
+
+def _taylor_expand(lin: np.ndarray, quad: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Rows c_0..c_24 about a point with moments m:
+    c_{r+1} = (L c_r + sum_{q=0}^{r} Q(c_q, c_{r-q})) / (r + 1)."""
+    coeffs = np.zeros((_TAYLOR_ORDERS.size, m.size))
+    coeffs[0] = m
+    for r in range(_TAYLOR_ORDERS[-1]):
+        cauchy = coeffs[: r + 1].T @ coeffs[r::-1]
+        coeffs[r + 1] = (lin @ coeffs[r] + quad @ cauchy.ravel()) / (r + 1)
+    return coeffs

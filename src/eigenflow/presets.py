@@ -16,8 +16,9 @@ preset                 g2         h2         b                start; limit law
                                                               Pastur
 ``wishart_nonunique``  [0, 1]     [1]        [alpha]          around 0, real field;
                                                               two-component MP mixture
-``geometric``          [0, 1]     [0, 1]     [0, alpha]       a > 0; moments only
-``jacobi``             [0, 1]     [1, -1]    [p, -(p+q)]      a in [0, 1]; moments only
+``geometric``          [0, 1]     [0, 1]     [0, alpha]       a > 0; HierarchyLaw of
+                                                              its own arrays (moments)
+``jacobi``             [0, 1]     [1, -1]    [p, -(p+q)]      a in [0, 1]; the same
 ``free_bm``            [sigma/2]  [sigma/2]  [theta]          0; free Brownian semicircle
 ``free_ou``            [sigma/2]  [sigma/2]  [0, theta]       0; free OU semicircle
 ``custom``             g2         h2         b (default [0])  a; none
@@ -65,13 +66,7 @@ from .empirical import (
 )
 from .errors import ValidationError
 from .flows import FlowSpec, simulate_ensemble
-from .limits import (
-    GeometricLaw,
-    JacobiLaw,
-    MarchenkoPastur,
-    MPMixtureTwo,
-    Semicircle,
-)
+from .limits import HierarchyLaw, MarchenkoPastur, MPMixtureTwo, Semicircle
 from .linalg import SpectralFunction
 
 __all__ = [
@@ -131,8 +126,9 @@ class PresetBundle:
 
     ``g2``, ``h2`` and ``b`` are ascending coefficient arrays, from which
     :meth:`coefficients` builds every function of the class.
-    ``initial_spectrum`` maps n to the start; ``law`` exposes ``.at(t)``
-    (or is None for ``custom``); ``cfg`` is the resolved config.
+    ``initial_spectrum`` maps n to the start; ``cfg`` is the resolved config.
+    ``law`` is None for ``custom``; otherwise ``law.at(t)`` is the time-t law,
+    which has ``moments(k)`` and declares ``has_cdf`` and ``has_density``.
     """
 
     cfg: ExperimentConfig
@@ -229,6 +225,15 @@ def _free_diffusion(cfg: ExperimentConfig, b: tuple) -> dict:
     )
 
 
+def _moments_only(g2: tuple, h2: tuple, b: tuple, a: float) -> dict:
+    """A complex flow from a point mass at a, whose law is the closed moment
+    hierarchy of the very arrays it steps with."""
+    return dict(
+        field="complex", g2=g2, h2=h2, b=b, initial_spectrum=_point_mass(a),
+        law=HierarchyLaw(b, g2, h2, beta=2, a=a),
+    )
+
+
 PRESETS: dict[str, PresetRow] = {
     "wigner": PresetRow({}, lambda c: _flat("complex")),
     "wigner_real": PresetRow({}, lambda c: _flat("real")),
@@ -259,10 +264,7 @@ PRESETS: dict[str, PresetRow] = {
             "a": (1.0, "starting point mass position, a > 0"),
             "alpha": (0.0, "exponential drift rate, b_n = alpha n x"),
         },
-        lambda c: dict(
-            field="complex", g2=_X, h2=_X, b=(0.0, c.alpha),
-            initial_spectrum=_point_mass(c.a), law=GeometricLaw(c.a, c.alpha, beta=2, t=1.0),
-        ),
+        lambda c: _moments_only(_X, _X, (0.0, c.alpha), c.a),
     ),
     "jacobi": PresetRow(
         {
@@ -270,11 +272,7 @@ PRESETS: dict[str, PresetRow] = {
             "q": (3.0, "limiting drift parameter"),
             "a": (0.5, "starting point mass in [0, 1]"),
         },
-        lambda c: dict(
-            field="complex", g2=_X, h2=(1.0, -1.0), b=(c.p, -(c.p + c.q)),
-            initial_spectrum=_point_mass(c.a),
-            law=JacobiLaw(c.p, c.q, beta=2, a=c.a, t=1.0, dt=c.dt),
-        ),
+        lambda c: _moments_only(_X, (1.0, -1.0), (c.p, -(c.p + c.q)), c.a),
     ),
     "free_bm": PresetRow(
         {"theta": (0.0, "constant drift"), "sigma": _SIGMA},
@@ -396,6 +394,8 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
     cfg = bundle.cfg
     g2, h2, b = bundle.residual_coefficients()
     monomials = _monomials(_RESIDUAL_DEGREES)
+    law = bundle.law
+    cdf_laws = {} if law is None else {t: law.at(t) for t in cfg.t_grid if law.at(t).has_cdf}
     rows: list[ResultRow] = []
     for n in cfg.n_list:
         spec = bundle.flow_spec(n)
@@ -403,9 +403,6 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
             spec, cfg.replica_count, cfg.base_seed, threads=cfg.threads
         )
         t_final = float(spec.t_grid[-1])
-        laws_at = {}
-        if bundle.law is not None:
-            laws_at = {t: bundle.law.at(t) for t in spec.t_grid}
         ens = np.zeros((len(spec.t_grid), _MOMENT_COUNT))
         for path in paths:
             proc = EmpiricalMeasureProcess.from_path(path)
@@ -416,8 +413,8 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
                     val = meas.moment(k)
                     ens[ti, k - 1] += val
                     rows.append(ResultRow(cfg.preset, n, rep, t, f"m{k}", val))
-                law_t = laws_at.get(t)
-                if law_t is not None and getattr(law_t, "has_cdf", False):
+                law_t = cdf_laws.get(t)
+                if law_t is not None:
                     rows.append(
                         ResultRow(cfg.preset, n, rep, t, "w1", wasserstein1(meas, law_t))
                     )

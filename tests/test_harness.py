@@ -731,6 +731,42 @@ def test_cli_moments_subcommand(tmp_path, capsys):
     assert law_rows and all(r.split(",")[1] == "0" for r in law_rows)
 
 
+def test_cli_law_moments_do_not_depend_on_dt(tmp_path):
+    """The law side steps its own hierarchy: the simulation dt never enters."""
+    texts = []
+    for dt in ("0.001", "0.01"):
+        cfg = _write_cfg(tmp_path, f"preset = jacobi\ndt = {dt}\nt_grid = 0.0, 0.5, 1.0\n")
+        assert cli_main(["moments", "--config", cfg, "--out", str(tmp_path / dt)]) == 0
+        texts.append(_read_rows(tmp_path / dt / "moments.csv"))
+    assert len(texts[0]) == 3 * 8
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("name", ["geometric", "jacobi"])
+def test_moments_only_presets_take_the_hierarchy_law_of_their_own_arrays(name):
+    bundle = make_bundle(default_config(name))
+    law = bundle.law
+    assert isinstance(law, eigenflow.HierarchyLaw)
+    assert (law.b, law.g2, law.h2) == (bundle.b, bundle.g2, bundle.h2)
+    assert (law.beta, law.a) == (bundle.beta, bundle.cfg.a)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["preset = geometric\n", "preset = jacobi\n", "preset = custom\ng2 = 0.25\nh2 = 1.0\n"],
+    ids=["geometric", "jacobi", "custom"],
+)
+def test_cli_sweep_without_a_law_cdf_fails_before_any_step(tmp_path, capsys, monkeypatch, text):
+    def no_steps(*args, **kwargs):
+        raise AssertionError("sweep simulated before finding that it has no distance to sweep")
+
+    monkeypatch.setattr(presets_mod, "simulate_ensemble", no_steps)
+    cfg = _write_cfg(tmp_path, text + "n_list = 4, 8\n")
+    assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 2
+    assert capsys.readouterr().err.startswith("validation error: preset")
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cli_moments_rejects_lawless_preset(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "preset = custom\ng2 = 0.25\nh2 = 1.0\n")
     assert cli_main(["moments", "--config", cfg]) == 2

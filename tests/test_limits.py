@@ -16,8 +16,7 @@ import pytest
 from scipy import integrate
 
 from eigenflow import (
-    GeometricLaw,
-    JacobiLaw,
+    HierarchyLaw,
     MarchenkoPastur,
     MomentSequence,
     NumericalError,
@@ -546,9 +545,14 @@ def test_geometric_moments_match_generic_ode():
     assert np.allclose(path.final.values, closed.values, rtol=1e-6)
 
 
+def _geometric_law(alpha, a=1.0, beta=2):
+    return HierarchyLaw((0.0, alpha), (0.0, 1.0), (0.0, 1.0), beta, a)
+
+
 def test_geometric_law_is_moments_only():
-    law = GeometricLaw(1.0, 0.0, beta=2, t=1.0)
+    law = _geometric_law(0.0)
     assert np.allclose(law.at(1.0).moments(2).values, [1.0, 1.0, 5.0])
+    assert not law.has_cdf and not law.has_density
     with pytest.raises(UnsupportedLawOperation):
         law.cdf(np.array([1.0]))
     with pytest.raises(UnsupportedLawOperation):
@@ -703,27 +707,103 @@ def test_jacobi_moments_unit_interval_ordering():
     seq.check_hankel()
 
 
-def test_jacobi_moments_at_matches_one_integration_per_time():
-    """moments_at integrates the hierarchy once along the times; it must give
-    the moments of integrating from 0 to each time separately, including at
-    times off the dt grid (reached exactly, not snapped to the grid)."""
-    law = JacobiLaw(3.0, 3.0, beta=2, a=0.5, t=1.0, dt=1e-3)
-    on_grid = tuple(i / 20 for i in range(21))
-    off_grid = (0.0, 0.0015, 0.3337, 1.0)
-    for times, rtol in ((on_grid, 1e-12), (off_grid, 1e-10)):
-        seqs = law.moments_at(times, 8)
-        assert [s.t for s in seqs] == list(times)
-        for t, seq in zip(times, seqs):
-            assert np.allclose(seq.values, law.at(t).moments(8).values, rtol=rtol, atol=0.0)
+def _jacobi_law(p=3.0, q=3.0, a=0.5):
+    return HierarchyLaw((p, -(p + q)), (0.0, 1.0), (1.0, -1.0), 2, a)
+
+
+def test_hierarchy_law_grid_pass_equals_per_time_moments_bit_for_bit():
+    """The CLI's grid pass [law.at(t).moments(k) for t in grid] shares one
+    family's Taylor steps; each time must read exactly what it reads alone,
+    from a fresh family, on the knots and off them, in any order."""
+    times = (0.0, 0.0015, 0.05, 0.25, 0.3337, 0.95, 1.0, 2.5)
+    law = _jacobi_law()
+    grid = [law.at(t).moments(8) for t in times]
+    assert [s.t for s in grid] == list(times)
+    backwards = _jacobi_law()
+    backwards = [backwards.at(t).moments(8) for t in reversed(times)][::-1]
+    for t, seq, back in zip(times, grid, backwards):
+        alone = _jacobi_law().at(t).moments(8).values
+        assert alone.tobytes() == seq.values.tobytes() == back.values.tobytes()
     with pytest.raises(ValidationError):
-        law.moments_at((0.0, 0.5, 0.25), 4)
+        law.at(-0.5)
 
 
 def test_jacobi_law_is_moments_only():
-    law = JacobiLaw(3.0, 3.0, beta=2, a=0.5, t=1.0, dt=1e-3)
+    law = _jacobi_law()
     assert np.isclose(law.at(1.0).moments(1)[1], jacobi_moments(3.0, 3.0, 2.0, 0.5, 1.0)[1])
+    assert not law.has_cdf and not law.has_density
     with pytest.raises(UnsupportedLawOperation):
         law.cdf(np.array([0.5]))
+    with pytest.raises(UnsupportedLawOperation):
+        law.density(np.array([0.5]))
+
+
+def _assert_rel(values, oracle, rtol=1e-12):
+    np.testing.assert_allclose(values, oracle, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.0, -1.0, 1e-8])
+def test_hierarchy_law_matches_geometric_closed_form(alpha):
+    """alpha = 1e-8 puts the exponentials e^{k alpha t} within 1e-7 of one
+    another; t = 5 is the long-time stress case."""
+    law = _geometric_law(alpha)
+    for t in (0.25, 1.0, 5.0):
+        for k_max in (1, 4, 8):
+            _assert_rel(
+                law.at(t).moments(k_max).values, geometric_moments(1.0, alpha, 2.0, t, k_max).values
+            )
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_hierarchy_law_matches_mp_and_semicircle_closed_forms(beta):
+    for alpha in (2.5, 1.0):
+        law = HierarchyLaw((alpha,), (0.0, 1.0), (1.0,), beta, 0.0)
+        for t in (0.25, 1.0, 5.0):
+            _assert_rel(law.at(t).moments(8).values, mp_moments(alpha, beta, t, 8).values)
+    law = HierarchyLaw((0.0,), (0.25,), (1.0,), beta, 0.0)
+    for t in (0.25, 1.0, 5.0):
+        _assert_rel(law.at(t).moments(8).values, semicircle_moments(t, beta, 8).values)
+
+
+@pytest.mark.parametrize(
+    "p, q, a, t_final, dt, times",
+    [
+        (3.0, 3.0, 0.5, 0.25, 1e-5, (0.05, 0.25)),
+        (3.0, 3.0, 0.5, 1.0, 1e-4, (0.5, 1.0)),
+        (12.0, 8.0, 0.3, 1.0, 1e-4, (0.25, 1.0)),  # p + q = 20: stiff
+        (3.0, 3.0, 0.5, 5.0, 1e-3, (5.0,)),  # long time
+    ],
+    ids=["rk4_dt1e-5", "rk4_dt1e-4", "stiff", "t5"],
+)
+def test_hierarchy_law_matches_rk4_jacobi(p, q, a, t_final, dt, times):
+    """RK4 is compared only where its own error is below 1e-13 (at
+    dt = 1e-3 that holds at t = 5, after the transients have decayed)."""
+    path = generic_moment_ode(
+        b=[p, -(p + q)], g2=[0.0, 1.0], h2=[1.0, -1.0], beta=2.0,
+        mu0_moments=[a**k for k in range(9)], k_max=8, t_final=t_final, dt=dt,
+    )
+    law = _jacobi_law(p, q, a)
+    for t in times:
+        _assert_rel(law.at(t).moments(8).values, path.at_time(t).values)
+
+
+def test_hierarchy_law_rejects_what_it_cannot_honour():
+    with pytest.raises(TruncationError):
+        HierarchyLaw((0.0, 0.0, 1.0), (1.0,), (1.0,), 2, 0.0)
+    with pytest.raises(TruncationError):
+        HierarchyLaw((0.0,), (0.0, 0.0, 0.0, 1.0), (1.0,), 2, 0.0)
+    for bad in (
+        dict(b=(math.nan,)), dict(g2=(math.inf,)), dict(a=math.nan), dict(beta=math.inf),
+        dict(t=-1.0), dict(t=math.inf),
+    ):
+        args = dict(b=(0.0,), g2=(0.25,), h2=(1.0,), beta=2, a=0.0) | bad
+        with pytest.raises(ValidationError):
+            HierarchyLaw(**args)
+    with pytest.raises(ValidationError):
+        _jacobi_law().moments(0)
+    # m_8 grows like e^{8 alpha t}, past the largest double at alpha t = 100
+    with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+        _geometric_law(100.0).at(1.0).moments(8)
 
 
 # ---------------------------------------------------------------------------
