@@ -29,8 +29,9 @@ Subcommands
 
 Flags (all subcommands): ``--config PATH``, ``--out DIR`` (overrides the
 config's ``out_dir``), ``--seed U64`` (overrides ``base_seed``),
-``--threads N`` (accepted for compatibility; it has no effect, since the
-replicas of each n step together as stacked blocks in one thread).
+``--threads N`` (split each n's replicas into up to N contiguous ranges,
+one per usable CPU; the first steps in this process and each other one in
+a forked worker process; the outputs do not depend on N).
 
 CSV format: one comment line ``# timestamp=...`` (excluded from
 reproducibility comparisons), a header ``preset,n,replica,t,stat,value``,
@@ -332,7 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="experiment config file")
         p.add_argument("--out", metavar="DIR", help="output directory override")
         p.add_argument("--seed", type=int, metavar="U64", help="base seed override")
-        p.add_argument("--threads", type=int, metavar="N", help="accepted; has no effect (replicas step as blocks)")
+        p.add_argument(
+            "--threads", type=int, metavar="N",
+            help="replica processes per n, capped by the usable CPUs (outputs do not depend on N)",
+        )
         p.set_defaults(handler=handler)
     return parser
 

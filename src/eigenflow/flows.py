@@ -30,8 +30,12 @@ semicircle law with variance t, and is asserted by the test suite.
 Replica blocks: the replicas of one ensemble step together, as a stack
 w of shape (R, n) with one stacked ``eigvalsh`` per step, in consecutive
 blocks whose R n^2 is capped by ``_BLOCK_ENTRIES`` (memory stays O(n^2)).
-There are no replica threads: the step is eigensolver-bound, and two
-Python threads of ``eigvalsh`` ran no faster than one on a 2-core machine.
+
+Replica processes: with ``threads`` > 1 an ensemble is cut into contiguous
+replica ranges, one per worker; the caller steps the first range and
+forked worker processes step the others, each range in its own blocks.
+The step is eigensolver-bound and ``eigvalsh`` holds the GIL, so Python
+threads ran no faster than one on a 2-core machine; processes did.
 
 Reproducibility: a path is a pure function of its RNG stream; ensembles
 derive per-replica streams from (base_seed, replica_index), and each
@@ -44,6 +48,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,8 +267,8 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _warn_if_superlinear_growth(spec: FlowSpec, lo: float, hi: float) -> None:
-    """Warn when g^2 + h^2 visibly outgrows K(1 + |x|) on the observed range.
+def _warn_if_superlinear_growth(spec: FlowSpec, diags: PathDiagnostics) -> None:
+    """Warn when g^2 + h^2 visibly outgrows K(1 + |x|) on a path's range.
 
     Heuristic: least-squares quadratic fit of s = g^2 + h^2 against u = |x|
     over the simulated range; when the positive curvature term dominates
@@ -271,6 +277,7 @@ def _warn_if_superlinear_growth(spec: FlowSpec, lo: float, hi: float) -> None:
     warning is logged, never an error (the condition constrains coefficient
     families, not a single run).
     """
+    lo, hi = diags.min_eigenvalue, diags.max_eigenvalue
     span = max(abs(lo), abs(hi))
     if span < 2.0:
         return  # growth is an asymptotic statement; tiny ranges say nothing
@@ -347,7 +354,6 @@ def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[E
             first_domain_exit=None if np.isnan(first_exit[r]) else float(first_exit[r]),
             clamp_events=int(clamp_events[r]),
         )
-        _warn_if_superlinear_growth(spec, diags.min_eigenvalue, diags.max_eigenvalue)
         paths.append(
             EigenPath(
                 t_grid=np.asarray(spec.t_grid, dtype=float),
@@ -366,7 +372,9 @@ def simulate_path(spec: FlowSpec, seed) -> EigenPath:
     Deterministic given the seed / RNG stream. Raises NumericalError if the
     state stops being finite, reporting the time.
     """
-    return _simulate_block(spec, [_as_generator(seed)], 0)[0]
+    path = _simulate_block(spec, [_as_generator(seed)], 0)[0]
+    _warn_if_superlinear_growth(spec, path.diagnostics)
+    return path
 
 
 def replica_stream(base_seed: int, replica: int) -> np.random.Generator:
@@ -381,6 +389,69 @@ def replica_stream(base_seed: int, replica: int) -> np.random.Generator:
     )
 
 
+def _simulate_range(spec: FlowSpec, base_seed: int, first: int, stop: int) -> list[EigenPath]:
+    """Replicas ``first`` .. ``stop - 1`` in consecutive blocks of at most
+    ``_BLOCK_ENTRIES // n^2`` (at least one)."""
+    per_block = max(1, _BLOCK_ENTRIES // spec.n**2)
+    paths: list[EigenPath] = []
+    for lo in range(first, stop, per_block):
+        hi = min(lo + per_block, stop)
+        paths += _simulate_block(spec, [replica_stream(base_seed, r) for r in range(lo, hi)], lo)
+    return paths
+
+
+# (spec, base_seed) of the ensemble a forked worker steps; set by the pool's
+# initializer, whose arguments a forked child inherits instead of unpickling
+# (a SpectralFunction may wrap a lambda)
+_WORKER_JOB: tuple | None = None
+
+
+def _adopt_job(spec: FlowSpec, base_seed: int) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = (spec, base_seed)
+
+
+def _simulate_worker_range(first: int, stop: int) -> list[EigenPath]:
+    return _simulate_range(*_WORKER_JOB, first, stop)
+
+
+def _worker_count(threads: int | None, replica_count: int) -> int:
+    """Processes that step one ensemble: min(threads, usable CPUs, replicas).
+
+    One where ``threads`` is unset or 1, where the platform has no CPU
+    affinity mask (and so no reliable ``fork``), and where the caller runs
+    other threads, since a forked child could inherit a lock one of them
+    holds.
+    """
+    no_fork = not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
+    if not threads or threads < 2 or no_fork:
+        return 1
+    return min(threads, len(os.sched_getaffinity(0)), replica_count)
+
+
+def _simulate_in_processes(spec: FlowSpec, base_seed: int, bounds: list[int]) -> list[EigenPath]:
+    """Step range 0 here and every other range in a forked worker."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        len(bounds) - 2,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_job,
+        initargs=(spec, base_seed),
+    )
+    try:
+        futures = [
+            pool.submit(_simulate_worker_range, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        paths = _simulate_range(spec, base_seed, bounds[0], bounds[1])
+        for future in futures:
+            paths += future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return paths
+
+
 def simulate_ensemble(
     spec: FlowSpec,
     replica_count: int,
@@ -390,16 +461,24 @@ def simulate_ensemble(
     """Simulate independent replicas, ordered by replica index.
 
     Replica r runs on the stream of :func:`replica_stream`. The replicas
-    step in consecutive blocks of at most ``_BLOCK_ENTRIES // n^2`` (at
-    least one). ``threads`` is accepted for compatibility and has no
-    effect.
+    are cut into ``min(threads, usable CPUs, replica_count)`` contiguous
+    ranges; the caller steps the first and a forked worker process each
+    other one (``threads`` unset or 1: one range, no process, no
+    ``multiprocessing`` import). A range steps in consecutive blocks of at
+    most ``_BLOCK_ENTRIES // n^2`` replicas (at least one). A path depends
+    only on its stream, so the result is the same for every ``threads``.
+    The coefficient-growth warning is logged here, once per path. A
+    NumericalError from any range (the first failing range, in replica
+    order) reaches the caller with its replica and time.
     """
     if replica_count < 1:
         raise ValidationError("replica_count must be >= 1")
-    per_block = max(1, _BLOCK_ENTRIES // spec.n**2)
-    paths: list[EigenPath] = []
-    for first in range(0, replica_count, per_block):
-        stop = min(first + per_block, replica_count)
-        streams = [replica_stream(base_seed, r) for r in range(first, stop)]
-        paths += _simulate_block(spec, streams, first)
+    workers = _worker_count(threads, replica_count)
+    if workers == 1:
+        paths = _simulate_range(spec, base_seed, 0, replica_count)
+    else:
+        bounds = [replica_count * k // workers for k in range(workers + 1)]
+        paths = _simulate_in_processes(spec, base_seed, bounds)
+    for path in paths:
+        _warn_if_superlinear_growth(spec, path.diagnostics)
     return paths

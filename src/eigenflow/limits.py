@@ -920,7 +920,10 @@ def generic_moment_ode(
     with * discrete convolution. It closes at k_max iff deg(b) <= 1 and
     max(deg(g2), deg(h2)) <= 2; otherwise a TruncationError is raised
     (the needed moment triangle would be unbounded). Integration is
-    classical RK4 with fixed dt.
+    classical RK4 with fixed dt. Its roundoff grows with the step count:
+    on ``jacobi`` p = 12, q = 8, a = 0.3 at t = 2 the moments sit 1.05e-12
+    from the exact Taylor law at dt = 1e-5 but 5.1e-14 at dt = 2e-4, so an
+    oracle check past t ~ 1 should use the coarser dt.
     """
     b = np.atleast_1d(np.asarray(b, dtype=float))
     g2 = np.atleast_1d(np.asarray(g2, dtype=float))

@@ -388,7 +388,10 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
     """Simulate a preset over its n_list and emit all statistic rows.
 
     Validation runs before any simulation; row order is deterministic
-    (n, then replica, then grid time, then statistic).
+    (n, then replica, then grid time, then statistic). ``cfg.threads``
+    sets the replica worker processes of each n's ensemble
+    (:func:`~eigenflow.flows.simulate_ensemble`); the rows do not depend
+    on it.
     """
     bundle = make_bundle(cfg)
     cfg = bundle.cfg

@@ -5,13 +5,18 @@ dt/n real), Euler step algebra on cases solvable by hand, the eigenframe
 spectrum step against the matrix step (exactly for one step, in law over
 many), record-to-record stepping of flat flows, projection diagnostics,
 recording and reproducibility contracts, the replica-block stepper against
-a per-replica loop (bit for bit), thread-count invariance, the free OU
+a per-replica loop (bit for bit), invariance under the replica-process
+split (and its worker cap), the free OU
 finite-n identity of the Euler scheme, and the superlinear coefficient-growth
 warning.
 """
 
+import concurrent.futures
 import logging
-from dataclasses import replace
+import os
+import threading
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -324,12 +329,29 @@ def test_simulate_path_reports_explosion():
         simulate_path(spec, 0)
 
 
-@pytest.mark.parametrize("block_entries", [flows._BLOCK_ENTRIES, 2 * 2])
-def test_ensemble_names_the_non_finite_replica(monkeypatch, block_entries):
+def _usable_cpus(monkeypatch, count):
+    """Make the replica-process split see ``count`` CPUs, so the worker path
+    runs (and is capped) the same on any runner."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+# (block entries, threads); the one-process cases keep their original ids
+_FAILURE_CASES = [(e, threads) for threads in (1, 2) for e in (flows._BLOCK_ENTRIES, 2 * 2)]
+
+
+@pytest.mark.parametrize(
+    "block_entries,threads",
+    _FAILURE_CASES,
+    ids=[f"{e}" if t == 1 else f"{e}-threads{t}" for e, t in _FAILURE_CASES],
+)
+def test_ensemble_names_the_non_finite_replica(monkeypatch, block_entries, threads):
     """Replica 1 of 3 draws a NaN increment at its third step; the error
     names replica 1 and the time, whether the replicas share one block or
-    each steps in a block of its own."""
+    each steps in a block of its own, and whether or not replica 1 steps in
+    a worker process (at threads = 2 the ranges are {0} and {1, 2}). A
+    failing worker's pool is shut down with its pending work cancelled."""
     monkeypatch.setattr(flows, "_BLOCK_ENTRIES", block_entries)
+    _usable_cpus(monkeypatch, 2)
     spec = _flat_spec(2, dt=0.01, t_grid=(0.0, 0.05), b=SpectralFunction.from_poly([0.0, 0.1]))
     spec = replace(spec, name="x")
     replica_1 = {}
@@ -349,14 +371,25 @@ def test_ensemble_names_the_non_finite_replica(monkeypatch, block_entries):
                 return replace(noise, dw=np.full_like(noise.dw, np.nan))
         return noise
 
+    shutdowns = []
+    real_shutdown = ProcessPoolExecutor.shutdown
+
+    def recording_shutdown(self, wait=True, *, cancel_futures=False):
+        shutdowns.append(cancel_futures)
+        real_shutdown(self, wait, cancel_futures=cancel_futures)
+
     monkeypatch.setattr(flows, "replica_stream", tagged_stream)
     monkeypatch.setattr(flows, "sample_noise", poisoned_noise)
+    monkeypatch.setattr(ProcessPoolExecutor, "shutdown", recording_shutdown)
     with pytest.raises(NumericalError) as caught:
-        simulate_ensemble(spec, 3, base_seed=5)
+        simulate_ensemble(spec, 3, base_seed=5, threads=threads)
     assert str(caught.value) == (
         "flow 'x' (n=2): step matrix is not finite in replica 1 at t=0.03"
     )
     assert caught.value.replica == 1
+    assert shutdowns == ([True] if threads > 1 else [])
+    # the parent never stepped replica 1: its failure came from the worker
+    assert ("stream" in replica_1) == (threads == 1)
 
 
 def test_scaling_consistency_across_n():
@@ -430,13 +463,61 @@ def test_ensemble_matches_manual_replica_stream():
     assert ens[0].replica == 0
 
 
-def test_ensemble_thread_count_invariance():
-    spec = _flat_spec(5, t_grid=(0.0, 0.03), dt=0.01)
-    serial = simulate_ensemble(spec, 6, base_seed=88, threads=1)
-    threaded = simulate_ensemble(spec, 6, base_seed=88, threads=4)
-    assert [p.replica for p in serial] == [p.replica for p in threaded] == list(range(6))
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.spectra, b.spectra)
+def test_ensemble_thread_count_invariance(monkeypatch):
+    """A stepping preset at threads = 1, 2 and 3, in blocks of two replicas:
+    the replica ranges ({0, 1 | 2, 3, 4} and {0 | 1, 2 | 3, 4}) straddle the
+    serial blocks ({0, 1 | 2, 3 | 4}), yet every spectrum and every
+    diagnostic field is the same bit for bit."""
+    cfg = ExperimentConfig(
+        preset="wishart", alpha=2.5, dt=0.01, t_grid=(0.0, 0.05, 0.1), n_list=(4,)
+    )
+    spec = build_flow_spec(cfg, 4)
+    monkeypatch.setattr(flows, "_BLOCK_ENTRIES", 2 * 4 * 4)
+    _usable_cpus(monkeypatch, 4)
+    runs = {t: simulate_ensemble(spec, 5, base_seed=88, threads=t) for t in (1, 2, 3)}
+    for threads, paths in runs.items():
+        assert [p.replica for p in paths] == list(range(5)), threads
+        for a, b in zip(runs[1], paths):
+            where = (threads, a.replica)
+            assert a.spectra.tobytes() == b.spectra.tobytes(), where
+            assert repr(astuple(a.diagnostics)) == repr(astuple(b.diagnostics)), where
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    each submission inline, so no process starts."""
+
+    def __init__(self, max_workers, mp_context, initializer, initargs, started):
+        started.append(max_workers)
+        initializer(*initargs)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("replicas,expected", [(10, 2), (2, 1)])
+def test_replica_processes_are_capped_by_cpus_and_replicas(monkeypatch, replicas, expected):
+    """threads = 10**6 on 3 usable CPUs starts min(3, replicas) - 1 workers
+    (the caller steps the first range); the paths equal the serial run."""
+    started = []
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda max_workers, **kw: _InlinePool(max_workers, started=started, **kw),
+    )
+    monkeypatch.setattr(flows, "_WORKER_JOB", None)
+    _usable_cpus(monkeypatch, 3)
+    spec = _flat_spec(3, dt=0.01, t_grid=(0.0, 0.02))
+    paths = simulate_ensemble(spec, replicas, base_seed=4, threads=10**6)
+    assert started == [expected]
+    serial = simulate_ensemble(spec, replicas, base_seed=4)
+    assert started == [expected]
+    assert [p.spectra.tobytes() for p in paths] == [p.spectra.tobytes() for p in serial]
 
 
 def _oracle_path(spec, stream):
@@ -561,6 +642,50 @@ def test_superlinear_growth_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="eigenflow.flows"):
         simulate_path(spec, 0)
     assert any("superlinear" in rec.message for rec in caplog.records)
+
+
+def test_replica_processes_are_not_forked_beside_other_threads(monkeypatch):
+    """A caller that runs another thread steps serially: a forked child
+    could inherit a lock that thread holds."""
+    started = []
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda max_workers, **kw: _InlinePool(max_workers, started=started, **kw),
+    )
+    _usable_cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        simulate_ensemble(_flat_spec(3, dt=0.01, t_grid=(0.0, 0.02)), 4, base_seed=4, threads=2)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert started == []
+
+
+def test_superlinear_growth_warns_once_per_replica_from_workers(monkeypatch, caplog):
+    """At threads = 2 the worker's replicas warn too, once each, and in the
+    caller's process: the warning is logged after the paths are gathered."""
+    spec = FlowSpec(
+        n=6,
+        g=SpectralFunction.from_poly([0.0, 1.0]),  # g^2 = x^2
+        h=ONE,
+        b=ZERO,
+        initial_spectrum=np.linspace(0.5, 3.0, 6),
+        field="complex",
+        dt=1e-3,
+        t_grid=(0.0, 0.01),
+        name="quadratic",
+    )
+    _usable_cpus(monkeypatch, 2)
+    with caplog.at_level(logging.WARNING, logger="eigenflow.flows"):
+        simulate_ensemble(spec, 3, base_seed=6, threads=2)
+    warned = [rec for rec in caplog.records if "superlinear" in rec.message]
+    assert len(warned) == 3
+    assert {rec.process for rec in warned} == {os.getpid()}
 
 
 def test_linear_growth_does_not_warn(caplog):

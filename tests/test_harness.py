@@ -671,13 +671,19 @@ def test_cli_output_mkdir_failure_exits_2_naming_the_path(tmp_path, capsys, monk
 
 
 # Runs in a fresh interpreter: every subcommand on a tiny config of every
-# preset, then reports the exit codes and any SciPy module that got loaded.
+# preset (``threads`` unset), then reports the exit codes, any SciPy module
+# that got loaded, and the process-pool modules loaded by the import alone
+# and by the end.
 _COLD_PATH_CHILD = """\
 import contextlib, io, json, sys, tempfile
 from pathlib import Path
 
+def pool_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+
 from eigenflow.cli import main
 from eigenflow.config import PRESET_NAMES
+pools_at_import = pool_modules()
 
 tiny = "n_list = 4, 8\\nreplica_count = 2\\nbase_seed = 3\\ndt = 0.05\\nt_grid = 0.0, 0.1\\n"
 codes = {}
@@ -693,11 +699,13 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(
             out = Path(tmp) / name / cmd
             codes[cmd + " " + name] = main([cmd, "--config", str(cfg), "--out", str(out)])
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+pools = {"import": pools_at_import, "end": pool_modules()}
+print(json.dumps({"codes": codes, "scipy": scipy, "pools": pools}))
 """
 
 
-def test_no_subcommand_imports_scipy():
+@pytest.fixture(scope="module")
+def cold_path_report():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_PATH_CHILD],
@@ -707,7 +715,11 @@ def test_no_subcommand_imports_scipy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_no_subcommand_imports_scipy(cold_path_report):
+    report = cold_path_report
     # laws without a CDF (geometric, jacobi) have no sweep, density or
     # residual; the custom flow has no law at all
     expected_2 = {
@@ -719,6 +731,35 @@ def test_no_subcommand_imports_scipy():
     assert {k for k, code in report["codes"].items() if code == 2} == expected_2
     assert {k for k, code in report["codes"].items() if code not in (0, 2)} == set()
     assert report["scipy"] == []
+
+
+def test_serial_runs_import_no_process_pool(cold_path_report):
+    """With ``threads`` unset no subcommand loads multiprocessing or
+    concurrent.futures, and neither does importing the CLI."""
+    assert cold_path_report["pools"] == {"import": [], "end": []}
+
+
+def test_cli_failure_in_a_replica_worker_exits_3(tmp_path, capsys, monkeypatch):
+    """Every increment drawn in a worker process is NaN: at --threads 2 the
+    worker's range {1, 2} fails at its first step, and the CLI exits 3
+    naming replica 1 and the time."""
+    parent, real_noise = os.getpid(), flows_mod.sample_noise
+
+    def worker_poisoned_noise(n, field, dt, stream):
+        noise = real_noise(n, field, dt, stream)
+        if os.getpid() != parent:
+            noise = flows_mod.NoiseIncrement(n, field, dt, np.full_like(noise.dw, np.nan))
+        return noise
+
+    monkeypatch.setattr(flows_mod, "sample_noise", worker_poisoned_noise)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = _write_cfg(tmp_path, TINY_WIGNER.replace("n_list = 4, 8", "n_list = 4"))
+    code = cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.strip() == (
+        "numerical error: flow 'wigner' (n=4): step matrix is not finite in replica 1 at t=0.1"
+    )
 
 
 def test_cli_moments_subcommand(tmp_path, capsys):
