@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _W1_GRID = 4000  # fixed for test determinism
+_CHUNK_ENTRIES = 1 << 16  # cap on chunk * n * width in one _limit_terms pass
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class EmpiricalMeasure:
         atoms = np.sort(np.asarray(self.atoms, dtype=float))
         if atoms.ndim != 1 or atoms.size == 0:
             raise ValidationError("empirical measure needs a nonempty 1-d atom array")
+        if not np.isfinite(atoms[[0, -1]]).all():  # sorting puts nan and +-inf at the ends
+            raise ValidationError("empirical measure atoms must be finite")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -131,6 +134,12 @@ class EmpiricalMeasureProcess:
     def __len__(self) -> int:
         return len(self.measures)
 
+    @property
+    def spectra(self) -> np.ndarray:
+        """The measures' sorted atoms as one (T, n) array, like
+        :attr:`EigenPath.spectra`."""
+        return np.stack([m.atoms for m in self.measures])
+
 
 def _require_cdf(law) -> None:
     if not getattr(law, "has_cdf", True):
@@ -145,47 +154,74 @@ def _law_atoms(law) -> list[tuple[float, float]]:
     return list(getter()) if callable(getter) else []
 
 
-def ks_distance(m: EmpiricalMeasure, law) -> float:
+def _atom_rows(m) -> np.ndarray:
+    """A measure's sorted atoms, or an array of sorted atom rows as given."""
+    return m.atoms if isinstance(m, EmpiricalMeasure) else np.asarray(m, dtype=float)
+
+
+def ks_distance(m, law) -> float | np.ndarray:
     """Kolmogorov-Smirnov distance sup_x |F_emp(x) - F_law(x)|.
 
+    ``m`` is an :class:`EmpiricalMeasure` (returns a float) or an array
+    whose last axis holds sorted atom rows, such as an ensemble's spectra
+    at one time (returns one distance per row, from one ``law.cdf`` call).
     Both CDFs are right-continuous step/absolutely-continuous mixtures;
     the supremum is attained at an atom of either measure, approached from
     the left or the right, so it suffices to compare both one-sided limits
-    at every empirical atom and every law atom.
+    at every empirical atom and every law atom (a point met twice gives
+    the same term twice, so no ``np.unique`` is needed).
     """
     _require_cdf(law)
-    pts = np.concatenate([m.atoms, [p for p, _ in _law_atoms(law)]])
-    pts = np.unique(pts)
+    atoms = _atom_rows(m)
+    law_atoms = _law_atoms(law)
+    pos = np.array([p for p, _ in law_atoms])
+    pts = np.concatenate([atoms, np.broadcast_to(pos, atoms.shape[:-1] + pos.shape)], axis=-1)
     f_law = np.asarray(law.cdf(pts), dtype=float)
-    mass = np.zeros_like(pts)
-    for pos, mas in _law_atoms(law):
-        mass[np.searchsorted(pts, pos)] += mas
-    f_law_left = f_law - mass
-    f_emp = np.asarray(m.cdf(pts))
-    f_emp_left = np.asarray(m.cdf_left(pts))
-    return float(
-        np.max(np.maximum(np.abs(f_emp - f_law), np.abs(f_emp_left - f_law_left)))
+    mass = np.zeros_like(f_law)
+    for p, w in law_atoms:
+        mass[pts == p] += w
+    rows = list(zip(atoms.reshape(-1, atoms.shape[-1]), pts.reshape(-1, pts.shape[-1])))
+    f_emp, f_emp_left = (
+        np.array([np.searchsorted(a, x, side=side) for a, x in rows]).reshape(pts.shape)
+        / atoms.shape[-1]
+        for side in ("right", "left")
     )
+    out = np.max(
+        np.maximum(np.abs(f_emp - f_law), np.abs(f_emp_left - (f_law - mass))), axis=-1
+    )
+    return float(out) if isinstance(m, EmpiricalMeasure) else out
 
 
-def wasserstein1(m: EmpiricalMeasure, law) -> float:
+def wasserstein1(m, law) -> float | np.ndarray:
     """W1 distance = int |F_emp - F_law| dx.
 
+    ``m`` is an :class:`EmpiricalMeasure` (returns a float) or an array
+    whose last axis holds sorted atom rows (returns one distance per row).
     Quadrature on a fixed 4000-point grid spanning the union of supports,
-    with all empirical and law atoms inserted exactly (grid size fixed so
+    with all empirical and law atoms merged in exactly (grid size fixed so
     results are deterministic).
     """
     _require_cdf(law)
-    law_lo, law_hi = law.bounds()
+    atoms = _atom_rows(m)
+    bounds = law.bounds()
     atom_pos = [p for p, _ in _law_atoms(law)]
-    lo = min(float(m.atoms[0]), law_lo, *atom_pos) if atom_pos else min(float(m.atoms[0]), law_lo)
-    hi = max(float(m.atoms[-1]), law_hi, *atom_pos) if atom_pos else max(float(m.atoms[-1]), law_hi)
+    flat = atoms.reshape(-1, atoms.shape[-1])
+    out = np.array([_w1_row(row, law, bounds, atom_pos) for row in flat])
+    return float(out[0]) if isinstance(m, EmpiricalMeasure) else out.reshape(atoms.shape[:-1])
+
+
+def _w1_row(atoms: np.ndarray, law, bounds: tuple, atom_pos: list) -> float:
+    """W1 of one sorted atom row, on the grid ``np.unique`` would give
+    (linspace and atoms, exact duplicates dropped), merged instead of sorted."""
+    lo = min(float(atoms[0]), bounds[0], *atom_pos)
+    hi = max(float(atoms[-1]), bounds[1], *atom_pos)
     if hi <= lo:
         hi = lo + 1.0
-    grid = np.unique(
-        np.concatenate([np.linspace(lo, hi, _W1_GRID), m.atoms, np.asarray(atom_pos)])
-    )
-    f_emp = np.asarray(m.cdf(grid))
+    base = np.linspace(lo, hi, _W1_GRID)
+    extra = np.sort(np.concatenate([atoms, atom_pos])) if atom_pos else atoms
+    grid = np.insert(base, np.searchsorted(base, extra), extra)
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
+    f_emp = np.bincount(np.searchsorted(grid, atoms), minlength=grid.size).cumsum() / atoms.size
     f_law = np.asarray(law.cdf(grid), dtype=float)
     return float(np.sum(np.abs(f_emp - f_law)[:-1] * np.diff(grid)))
 
@@ -198,40 +234,55 @@ def _poly_coeffs(f) -> np.ndarray:
 
 
 def _limit_terms(
-    proc: EmpiricalMeasureProcess,
+    atoms: np.ndarray,
     coeffs: np.ndarray,
     g2: Callable,
     h2: Callable,
     b: Callable,
 ) -> np.ndarray:
-    """Per-time <mu, f>, <mu, f' b> and iint dd_{f'} G dmu dmu, as 3 rows.
+    """Per-measure <mu, f>, <mu, f' b> and iint dd_{f'} G dmu dmu, as 3 rows.
 
-    ``coeffs`` is one ascending coefficient array, giving shape (3, T), or
-    a 2-D array of rows, giving shape (3, rows, T): each measure's powers
+    ``atoms`` stacks M measures' sorted atoms as an (M, n) array.
+    ``coeffs`` is one ascending coefficient array, giving shape (3, M), or
+    a 2-D array of rows, giving shape (3, rows, M): each measure's powers
     and power sums are formed once, at the largest degree, for every row.
-    The double integral runs over the full product measure (diagonal =
-    f'') and comes from the atoms' power sums through the interaction
-    kernel.
+    The measures run in chunks whose (chunk, n, width) powers hold at most
+    ``_CHUNK_ENTRIES`` entries; each measure's terms are the same bits
+    whatever the chunk. The double integral runs over the full product
+    measure (diagonal = f'') and comes from the atoms' power sums through
+    the interaction kernel.
     """
     rows = np.atleast_2d(coeffs)
     width = max(rows.shape[1], 2)  # f' has at least one coefficient
     rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
     fp = rows[:, 1:] * np.arange(1, width)
-    terms = np.empty((3, rows.shape[0], len(proc)))
-    for idx, m in enumerate(proc.measures):
-        lam = m.atoms
-        powers = np.vander(lam, width, increasing=True) / lam.size  # lam^l / n
-        head = powers[:, : width - 2].T
-        p_g = head @ np.broadcast_to(g2(lam), lam.shape)
-        p_h = head @ np.broadcast_to(h2(lam), lam.shape)
-        terms[0, :, idx] = rows @ powers.sum(axis=0)
-        terms[1, :, idx] = fp @ (np.broadcast_to(b(lam), lam.shape) @ powers[:, :-1])
-        terms[2, :, idx] = fp @ _interaction_kernel(p_g, p_h)
+    count, n = atoms.shape
+    terms = np.empty((3, rows.shape[0], count))
+    step = max(1, _CHUNK_ENTRIES // (n * width))
+    for lo in range(0, count, step):
+        lam = atoms[lo : lo + step]
+        # lam^l / n, as np.vander forms the powers: one running product
+        powers = np.empty(lam.shape + (width,))
+        powers[..., 0] = 1.0
+        powers[..., 1:] = lam[..., None]
+        np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
+        powers /= n
+        head = powers[..., : width - 2].swapaxes(-1, -2)
+        p_g = head @ np.broadcast_to(g2(lam), lam.shape)[..., None]
+        p_h = head @ np.broadcast_to(h2(lam), lam.shape)[..., None]
+        b_lam = np.broadcast_to(b(lam), lam.shape)[..., None, :]
+        # np.convolve per measure keeps the summation order of its BLAS dot
+        inter = np.array([_interaction_kernel(g, h) for g, h in zip(p_g[..., 0], p_h[..., 0])])
+        # each stacked @ makes the very BLAS call the one-measure product made
+        chunk = terms[..., lo : lo + step]
+        chunk[0] = (rows @ powers.sum(axis=-2)[..., None])[..., 0].T
+        chunk[1] = (fp @ (b_lam @ powers[..., :-1]).swapaxes(-1, -2))[..., 0].T
+        chunk[2] = (fp @ inter[..., None])[..., 0].T
     return terms if np.ndim(coeffs) == 2 else terms[:, 0]
 
 
 def limit_equation_residual(
-    proc: EmpiricalMeasureProcess,
+    proc: EmpiricalMeasureProcess | EigenPath,
     f,
     g2: Callable,
     h2: Callable,
@@ -240,8 +291,10 @@ def limit_equation_residual(
 ) -> float | np.ndarray:
     """Max-over-grid residual of the limiting evolution equation.
 
-    ``f`` is a polynomial (coefficient array or an object with ``poly``),
-    or a 2-D array whose rows are coefficient arrays; ``g2``, ``h2``,
+    ``proc`` is a process or an :class:`EigenPath`, whose ``spectra`` rows
+    (the measures' sorted atoms) go through :func:`_limit_terms` as one
+    stack. ``f`` is a polynomial (coefficient array or an object with
+    ``poly``), or a 2-D array whose rows are coefficient arrays; ``g2``, ``h2``,
     ``b`` are callables evaluating g^2, h^2 and the drift on atom arrays.
     Time integration is trapezoidal on the recorded grid; the double
     integral is the exact atom sum over the product measure.
@@ -254,7 +307,7 @@ def limit_equation_residual(
         raise ValidationError("f must be a coefficient array or a 2-d array of rows")
     if coeffs.shape[-1] > 13:
         raise ValidationError("polynomial degree must be <= 12")
-    observable, drift, inter = _limit_terms(proc, coeffs, g2, h2, b)
+    observable, drift, inter = _limit_terms(proc.spectra, coeffs, g2, h2, b)
     rhs = _cumtrapz(drift + 0.5 * beta * inter, proc.t_grid)
     res = np.max(np.abs(observable - observable[..., :1] - rhs), axis=-1)
     return res if coeffs.ndim == 2 else float(res)
@@ -285,11 +338,9 @@ def em_sde_decomposition(proc: EmpiricalMeasureProcess, f, spec: FlowSpec) -> di
     def h2(lam):
         return np.asarray(spec.h(lam), dtype=float) ** 2
 
-    observable, drift_i, inter_i = _limit_terms(proc, coeffs, g2, h2, spec.b)
-    corr_i = np.array([
-        np.mean(polyval(m.atoms, fpp) * 2.0 * g2(m.atoms) * h2(m.atoms))
-        for m in proc.measures
-    ])
+    atoms = proc.spectra
+    observable, drift_i, inter_i = _limit_terms(atoms, coeffs, g2, h2, spec.b)
+    corr_i = np.mean(polyval(atoms, fpp) * 2.0 * g2(atoms) * h2(atoms), axis=-1)
     lhs = observable - observable[0]
     drift = _cumtrapz(drift_i, proc.t_grid)
     correction = _cumtrapz((2.0 - beta) / (2.0 * n) * corr_i, proc.t_grid)

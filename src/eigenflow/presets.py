@@ -31,7 +31,8 @@ MP law — the uniqueness failure made observable. A preset's ``b`` is the
 b_n = n b.
 
 :func:`run_preset` simulates every (n, replica) pair and emits a flat list
-of :class:`ResultRow` entries with a closed statistic vocabulary:
+of :class:`ResultRow` entries with a closed statistic vocabulary, computed
+over each n's spectra as one (replicas, record times, n) array:
 
 - ``m1`` .. ``m8``: empirical spectral moments, per replica per grid time,
   plus ensemble means with replica ``"ens"``;
@@ -58,12 +59,7 @@ import numpy as np
 
 from .cauchy import free_bm_law, free_ou_law
 from .config import ExperimentConfig
-from .empirical import (
-    EmpiricalMeasureProcess,
-    ks_distance,
-    limit_equation_residual,
-    wasserstein1,
-)
+from .empirical import ks_distance, limit_equation_residual, wasserstein1
 from .errors import ValidationError
 from .flows import FlowSpec, simulate_ensemble
 from .limits import HierarchyLaw, MarchenkoPastur, MPMixtureTwo, Semicircle
@@ -391,7 +387,11 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
     (n, then replica, then grid time, then statistic). ``cfg.threads``
     sets the replica worker processes of each n's ensemble
     (:func:`~eigenflow.flows.simulate_ensemble`); the rows do not depend
-    on it.
+    on it. Each n's spectra stay one (R, T, n) array through the
+    statistics: moments as one stacked power per k, W1 and KS as one call
+    per record time over every replica, and the residual as one stacked
+    pass per replica; every value has the bits of the one-measure
+    :class:`~eigenflow.empirical.EmpiricalMeasure` computation.
     """
     bundle = make_bundle(cfg)
     cfg = bundle.cfg
@@ -405,48 +405,39 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
         paths = simulate_ensemble(
             spec, cfg.replica_count, cfg.base_seed, threads=cfg.threads
         )
+        spectra = np.stack([path.spectra for path in paths])  # (R, T, n)
+        moments = np.stack(
+            [np.mean(spectra**k, axis=-1) for k in range(1, _MOMENT_COUNT + 1)], axis=-1
+        )
+        cells = []  # per record time: (stat, one value per replica) after the moments
+        for ti, t in enumerate(spec.t_grid):
+            block, law_t, cell = spectra[:, ti], cdf_laws.get(t), []
+            if law_t is not None:
+                cell += [("w1", wasserstein1(block, law_t)), ("ks", ks_distance(block, law_t))]
+            if cfg.preset == "wishart_nonunique":
+                cell.append(("neg_mass", np.count_nonzero(block < 0.0, axis=-1) / n))
+            cells.append(cell)
         t_final = float(spec.t_grid[-1])
-        ens = np.zeros((len(spec.t_grid), _MOMENT_COUNT))
-        for path in paths:
-            proc = EmpiricalMeasureProcess.from_path(path)
+        for r, (path, path_moments) in enumerate(zip(paths, moments.tolist())):
             rep = str(path.replica)
-            for ti, t in enumerate(spec.t_grid):
-                meas = proc.measures[ti]
-                for k in range(1, _MOMENT_COUNT + 1):
-                    val = meas.moment(k)
-                    ens[ti, k - 1] += val
+            for t, cell_moments, cell in zip(spec.t_grid, path_moments, cells):
+                for k, val in enumerate(cell_moments, start=1):
                     rows.append(ResultRow(cfg.preset, n, rep, t, f"m{k}", val))
-                law_t = cdf_laws.get(t)
-                if law_t is not None:
-                    rows.append(
-                        ResultRow(cfg.preset, n, rep, t, "w1", wasserstein1(meas, law_t))
-                    )
-                    rows.append(
-                        ResultRow(cfg.preset, n, rep, t, "ks", ks_distance(meas, law_t))
-                    )
-                if cfg.preset == "wishart_nonunique":
-                    rows.append(
-                        ResultRow(cfg.preset, n, rep, t, "neg_mass", meas.mass_below(0.0))
-                    )
-            residuals = limit_equation_residual(proc, monomials, g2, h2, b, beta=bundle.beta)
+                for stat, vals in cell:
+                    rows.append(ResultRow(cfg.preset, n, rep, t, stat, float(vals[r])))
+            residuals = limit_equation_residual(path, monomials, g2, h2, b, beta=bundle.beta)
             for k, val in zip(_RESIDUAL_DEGREES, residuals):
                 rows.append(ResultRow(cfg.preset, n, rep, t_final, f"residual_x{k}", val))
-            rows.append(
-                ResultRow(
-                    cfg.preset, n, rep, t_final, "min_eig", path.diagnostics.min_eigenvalue
-                )
-            )
-            rows.append(
-                ResultRow(
-                    cfg.preset, n, rep, t_final, "max_eig", path.diagnostics.max_eigenvalue
-                )
-            )
+            diags = path.diagnostics
+            rows.append(ResultRow(cfg.preset, n, rep, t_final, "min_eig", diags.min_eigenvalue))
+            rows.append(ResultRow(cfg.preset, n, rep, t_final, "max_eig", diags.max_eigenvalue))
+        ens = np.zeros(moments.shape[1:])
+        for replica_moments in moments:  # summed in replica order
+            ens += replica_moments
         ens /= len(paths)
-        for ti, t in enumerate(spec.t_grid):
-            for k in range(1, _MOMENT_COUNT + 1):
-                rows.append(
-                    ResultRow(cfg.preset, n, "ens", t, f"m{k}", float(ens[ti, k - 1]))
-                )
+        for t, ens_t in zip(spec.t_grid, ens.tolist()):
+            for k, val in enumerate(ens_t, start=1):
+                rows.append(ResultRow(cfg.preset, n, "ens", t, f"m{k}", val))
     return rows
 
 

@@ -1,0 +1,154 @@
+"""Per-measure reference implementations of the empirical statistics.
+
+These are the one-measure-at-a-time bodies that the stacked kernels of
+:mod:`eigenflow.empirical` and :func:`eigenflow.presets.run_preset`
+replaced. The tests hold the kernels to them bit for bit (``==``, not
+``isclose``): the CSVs must not move by an ulp.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
+
+from eigenflow import EmpiricalMeasureProcess
+from eigenflow.empirical import _W1_GRID, _law_atoms, _poly_coeffs
+from eigenflow.flows import simulate_ensemble
+from eigenflow.limits import _cumtrapz, _interaction_kernel
+from eigenflow.presets import (
+    _MOMENT_COUNT,
+    _RESIDUAL_DEGREES,
+    ResultRow,
+    _monomials,
+    make_bundle,
+)
+
+
+def ks_distance(m, law) -> float:
+    """sup |F_emp - F_law| over both one-sided limits at the unique points."""
+    pts = np.concatenate([m.atoms, [p for p, _ in _law_atoms(law)]])
+    pts = np.unique(pts)
+    f_law = np.asarray(law.cdf(pts), dtype=float)
+    mass = np.zeros_like(pts)
+    for pos, mas in _law_atoms(law):
+        mass[np.searchsorted(pts, pos)] += mas
+    f_law_left = f_law - mass
+    f_emp = np.asarray(m.cdf(pts))
+    f_emp_left = np.asarray(m.cdf_left(pts))
+    return float(
+        np.max(np.maximum(np.abs(f_emp - f_law), np.abs(f_emp_left - f_law_left)))
+    )
+
+
+def wasserstein1(m, law) -> float:
+    """int |F_emp - F_law| dx on the np.unique grid of linspace and atoms."""
+    law_lo, law_hi = law.bounds()
+    atom_pos = [p for p, _ in _law_atoms(law)]
+    lo = min(float(m.atoms[0]), law_lo, *atom_pos) if atom_pos else min(float(m.atoms[0]), law_lo)
+    hi = max(float(m.atoms[-1]), law_hi, *atom_pos) if atom_pos else max(float(m.atoms[-1]), law_hi)
+    if hi <= lo:
+        hi = lo + 1.0
+    grid = np.unique(
+        np.concatenate([np.linspace(lo, hi, _W1_GRID), m.atoms, np.asarray(atom_pos)])
+    )
+    f_emp = np.asarray(m.cdf(grid))
+    f_law = np.asarray(law.cdf(grid), dtype=float)
+    return float(np.sum(np.abs(f_emp - f_law)[:-1] * np.diff(grid)))
+
+
+def limit_terms(proc, coeffs, g2, h2, b) -> np.ndarray:
+    """(3, T) or (3, rows, T) terms, one np.vander pass per measure."""
+    rows = np.atleast_2d(coeffs)
+    width = max(rows.shape[1], 2)
+    rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+    fp = rows[:, 1:] * np.arange(1, width)
+    terms = np.empty((3, rows.shape[0], len(proc)))
+    for idx, m in enumerate(proc.measures):
+        lam = m.atoms
+        powers = np.vander(lam, width, increasing=True) / lam.size
+        head = powers[:, : width - 2].T
+        p_g = head @ np.broadcast_to(g2(lam), lam.shape)
+        p_h = head @ np.broadcast_to(h2(lam), lam.shape)
+        terms[0, :, idx] = rows @ powers.sum(axis=0)
+        terms[1, :, idx] = fp @ (np.broadcast_to(b(lam), lam.shape) @ powers[:, :-1])
+        terms[2, :, idx] = fp @ _interaction_kernel(p_g, p_h)
+    return terms if np.ndim(coeffs) == 2 else terms[:, 0]
+
+
+def limit_equation_residual(proc, f, g2, h2, b, beta):
+    coeffs = _poly_coeffs(f)
+    observable, drift, inter = limit_terms(proc, coeffs, g2, h2, b)
+    rhs = _cumtrapz(drift + 0.5 * beta * inter, proc.t_grid)
+    res = np.max(np.abs(observable - observable[..., :1] - rhs), axis=-1)
+    return res if coeffs.ndim == 2 else float(res)
+
+
+def em_sde_decomposition(proc, f, spec) -> dict:
+    coeffs = _poly_coeffs(f)
+    fpp = polyder(coeffs, 2)
+    n, beta = spec.n, spec.beta
+
+    def g2(lam):
+        return np.asarray(spec.g(lam), dtype=float) ** 2
+
+    def h2(lam):
+        return np.asarray(spec.h(lam), dtype=float) ** 2
+
+    observable, drift_i, inter_i = limit_terms(proc, coeffs, g2, h2, spec.b)
+    corr_i = np.array([
+        np.mean(polyval(m.atoms, fpp) * 2.0 * g2(m.atoms) * h2(m.atoms))
+        for m in proc.measures
+    ])
+    lhs = observable - observable[0]
+    drift = _cumtrapz(drift_i, proc.t_grid)
+    correction = _cumtrapz((2.0 - beta) / (2.0 * n) * corr_i, proc.t_grid)
+    interaction = _cumtrapz(0.5 * beta * inter_i, proc.t_grid)
+    return {
+        "lhs": lhs,
+        "drift": drift,
+        "correction": correction,
+        "interaction": interaction,
+        "martingale": lhs - drift - correction - interaction,
+    }
+
+
+def run_preset(cfg) -> list[ResultRow]:
+    """The (replica, time) row loop, one statistic call per cell."""
+    bundle = make_bundle(cfg)
+    cfg = bundle.cfg
+    g2, h2, b = bundle.residual_coefficients()
+    monomials = _monomials(_RESIDUAL_DEGREES)
+    law = bundle.law
+    cdf_laws = {} if law is None else {t: law.at(t) for t in cfg.t_grid if law.at(t).has_cdf}
+    rows: list[ResultRow] = []
+    for n in cfg.n_list:
+        spec = bundle.flow_spec(n)
+        paths = simulate_ensemble(spec, cfg.replica_count, cfg.base_seed, threads=cfg.threads)
+        t_final = float(spec.t_grid[-1])
+        ens = np.zeros((len(spec.t_grid), _MOMENT_COUNT))
+        for path in paths:
+            proc = EmpiricalMeasureProcess.from_path(path)
+            rep = str(path.replica)
+            for ti, t in enumerate(spec.t_grid):
+                meas = proc.measures[ti]
+                for k in range(1, _MOMENT_COUNT + 1):
+                    val = meas.moment(k)
+                    ens[ti, k - 1] += val
+                    rows.append(ResultRow(cfg.preset, n, rep, t, f"m{k}", val))
+                law_t = cdf_laws.get(t)
+                if law_t is not None:
+                    rows.append(ResultRow(cfg.preset, n, rep, t, "w1", wasserstein1(meas, law_t)))
+                    rows.append(ResultRow(cfg.preset, n, rep, t, "ks", ks_distance(meas, law_t)))
+                if cfg.preset == "wishart_nonunique":
+                    rows.append(ResultRow(cfg.preset, n, rep, t, "neg_mass", meas.mass_below(0.0)))
+            residuals = limit_equation_residual(proc, monomials, g2, h2, b, beta=bundle.beta)
+            for k, val in zip(_RESIDUAL_DEGREES, residuals):
+                rows.append(ResultRow(cfg.preset, n, rep, t_final, f"residual_x{k}", val))
+            diags = path.diagnostics
+            rows.append(ResultRow(cfg.preset, n, rep, t_final, "min_eig", diags.min_eigenvalue))
+            rows.append(ResultRow(cfg.preset, n, rep, t_final, "max_eig", diags.max_eigenvalue))
+        ens /= len(paths)
+        for ti, t in enumerate(spec.t_grid):
+            for k in range(1, _MOMENT_COUNT + 1):
+                rows.append(ResultRow(cfg.preset, n, "ens", t, f"m{k}", float(ens[ti, k - 1])))
+    return rows

@@ -10,16 +10,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import eigenflow.empirical as empirical_mod
+import empirical_oracles as oracle
 from eigenflow import (
     EmpiricalMeasure,
     EmpiricalMeasureProcess,
     FlowSpec,
+    MarchenkoPastur,
     PointMass,
     Semicircle,
     SpectralFunction,
     em_sde_decomposition,
     ks_distance,
     limit_equation_residual,
+    mp_mixture_two,
     simulate_ensemble,
     simulate_path,
     wasserstein1,
@@ -114,6 +118,49 @@ def test_wasserstein_own_quantiles_small():
     law = Semicircle(1.0, beta=2)
     m = EmpiricalMeasure(law.quantile_atoms(400))
     assert wasserstein1(m, law) <= 0.01
+
+
+_ORACLE_LAWS = {
+    "semicircle": Semicircle(1.0, beta=2),
+    "semicircle_real": Semicircle(0.3, beta=1),
+    "semicircle_t0": Semicircle(0.0, beta=2),  # degenerate: one atom at 0
+    "mp_ratio_below_one": MarchenkoPastur(0.5, 1.0),  # atom at 0
+    "mp": MarchenkoPastur(2.5, 1.0, beta=2),
+    "mixture": mp_mixture_two(0.5, 1.0),  # atom at 0 between two components
+    "mixture_t0": mp_mixture_two(0.5, 0.0),
+}
+
+
+def _oracle_atom_rows(law, n, rng):
+    """Sorted atom rows: continuous, tied, far outside the support, drawn
+    from the law, and sitting on the law's atoms."""
+    rows = [
+        rng.standard_normal(n),
+        np.round(rng.standard_normal(n), 1),
+        rng.uniform(-6.0, 6.0, n),
+        law.sample(n, rng) if law.continuous_mass() > 0 else np.zeros(n),
+        np.zeros(n),
+        np.where(rng.uniform(size=n) < 0.5, 0.0, rng.standard_normal(n)),
+    ]
+    return np.sort(np.array(rows), axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 100])
+@pytest.mark.parametrize("law_name", list(_ORACLE_LAWS))
+def test_distances_equal_the_per_measure_oracle(law_name, n):
+    """The stacked KS and the merged-grid W1 give the one-measure bodies'
+    bits, row by row and through the EmpiricalMeasure entry."""
+    law = _ORACLE_LAWS[law_name]
+    rng = np.random.default_rng(n)
+    rows = _oracle_atom_rows(law, n, rng)
+    ks, w1 = ks_distance(rows, law), wasserstein1(rows, law)
+    assert ks.shape == w1.shape == (rows.shape[0],)
+    assert wasserstein1(rows.reshape(2, 3, n), law).shape == (2, 3)
+    for row, ks_row, w1_row in zip(rows, ks, w1):
+        m = EmpiricalMeasure(row)
+        assert ks_row == oracle.ks_distance(m, law) == ks_distance(m, law)
+        assert w1_row == oracle.wasserstein1(m, law) == wasserstein1(m, law)
+    assert isinstance(ks_distance(EmpiricalMeasure(rows[0]), law), float)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +279,11 @@ def test_interaction_kernel_matches_direct_double_sum(atoms, g2, h2):
     for k in range(1, 13):
         coeffs = np.zeros(k + 1)
         coeffs[k] = 1.0
-        inter = _limit_terms(proc, coeffs, g2, h2, lambda x: 0.0 * x)[2, 0]
+        inter = _limit_terms(proc.spectra, coeffs, g2, h2, lambda x: 0.0 * x)[2, 0]
         assert np.isclose(inter, _direct_interaction(lam, coeffs, g2, h2), rtol=1e-12, atol=0.0), k
     mixed = np.array([0.3, -1.0, 0.5, 2.0, 0.0, -0.25])
     assert np.isclose(
-        _limit_terms(proc, mixed, g2, h2, lambda x: 0.0 * x)[2, 0],
+        _limit_terms(proc.spectra, mixed, g2, h2, lambda x: 0.0 * x)[2, 0],
         _direct_interaction(lam, mixed, g2, h2),
         rtol=1e-12,
         atol=0.0,
@@ -265,10 +312,43 @@ def test_residual_rows_match_per_row_calls(atoms, g2, h2):
         single = limit_equation_residual(proc, np.trim_zeros(row, "b"), g2, h2, b, beta=1.0)
         assert isinstance(single, float)
         assert abs(val - single) <= 1e-12 * max(1.0, abs(single))
-    terms = _limit_terms(proc, rows, g2, h2, b)
+    terms = _limit_terms(proc.spectra, rows, g2, h2, b)
     assert terms.shape == (3, rows.shape[0], grid.size)
     for r, row in enumerate(rows):
-        assert np.allclose(terms[:, r], _limit_terms(proc, row, g2, h2, b), rtol=1e-12, atol=1e-15)
+        single = _limit_terms(proc.spectra, row, g2, h2, b)
+        assert np.allclose(terms[:, r], single, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 100])
+def test_limit_terms_equal_the_per_measure_oracle_in_any_chunk(monkeypatch, n):
+    """One stacked pass gives each measure's terms bit for bit, whether the
+    measures run one, three or all at a time."""
+    rng = np.random.default_rng(40 + n)
+    grid = np.linspace(0.0, 0.7, 8)
+    atoms = np.sort(np.round(rng.standard_normal((grid.size, n)), 2), axis=-1)
+    proc = EmpiricalMeasureProcess(grid, tuple(EmpiricalMeasure(a) for a in atoms))
+    b = lambda x: 0.5 - x  # noqa: E731
+    rows = np.eye(7)[1:]
+    for coeffs in (rows, np.array([0.3, -1.0, 0.5, 2.0]), np.array([0.0, 1.0]), np.array([4.2])):
+        for g2, h2 in [(np.abs, lambda x: 0.3 + x**2), (lambda x: 0.25 + 0.0 * x, ONE)]:
+            expected = oracle.limit_terms(proc, coeffs, g2, h2, b)
+            width = max(np.shape(coeffs)[-1], 2)
+            for per_chunk in (1, 3, grid.size):
+                monkeypatch.setattr(empirical_mod, "_CHUNK_ENTRIES", per_chunk * n * width)
+                assert np.array_equal(_limit_terms(proc.spectra, coeffs, g2, h2, b), expected)
+            res = limit_equation_residual(proc, coeffs, g2, h2, b, beta=1.0)
+            assert np.array_equal(res, oracle.limit_equation_residual(proc, coeffs, g2, h2, b, 1.0))
+
+
+def test_residual_of_a_path_is_the_residual_of_its_process():
+    spec = _dyson_spec(7, "real", t_grid=(0.0, 0.25, 0.5))
+    path = simulate_path(spec, 8)
+    args = (np.eye(5)[1:], lambda x: 0.25 + 0.0 * x, lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x)
+    proc = EmpiricalMeasureProcess.from_path(path)
+    assert np.array_equal(
+        limit_equation_residual(path, *args, beta=1.0),
+        limit_equation_residual(proc, *args, beta=1.0),
+    )
 
 
 def test_residual_rejects_high_degree():
@@ -299,10 +379,20 @@ def _dyson_spec(n, field, t_grid=(0.0, 0.5, 1.0)):
     )
 
 
+def _decomposition(proc, f, spec):
+    """em_sde_decomposition, every array identical to the per-measure oracle's."""
+    parts = em_sde_decomposition(proc, f, spec)
+    expected = oracle.em_sde_decomposition(proc, f, spec)
+    assert set(parts) == set(expected)
+    for key, value in parts.items():
+        assert np.array_equal(value, expected[key]), key
+    return parts
+
+
 def test_decomposition_identity_and_keys():
     spec = _dyson_spec(10, "real")
     proc = EmpiricalMeasureProcess.from_path(simulate_path(spec, 3))
-    parts = em_sde_decomposition(proc, [0.0, 0.0, 0.0, 0.0, 1.0], spec)
+    parts = _decomposition(proc, [0.0, 0.0, 0.0, 0.0, 1.0], spec)
     assert set(parts) == {"lhs", "drift", "correction", "interaction", "martingale"}
     recon = parts["drift"] + parts["correction"] + parts["interaction"] + parts["martingale"]
     assert np.allclose(parts["lhs"], recon, atol=1e-14)
@@ -312,14 +402,14 @@ def test_decomposition_identity_and_keys():
 def test_decomposition_correction_vanishes_at_beta_two():
     spec = _dyson_spec(8, "complex")
     proc = EmpiricalMeasureProcess.from_path(simulate_path(spec, 4))
-    parts = em_sde_decomposition(proc, [0.0, 0.0, 0.0, 0.0, 1.0], spec)
+    parts = _decomposition(proc, [0.0, 0.0, 0.0, 0.0, 1.0], spec)
     assert np.allclose(parts["correction"], 0.0, atol=1e-16)
 
 
 def test_decomposition_correction_positive_at_beta_one():
     spec = _dyson_spec(8, "real")
     proc = EmpiricalMeasureProcess.from_path(simulate_path(spec, 5))
-    parts = em_sde_decomposition(proc, [0.0, 0.0, 0.0, 0.0, 1.0], spec)
+    parts = _decomposition(proc, [0.0, 0.0, 0.0, 0.0, 1.0], spec)
     # f'' = 12 x^2 and G(x,x) = 1/2 are nonnegative: the correction
     # integral accumulates monotonically and is strictly positive by t = 1
     assert parts["correction"][-1] > 0.0
@@ -329,7 +419,7 @@ def test_decomposition_correction_positive_at_beta_one():
 def test_decomposition_constant_observable_all_zero():
     spec = _dyson_spec(6, "real")
     proc = EmpiricalMeasureProcess.from_path(simulate_path(spec, 6))
-    parts = em_sde_decomposition(proc, [3.0], spec)
+    parts = _decomposition(proc, [3.0], spec)
     for key in ("lhs", "drift", "correction", "interaction", "martingale"):
         assert np.allclose(parts[key], 0.0, atol=1e-15)
 
@@ -344,7 +434,7 @@ def test_decomposition_martingale_shrinks_in_ensemble_mean():
     accum = None
     for path in paths:
         proc = EmpiricalMeasureProcess.from_path(path)
-        parts = em_sde_decomposition(proc, [0.0, 0.0, 1.0], spec)
+        parts = _decomposition(proc, [0.0, 0.0, 1.0], spec)
         singles.append(abs(parts["martingale"][-1]))
         accum = parts["martingale"] if accum is None else accum + parts["martingale"]
     ensemble = abs(accum[-1]) / len(paths)

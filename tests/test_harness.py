@@ -9,10 +9,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import empirical_oracles
 
 import eigenflow
 import eigenflow.cli as cli_mod
@@ -398,6 +401,27 @@ def test_run_preset_nonunique_reports_negative_mass():
     assert all(0.0 <= r.value <= 1.0 for r in neg)
 
 
+@pytest.mark.parametrize("threads", [None, 2], ids=["serial", "threads2"])
+@pytest.mark.parametrize("name", _NAMED)
+def test_run_preset_rows_equal_the_per_cell_loop(name, threads):
+    """The stacked statistics give today's rows, in order and bit for bit,
+    against the (replica, time) loop of one-measure calls; this covers
+    neg_mass, the moments-only laws and the t = 0 point-mass law."""
+    n_list = (8,) if name == "wishart_nonunique" else (6, 9)
+    cfg = replace(
+        default_config(name), n_list=n_list, replica_count=3, dt=0.01,
+        t_grid=(0.0, 0.03, 0.05), base_seed=7, threads=threads,
+    )
+    if name == "wishart":
+        cfg = replace(cfg, alpha=3.0)  # the drift inequality at n = 9
+    rows = run_preset(cfg)
+    expected = empirical_oracles.run_preset(cfg)
+    assert [(r.preset, r.n, r.replica, r.t, r.stat) for r in rows] == [
+        (r.preset, r.n, r.replica, r.t, r.stat) for r in expected
+    ]
+    assert [r.value for r in rows] == [r.value for r in expected]
+
+
 def test_run_preset_moments_only_law_has_no_distance_rows():
     cfg = ExperimentConfig(
         preset="geometric", n_list=(6,), replica_count=2, dt=0.02,
@@ -590,11 +614,14 @@ def _measures(count):
         lambda: eigenflow.mp_mixture_three(1.5, float("inf")),
         lambda: eigenflow.mp_mixture_three(1.5, 2.0, float("inf")),
         lambda: eigenflow.EmpiricalMeasureProcess((0.0, float("nan")), _measures(2)),
+        lambda: eigenflow.EmpiricalMeasure([0.1, float("nan"), 0.3]),
+        lambda: eigenflow.EmpiricalMeasure([float("-inf"), 0.2]),
     ],
     ids=["flow_dt_nan", "flow_dt_inf", "flow_t_grid_nan", "noise_dt_nan", "noise_dt_inf",
          "mp_alpha_nan", "mp_t_nan", "mp_alpha_inf", "semicircle_t_nan",
          "semicircle_center_nan", "mixture_two_t_nan", "mixture_three_alpha_inf",
-         "mixture_three_t_inf", "process_t_grid_nan"],
+         "mixture_three_t_inf", "process_t_grid_nan", "empirical_atoms_nan",
+         "empirical_atoms_inf"],
 )
 def test_python_api_rejects_non_finite_inputs(build):
     with pytest.raises(ValidationError, match="finite"):
