@@ -208,33 +208,49 @@ class EigenPath:
 def euler_step(
     w: np.ndarray,
     spec: FlowSpec,
-    noise: NoiseIncrement,
+    z: np.ndarray,
+    dt: float,
     info: dict | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One Euler-Maruyama step of the sorted spectrum ``w``, in the eigenframe.
 
     Returns the ascending eigenvalues of diag(w + dt b(w)) + A + A* with
-    A = (g(w) h(w)^T) o dW and dt = ``noise.dt``, clipped into the
-    projection domain. ``w`` is one spectrum of shape (n,) with ``noise.dw``
-    of shape (n, n), or a stack of replicas of shape (R, n) with ``noise.dw``
-    of shape (R, n, n); every operation acts on the trailing axes, and a
-    stack takes one ``eigvalsh``. Pass ``info`` (a dict) to receive the
-    number of clipped eigenvalues under key ``"clamped"`` (an int, or one
-    count per replica). Raises NumericalError, naming the flow and n, if a
-    step matrix is not finite; for a stack its ``replica`` is the index of
-    the first such replica.
+    A = (g(w) h(w)^T) o dW, dW = sqrt(dt/n) (Z_0 + i Z_1) (real field:
+    sqrt(dt/n) Z), clipped into the projection domain. ``z`` holds the
+    standard normals: shape (2, n, n) in the complex field and (n, n) in the
+    real field for one spectrum ``w`` of shape (n,); a stack of replicas
+    ``w`` of shape (R, n) takes a leading R axis on ``z`` and one
+    ``eigvalsh``. The step matrix is assembled in real arithmetic, in
+    ``out`` if given (shape w.shape + (n,), complex or float by field).
+    Pass ``info`` (a dict) to receive the number of clipped eigenvalues
+    under key ``"clamped"`` (an int, or one count per replica). Raises
+    NumericalError, naming the flow and n, if a step matrix is not finite;
+    for a stack its ``replica`` is the index of the first such replica.
     """
-    if noise.n != spec.n:
+    n = spec.n
+    complex_field = spec.field == "complex"
+    if z.shape[z.ndim - 2 :] != (n, n) or z.shape[: w.ndim - 1] != w.shape[:-1]:
         raise ValidationError("noise dimension does not match flow dimension")
-    a = spec.g(w)[..., :, None] * spec.h(w)[..., None, :] * noise.dw
-    m = a + np.swapaxes(a.conj(), -1, -2)
-    diag = np.arange(spec.n)
-    m[..., diag, diag] += w + noise.dt * spec.b(w)
+    m = np.empty(w.shape + (n,), complex if complex_field else float) if out is None else out
+    p = spec.g(w)[..., :, None] * spec.h(w)[..., None, :]
+    s = math.sqrt(dt / n)
+    if complex_field:
+        x = p * (s * z[..., 0, :, :])
+        np.add(x, np.swapaxes(x, -1, -2), out=m.real)
+        y = p * (s * z[..., 1, :, :])
+        np.subtract(y, np.swapaxes(y, -1, -2), out=m.imag)
+    else:
+        x = p * (s * z)
+        np.add(x, np.swapaxes(x, -1, -2), out=m)
+    diag = np.arange(n)
+    m[..., diag, diag] += w + dt * spec.b(w)
     # checked before eigvalsh, which can return finite eigenvalues for NaN input
     if not np.all(np.isfinite(m)):
         finite = np.isfinite(m).all(axis=(-2, -1))
         raise NumericalError(
-            f"flow {spec.name!r} (n={spec.n}): step matrix is not finite",
+            f"flow {spec.name!r} (n={n}): step matrix is not finite",
             replica=int(np.argmin(finite)) if finite.ndim else None,
         )
     w_next = np.linalg.eigvalsh(m)
@@ -301,6 +317,12 @@ def _warn_if_superlinear_growth(spec: FlowSpec, diags: PathDiagnostics) -> None:
         )
 
 
+def _draw_normals(streams: list, z: np.ndarray) -> None:
+    """Fill ``z[r]`` with standard normals from ``streams[r]``, one call each."""
+    for stream, block in zip(streams, z):
+        stream.standard_normal(out=block)
+
+
 def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[EigenPath]:
     """Integrate one path per stream, stepping all of them as one block.
 
@@ -329,11 +351,15 @@ def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[E
     clamp_events = np.zeros(count, dtype=int)
     first_exit = np.full(count, np.nan)
     info: dict = {}
+    n = spec.n
+    if spec.field == "complex":
+        z, m = np.empty((count, 2, n, n)), np.empty((count, n, n), complex)
+    else:
+        z, m = np.empty((count, n, n)), np.empty((count, n, n))
     for prev, step in zip(step_ends, step_ends[1:]):
-        gap = (step - prev) * dt
-        dw = np.stack([sample_noise(spec.n, spec.field, gap, stream).dw for stream in streams])
+        _draw_normals(streams, z)
         try:
-            w = euler_step(w, spec, NoiseIncrement(spec.n, spec.field, gap, dw), info=info)
+            w = euler_step(w, spec, z, (step - prev) * dt, info=info, out=m)
         except NumericalError as exc:
             replica = first_replica + exc.replica
             raise NumericalError(

@@ -38,6 +38,7 @@ from eigenflow import (
 )
 from eigenflow.cauchy import free_ou_variance
 from eigenflow.presets import build_flow_spec
+from stepper_oracles import dw_euler_step
 
 ZERO = SpectralFunction.constant(0.0)
 ONE = SpectralFunction.constant(1.0)
@@ -156,6 +157,13 @@ def _spec(n, coefficients, field="complex", dt=1e-3, t_grid=None):
     )
 
 
+def _normals(stream, spec, *replicas):
+    """The standard normals of one euler_step of ``spec`` (a leading replica
+    axis if given), drawn in one call."""
+    shape = (2, spec.n, spec.n) if spec.field == "complex" else (spec.n, spec.n)
+    return stream.standard_normal(replicas + shape)
+
+
 def _haar(n, field, rng):
     if field == "complex":
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -177,10 +185,12 @@ def test_euler_step_pure_drift():
         t_grid=(0.0, dt),
     )
     w = np.arange(n, dtype=float)
-    noise = sample_noise(n, "complex", dt, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    noise = sample_noise(n, "complex", dt, rng)
     out = matrix_euler_step(np.diag(w).astype(complex), spec, noise)
     assert np.allclose(out, np.diag(w) + c * dt * np.eye(n), atol=1e-15)
-    assert np.allclose(euler_step(w, spec, noise), w + c * dt, atol=1e-15)
+    z = _normals(rng, spec)
+    assert np.allclose(euler_step(w, spec, z, dt), w + c * dt, atol=1e-15)
 
 
 def test_euler_step_scalar_variance():
@@ -213,18 +223,21 @@ def test_euler_step_output_hermitian(field):
 
 def test_euler_step_dimension_mismatch():
     spec = _flat_spec(3)
-    noise = sample_noise(4, "complex", spec.dt, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    noise = sample_noise(4, "complex", spec.dt, rng)
     with pytest.raises(ValidationError):
         matrix_euler_step(np.zeros((3, 3), dtype=complex), spec, noise)
     with pytest.raises(ValidationError):
-        euler_step(np.zeros(3), spec, noise)
+        euler_step(np.zeros(3), spec, _normals(rng, _flat_spec(4)), spec.dt)
+    with pytest.raises(ValidationError):  # two replicas, normals for three
+        euler_step(np.zeros((2, 3)), spec, _normals(rng, spec, 3), spec.dt)
 
 
 @pytest.mark.parametrize("coefficients", sorted(COEFFICIENTS))
 @pytest.mark.parametrize("field", ["complex", "real"])
 def test_euler_step_is_matrix_step_in_eigenframe(field, coefficients):
-    """With X = V diag(w) V*, the spectrum step fed V* dW V returns exactly
-    the eigenvalues of the matrix step fed dW."""
+    """With X = V diag(w) V*, the dW-form spectrum step fed V* dW V returns
+    exactly the eigenvalues of the matrix step fed dW."""
     n, dt = 7, 0.05
     rng = np.random.default_rng(17)
     spec = _spec(n, coefficients, field=field, dt=dt)
@@ -233,7 +246,7 @@ def test_euler_step_is_matrix_step_in_eigenframe(field, coefficients):
     noise = sample_noise(n, field, dt, rng)
     rotated = NoiseIncrement(n=n, field=field, dt=dt, dw=v.conj().T @ noise.dw @ v)
     expected = np.linalg.eigvalsh(matrix_euler_step((v * w) @ v.conj().T, spec, noise))
-    out = euler_step(w, spec, rotated)
+    out = dw_euler_step(w, spec, rotated)
     assert np.all(np.diff(out) >= 0.0)
     assert np.allclose(out, expected, rtol=0.0, atol=1e-10)
 
@@ -363,13 +376,15 @@ def test_ensemble_names_the_non_finite_replica(monkeypatch, block_entries, threa
             replica_1.update(stream=stream, draws=0)
         return stream
 
-    def poisoned_noise(n, field, dt, stream):
-        noise = sample_noise(n, field, dt, stream)
-        if stream is replica_1.get("stream"):
-            replica_1["draws"] += 1
-            if replica_1["draws"] == 3:
-                return replace(noise, dw=np.full_like(noise.dw, np.nan))
-        return noise
+    real_draw = flows._draw_normals
+
+    def poisoned_draw(streams, z):
+        real_draw(streams, z)
+        for r, stream in enumerate(streams):
+            if stream is replica_1.get("stream"):
+                replica_1["draws"] += 1
+                if replica_1["draws"] == 3:
+                    z[r] = np.nan
 
     shutdowns = []
     real_shutdown = ProcessPoolExecutor.shutdown
@@ -379,7 +394,7 @@ def test_ensemble_names_the_non_finite_replica(monkeypatch, block_entries, threa
         real_shutdown(self, wait, cancel_futures=cancel_futures)
 
     monkeypatch.setattr(flows, "replica_stream", tagged_stream)
-    monkeypatch.setattr(flows, "sample_noise", poisoned_noise)
+    monkeypatch.setattr(flows, "_draw_normals", poisoned_draw)
     monkeypatch.setattr(ProcessPoolExecutor, "shutdown", recording_shutdown)
     with pytest.raises(NumericalError) as caught:
         simulate_ensemble(spec, 3, base_seed=5, threads=threads)
@@ -407,19 +422,27 @@ def test_scaling_consistency_across_n():
 
 
 def test_flat_flow_steps_record_to_record(monkeypatch):
-    """A flat flow draws one increment per record gap; at beta = 2 its
-    ensemble m2 = t and m4 = t^2 (2 + 1/n^2) hold exactly at finite n."""
+    """A flat flow draws one block of normals per record gap and steps it
+    over the whole gap; at beta = 2 its ensemble m2 = t and m4 =
+    t^2 (2 + 1/n^2) hold exactly at finite n."""
     n, t_grid = 8, (0.0, 0.25, 0.5, 1.0)
     spec = _flat_spec(n, dt=1e-3, t_grid=t_grid)
-    draws = []
+    draws, gaps = [], []
+    real_draw, real_step = flows._draw_normals, flows.euler_step
 
-    def counting_noise(n, field, dt, stream):
-        draws.append(dt)
-        return sample_noise(n, field, dt, stream)
+    def counting_draw(streams, z):
+        draws.append(len(streams))
+        real_draw(streams, z)
 
-    monkeypatch.setattr(flows, "sample_noise", counting_noise)
+    def recording_step(w, spec, z, dt, *args, **kwargs):
+        gaps.append(dt)
+        return real_step(w, spec, z, dt, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "_draw_normals", counting_draw)
+    monkeypatch.setattr(flows, "euler_step", recording_step)
     simulate_path(spec, 0)
-    assert np.allclose(draws, np.diff(t_grid), rtol=1e-12, atol=0.0)
+    assert draws == [1] * (len(t_grid) - 1)
+    assert np.allclose(gaps, np.diff(t_grid), rtol=1e-12, atol=0.0)
     paths = simulate_ensemble(spec, 2000, base_seed=63)
     for ti, t in enumerate(t_grid[1:], start=1):
         rows = np.array([p.spectra[ti] for p in paths])
@@ -522,8 +545,9 @@ def test_replica_processes_are_capped_by_cpus_and_replicas(monkeypatch, replicas
 
 def _oracle_path(spec, stream):
     """The per-replica stepping loop that the replica blocks replaced: one
-    1-D euler_step per step, record-to-record for unprojected constant
-    coefficients. Returns the recorded spectra and the clamp diagnostics."""
+    1-D euler_step per step on normals drawn from the replica's stream,
+    record-to-record for unprojected constant coefficients. Returns the
+    recorded spectra and the clamp diagnostics."""
     dt = spec.dt
     record_steps = [int(round(t / dt)) for t in spec.t_grid]
     if spec.is_constant_coefficients and spec.projection == "none":
@@ -534,8 +558,7 @@ def _oracle_path(spec, stream):
     spectra = [w]
     clamps, first_exit, info = 0, None, {}
     for prev, step in zip(step_ends, step_ends[1:]):
-        noise = sample_noise(spec.n, spec.field, (step - prev) * dt, stream)
-        w = euler_step(w, spec, noise, info=info)
+        w = euler_step(w, spec, _normals(stream, spec), (step - prev) * dt, info=info)
         if info["clamped"]:
             clamps += info["clamped"]
             if first_exit is None:

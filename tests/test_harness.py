@@ -309,14 +309,15 @@ def test_run_preset_resolves_validates_and_builds_once(monkeypatch):
 
 
 def _count_noise_draws(monkeypatch):
+    """One entry per replica per block draw of the stepper."""
     draws = []
-    original = flows_mod.sample_noise
+    original = flows_mod._draw_normals
 
-    def counted(*args, **kwargs):
-        draws.append(1)
-        return original(*args, **kwargs)
+    def counted(streams, z):
+        draws.extend([1] * len(streams))
+        original(streams, z)
 
-    monkeypatch.setattr(flows_mod, "sample_noise", counted)
+    monkeypatch.setattr(flows_mod, "_draw_normals", counted)
     return draws
 
 
@@ -767,18 +768,17 @@ def test_serial_runs_import_no_process_pool(cold_path_report):
 
 
 def test_cli_failure_in_a_replica_worker_exits_3(tmp_path, capsys, monkeypatch):
-    """Every increment drawn in a worker process is NaN: at --threads 2 the
+    """Every normal drawn in a worker process is NaN: at --threads 2 the
     worker's range {1, 2} fails at its first step, and the CLI exits 3
     naming replica 1 and the time."""
-    parent, real_noise = os.getpid(), flows_mod.sample_noise
+    parent, real_draw = os.getpid(), flows_mod._draw_normals
 
-    def worker_poisoned_noise(n, field, dt, stream):
-        noise = real_noise(n, field, dt, stream)
+    def worker_poisoned_draw(streams, z):
+        real_draw(streams, z)
         if os.getpid() != parent:
-            noise = flows_mod.NoiseIncrement(n, field, dt, np.full_like(noise.dw, np.nan))
-        return noise
+            z[...] = np.nan
 
-    monkeypatch.setattr(flows_mod, "sample_noise", worker_poisoned_noise)
+    monkeypatch.setattr(flows_mod, "_draw_normals", worker_poisoned_draw)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = _write_cfg(tmp_path, TINY_WIGNER.replace("n_list = 4, 8", "n_list = 4"))
     code = cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"])
