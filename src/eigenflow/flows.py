@@ -15,17 +15,29 @@ Eigenframe stepping: with X = V diag(w) V*, one Euler step
 dt b(w)) + A + A*] V*, A = (g(w) h(w)^T) o (V* dW V) entrywise. V depends
 only on the past and dW is bi-unitarily (real field: bi-orthogonally)
 invariant, so V* dW V has the law of dW, independent of the past; the
-spectrum stepper :func:`euler_step` therefore keeps only w and draws dW
-afresh, with exactly the law of the matrix scheme. Unprojected flows with
-constant g, h and b, for which Euler is exact, step straight from one
-record time to the next.
+spectrum stepper :func:`euler_step` therefore keeps only w. The step
+matrix M = diag(w + dt b(w)) + A + A* has independent Gaussian entries:
+off the diagonal M_ij is centred (circular in the complex field) with
+variance G(w_i, w_j) beta dt/n, where G(x, y) = g^2(x) h^2(y) +
+g^2(y) h^2(x) is the interaction kernel of the limit equation; on the
+diagonal M_ii is real with mean w_i + dt b(w_i) and variance
+2 G(w_i, w_i) dt/n. :func:`euler_step` draws M from this variance profile
+directly; only its lower triangle and real diagonal carry the draw, and
+``eigvalsh(UPLO="L")`` reads nothing else, so the step has exactly the
+law of the matrix scheme. Unprojected flows with constant g, h and b, for which
+Euler is exact, step straight from one record time to the next.
 
 Noise convention: a standard complex Brownian entry is B^1 + i B^2 with
 independent standard real parts, so E|W_ij(t)|^2 = 2t (real case:
 E W_ij(t)^2 = t). After the n^{-1/2} scaling an increment entry has second
-moment 2 dt/n (complex) or dt/n (real). This normalization is what makes
-the flat Dyson flow (g^2 = 1/4, h^2 = 1, b = 0, beta = 2) converge to the
-semicircle law with variance t, and is asserted by the test suite.
+moment 2 dt/n (complex) or dt/n (real); :func:`sample_noise` draws such an
+increment for the matrix step. This normalization is what makes the flat
+Dyson flow (g^2 = 1/4, h^2 = 1, b = 0, beta = 2) converge to the
+semicircle law with variance t, and is asserted by the test suite. A
+spectrum step takes n^2 standard normals per replica in either field:
+z_ij and z_ji are the real and imaginary parts of M_ij (i > j) in the
+complex field, and the real field leaves the strict upper triangle's
+normals unused.
 
 Replica blocks: the replicas of one ensemble step together, as a stack
 w of shape (R, n) with one stacked ``eigvalsh`` per step, in consecutive
@@ -39,15 +51,16 @@ threads ran no faster than one on a 2-core machine; processes did.
 
 Reproducibility: a path is a pure function of its RNG stream; ensembles
 derive per-replica streams from (base_seed, replica_index), and each
-replica draws its own increment from its own stream every step, so results
-are independent of the block split (the stacked solve runs the same LAPACK
-routine on each matrix).
+replica fills its slice of the block's normals from its own stream every
+step, so results are independent of the block split (the stacked solve
+runs the same LAPACK routine on each matrix).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -96,12 +109,19 @@ class NoiseIncrement:
     dw: np.ndarray
 
 
+def _check_dimension(n) -> None:
+    # bool is an Integral too, but no matrix size
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"n must be a finite integer >= 1, got {n!r}")
+
+
 def sample_noise(n: int, field: str, dt: float, stream: np.random.Generator) -> NoiseIncrement:
     """Draw one scaled noise increment from the given RNG stream.
 
     Deterministic given the stream state; the complex field consumes
     exactly 2 n^2 standard normals, the real field n^2.
     """
+    _check_dimension(n)
     if field not in _FIELDS:
         raise ValidationError(f"field must be one of {_FIELDS}, got {field!r}")
     if not (math.isfinite(dt) and dt > 0):
@@ -141,6 +161,7 @@ class FlowSpec:
     name: str = "custom"
 
     def __post_init__(self):
+        _check_dimension(self.n)
         if self.field not in _FIELDS:
             raise ValidationError(f"field must be one of {_FIELDS}")
         if self.projection not in _PROJECTIONS:
@@ -216,35 +237,36 @@ def euler_step(
 ) -> np.ndarray:
     """One Euler-Maruyama step of the sorted spectrum ``w``, in the eigenframe.
 
-    Returns the ascending eigenvalues of diag(w + dt b(w)) + A + A* with
-    A = (g(w) h(w)^T) o dW, dW = sqrt(dt/n) (Z_0 + i Z_1) (real field:
-    sqrt(dt/n) Z), clipped into the projection domain. ``z`` holds the
-    standard normals: shape (2, n, n) in the complex field and (n, n) in the
-    real field for one spectrum ``w`` of shape (n,); a stack of replicas
-    ``w`` of shape (R, n) takes a leading R axis on ``z`` and one
-    ``eigvalsh``. The step matrix is assembled in real arithmetic, in
-    ``out`` if given (shape w.shape + (n,), complex or float by field).
-    Pass ``info`` (a dict) to receive the number of clipped eigenvalues
-    under key ``"clamped"`` (an int, or one count per replica). Raises
-    NumericalError, naming the flow and n, if a step matrix is not finite;
-    for a stack its ``replica`` is the index of the first such replica.
+    Returns the ascending eigenvalues of the step matrix M, drawn from its
+    variance profile (module docstring) and clipped into the projection
+    domain. With sigma_ij = sqrt(G(w_i, w_j) dt/n) off the diagonal and
+    sigma_ii = sqrt(2 G(w_i, w_i) dt/n), M_ij = sigma_ij (z_ij + i z_ji) for
+    i > j (real field: sigma_ij z_ij) and M_ii = w_i + dt b(w_i) +
+    sigma_ii z_ii; ``eigvalsh(UPLO="L")`` reads nothing else of M. ``w`` is
+    one spectrum of shape (n,) with standard normals ``z`` of shape (n, n),
+    or a stack of replicas (R, n) with ``z`` of shape (R, n, n) and one
+    ``eigvalsh``; M is assembled in ``out`` if given (shape ``z.shape``,
+    complex or float by field). Pass ``info`` (a dict) to receive the
+    number of clipped eigenvalues under key ``"clamped"`` (an int, or one
+    count per replica). Raises NumericalError, naming the flow and n, if a
+    step matrix is not finite; for a stack its ``replica`` is the index of
+    the first such replica.
     """
     n = spec.n
-    complex_field = spec.field == "complex"
-    if z.shape[z.ndim - 2 :] != (n, n) or z.shape[: w.ndim - 1] != w.shape[:-1]:
+    if z.shape != w.shape + (n,):
         raise ValidationError("noise dimension does not match flow dimension")
-    m = np.empty(w.shape + (n,), complex if complex_field else float) if out is None else out
-    p = spec.g(w)[..., :, None] * spec.h(w)[..., None, :]
-    s = math.sqrt(dt / n)
-    if complex_field:
-        x = p * (s * z[..., 0, :, :])
-        np.add(x, np.swapaxes(x, -1, -2), out=m.real)
-        y = p * (s * z[..., 1, :, :])
-        np.subtract(y, np.swapaxes(y, -1, -2), out=m.imag)
-    else:
-        x = p * (s * z)
-        np.add(x, np.swapaxes(x, -1, -2), out=m)
+    m = np.empty(z.shape, complex if spec.field == "complex" else float) if out is None else out
+    # sigma_ij^2 = G(w_i, w_j) dt/n, from the separable half g^2(w_i) h^2(w_j) dt/n
+    half = (spec.g(w) ** 2 * (dt / n))[..., :, None] * spec.h(w)[..., None, :] ** 2
+    sigma = half + np.swapaxes(half, -1, -2)
+    np.sqrt(sigma, out=sigma)
     diag = np.arange(n)
+    sigma[..., diag, diag] *= math.sqrt(2.0)
+    if spec.field == "complex":
+        np.multiply(sigma, z, out=m.real)
+        np.multiply(sigma, np.swapaxes(z, -1, -2), out=m.imag)
+    else:
+        np.multiply(sigma, z, out=m)
     m[..., diag, diag] += w + dt * spec.b(w)
     # checked before eigvalsh, which can return finite eigenvalues for NaN input
     if not np.all(np.isfinite(m)):
@@ -253,7 +275,7 @@ def euler_step(
             f"flow {spec.name!r} (n={n}): step matrix is not finite",
             replica=int(np.argmin(finite)) if finite.ndim else None,
         )
-    w_next = np.linalg.eigvalsh(m)
+    w_next = np.linalg.eigvalsh(m, UPLO="L")
     clipped = np.clip(w_next, *_DOMAINS[spec.projection])
     if info is not None:
         clamped = np.count_nonzero(clipped != w_next, axis=-1)
@@ -330,9 +352,10 @@ def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[E
     :func:`euler_step` on the (R, n) stack (FlowSpec admits only grid
     times that are multiples of dt). With constant g, h and b and no
     projection the Euler scheme is exact (its increments are Gaussian
-    sums), so such a flow takes one step per record gap. Every step, each
-    replica draws its increment from its own stream, so a path does not
-    depend on the other streams of its block. Path r is replica
+    sums), so such a flow takes one step per record gap. The block's
+    (R, n, n) normals and its step matrices are allocated once; every
+    step, each replica fills its slice of the normals from its own stream,
+    so a path does not depend on the other streams of its block. Path r is replica
     ``first_replica + r``. Raises NumericalError, naming the replica and
     the time, if a step matrix stops being finite.
     """
@@ -351,11 +374,8 @@ def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[E
     clamp_events = np.zeros(count, dtype=int)
     first_exit = np.full(count, np.nan)
     info: dict = {}
-    n = spec.n
-    if spec.field == "complex":
-        z, m = np.empty((count, 2, n, n)), np.empty((count, n, n), complex)
-    else:
-        z, m = np.empty((count, n, n)), np.empty((count, n, n))
+    z = np.empty((count, spec.n, spec.n))
+    m = np.empty_like(z, complex if spec.field == "complex" else float)
     for prev, step in zip(step_ends, step_ends[1:]):
         _draw_normals(streams, z)
         try:

@@ -15,15 +15,22 @@ from eigenflow import NoiseIncrement, NumericalError, ValidationError
 from eigenflow.flows import _DOMAINS
 
 
+def dw_step_matrix(w, spec, dw, dt):
+    """diag(w + dt b(w)) + A + A* with A = (g(w) h(w)^T) o dw, on the
+    trailing axes."""
+    a = spec.g(w)[..., :, None] * spec.h(w)[..., None, :] * dw
+    m = a + np.swapaxes(a.conj(), -1, -2)
+    diag = np.arange(spec.n)
+    m[..., diag, diag] += w + dt * spec.b(w)
+    return m
+
+
 def dw_euler_step(w, spec, noise: NoiseIncrement, info=None):
     """One dW-form Euler step of ``w`` (shape (n,), or a stack (R, n) with
     ``noise.dw`` of shape (R, n, n)), clipped into the projection domain."""
     if noise.n != spec.n:
         raise ValidationError("noise dimension does not match flow dimension")
-    a = spec.g(w)[..., :, None] * spec.h(w)[..., None, :] * noise.dw
-    m = a + np.swapaxes(a.conj(), -1, -2)
-    diag = np.arange(spec.n)
-    m[..., diag, diag] += w + noise.dt * spec.b(w)
+    m = dw_step_matrix(w, spec, noise.dw, noise.dt)
     if not np.all(np.isfinite(m)):
         finite = np.isfinite(m).all(axis=(-2, -1))
         raise NumericalError(

@@ -1,9 +1,13 @@
 """Tests for eigenflow.flows.
 
 Pins the noise normalization (entry second moments 2 dt/n complex,
-dt/n real), Euler step algebra on cases solvable by hand, the eigenframe
-spectrum step against the matrix step (exactly for one step, in law over
-many), record-to-record stepping of flat flows, projection diagnostics,
+dt/n real), Euler step algebra on cases solvable by hand, the dW-form
+eigenframe step against the matrix step (exactly for one step), the
+variance-profile step matrix against the dW form (the same mean and
+covariance exactly, the same law after one step, n^2 normals per replica
+step, and the eigvalsh lower-triangle contract it rests on), the spectrum
+stepper against the matrix step in law over many steps, record-to-record
+stepping of flat flows, projection diagnostics,
 recording and reproducibility contracts, the replica-block stepper against
 a per-replica loop (bit for bit), invariance under the replica-process
 split (and its worker cap), the free OU
@@ -38,7 +42,7 @@ from eigenflow import (
 )
 from eigenflow.cauchy import free_ou_variance
 from eigenflow.presets import build_flow_spec
-from stepper_oracles import dw_euler_step
+from stepper_oracles import dw_euler_step, dw_step_matrix
 
 ZERO = SpectralFunction.constant(0.0)
 ONE = SpectralFunction.constant(1.0)
@@ -160,8 +164,7 @@ def _spec(n, coefficients, field="complex", dt=1e-3, t_grid=None):
 def _normals(stream, spec, *replicas):
     """The standard normals of one euler_step of ``spec`` (a leading replica
     axis if given), drawn in one call."""
-    shape = (2, spec.n, spec.n) if spec.field == "complex" else (spec.n, spec.n)
-    return stream.standard_normal(replicas + shape)
+    return stream.standard_normal(replicas + (spec.n, spec.n))
 
 
 def _haar(n, field, rng):
@@ -249,6 +252,118 @@ def test_euler_step_is_matrix_step_in_eigenframe(field, coefficients):
     out = dw_euler_step(w, spec, rotated)
     assert np.all(np.diff(out) >= 0.0)
     assert np.allclose(out, expected, rtol=0.0, atol=1e-10)
+
+
+def _lower_coordinates(m, field):
+    """The real coordinates of a Hermitian matrix that eigvalsh(UPLO="L")
+    reads: Re M_ij for i >= j, then Im M_ij for i > j (complex field)."""
+    n = m.shape[-1]
+    parts = [m.real[np.tril_indices(n)]]
+    if field == "complex":
+        parts.append(m.imag[np.tril_indices(n, -1)])
+    return np.concatenate(parts)
+
+
+def _unit_matrices(n, scale=1.0):
+    for k in range(n * n):
+        e = np.zeros(n * n)
+        e[k] = scale
+        yield e.reshape(n, n)
+
+
+@pytest.mark.parametrize("coefficients", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_step_matrix_covariance_equals_dw_form(field, coefficients):
+    """The step matrix is linear in its Gaussian input, so its law is fixed
+    by its mean and the covariance C C^T of its coefficient matrix C, read
+    off by feeding unit inputs. Drawn from the variance profile (unit z) and
+    in dW form (unit real and imaginary parts of dW, each of variance dt/n),
+    the lower triangle has the same mean and covariance: every entry is an
+    independent Gaussian of the same variance. g differs from h, so G(x, y)
+    = g^2(x) h^2(y) + g^2(y) h^2(x) is not a product."""
+    n, dt = 4, 0.05
+    spec = _spec(n, coefficients, field=field, dt=dt)
+    w = np.array([0.15, 0.4, 0.55, 0.85])
+    out = np.empty((n, n), complex if field == "complex" else float)
+
+    def profile(z):
+        euler_step(w, spec, z, dt, out=out)
+        return _lower_coordinates(out, field)
+
+    def dw_form(dw):
+        return _lower_coordinates(dw_step_matrix(w, spec, dw, dt), field)
+
+    mean = profile(np.zeros((n, n)))
+    assert np.array_equal(mean, dw_form(np.zeros((n, n))))
+    c_new = np.array([profile(z) - mean for z in _unit_matrices(n)]).T
+    s = np.sqrt(dt / n)
+    inputs = list(_unit_matrices(n, s))
+    if field == "complex":
+        inputs += [1j * e for e in _unit_matrices(n, s)]
+    c_old = np.array([dw_form(dw) - mean for dw in inputs]).T
+    cov_new, cov_old = c_new @ c_new.T, c_old @ c_old.T
+    assert np.allclose(cov_new, cov_old, rtol=1e-12, atol=1e-18)
+    assert np.count_nonzero(np.diag(cov_new)) == mean.size  # no degenerate entry
+    assert np.array_equal(cov_new, np.diag(np.diag(cov_new)))  # independent entries
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_one_step_matches_dw_form_in_law(field):
+    """One step of 20000 stacked replicas (n = 4, jacobi coefficients, a
+    large dt) from a fixed spectrum: the mean of each ordered eigenvalue and
+    the ensemble m1..m3 agree within 4 SE between the variance-profile
+    stepper and the dW-form oracle fed independent draws."""
+    n, dt, replicas = 4, 0.05, 20000
+    spec = _spec(n, "jacobi", field=field, dt=dt)
+    w = np.tile([0.15, 0.4, 0.55, 0.85], (replicas, 1))
+    rng = np.random.default_rng(90)
+    new = euler_step(w, spec, _normals(rng, spec, replicas), dt)
+    z = rng.standard_normal((replicas, 2, n, n))
+    dw = np.sqrt(dt / n) * (z[:, 0] + 1j * z[:, 1] if field == "complex" else z[:, 0])
+    old = dw_euler_step(w, spec, NoiseIncrement(n, field, dt, dw))
+    stats = [lambda e: e] + [lambda e, k=k: np.mean(e**k, axis=1, keepdims=True) for k in (1, 2, 3)]
+    for stat in stats:
+        a, b = stat(new), stat(old)
+        se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / replicas)
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4.0 * se)
+
+
+@pytest.mark.parametrize("coefficients", ["jacobi", "constant"])
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_each_step_draws_n_squared_normals_per_replica(field, coefficients):
+    """After one block step each replica's stream has advanced by exactly
+    n^2 standard normals, in either field."""
+    n, replicas = 5, 3
+    spec = _spec(n, coefficients, field=field, dt=0.01)
+    streams = [replica_stream(31, r) for r in range(replicas)]
+    flows._simulate_block(spec, streams, 0)
+    for r, stream in enumerate(streams):
+        reference = replica_stream(31, r)
+        reference.standard_normal(n * n)
+        assert stream.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_eigvalsh_lower_reads_only_lower_triangle_and_real_diagonal(field):
+    """The contract the stepper relies on: eigvalsh(UPLO="L") of a stack
+    gives the same bits whatever the strict upper triangle and the
+    imaginary parts of the diagonal hold."""
+    n, replicas = 9, 3
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((replicas, n, n))
+    if field == "complex":
+        m = m + 1j * rng.standard_normal((replicas, n, n))
+    clean = np.tril(m)
+    diag = np.arange(n)
+    clean[:, diag, diag] = clean[:, diag, diag].real
+    expected = np.linalg.eigvalsh(clean, UPLO="L")
+    assert np.array_equal(np.linalg.eigvalsh(m, UPLO="L"), expected)
+    upper = np.triu_indices(n, 1)
+    m[:, upper[0], upper[1]] = 1e6 * rng.standard_normal(upper[0].size)
+    if field == "complex":
+        m[:, diag, diag] += 1e6j * rng.standard_normal(n)
+    assert np.array_equal(np.linalg.eigvalsh(m, UPLO="L"), expected)
+    assert np.array_equal(np.linalg.eigvalsh(m[1], UPLO="L"), expected[1])
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])

@@ -606,6 +606,12 @@ def _measures(count):
         lambda: _tiny_flow_spec(t_grid=(0.0, float("nan"))),
         lambda: eigenflow.sample_noise(3, "complex", float("nan"), np.random.default_rng(0)),
         lambda: eigenflow.sample_noise(3, "real", float("inf"), np.random.default_rng(0)),
+        lambda: _tiny_flow_spec(n=0, initial_spectrum=np.zeros(0)),
+        lambda: _tiny_flow_spec(n=-1),
+        lambda: _tiny_flow_spec(n=2.5),
+        lambda: eigenflow.sample_noise(0, "complex", 0.01, np.random.default_rng(0)),
+        lambda: eigenflow.sample_noise(-1, "complex", 0.01, np.random.default_rng(0)),
+        lambda: eigenflow.sample_noise(2.5, "real", 0.01, np.random.default_rng(0)),
         lambda: eigenflow.MarchenkoPastur(float("nan"), 1.0),
         lambda: eigenflow.MarchenkoPastur(2.0, float("nan")),
         lambda: eigenflow.MarchenkoPastur(float("inf"), 1.0),
@@ -619,6 +625,8 @@ def _measures(count):
         lambda: eigenflow.EmpiricalMeasure([float("-inf"), 0.2]),
     ],
     ids=["flow_dt_nan", "flow_dt_inf", "flow_t_grid_nan", "noise_dt_nan", "noise_dt_inf",
+         "flow_n_zero", "flow_n_negative", "flow_n_fractional", "noise_n_zero",
+         "noise_n_negative", "noise_n_fractional",
          "mp_alpha_nan", "mp_t_nan", "mp_alpha_inf", "semicircle_t_nan",
          "semicircle_center_nan", "mixture_two_t_nan", "mixture_three_alpha_inf",
          "mixture_three_t_inf", "process_t_grid_nan", "empirical_atoms_nan",
