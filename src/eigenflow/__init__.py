@@ -42,8 +42,7 @@ from .limits import (
     MarchenkoPastur,
     MomentPath,
     MomentSequence,
-    MPMixtureThree,
-    MPMixtureTwo,
+    MPMixture,
     PointMass,
     Semicircle,
     generic_moment_ode,
@@ -99,8 +98,7 @@ __all__ = [
     "MarchenkoPastur",
     "MomentPath",
     "MomentSequence",
-    "MPMixtureThree",
-    "MPMixtureTwo",
+    "MPMixture",
     "NoiseIncrement",
     "NumericalError",
     "PathDiagnostics",

@@ -34,8 +34,9 @@ has (a, b) = (v, z - c), the Marchenko-Pastur law with scale s and ratio
 c has (z s, z + s (1 - c)) (Marchenko-Pastur 1967; the atom is included),
 and a mixture combines its components through the reflection identity
 int (-x - z)^{-1} nu(dx) = -conj(G_nu(-conj z)). Weighted transforms
-E[phi R^k] (the evolution right-hand side) and every other measure still
-use quadrature or atom sums.
+E[phi R^k] (the evolution right-hand side) use quadrature for these laws
+and atom sums for empirical measures and point masses; any other object
+raises UnsupportedLawOperation.
 
 NumPy is the only third-party module this package imports when it loads.
 SciPy's adaptive quadrature is imported on first use, by the weighted
@@ -55,13 +56,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import UnsupportedLawOperation, ValidationError
-from .empirical import EmpiricalMeasure, _law_atoms
-from .limits import (
-    MarchenkoPastur,
-    PointMass,
-    Semicircle,
-    _MixtureBase,
-)
+from .empirical import EmpiricalMeasure
+from .limits import MarchenkoPastur, MPMixture, PointMass, Semicircle
 
 __all__ = [
     "cauchy_transform",
@@ -164,26 +160,17 @@ def _weighted_transform(mu, z: complex, weight, power: int) -> complex:
         if not mu.is_degenerate:
             acc += _weighted_mp_continuous(mu, z, weight, power)
         return acc
-    if isinstance(mu, _MixtureBase):
-        lam, lam_star, _, pos, neg = mu._components()
+    if isinstance(mu, MPMixture):
+        pos, neg = mu.components()
         acc = _weighted_atoms(mu.atoms(), z, weight, power)
         if not pos.is_degenerate:
-            acc += lam * _weighted_mp_continuous(pos, z, weight, power)
+            acc += mu.lam * _weighted_mp_continuous(pos, z, weight, power)
         if not neg.is_degenerate:
-            acc += lam_star * _weighted_mp_continuous(
+            acc += mu.lam_star * _weighted_mp_continuous(
                 neg, z, weight, power, reflect=True
             )
         return acc
-    if getattr(mu, "has_density", False):
-        lo, hi = mu.bounds()
-        acc = _weighted_atoms(_law_atoms(mu), z, weight, power)
-        acc += _cquad(
-            lambda x: float(mu.density(x)) * complex(weight(x)) / (x - z) ** power, lo, hi
-        )
-        return acc
-    raise UnsupportedLawOperation(
-        f"cannot integrate against {type(mu).__name__} (no density or atoms)"
-    )
+    raise UnsupportedLawOperation(f"cannot integrate against {type(mu).__name__}")
 
 
 def _one(x):
@@ -227,10 +214,10 @@ def cauchy_transform(mu, z: complex) -> complex:
         return _quadratic_root(mu.variance, z - mu.center, z)
     if isinstance(mu, MarchenkoPastur):
         return _mp_transform(mu, z)
-    if isinstance(mu, _MixtureBase):
-        lam, lam_star, gamma, pos, neg = mu._components()
+    if isinstance(mu, MPMixture):
+        pos, neg = mu.components()
         reflected = _mp_transform(neg, -z.conjugate()).conjugate()
-        return -gamma / z + lam * _mp_transform(pos, z) - lam_star * reflected
+        return -mu.gamma / z + mu.lam * _mp_transform(pos, z) - mu.lam_star * reflected
     return _weighted_transform(mu, z, _one, 1)
 
 

@@ -88,7 +88,9 @@ logger = logging.getLogger(__name__)
 # projection -> the domain each step's eigenvalues are clipped into
 _DOMAINS = {"none": (-math.inf, math.inf), "nonneg": (0.0, math.inf), "unit_interval": (0.0, 1.0)}
 _PROJECTIONS = tuple(_DOMAINS)
-_FIELDS = ("complex", "real")
+# field -> its Dyson index beta
+_DYSON_INDEX = {"complex": 2, "real": 1}
+_FIELDS = tuple(_DYSON_INDEX)
 # cap on R * n^2 of one replica block: about 8 MB per complex temporary
 _BLOCK_ENTRIES = 1 << 19
 
@@ -194,7 +196,7 @@ class FlowSpec:
     @property
     def beta(self) -> int:
         """Dyson index: 2 for the complex field, 1 for the real field."""
-        return 2 if self.field == "complex" else 1
+        return _DYSON_INDEX[self.field]
 
     @property
     def is_constant_coefficients(self) -> bool:

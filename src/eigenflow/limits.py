@@ -2,10 +2,13 @@
 
 Laws with a CDF: the semicircle (flat flows), a one-parameter
 Marchenko-Pastur family (square-root flows with constant drift), and the
-*mixtures* of time-rescaled Marchenko-Pastur laws that also solve the
-Wishart-type limit equation (the non-uniqueness examples). Every class whose
-moment hierarchy closes (deg b <= 1, deg g^2, deg h^2 <= 2), the geometric
-and Jacobi classes among them, has a moments-only :class:`HierarchyLaw`.
+signed mixtures of time-rescaled Marchenko-Pastur laws that also solve the
+Wishart-type limit equation (the non-uniqueness examples): one law,
+:class:`MPMixture`, with two factories, :func:`mp_mixture_two` (no atom)
+and :func:`mp_mixture_three` (an atom at 0 between the two sides). Every
+class whose moment hierarchy closes (deg b <= 1, deg g^2, deg h^2 <= 2),
+the geometric and Jacobi classes among them, has a moments-only
+:class:`HierarchyLaw`.
 
 One engine computes those moments: exact Taylor steps of the quadratic
 hierarchy (:func:`_taylor_family`), through the same separable interaction
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -46,8 +49,7 @@ __all__ = [
     "MarchenkoPastur",
     "MomentPath",
     "MomentSequence",
-    "MPMixtureThree",
-    "MPMixtureTwo",
+    "MPMixture",
     "PointMass",
     "Semicircle",
     "generic_moment_ode",
@@ -591,59 +593,84 @@ class PointMass(_LawBase):
         return MomentSequence(np.array([self.a**k for k in range(k_max + 1)], dtype=float))
 
 
-class _MixtureBase(_LawBase):
-    """Convex combination  lam * nu+  +  gamma * delta_0  +  lam_star * nu-~
+@dataclass(eq=False)
+class MPMixture(_LawBase):
+    """Signed Marchenko-Pastur law on the whole line (beta=1 normalization):
 
-    of two dilated MP components (beta=1 normalization), where nu-~ is the
-    reflection of nu- about the origin.  Subclasses provide
-    ``_components()`` returning the three weights and the two component
-    laws (unreflected; the negative side is reflected here). Subclasses
-    are dataclasses whose last field is ``t``; the law at time t is the
-    time-1 law dilated by t, so the CDF mesh and the quantiles are those
-    of the time-1 law (cached per class and parameters) scaled by t.
+        mu_t = lam * MP(alpha_plus) at time lam*t  +  gamma * delta_0
+               + lam_star * reflected MP(alpha_minus) at time lam_star*t,
+
+    where the reflection is about the origin. It solves the limit equation
+    with kernel G(x,y) = |x| + |y| and constant drift ``alpha`` (the
+    non-uniqueness examples). Build it with :func:`mp_mixture_two` or
+    :func:`mp_mixture_three`, which check the parameters and compute the
+    weights. The law at time t is the time-1 law dilated by t, so the CDF
+    mesh and the quantiles are those of the time-1 law (cached per shape)
+    scaled by t.
     """
 
-    def _components(
-        self,
-    ) -> tuple[float, float, float, MarchenkoPastur, MarchenkoPastur]:
-        raise NotImplementedError
+    alpha: float
+    alpha_plus: float
+    alpha_minus: float
+    lam: float
+    lam_star: float
+    gamma: float
+    t: float = 1.0
+
+    def __post_init__(self):
+        _check_time(self.t)
+
+    @property
+    def induced_alpha(self) -> float:
+        """The constant drift of the limit equation the mixture solves."""
+        return self.alpha
+
+    def at(self, t: float) -> "MPMixture":
+        return MPMixture(
+            self.alpha, self.alpha_plus, self.alpha_minus,
+            self.lam, self.lam_star, self.gamma, float(t),
+        )
+
+    def components(self) -> tuple[MarchenkoPastur, MarchenkoPastur]:
+        """The positive component and the negative one before reflection."""
+        return (
+            MarchenkoPastur(self.alpha_plus, self.lam * self.t, beta=1),
+            MarchenkoPastur(self.alpha_minus, self.lam_star * self.t, beta=1),
+        )
 
     def atoms(self) -> list[tuple[float, float]]:
-        lam, lam_star, gamma, pos, neg = self._components()
+        pos, neg = self.components()
         if pos.is_degenerate and neg.is_degenerate:
             return [(0.0, 1.0)]  # exact: the three weights need not sum to 1 in floats
-        mass = gamma
+        mass = self.gamma
         if pos.is_degenerate:
-            mass += lam
+            mass += self.lam
         if neg.is_degenerate:
-            mass += lam_star
+            mass += self.lam_star
         return [(0.0, mass)] if mass > 0 else []
 
     def bounds(self) -> tuple[float, float]:
-        lam, lam_star, gamma, pos, neg = self._components()
+        pos, neg = self.components()
         return -neg.bounds()[1], pos.bounds()[1]
 
     def density(self, x) -> np.ndarray:
-        lam, lam_star, gamma, pos, neg = self._components()
+        pos, neg = self.components()
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         if not pos.is_degenerate:
-            out += lam * pos.density(x)
+            out += self.lam * pos.density(x)
         if not neg.is_degenerate:
-            out += lam_star * neg.density(-x)
+            out += self.lam_star * neg.density(-x)
         return out
 
     def negative_mass(self) -> float:
         """Mass of (-inf, 0)."""
-        lam, lam_star, gamma, pos, neg = self._components()
-        return 0.0 if neg.is_degenerate else lam_star
+        return 0.0 if self.components()[1].is_degenerate else self.lam_star
 
     @property
     def _shape_key(self) -> tuple:
-        """(class, parameters other than t): the key of the time-1 mesh."""
-        return (type(self),) + tuple(
-            getattr(self, f.name) for f in fields(self) if f.name != "t"
-        )
+        """The parameters of the time-1 mesh: everything but t and alpha."""
+        return (self.alpha_plus, self.alpha_minus, self.lam, self.lam_star, self.gamma)
 
     def _build_mesh(self) -> tuple[np.ndarray, np.ndarray]:
         if self.t == 0.0:
@@ -657,134 +684,28 @@ class _MixtureBase(_LawBase):
         return self.t * _shape_quantiles(_mixture_unit_mesh, self._shape_key, count)
 
     def moments(self, k_max: int) -> MomentSequence:
-        lam, lam_star, gamma, pos, neg = self._components()
+        pos, neg = self.components()
         ks = np.arange(k_max + 1)
         vals = (
-            lam * pos.moments(k_max).values
-            + lam_star * (-1.0) ** ks * neg.moments(k_max).values
+            self.lam * pos.moments(k_max).values
+            + self.lam_star * (-1.0) ** ks * neg.moments(k_max).values
         )
         vals[0] = 1.0  # the atom restores full mass at k = 0
         return MomentSequence(vals, t=None)
 
 
-@dataclass(eq=False)
-class MPMixtureTwo(_MixtureBase):
-    """Two-component non-uniqueness mixture for drift alpha in [0, 1):
-
-        mu_t = lam * MP(1) at time lam*t  +  lam_star * reflected MP(1) at
-        time lam_star*t,   lam = (1+alpha)/2, lam_star = (1-alpha)/2.
-
-    Solves the same limit equation (with kernel G(x,y) = |x| + |y| and
-    constant drift alpha) as the ordinary MP law — uniqueness fails.
-    """
-
-    alpha: float
-    t: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValidationError("mixture-two requires 0 <= alpha < 1")
-        _check_time(self.t)
-
-    @property
-    def lam(self) -> float:
-        return (1.0 + self.alpha) / 2.0
-
-    @property
-    def lam_star(self) -> float:
-        return (1.0 - self.alpha) / 2.0
-
-    def at(self, t: float) -> "MPMixtureTwo":
-        return MPMixtureTwo(self.alpha, float(t))
-
-    def _components(self):
-        return (
-            self.lam,
-            self.lam_star,
-            0.0,
-            MarchenkoPastur(1.0, self.lam * self.t, beta=1),
-            MarchenkoPastur(1.0, self.lam_star * self.t, beta=1),
-        )
-
-
-@dataclass(eq=False)
-class MPMixtureThree(_MixtureBase):
-    """Three-component mixture (positive, atom, reflected) for the
-    supercritical parameterization alpha_minus >= alpha_plus > 1:
-
-        mu_t = lam * MP(alpha_plus) at time lam*t  +  gamma * delta_0
-               + lam_star * reflected MP(alpha_minus) at time lam_star*t,
-
-        lam = (alpha_minus - 1) / (alpha_plus alpha_minus - 1),
-        lam_star = (alpha_plus - 1) / (alpha_plus alpha_minus - 1),
-        gamma = 1 - lam - lam_star.
-
-    Both component ratios exceed one, so neither side carries an atom of
-    its own and both supports stay away from zero; the delta_0 atom sits
-    isolated between them.  The mixture solves the limit equation with
-    induced constant drift
-    (alpha_minus - alpha_plus) / (alpha_plus alpha_minus - 1).
-    """
-
-    alpha_plus: float
-    alpha_minus: float
-    t: float = 1.0
-
-    def __post_init__(self):
-        if not (self.alpha_minus >= self.alpha_plus > 1.0):
-            raise ValidationError("mixture-three requires alpha_minus >= alpha_plus > 1")
-        if not math.isfinite(self.alpha_minus):
-            raise ValidationError("alpha_minus must be finite")
-        _check_time(self.t)
-
-    @property
-    def lam(self) -> float:
-        return (self.alpha_minus - 1.0) / (self.alpha_plus * self.alpha_minus - 1.0)
-
-    @property
-    def lam_star(self) -> float:
-        return (self.alpha_plus - 1.0) / (self.alpha_plus * self.alpha_minus - 1.0)
-
-    @property
-    def gamma(self) -> float:
-        return (
-            (self.alpha_plus - 1.0)
-            * (self.alpha_minus - 1.0)
-            / (self.alpha_plus * self.alpha_minus - 1.0)
-        )
-
-    @property
-    def induced_alpha(self) -> float:
-        return (self.alpha_minus - self.alpha_plus) / (
-            self.alpha_plus * self.alpha_minus - 1.0
-        )
-
-    def at(self, t: float) -> "MPMixtureThree":
-        return MPMixtureThree(self.alpha_plus, self.alpha_minus, float(t))
-
-    def _components(self):
-        return (
-            self.lam,
-            self.lam_star,
-            self.gamma,
-            MarchenkoPastur(self.alpha_plus, self.lam * self.t, beta=1),
-            MarchenkoPastur(self.alpha_minus, self.lam_star * self.t, beta=1),
-        )
-
-
 @functools.lru_cache(maxsize=8)
 def _mixture_unit_mesh(key: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """CDF mesh of the time-1 member of the mixture family ``key``.
+    """CDF mesh of the time-1 mixture with ``MPMixture._shape_key`` ``key``.
 
     Both components dilate with t (each is an MP law at time lam*t or
     lam_star*t), so the mixture at time t is this law dilated by t:
-    ``_MixtureBase._build_mesh`` returns ``(t * xs, fs)``. At t = 1 neither
+    ``MPMixture._build_mesh`` returns ``(t * xs, fs)``. At t = 1 neither
     component is degenerate. Both arrays are read-only.
     """
-    law_type, *params = key
-    lam, lam_star, gamma, pos, neg = law_type(*params, t=1.0)._components()
-    neg_xs, neg_fs = neg._build_mesh()
-    pos_xs, pos_fs = pos._build_mesh()
+    alpha_plus, alpha_minus, lam, lam_star, gamma = key
+    neg_xs, neg_fs = MarchenkoPastur(alpha_minus, lam_star, beta=1)._build_mesh()
+    pos_xs, pos_fs = MarchenkoPastur(alpha_plus, lam, beta=1)._build_mesh()
     atom_x, atom_f = ([0.0, 0.0], [lam_star, lam_star + gamma]) if gamma > 0 else ([], [])
     xs = np.concatenate([-neg_xs[::-1], atom_x, pos_xs])
     fs = np.maximum.accumulate(
@@ -795,12 +716,47 @@ def _mixture_unit_mesh(key: tuple) -> tuple[np.ndarray, np.ndarray]:
     return xs, fs
 
 
-def mp_mixture_two(alpha: float, t: float = 1.0) -> MPMixtureTwo:
-    return MPMixtureTwo(alpha, t)
+def mp_mixture_two(alpha: float, t: float = 1.0) -> MPMixture:
+    """Two-component mixture for drift alpha in [0, 1), with no atom:
+
+        mu_t = lam * MP(1) at time lam*t  +  lam_star * reflected MP(1) at
+        time lam_star*t,   lam = (1+alpha)/2, lam_star = (1-alpha)/2.
+
+    Solves the same limit equation as the ordinary MP law with drift
+    alpha — uniqueness fails.
+    """
+    if not 0.0 <= alpha < 1.0:
+        raise ValidationError("mixture-two requires 0 <= alpha < 1")
+    return MPMixture(alpha, 1.0, 1.0, (1.0 + alpha) / 2.0, (1.0 - alpha) / 2.0, 0.0, t)
 
 
-def mp_mixture_three(alpha_plus: float, alpha_minus: float, t: float = 1.0) -> MPMixtureThree:
-    return MPMixtureThree(alpha_plus, alpha_minus, t)
+def mp_mixture_three(alpha_plus: float, alpha_minus: float, t: float = 1.0) -> MPMixture:
+    """Three-component mixture (positive, atom, reflected) for the
+    supercritical parameterization alpha_minus >= alpha_plus > 1:
+
+        lam = (alpha_minus - 1) / (alpha_plus alpha_minus - 1),
+        lam_star = (alpha_plus - 1) / (alpha_plus alpha_minus - 1),
+        gamma = (alpha_plus - 1)(alpha_minus - 1) / (alpha_plus alpha_minus - 1),
+
+    so lam + lam_star + gamma = 1. Both component ratios exceed one, so
+    neither side carries an atom of its own and both supports stay away
+    from zero; the delta_0 atom sits isolated between them. The induced
+    constant drift is (alpha_minus - alpha_plus) / (alpha_plus alpha_minus - 1).
+    """
+    if not (alpha_minus >= alpha_plus > 1.0):
+        raise ValidationError("mixture-three requires alpha_minus >= alpha_plus > 1")
+    if not math.isfinite(alpha_minus):
+        raise ValidationError("alpha_minus must be finite")
+    denom = alpha_plus * alpha_minus - 1.0
+    return MPMixture(
+        (alpha_minus - alpha_plus) / denom,
+        alpha_plus,
+        alpha_minus,
+        (alpha_minus - 1.0) / denom,
+        (alpha_plus - 1.0) / denom,
+        (alpha_plus - 1.0) * (alpha_minus - 1.0) / denom,
+        t,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,8 @@ from .cauchy import free_bm_law, free_ou_law
 from .config import ExperimentConfig
 from .empirical import ks_distance, limit_equation_residual, wasserstein1
 from .errors import ValidationError
-from .flows import FlowSpec, simulate_ensemble
-from .limits import HierarchyLaw, MarchenkoPastur, MPMixtureTwo, Semicircle
+from .flows import _DYSON_INDEX, FlowSpec, simulate_ensemble
+from .limits import HierarchyLaw, MarchenkoPastur, Semicircle, mp_mixture_two
 from .linalg import SpectralFunction
 
 __all__ = [
@@ -142,7 +142,7 @@ class PresetBundle:
 
     @property
     def beta(self) -> int:
-        return 2 if self.field == "complex" else 1
+        return _DYSON_INDEX[self.field]
 
     def coefficients(self) -> tuple[SpectralFunction, SpectralFunction, SpectralFunction]:
         """The stepper's g = sqrt|g2|, h = sqrt|h2| and drift b."""
@@ -209,7 +209,7 @@ def _nonunique_start(n: int, alpha: float) -> np.ndarray:
 def _flat(field: str) -> dict:
     return dict(
         field=field, g2=(0.25,), h2=_ONE, b=_ZERO, initial_spectrum=np.zeros,
-        law=Semicircle(1.0, beta=2 if field == "complex" else 1),
+        law=Semicircle(1.0, beta=_DYSON_INDEX[field]),
     )
 
 
@@ -251,7 +251,7 @@ PRESETS: dict[str, PresetRow] = {
         lambda c: dict(
             field="real", g2=_X, h2=_ONE, b=(c.alpha,),
             initial_spectrum=lambda n: _nonunique_start(n, c.alpha),
-            law=MPMixtureTwo(c.alpha, 1.0),
+            law=mp_mixture_two(c.alpha),
         ),
         config_defaults={"n_list": (100,)},
     ),

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from eigenflow import (
+    HierarchyLaw,
     MarchenkoPastur,
     PointMass,
     Semicircle,
+    UnsupportedLawOperation,
     ValidationError,
     cauchy_transform,
     ct_evolution_rhs,
@@ -164,6 +166,24 @@ def test_ct_evolution_zero_flow():
         lambda x: 0.0 * x, lambda x: 0.0 * x, lambda x: 0.0 * x,
     )
     assert rhs == 0.0
+
+
+def test_ct_evolution_rejects_other_laws():
+    """Only the package's measures and law families integrate: another
+    object is refused even when it carries a density."""
+
+    class Uniform:
+        has_density = True
+
+        def bounds(self):
+            return 0.0, 1.0
+
+        def density(self, x):
+            return np.ones_like(np.asarray(x, dtype=float))
+
+    for law in (Uniform(), HierarchyLaw((0.0,), (1.0,), (1.0,), beta=2, a=0.0)):
+        with pytest.raises(UnsupportedLawOperation):
+            ct_evolution_rhs(law, 1.0 + 1.0j, _one, _one, _one)
 
 
 def test_ct_evolution_matches_fd_semicircle():

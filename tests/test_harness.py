@@ -620,6 +620,8 @@ def _measures(count):
         lambda: eigenflow.mp_mixture_two(0.5, float("nan")),
         lambda: eigenflow.mp_mixture_three(1.5, float("inf")),
         lambda: eigenflow.mp_mixture_three(1.5, 2.0, float("inf")),
+        lambda: eigenflow.mp_mixture_two(0.5).at(float("nan")),
+        lambda: eigenflow.mp_mixture_three(2.0, 3.0).at(float("inf")),
         lambda: eigenflow.EmpiricalMeasureProcess((0.0, float("nan")), _measures(2)),
         lambda: eigenflow.EmpiricalMeasure([0.1, float("nan"), 0.3]),
         lambda: eigenflow.EmpiricalMeasure([float("-inf"), 0.2]),
@@ -629,7 +631,8 @@ def _measures(count):
          "noise_n_negative", "noise_n_fractional",
          "mp_alpha_nan", "mp_t_nan", "mp_alpha_inf", "semicircle_t_nan",
          "semicircle_center_nan", "mixture_two_t_nan", "mixture_three_alpha_inf",
-         "mixture_three_t_inf", "process_t_grid_nan", "empirical_atoms_nan",
+         "mixture_three_t_inf", "mixture_two_at_nan", "mixture_three_at_inf",
+         "process_t_grid_nan", "empirical_atoms_nan",
          "empirical_atoms_inf"],
 )
 def test_python_api_rejects_non_finite_inputs(build):

@@ -19,6 +19,7 @@ from eigenflow import (
     HierarchyLaw,
     MarchenkoPastur,
     MomentSequence,
+    MPMixture,
     NumericalError,
     PointMass,
     Semicircle,
@@ -277,7 +278,8 @@ def test_mp_quantile_atoms_are_dilated_shape_quantiles(alpha, t, beta):
 def _per_time_mixture_mesh(law):
     """The mixture CDF mesh composed from its components at the law's own
     time (the formula the dilated time-1 mesh replaces)."""
-    lam, lam_star, gamma, pos, neg = law._components()
+    lam, lam_star, gamma = law.lam, law.lam_star, law.gamma
+    pos, neg = law.components()
     pieces_x, pieces_f, mass_so_far = [], [], 0.0
     if not neg.is_degenerate:
         xs, fs = neg._mesh()
@@ -348,7 +350,8 @@ def test_dilation_caches_are_read_only():
         with pytest.raises(ValueError):
             arr[0] = 7.0
     # every time of one family shares the time-1 CDF values
-    assert mp_mixture_three(1.5, 2.0, 0.9)._mesh()[1] is law._mesh()[1]
+    for family in (lambda t: mp_mixture_two(0.5, t), lambda t: mp_mixture_three(1.5, 2.0, t)):
+        assert family(0.9)._mesh()[1] is family(0.3)._mesh()[1]
 
 
 def test_mp_hankel_psd():
@@ -365,12 +368,25 @@ def test_moment_sequence_hankel_rejects_non_psd():
 # mixtures
 
 
+@pytest.mark.parametrize(
+    "law, alpha",
+    [(mp_mixture_two(0.5), 0.5), (mp_mixture_three(2.0, 3.0), 0.2)],
+    ids=["two", "three"],
+)
+def test_mixture_factories_build_one_law(law, alpha):
+    assert isinstance(law, MPMixture)
+    assert law.alpha == law.induced_alpha
+    assert np.isclose(law.alpha, alpha)
+
+
 def test_mixture_two_weights():
     sym = mp_mixture_two(0.0)
     assert np.isclose(sym.lam, 0.5) and np.isclose(sym.lam_star, 0.5)
     mix = mp_mixture_two(0.5)
     assert np.isclose(mix.lam, 0.75) and np.isclose(mix.lam_star, 0.25)
     assert np.isclose(mix.negative_mass(), 0.25)
+    # no atom: gamma is exactly 0, not the float residue 1 - lam - lam_star
+    assert mix.gamma == 0.0 and mix.atoms() == [] and mix.continuous_mass() == 1.0
     with pytest.raises(ValidationError):
         mp_mixture_two(1.5)
 
@@ -451,7 +467,7 @@ def test_mixture_moment_hierarchy_finite_difference(law):
     mixture's own moment code.
     """
     t, delta = 0.8, 1e-3
-    alpha = law.alpha if hasattr(law, "alpha") else law.induced_alpha
+    alpha = law.alpha
     mom = law.at(t).moments(6).values
     lo, hi = law.at(t).bounds()
 
