@@ -26,6 +26,7 @@ convolution, exact at coincident atoms and for any g^2, h^2 (see
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,7 +46,6 @@ __all__ = [
     "wasserstein1",
 ]
 
-_W1_GRID = 4000  # fixed for test determinism
 _CHUNK_ENTRIES = 1 << 16  # cap on chunk * n * width in one _limit_terms pass
 
 
@@ -92,27 +92,35 @@ class EmpiricalMeasure:
         return float(self.cdf_left(x0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EmpiricalMeasureProcess:
-    """Empirical measures aligned with an ascending time grid."""
+    """Empirical measures aligned with an ascending time grid.
+
+    The measures' sorted atoms are held as one (T, n) array, ``spectra``,
+    like :attr:`EigenPath.spectra`; ``measures`` gives its rows as
+    :class:`EmpiricalMeasure` objects, built on first use.
+    """
 
     t_grid: np.ndarray
-    measures: tuple
+    spectra: np.ndarray
 
-    def __post_init__(self):
-        grid = np.asarray(self.t_grid, dtype=float)
-        measures = tuple(self.measures)
-        if grid.size != len(measures) or grid.size == 0:
+    def __init__(self, t_grid, measures):
+        measures = tuple(measures)
+        if len({m.n for m in measures}) > 1:
+            raise ValidationError("all measures must have the same atom count")
+        spectra = np.stack([m.atoms for m in measures]) if measures else np.empty((0, 0))
+        self._set(t_grid, spectra)
+
+    def _set(self, t_grid, spectra: np.ndarray) -> None:
+        grid = np.asarray(t_grid, dtype=float)
+        if grid.size != len(spectra) or grid.size == 0:
             raise ValidationError("t_grid and measures must align and be nonempty")
         if not np.all(np.isfinite(grid)):
             raise ValidationError("t_grid entries must be finite")
         if np.any(np.diff(grid) <= 0) and grid.size > 1:
             raise ValidationError("t_grid must be strictly ascending")
-        counts = {m.n for m in measures}
-        if len(counts) != 1:
-            raise ValidationError("all measures must have the same atom count")
         object.__setattr__(self, "t_grid", grid)
-        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "spectra", spectra)
 
     @staticmethod
     def from_path(path: EigenPath) -> "EmpiricalMeasureProcess":
@@ -123,22 +131,23 @@ class EmpiricalMeasureProcess:
 
     @staticmethod
     def from_law(law, t_grid, atom_count: int) -> "EmpiricalMeasureProcess":
-        """Quantile discretization of a limit-law family along a grid."""
-        return EmpiricalMeasureProcess(
-            t_grid=np.asarray(t_grid, dtype=float),
-            measures=tuple(
-                EmpiricalMeasure(law.at(t).quantile_atoms(atom_count)) for t in t_grid
-            ),
-        )
+        """Quantile discretization of a limit-law family along a grid, each
+        time's (ascending) quantile atoms written straight into its row."""
+        spectra = np.empty((len(t_grid), atom_count))
+        for row, t in zip(spectra, t_grid):
+            row[:] = law.at(t).quantile_atoms(atom_count)
+        if not np.isfinite(spectra).all():
+            raise ValidationError("empirical measure atoms must be finite")
+        proc = object.__new__(EmpiricalMeasureProcess)
+        proc._set(t_grid, spectra)
+        return proc
+
+    @functools.cached_property
+    def measures(self) -> tuple:
+        return tuple(EmpiricalMeasure(row) for row in self.spectra)
 
     def __len__(self) -> int:
-        return len(self.measures)
-
-    @property
-    def spectra(self) -> np.ndarray:
-        """The measures' sorted atoms as one (T, n) array, like
-        :attr:`EigenPath.spectra`."""
-        return np.stack([m.atoms for m in self.measures])
+        return self.t_grid.size
 
 
 def _require_cdf(law) -> None:
@@ -193,37 +202,37 @@ def ks_distance(m, law) -> float | np.ndarray:
 
 
 def wasserstein1(m, law) -> float | np.ndarray:
-    """W1 distance = int |F_emp - F_law| dx.
+    """W1 distance int |F_emp - F_law| dx, in closed form (Vallender,
+    Theory Probab. Appl. 18, 1973).
 
     ``m`` is an :class:`EmpiricalMeasure` (returns a float) or an array
-    whose last axis holds sorted atom rows (returns one distance per row).
-    Quadrature on a fixed 4000-point grid spanning the union of supports,
-    with all empirical and law atoms merged in exactly (grid size fixed so
-    results are deterministic).
+    whose last axis holds sorted atom rows x_1 <= ... <= x_n (returns one
+    distance per row). With Phi(x) = int_{-inf}^x F_law: left of x_1 the
+    integral is Phi(x_1); right of x_n it is Phi(x_n) - x_n + mean, with
+    mean = top - Phi(top) for the law's upper bound ``top``. On
+    [x_i, x_{i+1}] the empirical CDF is the level L = i/n, F_law crosses it
+    at q = clip(Q(L), x_i, x_{i+1}), and the piece is
+
+        L (2q - x_i - x_{i+1}) - 2 Phi(q) + Phi(x_i) + Phi(x_{i+1}).
+
+    The levels, hence Q(L) (``law.level_quantiles``), are shared by every
+    row, so an (R, n) block takes one ``law.integrated_cdf`` call. A split
+    point off by d moves its piece by O(f d^2), and only downwards.
     """
     _require_cdf(law)
     atoms = _atom_rows(m)
-    bounds = law.bounds()
-    atom_pos = [p for p, _ in _law_atoms(law)]
-    flat = atoms.reshape(-1, atoms.shape[-1])
-    out = np.array([_w1_row(row, law, bounds, atom_pos) for row in flat])
-    return float(out[0]) if isinstance(m, EmpiricalMeasure) else out.reshape(atoms.shape[:-1])
-
-
-def _w1_row(atoms: np.ndarray, law, bounds: tuple, atom_pos: list) -> float:
-    """W1 of one sorted atom row, on the grid ``np.unique`` would give
-    (linspace and atoms, exact duplicates dropped), merged instead of sorted."""
-    lo = min(float(atoms[0]), bounds[0], *atom_pos)
-    hi = max(float(atoms[-1]), bounds[1], *atom_pos)
-    if hi <= lo:
-        hi = lo + 1.0
-    base = np.linspace(lo, hi, _W1_GRID)
-    extra = np.sort(np.concatenate([atoms, atom_pos])) if atom_pos else atoms
-    grid = np.insert(base, np.searchsorted(base, extra), extra)
-    grid = grid[np.append(True, grid[1:] != grid[:-1])]
-    f_emp = np.bincount(np.searchsorted(grid, atoms), minlength=grid.size).cumsum() / atoms.size
-    f_law = np.asarray(law.cdf(grid), dtype=float)
-    return float(np.sum(np.abs(f_emp - f_law)[:-1] * np.diff(grid)))
+    n = atoms.shape[-1]
+    lo, hi = atoms[..., :-1], atoms[..., 1:]
+    split = np.clip(law.level_quantiles(n), lo, hi)
+    top = law.bounds()[1]
+    phi = law.integrated_cdf(np.concatenate([atoms.ravel(), split.ravel(), [top]]))
+    phi_x = phi[: atoms.size].reshape(atoms.shape)
+    phi_q = phi[atoms.size : -1].reshape(split.shape)
+    levels = np.arange(1, n) / n
+    pieces = levels * (2.0 * split - lo - hi) - 2.0 * phi_q + phi_x[..., :-1] + phi_x[..., 1:]
+    tails = phi_x[..., 0] + (phi_x[..., -1] - atoms[..., -1]) + (top - phi[-1])
+    out = tails + pieces.sum(axis=-1)
+    return float(out) if isinstance(m, EmpiricalMeasure) else out
 
 
 def _poly_coeffs(f) -> np.ndarray:

@@ -254,6 +254,35 @@ class _LawBase:
         """Midpoint-quantile discretization: atoms at F^{-1}((i-1/2)/count)."""
         return _invert_mesh(*self._mesh(), _midpoints(count))
 
+    def level_quantiles(self, count: int) -> np.ndarray:
+        """Quantiles at the levels i/count, i = 1..count-1: a split point of
+        each empirical level's piece in :func:`eigenflow.empirical.wasserstein1`.
+
+        Inverts the mesh by interpolation; a level on a flat stretch of the
+        CDF may land anywhere on it, and every such point splits exactly.
+        """
+        xs, fs = self._mesh()
+        return np.interp(np.arange(1, count) / count, fs, xs)
+
+    def integrated_cdf(self, x) -> np.ndarray:
+        """Phi(x) = int_{-inf}^x F, exactly for the mesh CDF that ``cdf``
+        interpolates: the running trapezoid of the mesh up to the last mesh
+        point at or below x, plus the trapezoid of the linear piece after it.
+        """
+        cached = self.__dict__.get("_integral_cache")
+        if cached is None:
+            xs, fs = self._mesh()
+            # F is 0 before the mesh and 1 after it, as ``cdf`` pads it
+            xs = np.concatenate((xs[:1], xs, xs[-1:]))
+            fs = np.concatenate(([0.0], fs, [1.0]))
+            cached = xs, fs, _cumtrapz(fs, xs)
+            self.__dict__["_integral_cache"] = cached
+        xs, fs, running = cached
+        x = np.asarray(x, dtype=float)
+        j = np.maximum(np.searchsorted(xs, x, side="right") - 1, 0)
+        dx = np.maximum(x - xs[j], 0.0)
+        return running[j] + 0.5 * dx * (fs[j] + np.interp(x, xs, fs))
+
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         xs, fs = self._mesh()
         return _invert_mesh(xs, fs, rng.uniform(size=count))
@@ -338,6 +367,24 @@ class Semicircle(_LawBase):
         out = 0.5 + (u * np.sqrt(1.0 - u * u) + np.arcsin(u)) / math.pi
         return out if out.ndim else float(out)
 
+    def integrated_cdf(self, x) -> np.ndarray:
+        """Phi(x) = int_{-inf}^x F in closed form: with u = (x - c)/r clipped
+        to [-1, 1], r (u/2 + (u asin u + sqrt(1-u^2) - (1-u^2)^{3/2}/3)/pi)
+        + (x - c - r)_+."""
+        if self.is_degenerate:
+            return super().integrated_cdf(x)
+        x = np.asarray(x, dtype=float)
+        r = self.radius
+        u = np.clip((x - self.center) / r, -1.0, 1.0)
+        s = np.sqrt(1.0 - u * u)
+        inside = 0.5 * u + (u * np.arcsin(u) + s - s**3 / 3.0) / math.pi
+        return r * inside + np.maximum(x - self.center - r, 0.0)
+
+    def level_quantiles(self, count: int) -> np.ndarray:
+        if self.is_degenerate:
+            return super().level_quantiles(count)
+        return self.center + self.radius * _semicircle_levels(count)
+
     def _build_mesh(self) -> tuple[np.ndarray, np.ndarray]:
         if self.is_degenerate:
             xs = np.array([self.center, self.center])
@@ -373,6 +420,26 @@ def _semicircle_index_mesh(_key=None) -> tuple[np.ndarray, np.ndarray]:
     idx.flags.writeable = False
     fs.flags.writeable = False
     return idx, fs
+
+
+@functools.lru_cache(maxsize=16)
+def _semicircle_levels(count: int) -> np.ndarray:
+    """Quantiles of the centred radius-1 semicircle at the levels i/count,
+    i = 1..count-1 (``level_quantiles`` dilates them by (center, radius)).
+
+    Bisection on the closed-form CDF, halving the bracket [-1, 1] down to
+    rounding. The array is read-only.
+    """
+    levels = np.arange(1, count) / count
+    unit = Semicircle.from_radius(1.0)
+    lo, hi = -np.ones_like(levels), np.ones_like(levels)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = unit.cdf(mid) < levels
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    hi.flags.writeable = False
+    return hi
 
 
 def semicircle_moments(

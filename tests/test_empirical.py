@@ -23,6 +23,7 @@ from eigenflow import (
     em_sde_decomposition,
     ks_distance,
     limit_equation_residual,
+    mp_mixture_three,
     mp_mixture_two,
     simulate_ensemble,
     simulate_path,
@@ -99,10 +100,23 @@ def test_ks_distance_quantile_discretization():
 
 def test_wasserstein_point_masses_exact_transport():
     m = EmpiricalMeasure(np.array([0.7]))
-    assert np.isclose(wasserstein1(m, PointMass(0.2)), 0.5, atol=1e-3)
+    assert np.isclose(wasserstein1(m, PointMass(0.2)), 0.5, atol=1e-12)
     two = EmpiricalMeasure(np.array([0.0, 1.0]))
     # optimal transport to delta_{1/2} moves each half-atom by 1/2
-    assert np.isclose(wasserstein1(two, PointMass(0.5)), 0.5, atol=1e-3)
+    assert np.isclose(wasserstein1(two, PointMass(0.5)), 0.5, atol=1e-12)
+
+
+def test_wasserstein_closed_forms():
+    """W1 to a point mass a is mean |x - a|; a single atom at the centre of
+    a semicircle of radius r is 4r/(3 pi) from it (the law's mean |Y - c|)."""
+    atoms = np.array([-2.5, -0.3, 0.1, 0.1, 0.25, 0.9, 2.0, 7.5])
+    for a in (0.2, -3.0, 0.1, 9.0):
+        got = wasserstein1(EmpiricalMeasure(atoms), PointMass(a))
+        assert abs(got - np.mean(np.abs(atoms - a))) <= 1e-15
+    for radius, center in ((2.0, 0.0), (0.5, -1.7), (3.0, 4.0)):
+        law = Semicircle.from_radius(radius, center)
+        got = wasserstein1(EmpiricalMeasure([center]), law)
+        assert abs(got - 4.0 * radius / (3.0 * np.pi)) <= 1e-13
 
 
 def test_wasserstein_against_scipy():
@@ -126,8 +140,14 @@ _ORACLE_LAWS = {
     "semicircle_t0": Semicircle(0.0, beta=2),  # degenerate: one atom at 0
     "mp_ratio_below_one": MarchenkoPastur(0.5, 1.0),  # atom at 0
     "mp": MarchenkoPastur(2.5, 1.0, beta=2),
-    "mixture": mp_mixture_two(0.5, 1.0),  # atom at 0 between two components
+    "mixture": mp_mixture_two(0.5, 1.0),  # two components meeting at 0, no atom
     "mixture_t0": mp_mixture_two(0.5, 0.0),
+    "semicircle_shifted": Semicircle(0.7, beta=2, center=-1.3),
+    "mp_ratio_one": MarchenkoPastur(1.0, 1.0, beta=1),  # density ~ x^(-1/2) at 0
+    "mp_t0": MarchenkoPastur(2.5, 0.0),
+    "mixture_three": mp_mixture_three(1.5, 2.0, 0.7),  # isolated atom at 0
+    "mixture_three_t0": mp_mixture_three(1.5, 1.8, 0.0),
+    "point_mass": PointMass(0.3),
 }
 
 
@@ -148,19 +168,49 @@ def _oracle_atom_rows(law, n, rng):
 @pytest.mark.parametrize("n", [1, 2, 25, 100])
 @pytest.mark.parametrize("law_name", list(_ORACLE_LAWS))
 def test_distances_equal_the_per_measure_oracle(law_name, n):
-    """The stacked KS and the merged-grid W1 give the one-measure bodies'
-    bits, row by row and through the EmpiricalMeasure entry."""
+    """The stacked KS gives the one-measure body's bits, and the stacked W1
+    the one-measure kernel's, row by row and through the EmpiricalMeasure
+    entry; the exact W1 lies within the grid quadratures' error of them."""
     law = _ORACLE_LAWS[law_name]
     rng = np.random.default_rng(n)
     rows = _oracle_atom_rows(law, n, rng)
     ks, w1 = ks_distance(rows, law), wasserstein1(rows, law)
     assert ks.shape == w1.shape == (rows.shape[0],)
     assert wasserstein1(rows.reshape(2, 3, n), law).shape == (2, 3)
+    atom_pos = [p for p, _ in law.atoms()]
     for row, ks_row, w1_row in zip(rows, ks, w1):
         m = EmpiricalMeasure(row)
         assert ks_row == oracle.ks_distance(m, law) == ks_distance(m, law)
-        assert w1_row == oracle.wasserstein1(m, law) == wasserstein1(m, law)
+        assert w1_row == wasserstein1(m, law)
+        grid = oracle.wasserstein1(m, law)
+        assert grid == oracle._w1_row(row, law, law.bounds(), atom_pos)
+        assert abs(w1_row - grid) <= oracle.w1_grid_error(row, law)
     assert isinstance(ks_distance(EmpiricalMeasure(rows[0]), law), float)
+
+
+@pytest.mark.parametrize("n", [1, 25, 100])
+@pytest.mark.parametrize("law_name", list(_ORACLE_LAWS))
+def test_wasserstein_is_exact(law_name, n):
+    """The closed-form W1 agrees with a fine trapezoid rule to 1e-6 on every
+    law family, with tied atoms and atoms outside the support."""
+    law = _ORACLE_LAWS[law_name]
+    rng = np.random.default_rng(n + 1)
+    rows = np.concatenate([_oracle_atom_rows(law, n, rng), [law.quantile_atoms(n)]])
+    for row, got in zip(rows, wasserstein1(rows, law)):
+        assert abs(got - oracle.fine_wasserstein1(row, law)) <= 1e-6
+
+
+def test_wasserstein_evaluates_phi_once_per_block():
+    """An (R, n) block takes one integrated-CDF call, whatever R is, like
+    KS's one law.cdf call."""
+    for law in (Semicircle(1.0, beta=2), MarchenkoPastur(2.5, 1.0)):
+        calls = []
+        phi = law.integrated_cdf
+        law.integrated_cdf = lambda x, phi=phi: calls.append(np.shape(x)) or phi(x)
+        for replicas in (1, 7, 40):
+            rows = np.random.default_rng(replicas).standard_normal((replicas, 30))
+            wasserstein1(np.sort(rows, axis=-1), law)
+        assert calls == [(replicas * (2 * 30 - 1) + 1,) for replicas in (1, 7, 40)]
 
 
 # ---------------------------------------------------------------------------

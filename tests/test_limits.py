@@ -43,6 +43,7 @@ from eigenflow.limits import (
     _mixture_unit_mesh,
     _mp_shape_mesh,
     _semicircle_index_mesh,
+    _semicircle_levels,
     _shape_quantiles,
 )
 
@@ -337,6 +338,34 @@ def test_semicircle_quantiles_match_per_law_mesh(t, beta, center):
     assert np.array_equal(Semicircle(0.0, beta, center).quantile_atoms(7), np.full(7, center))
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        Semicircle(1.0, beta=2),
+        Semicircle(0.3, beta=1, center=-2.0),
+        Semicircle(0.0, beta=2, center=0.5),
+        MarchenkoPastur(2.5, 0.4),
+        MarchenkoPastur(0.5, 1.0),
+        mp_mixture_two(0.5, 0.8),
+        mp_mixture_three(1.5, 2.0, 0.3),
+        PointMass(-1.0),
+    ],
+    ids=repr,
+)
+def test_level_quantiles_invert_the_cdf(law):
+    """Q(i/n) sits where the CDF reaches i/n: F(Q) = i/n off the atoms, and
+    an atom's jump straddles the levels that land on it."""
+    for n in (1, 2, 25, 400):
+        levels = np.arange(1, n) / n
+        q = law.level_quantiles(n)
+        assert q.shape == levels.shape
+        mass = np.zeros_like(q)
+        for pos, w in law.atoms():
+            mass[q == pos] += w
+        assert np.all(law.cdf(q) - mass <= levels + 1e-13)
+        assert np.all(law.cdf(q) >= levels - 1e-13)
+
+
 def test_dilation_caches_are_read_only():
     law = mp_mixture_three(1.5, 2.0, 0.3)
     law.quantile_atoms(400)
@@ -345,6 +374,7 @@ def test_dilation_caches_are_read_only():
         _shape_quantiles(_mp_shape_mesh, 2.5, 400),
         *_semicircle_index_mesh(),
         _shape_quantiles(_semicircle_index_mesh, None, 400),
+        _semicircle_levels(400),
     )
     for arr in cached:
         with pytest.raises(ValueError):
