@@ -11,12 +11,12 @@ the geometric and Jacobi classes among them, has a moments-only
 :class:`HierarchyLaw`.
 
 One engine computes those moments: exact Taylor steps of the quadratic
-hierarchy (:func:`_taylor_family`), through the same separable interaction
-kernel as the empirical residuals. Kept as the tests' oracles: the closed
-forms (:func:`semicircle_moments`, :func:`mp_moments`, :func:`geometric_w` /
-:func:`geometric_moments`, rational polynomial-in-t coefficients) and
-:func:`generic_moment_ode`, RK4 of the same hierarchy at a fixed dt, with
-:func:`jacobi_moments` on it.
+hierarchy, each sized from its own expansion (:func:`_taylor_family`),
+through the same separable interaction kernel as the empirical residuals.
+:func:`generic_moment_ode` (any start moments, on a dt grid) and
+:func:`jacobi_moments` read it too; RK4 of the hierarchy is only the tests'
+oracle. Also kept as oracles: the closed forms (:func:`semicircle_moments`,
+:func:`mp_moments`, :func:`geometric_w` / :func:`geometric_moments`).
 
 Normalization note (load-bearing): ``MarchenkoPastur(alpha, t, beta)`` is
 defined as the law solving the beta-indexed hierarchy with constant drift
@@ -880,7 +880,7 @@ def geometric_moments(a: float, alpha: float, beta: float, t: float, k_max: int)
 
 
 # ---------------------------------------------------------------------------
-# Generic moment hierarchy: RK4 (oracle) and the Jacobi class on it
+# The closed moment hierarchy: one Taylor engine
 # ---------------------------------------------------------------------------
 
 def _interaction_kernel(p_g: np.ndarray, p_h: np.ndarray) -> np.ndarray:
@@ -909,6 +909,14 @@ def _shift_operator(c: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return sum(cj * np.eye(rows, cols, k=j) for j, cj in enumerate(c))
 
 
+def _check_coefficients(b, g2, h2, *values) -> None:
+    """Raise ValidationError unless b, g^2, h^2 are nonempty and they and
+    the other ``values`` (beta, the start) are finite."""
+    finite = np.isfinite(np.hstack([b, g2, h2, *values])).all()
+    if not (finite and all(map(np.size, (b, g2, h2)))):
+        raise ValidationError("b, g2, h2 must be nonempty; they, beta and the start finite")
+
+
 def _check_closes(b, g2, h2) -> None:
     """Raise TruncationError unless deg(b) <= 1 and deg g^2, deg h^2 <= 2."""
     deg_b, deg_g, deg_h = (int(max(np.flatnonzero(c), default=0)) for c in (b, g2, h2))
@@ -918,6 +926,82 @@ def _check_closes(b, g2, h2) -> None:
             f"and max(deg g^2, deg h^2) <= 2, got deg(b)={deg_b}, "
             f"deg(g^2)={deg_g}, deg(h^2)={deg_h}"
         )
+
+
+_TAYLOR_ORDERS = np.arange(25)  # 0..24, the terms of every Taylor expansion
+_TAYLOR_TOL = 1e-17  # a step's order-24 term against each row's scale
+_STEP_CAP = 1.0  # an all-zero order-24 row: the moments are polynomial in t
+_STEP_FLOOR = 1e-6  # a shorter step means the moments blow up
+
+
+def _hierarchy_operators(b, g2, h2, beta, k_max) -> tuple[np.ndarray, np.ndarray]:
+    """(L, Q) of the closed hierarchy dm/dt = L m + Q(m, m) on m_0..m_kmax:
+
+        dm_k/dt = k (sum_j b_j m_{k-1+j} + beta (P_g * P_h)[k-2]),
+
+    the interaction (beta/2) k I[k-1] of f = x^k (:func:`_interaction_kernel`)
+    with power sums P_g[l] = sum_j g2_j m_{l+j}. Column i (k_max+1) + j of Q
+    is Q(e_i, e_j)."""
+    size, ks = k_max + 1, np.arange(k_max + 1)[:, None]
+    g_op, h_op = (_shift_operator(c, k_max - 1, size) for c in (g2, h2))
+    lin = ks * np.vstack([np.zeros(size), _shift_operator(b, k_max, size)])
+    quad = 0.5 * beta * ks * np.array([
+        np.append(0.0, _interaction_kernel(g_op[:, i], h_op[:, j]))
+        for i in range(size) for j in range(size)
+    ]).T
+    return lin, quad
+
+
+def _taylor_family(b, g2, h2, beta, m0):
+    """``moments(times)`` -> (len(times), m0.size) of one closed hierarchy.
+
+    The hierarchy is quadratic, so its Taylor coefficients about a knot follow
+    exactly from Cauchy products (Jorba-Zou, Experimental Math. 14, 2005):
+    c_{r+1} = (L c_r + sum_{q=0}^{r} Q(c_q, c_{r-q})) / (r + 1), r < 24. Each
+    expansion sizes its own step from its Cauchy radius: the order-24 term
+    falls to ``_TAYLOR_TOL`` of every row's scale max(|c_0|, |c_1|) (a row
+    that starts flat takes its largest coefficient), at most ``_STEP_CAP``.
+    A step below ``_STEP_FLOOR`` raises NumericalError naming the blow-up
+    time, knot + radius. The knots grow on demand and depend only on the
+    family, so t always reads the expansion whose step covers it.
+    """
+    lin, quad = _hierarchy_operators(b, g2, h2, beta, m0.size - 1)
+    knots, steps, expansions = [], [], []
+
+    def extend(knot: float, m: np.ndarray) -> None:
+        coeffs = np.zeros((_TAYLOR_ORDERS.size, m.size))
+        coeffs[0] = m
+        for r in range(_TAYLOR_ORDERS[-1]):
+            cauchy = coeffs[: r + 1].T @ coeffs[r::-1]
+            coeffs[r + 1] = (lin @ coeffs[r] + quad @ cauchy.ravel()) / (r + 1)
+        if not np.all(np.isfinite(coeffs)):
+            raise NumericalError(f"hierarchy moments overflow at t={knot:g}")
+        scale, tail = np.abs(coeffs[:2]).max(axis=0), np.abs(coeffs[-1])
+        scale = np.where(scale > 0, scale, np.abs(coeffs).max(axis=0))
+        radius = np.min((scale[tail > 0] / tail[tail > 0]) ** (1 / 24), initial=np.inf)
+        step = min(_STEP_CAP, _TAYLOR_TOL ** (1 / 24) * radius)
+        if step < _STEP_FLOOR:
+            raise NumericalError(
+                f"hierarchy moments blow up near t={knot + radius:.6g}: step {step:.2g} too short"
+            )
+        knots.append(knot)
+        steps.append(step)
+        expansions.append(coeffs)
+
+    def moments(times: np.ndarray) -> np.ndarray:
+        while knots[-1] + steps[-1] <= times.max():
+            extend(knots[-1] + steps[-1], steps[-1] ** _TAYLOR_ORDERS @ expansions[-1])
+        idx = np.searchsorted(knots, times, side="right") - 1
+        out = np.empty((times.size, m0.size))
+        for j in set(idx.tolist()):
+            at = idx == j
+            out[at] = (times[at, None] - knots[j]) ** _TAYLOR_ORDERS @ expansions[j]
+        if not np.all(np.isfinite(out)):
+            raise NumericalError(f"hierarchy moments overflow by t={times.max():g}")
+        return out
+
+    extend(0.0, m0)
+    return moments
 
 
 def generic_moment_ode(
@@ -930,67 +1014,29 @@ def generic_moment_ode(
     t_final: float,
     dt: float = 1e-3,
 ) -> MomentPath:
-    """Integrate the closed moment hierarchy of the limiting equation.
+    """The closed moment hierarchy of the limiting equation, on a time grid.
 
     ``b``, ``g2``, ``h2`` are ascending polynomial coefficient arrays of
-    the drift and squared coefficient functions. For f = x^k the limiting
-    equation's interaction term is (beta/2) k I[k-1] with I from
-    :func:`_interaction_kernel`, and for polynomial g^2 the power sums are
-    moments, P_g[l] = sum_j g2_j m_{l+j}; so the hierarchy reads
-
-        dm_k/dt = k (sum_j b_j m_{k-1+j} + beta (P_g * P_h)[k-2]),
-
-    with * discrete convolution. It closes at k_max iff deg(b) <= 1 and
-    max(deg(g2), deg(h2)) <= 2; otherwise a TruncationError is raised
-    (the needed moment triangle would be unbounded). Integration is
-    classical RK4 with fixed dt. Its roundoff grows with the step count:
-    on ``jacobi`` p = 12, q = 8, a = 0.3 at t = 2 the moments sit 1.05e-12
-    from the exact Taylor law at dt = 1e-5 but 5.1e-14 at dt = 2e-4, so an
-    oracle check past t ~ 1 should use the coarser dt.
+    the drift and squared coefficient functions, and ``mu0_moments`` the
+    start moments m_0 = 1, m_1, ..., m_kmax (or more). The hierarchy
+    (:func:`_hierarchy_operators`) closes at k_max iff deg(b) <= 1 and
+    max(deg(g2), deg(h2)) <= 2, else TruncationError. The moments are the
+    Taylor engine's (:func:`_taylor_family`); ``dt`` sets only the grid of
+    the path, the round(t_final / dt) + 1 evenly spaced times of [0, t_final].
     """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    g2 = np.atleast_1d(np.asarray(g2, dtype=float))
-    h2 = np.atleast_1d(np.asarray(h2, dtype=float))
+    b, g2, h2, m0 = (np.array(c, dtype=float, ndmin=1) for c in (b, g2, h2, mu0_moments))
+    _check_coefficients(b, g2, h2, beta, m0)
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    if t_final < 0 or dt <= 0:
-        raise ValidationError("t_final must be >= 0 and dt > 0")
+    if not (0 <= t_final < math.inf and 0 < dt < math.inf):
+        raise ValidationError("t_final must be finite and >= 0, dt finite and > 0")
     _check_closes(b, g2, h2)
-    m0 = np.asarray(mu0_moments, dtype=float)
-    if m0.size < k_max + 1:
-        raise ValidationError("mu0_moments must provide m_0..m_kmax")
-    if abs(m0[0] - 1.0) > 1e-12:
-        raise ValidationError("mu0_moments[0] must be 1")
-    m0 = m0[: k_max + 1].copy()
-
-    # rows k - 1 (k = 1..k_max) of the drift, rows l = 0..k_max-2 of P_g, P_h
-    b_op = _shift_operator(b, k_max, k_max + 1)
-    g_op = _shift_operator(g2, k_max - 1, k_max + 1)
-    h_op = _shift_operator(h2, k_max - 1, k_max + 1)
-    ks = np.arange(1, k_max + 1)
-    half_beta = 0.5 * beta
-
-    def rhs(m: np.ndarray) -> np.ndarray:
-        dm = np.zeros_like(m)
-        dm[1:] = ks * (b_op @ m + half_beta * _interaction_kernel(g_op @ m, h_op @ m))
-        return dm
-
-    n_steps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
-    step = t_final / n_steps if n_steps else 0.0
+    if m0.size < k_max + 1 or abs(m0[0] - 1.0) > 1e-12:
+        raise ValidationError("mu0_moments must provide m_0 = 1, m_1, ..., m_kmax")
+    n_steps = max(1, round(t_final / dt)) if t_final > 0 else 0
     t_grid = np.linspace(0.0, t_final, n_steps + 1)
-    values = np.empty((n_steps + 1, k_max + 1))
-    values[0] = m0
-    m = m0.copy()
-    for s in range(1, n_steps + 1):
-        k1 = rhs(m)
-        k2 = rhs(m + 0.5 * step * k1)
-        k3 = rhs(m + 0.5 * step * k2)
-        k4 = rhs(m + step * k3)
-        m = m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values[s] = m
-    return MomentPath(t_grid=t_grid, values=values)
-
-
+    moments = _taylor_family(b, g2, h2, beta, m0[: k_max + 1])
+    return MomentPath(t_grid=t_grid, values=moments(t_grid))
 
 
 def jacobi_moments(
@@ -1002,34 +1048,26 @@ def jacobi_moments(
     dt: float = 1e-3,
     k_max: int = 8,
 ) -> MomentSequence:
-    """Jacobi-class moments from a point mass at ``a`` in [0, 1], by RK4.
+    """Jacobi-class moments at t_final from a point mass at ``a`` in [0, 1].
 
-    Delegates to :func:`generic_moment_ode` with drift b(x) = p - (p+q)x
+    Reads :func:`generic_moment_ode` with drift b(x) = p - (p+q)x
     (inward-pointing at both ends of [0, 1]) and g^2 = x, h^2 = 1 - x.
-    Raises NumericalError if the computed moments stop satisfying
+    Raises NumericalError if the moments on its dt grid stop satisfying
     0 <= m_{k+1} <= m_k (the signature of a misconfigured drift sign).
     """
     if not 0.0 <= a <= 1.0:
         raise ValidationError("a must lie in [0, 1]")
-    if p <= 0 or q <= 0:
-        raise ValidationError("p and q must be positive")
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise ValidationError("p and q must be positive and finite")
     vals = generic_moment_ode(
         b=[p, -(p + q)], g2=[0.0, 1.0], h2=[1.0, -1.0], beta=beta,
         mu0_moments=[a**k for k in range(k_max + 1)], k_max=k_max, t_final=t_final, dt=dt,
     ).values
     if np.any(vals < -1e-6) or np.any(vals[:, 1:] - vals[:, :-1] > 1e-6):
         raise NumericalError(
-            "Jacobi moments left [0,1] ordering (0 <= m_{k+1} <= m_k violated); "
-            "check the drift sign"
+            "Jacobi moments left [0,1] ordering (0 <= m_{k+1} <= m_k); check the drift sign"
         )
     return MomentSequence(vals[-1].copy(), t=float(t_final)).check_hankel()
-
-
-# ---------------------------------------------------------------------------
-# The law of every class whose hierarchy closes: Taylor steps
-# ---------------------------------------------------------------------------
-
-_TAYLOR_ORDERS = np.arange(25)  # 0..24, the terms of every Taylor expansion
 
 
 @dataclass(frozen=True, eq=False)
@@ -1054,8 +1092,7 @@ class HierarchyLaw:
     has_density = False
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (*self.b, *self.g2, *self.h2, self.beta, self.a))):
-            raise ValidationError("hierarchy coefficients, beta and a must be finite")
+        _check_coefficients(self.b, self.g2, self.h2, self.beta, self.a)
         _check_closes(self.b, self.g2, self.h2)
         _check_time(self.t)
 
@@ -1066,54 +1103,12 @@ class HierarchyLaw:
         if k_max < 1:
             raise ValidationError("k_max must be >= 1")
         if k_max not in self._families:
-            family = _taylor_family(self.b, self.g2, self.h2, self.beta, self.a, k_max)
-            self._families[k_max] = family
-        lin, quad, per_unit, expansions = self._families[k_max]
-        j = math.floor(self.t * per_unit)
-        while len(expansions) <= j:
-            knot = (1 / per_unit) ** _TAYLOR_ORDERS @ expansions[-1]
-            expansions.append(_taylor_expand(lin, quad, knot))
-        values = (self.t - j / per_unit) ** _TAYLOR_ORDERS @ expansions[j]
-        if not np.all(np.isfinite(values)):
-            raise NumericalError(f"hierarchy moments overflow at t={self.t:g}")
+            start = float(self.a) ** np.arange(k_max + 1)
+            self._families[k_max] = _taylor_family(self.b, self.g2, self.h2, self.beta, start)
+        values = self._families[k_max](np.array([self.t]))[0]
         return MomentSequence(values, t=self.t).check_hankel()
 
     def cdf(self, x):
         raise UnsupportedLawOperation("hierarchy law exposes moments only")
 
     density = cdf
-
-
-def _taylor_family(b, g2, h2, beta, a, k_max) -> tuple:
-    """(L, Q, N, expansions) of one closed hierarchy, from a point mass at a.
-
-    The hierarchy dm/dt = L m + Q(m, m) of :func:`generic_moment_ode` is
-    quadratic, so its Taylor coefficients follow exactly from Cauchy products
-    (:func:`_taylor_expand`; Jorba-Zou, Experimental Math. 14, 2005). The step
-    1/N, N = ceil(k_max max(|b_1|, 1)), keeps k |b_1| / N <= 1. The list
-    ``expansions`` (j-th about knot j/N, the previous one summed at 1/N)
-    grows on demand, so the moments at t are always expansion floor(t N)
-    summed at t - j/N, whatever times were asked for before.
-    """
-    size, ks = k_max + 1, np.arange(k_max + 1)[:, None]
-    g_op, h_op = (_shift_operator(c, k_max - 1, size) for c in (g2, h2))
-    lin = ks * np.vstack([np.zeros(size), _shift_operator(b, k_max, size)])
-    # Q(u, v)[k] = (beta/2) k I[k-1], I the interaction kernel of the power
-    # sums g_op u and h_op v; column i * size + j is Q(e_i, e_j)
-    quad = 0.5 * beta * ks * np.array([
-        np.append(0.0, _interaction_kernel(g_op[:, i], h_op[:, j]))
-        for i in range(size) for j in range(size)
-    ]).T
-    per_unit = math.ceil(k_max * max(abs(b[1]) if len(b) > 1 else 0.0, 1.0))
-    return lin, quad, per_unit, [_taylor_expand(lin, quad, a ** np.arange(size))]
-
-
-def _taylor_expand(lin: np.ndarray, quad: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Rows c_0..c_24 about a point with moments m:
-    c_{r+1} = (L c_r + sum_{q=0}^{r} Q(c_q, c_{r-q})) / (r + 1)."""
-    coeffs = np.zeros((_TAYLOR_ORDERS.size, m.size))
-    coeffs[0] = m
-    for r in range(_TAYLOR_ORDERS[-1]):
-        cauchy = coeffs[: r + 1].T @ coeffs[r::-1]
-        coeffs[r + 1] = (lin @ coeffs[r] + quad @ cauchy.ravel()) / (r + 1)
-    return coeffs

@@ -2,13 +2,14 @@
 
 Every moment engine is verified against an independent oracle computed in
 this file: density quadrature (scipy.integrate.quad) for the semicircle
-and Marchenko-Pastur families, a hand-rolled RK4 integration of the
-closed moment hierarchy for the recursion solutions, finite-difference
-checks of the mixture hierarchy, and hand values everywhere the spec-free
-mathematics admits them.
+and Marchenko-Pastur families, RK4 integrations of the closed moment
+hierarchy (``moment_oracles.rk4_moment_path`` and a loop-form one here) for
+the recursion solutions, finite-difference checks of the mixture hierarchy,
+and hand values everywhere the spec-free mathematics admits them.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from eigenflow import (
     semicircle_moments,
 )
 from eigenflow.limits import (
+    _hierarchy_operators,
     _invert_mesh,
     _midpoints,
     _MESH_POINTS,
@@ -46,6 +48,7 @@ from eigenflow.limits import (
     _semicircle_levels,
     _shape_quantiles,
 )
+from moment_oracles import rk4_moment_path
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -659,37 +662,37 @@ def test_generic_ode_time_path():
     assert np.isclose(path.at_time(0.0)[2], 0.0)
 
 
-def _loop_hierarchy_path(b, g2, h2, beta, m0, t_final, dt):
-    """RK4 of the hierarchy with the interaction as a loop over (i, j1, j2):
+def _loop_hierarchy_rhs(b, g2, h2, beta, m):
+    """The hierarchy with the interaction as a loop over (i, j1, j2):
 
         dm_k/dt = k sum_j b_j m_{k-1+j}
                   + (beta/2) k sum_{i=0}^{k-2} sum_{j1,j2} g2_{j1} h2_{j2}
                     (m_{i+j1} m_{k-2-i+j2} + m_{i+j2} m_{k-2-i+j1})
     """
-    k_max = len(m0) - 1
+    out = np.zeros_like(m)
+    for k in range(1, len(m)):
+        drift = sum(bj * m[k - 1 + j] for j, bj in enumerate(b))
+        inter = 0.0
+        for i in range(k - 1):
+            for j1, gj in enumerate(g2):
+                for j2, hj in enumerate(h2):
+                    inter += gj * hj * (
+                        m[i + j1] * m[k - 2 - i + j2] + m[i + j2] * m[k - 2 - i + j1]
+                    )
+        out[k] = k * (drift + 0.5 * beta * inter)
+    return out
 
-    def rhs(m):
-        out = np.zeros_like(m)
-        for k in range(1, k_max + 1):
-            drift = sum(bj * m[k - 1 + j] for j, bj in enumerate(b))
-            inter = 0.0
-            for i in range(k - 1):
-                for j1, gj in enumerate(g2):
-                    for j2, hj in enumerate(h2):
-                        inter += gj * hj * (
-                            m[i + j1] * m[k - 2 - i + j2] + m[i + j2] * m[k - 2 - i + j1]
-                        )
-            out[k] = k * (drift + 0.5 * beta * inter)
-        return out
 
+def _loop_hierarchy_path(b, g2, h2, beta, m0, t_final, dt):
+    """RK4 of :func:`_loop_hierarchy_rhs`."""
     steps = int(round(t_final / dt))
     m = np.asarray(m0, dtype=float)
     values = [m]
     for _ in range(steps):
-        k1 = rhs(m)
-        k2 = rhs(m + 0.5 * dt * k1)
-        k3 = rhs(m + 0.5 * dt * k2)
-        k4 = rhs(m + dt * k3)
+        k1 = _loop_hierarchy_rhs(b, g2, h2, beta, m)
+        k2 = _loop_hierarchy_rhs(b, g2, h2, beta, m + 0.5 * dt * k1)
+        k3 = _loop_hierarchy_rhs(b, g2, h2, beta, m + 0.5 * dt * k2)
+        k4 = _loop_hierarchy_rhs(b, g2, h2, beta, m + dt * k3)
         m = m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         values.append(m)
     return np.array(values)
@@ -698,16 +701,21 @@ def _loop_hierarchy_path(b, g2, h2, beta, m0, t_final, dt):
 @pytest.mark.parametrize("beta", [1.0, 2.0])
 def test_generic_ode_matches_loop_hierarchy_at_closure_boundary(beta):
     """deg b = 1 and deg g^2 = deg h^2 = 2, the largest degrees that close:
-    the separable right-hand side equals the (i, j1, j2) loop."""
+    the engine's L m + Q(m, m) equals the (i, j1, j2) loop, and the RK4
+    oracle built on the separable right-hand side equals the loop's RK4."""
     b, g2, h2 = [0.3, -0.5], [0.2, 0.1, 0.05], [1.0, -0.3, 0.2]
     atoms = np.array([0.2, 0.5, 0.9])
     m0 = [float(np.mean(atoms**k)) for k in range(9)]
-    path = generic_moment_ode(
+    path = rk4_moment_path(
         b=b, g2=g2, h2=h2, beta=beta, mu0_moments=m0, k_max=8, t_final=0.2, dt=0.01
     )
     ref = _loop_hierarchy_path(b, g2, h2, beta, m0, 0.2, 0.01)
     assert np.allclose(path.values, ref, rtol=1e-12, atol=0.0)
     assert not np.allclose(path.values[-1], ref[0], rtol=1e-3)
+    lin, quad = _hierarchy_operators(b, g2, h2, beta, 8)
+    for m in ref[::5]:
+        engine = lin @ m + quad @ np.outer(m, m).ravel()
+        assert np.allclose(engine, _loop_hierarchy_rhs(b, g2, h2, beta, m), rtol=1e-12, atol=0.0)
 
 
 def test_generic_ode_truncation_errors():
@@ -824,7 +832,7 @@ def test_hierarchy_law_matches_mp_and_semicircle_closed_forms(beta):
 def test_hierarchy_law_matches_rk4_jacobi(p, q, a, t_final, dt, times):
     """RK4 is compared only where its own error is below 1e-13 (at
     dt = 1e-3 that holds at t = 5, after the transients have decayed)."""
-    path = generic_moment_ode(
+    path = rk4_moment_path(
         b=[p, -(p + q)], g2=[0.0, 1.0], h2=[1.0, -1.0], beta=2.0,
         mu0_moments=[a**k for k in range(9)], k_max=8, t_final=t_final, dt=dt,
     )
@@ -850,6 +858,88 @@ def test_hierarchy_law_rejects_what_it_cannot_honour():
     # m_8 grows like e^{8 alpha t}, past the largest double at alpha t = 100
     with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
         _geometric_law(100.0).at(1.0).moments(8)
+
+
+_SQUARED = dict(b=(0.0,), g2=(0.0, 0.0, 1.0), h2=(0.0, 0.0, 1.0), beta=2)
+_GATE_TIMES = (0.05, 0.1, 0.2)
+
+
+def test_quadratic_hierarchy_second_moment_is_exact():
+    """g^2 = h^2 = x^2 from a point mass at 1: dm_2/dt = 4 m_2^2, so
+    m_2 = 1/(1 - 4t), which blows up at t = 1/4. The step must read the
+    quadratic part of the hierarchy, not only the linear drift."""
+    law = HierarchyLaw(**_SQUARED, a=1.0)
+    path = generic_moment_ode(**_SQUARED, mu0_moments=[1.0] * 9, k_max=8, t_final=0.2)
+    for t in _GATE_TIMES:
+        assert abs(law.at(t).moments(8)[2] - 1.0 / (1.0 - 4.0 * t)) <= 1e-12
+        seq = path.at_time(t)
+        assert abs(seq[2] - 1.0 / (1.0 - 4.0 * seq.t)) <= 1e-12
+
+
+def test_quadratic_hierarchy_higher_moments_match_rk4():
+    """m_3..m_8 are within 1e-11 of RK4 at dt = 1e-5 and closer to it than
+    RK4 at dt = 2e-5 is."""
+    fine = rk4_moment_path(**_SQUARED, mu0_moments=[1.0] * 9, k_max=8, t_final=0.2, dt=1e-5)
+    coarse = rk4_moment_path(**_SQUARED, mu0_moments=[1.0] * 9, k_max=8, t_final=0.2, dt=2e-5)
+    law = HierarchyLaw(**_SQUARED, a=1.0)
+    engine = np.array([law.at(t).moments(8).values[3:] for t in _GATE_TIMES])
+    oracle = np.array([fine.at_time(t).values[3:] for t in _GATE_TIMES])
+    doubled = np.array([coarse.at_time(t).values[3:] for t in _GATE_TIMES])
+    gap = np.max(np.abs(engine - oracle) / oracle)
+    assert gap <= 1e-11
+    assert gap < np.max(np.abs(doubled - oracle) / oracle)
+
+
+def test_quadratic_hierarchy_names_its_blow_up_time():
+    with pytest.raises(NumericalError, match="blow up near t=") as info:
+        HierarchyLaw(**_SQUARED, a=1.0).at(0.26).moments(8)
+    blow_up = float(re.search(r"blow up near t=(\S+):", str(info.value)).group(1))
+    assert abs(blow_up - 0.25) <= 1e-4
+    with pytest.raises(NumericalError, match="blow up near t="):
+        generic_moment_ode(**_SQUARED, mu0_moments=[1.0] * 9, k_max=8, t_final=0.26)
+
+
+_BASE_ARGS = {
+    generic_moment_ode: dict(
+        b=[0.0], g2=[0.25], h2=[1.0], beta=2.0, mu0_moments=[1.0, 0.0, 0.0], k_max=2,
+        t_final=1.0, dt=1e-3,
+    ),
+    jacobi_moments: dict(p=3.0, q=3.0, beta=2.0, a=0.5, t_final=1.0, dt=1e-3, k_max=2),
+    HierarchyLaw: dict(b=(0.0,), g2=(0.25,), h2=(1.0,), beta=2, a=0.0),
+}
+
+
+@pytest.mark.parametrize(
+    "func, bad",
+    [
+        (generic_moment_ode, dict(t_final=math.nan)),
+        (generic_moment_ode, dict(t_final=math.inf)),
+        (generic_moment_ode, dict(dt=math.nan)),
+        (generic_moment_ode, dict(dt=math.inf)),
+        (generic_moment_ode, dict(beta=math.nan)),
+        (generic_moment_ode, dict(b=[math.nan])),
+        (generic_moment_ode, dict(g2=[0.25, math.inf])),
+        (generic_moment_ode, dict(h2=[-math.inf])),
+        (generic_moment_ode, dict(mu0_moments=[1.0, math.nan, 0.0])),
+        (jacobi_moments, dict(t_final=math.nan)),
+        (jacobi_moments, dict(t_final=math.inf)),
+        (jacobi_moments, dict(dt=math.nan)),
+        (jacobi_moments, dict(dt=math.inf)),
+        (jacobi_moments, dict(beta=math.nan)),
+        (jacobi_moments, dict(p=math.nan)),
+        (jacobi_moments, dict(q=math.inf)),
+        (jacobi_moments, dict(a=math.nan)),
+        (generic_moment_ode, dict(b=[])),
+        (generic_moment_ode, dict(g2=[])),
+        (generic_moment_ode, dict(h2=[])),
+        (HierarchyLaw, dict(b=())),
+        (HierarchyLaw, dict(g2=())),
+        (HierarchyLaw, dict(h2=())),
+    ],
+)
+def test_moment_hierarchy_rejects_non_finite_or_empty_input(func, bad):
+    with pytest.raises(ValidationError):
+        func(**(_BASE_ARGS[func] | bad))
 
 
 # ---------------------------------------------------------------------------
