@@ -27,6 +27,7 @@ convolution, exact at coincident atoms and for any g^2, h^2 (see
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -132,7 +133,10 @@ class EmpiricalMeasureProcess:
     @staticmethod
     def from_law(law, t_grid, atom_count: int) -> "EmpiricalMeasureProcess":
         """Quantile discretization of a limit-law family along a grid, each
-        time's (ascending) quantile atoms written straight into its row."""
+        time's (ascending) quantile atoms written straight into its row.
+        ``atom_count`` must be an integer >= 1."""
+        if not (isinstance(atom_count, numbers.Integral) and atom_count >= 1):
+            raise ValidationError(f"atom_count must be an integer >= 1, got {atom_count!r}")
         spectra = np.empty((len(t_grid), atom_count))
         for row, t in zip(spectra, t_grid):
             row[:] = law.at(t).quantile_atoms(atom_count)

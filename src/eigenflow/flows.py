@@ -307,37 +307,19 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _warn_if_superlinear_growth(spec: FlowSpec, diags: PathDiagnostics) -> None:
-    """Warn when g^2 + h^2 visibly outgrows K(1 + |x|) on a path's range.
-
-    Heuristic: least-squares quadratic fit of s = g^2 + h^2 against u = |x|
-    over the simulated range; when the positive curvature term dominates
-    the affine part, no linear bound K(1 + u) tracks s there. Affine and
-    sublinear coefficients never trigger (the fit is exact for them). A
-    warning is logged, never an error (the condition constrains coefficient
-    families, not a single run).
+def _warn_if_superlinear_growth(spec: FlowSpec) -> None:
+    """Warn when deg g^2 or deg h^2 is at least 2 (see
+    :attr:`SpectralFunction.square_degree`): then g^2 + h^2 outgrows every
+    K(1 + |x|). A warning is logged, never an error (the condition constrains
+    coefficient families, not a single run). A coefficient with no known
+    degree is not judged.
     """
-    lo, hi = diags.min_eigenvalue, diags.max_eigenvalue
-    span = max(abs(lo), abs(hi))
-    if span < 2.0:
-        return  # growth is an asymptotic statement; tiny ranges say nothing
-    xs = np.linspace(lo, hi, 257)
-    s = np.asarray(spec.g(xs), dtype=float) ** 2 + np.asarray(spec.h(xs), dtype=float) ** 2
-    u = np.abs(xs)
-    if u.max() - u.min() < 0.5:
-        return
-    c2, c1, c0 = np.polyfit(u, s, 2)
-    quad = c2 * span**2
-    affine = abs(c1) * span + abs(c0)
-    if quad > 0.5 * affine + 1e-9:
+    degrees = (spec.g.square_degree, spec.h.square_degree)
+    if any(d is not None and d >= 2 for d in degrees):
         logger.warning(
-            "flow %s: g^2+h^2 grows superlinearly on [%.3g, %.3g] "
-            "(quadratic trend %.3g vs affine trend %.3g)",
+            "flow %s: g^2+h^2 grows superlinearly (deg g^2 = %s, deg h^2 = %s)",
             spec.name,
-            lo,
-            hi,
-            quad,
-            affine,
+            *degrees,
         )
 
 
@@ -420,9 +402,8 @@ def simulate_path(spec: FlowSpec, seed) -> EigenPath:
     Deterministic given the seed / RNG stream. Raises NumericalError if the
     state stops being finite, reporting the time.
     """
-    path = _simulate_block(spec, [_as_generator(seed)], 0)[0]
-    _warn_if_superlinear_growth(spec, path.diagnostics)
-    return path
+    _warn_if_superlinear_growth(spec)
+    return _simulate_block(spec, [_as_generator(seed)], 0)[0]
 
 
 def replica_stream(base_seed: int, replica: int) -> np.random.Generator:
@@ -515,18 +496,15 @@ def simulate_ensemble(
     ``multiprocessing`` import). A range steps in consecutive blocks of at
     most ``_BLOCK_ENTRIES // n^2`` replicas (at least one). A path depends
     only on its stream, so the result is the same for every ``threads``.
-    The coefficient-growth warning is logged here, once per path. A
+    The coefficient-growth warning is logged here, once per call. A
     NumericalError from any range (the first failing range, in replica
     order) reaches the caller with its replica and time.
     """
     if replica_count < 1:
         raise ValidationError("replica_count must be >= 1")
+    _warn_if_superlinear_growth(spec)
     workers = _worker_count(threads, replica_count)
     if workers == 1:
-        paths = _simulate_range(spec, base_seed, 0, replica_count)
-    else:
-        bounds = [replica_count * k // workers for k in range(workers + 1)]
-        paths = _simulate_in_processes(spec, base_seed, bounds)
-    for path in paths:
-        _warn_if_superlinear_growth(spec, path.diagnostics)
-    return paths
+        return _simulate_range(spec, base_seed, 0, replica_count)
+    bounds = [replica_count * k // workers for k in range(workers + 1)]
+    return _simulate_in_processes(spec, base_seed, bounds)

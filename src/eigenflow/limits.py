@@ -10,6 +10,13 @@ class whose moment hierarchy closes (deg b <= 1, deg g^2, deg h^2 <= 2),
 the geometric and Jacobi classes among them, has a moments-only
 :class:`HierarchyLaw`.
 
+Every law with a CDF moves in time by dilation: the semicircle by its
+radius about its center, the MP law by beta*t, the mixtures by t (and a
+:class:`PointMass` is the scale-0 case). So each one only names its
+dilation (loc, scale) and its family's unit shape; :class:`_LawBase`
+derives the CDF, Phi = int F, the quantiles and sampling from that one rule,
+with each unit shape's mesh, running integral and quantiles cached once.
+
 One engine computes those moments: exact Taylor steps of the quadratic
 hierarchy, each sized from its own expansion (:func:`_taylor_family`),
 through the same separable interaction kernel as the empirical residuals.
@@ -43,6 +50,7 @@ from .errors import (
     UnsupportedLawOperation,
     ValidationError,
 )
+from .linalg import _degree
 
 __all__ = [
     "HierarchyLaw",
@@ -185,7 +193,7 @@ class MomentPath:
 
 
 # ---------------------------------------------------------------------------
-# Trapezoid integration (CDF meshes, time integrals) and CDF mesh helpers
+# Trapezoid integration (CDF meshes, time integrals) and the dilation rule
 # ---------------------------------------------------------------------------
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -208,17 +216,27 @@ def _midpoints(count: int) -> np.ndarray:
     return (np.arange(count) + 0.5) / count
 
 
-@functools.lru_cache(maxsize=16)
-def _shape_quantiles(shape_mesh, key, count: int) -> np.ndarray:
-    """Midpoint quantiles of the cached unit-scale mesh ``shape_mesh(key)``.
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
-    A dilation family's quantiles at scale s are s times these: inverting
-    the dilated mesh (s xs, fs) picks the same indices, and
-    (s xs)[idx] == s xs[idx] bit for bit. The array is read-only.
-    """
-    q = _invert_mesh(*shape_mesh(key), _midpoints(count))
-    q.flags.writeable = False
-    return q
+
+@functools.lru_cache(maxsize=16)
+def _unit_integral(unit_mesh, key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xs, fs, running trapezoid of fs) of the unit shape ``unit_mesh(key)``,
+    padded with F = 0 before the mesh and F = 1 after it, as ``cdf`` pads it.
+    The arrays are read-only."""
+    xs, fs = unit_mesh(key)
+    xs = np.concatenate((xs[:1], xs, xs[-1:]))
+    fs = np.concatenate(([0.0], fs, [1.0]))
+    return _read_only(xs, fs, _cumtrapz(fs, xs))
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_quantiles(unit_mesh, key, count: int) -> np.ndarray:
+    """Midpoint quantiles of the unit shape ``unit_mesh(key)``. Read-only."""
+    return _read_only(_invert_mesh(*unit_mesh(key), _midpoints(count)))[0]
 
 
 def _check_time(t: float) -> None:
@@ -227,65 +245,82 @@ def _check_time(t: float) -> None:
 
 
 class _LawBase:
-    """Shared behavior for laws exposing a CDF mesh.
+    """Shared behavior of the laws with a CDF: each one is a dilation.
 
-    Subclasses implement ``_build_mesh() -> (xs, fs)`` with fs the full CDF
-    (atoms included as jumps at repeated x) and provide ``atoms`` and
-    ``bounds``.
+    A subclass supplies ``_dilation() -> (loc, scale)``, ``atoms`` and
+    ``bounds``. The law is its family's unit shape U moved to ``loc`` and
+    stretched by ``scale``; scale 0 means the point mass at loc. The unit
+    shape is the CDF mesh ``_unit_mesh(_shape_key) -> (xs, fs)``, with fs
+    the full CDF (atoms as jumps at repeated x), cached per family and
+    read-only. Everything else follows from the one dilation rule
+
+        F(x) = F_U((x - loc)/scale),   Phi(x) = scale Phi_U((x - loc)/scale),
+        Q(u) = loc + scale Q_U(u),
+
+    where Phi = int_{-inf}^x F. Per unit shape, its running integral
+    (:func:`_unit_integral`) and its midpoint quantiles
+    (:func:`_unit_quantiles`) are cached too, so every time of one family
+    shares them. A family with closed forms overrides ``_unit_cdf``,
+    ``_unit_integrated_cdf`` or ``_unit_levels``.
     """
 
     has_density = True
     has_cdf = True
+    _shape_key = None
 
-    def _mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        cached = self.__dict__.get("_mesh_cache")
-        if cached is None:
-            cached = self._build_mesh()
-            self.__dict__["_mesh_cache"] = cached
-        return cached
+    def _unit_cdf(self, u: np.ndarray) -> np.ndarray:
+        xs, fs = self._unit_mesh(self._shape_key)
+        return np.interp(u, xs, fs, left=0.0, right=1.0)
+
+    def _unit_integrated_cdf(self, u: np.ndarray) -> np.ndarray:
+        """Phi_U, exactly for the mesh CDF that ``_unit_cdf`` interpolates:
+        the running trapezoid of the mesh up to the last mesh point at or
+        below u, plus the trapezoid of the linear piece after it."""
+        xs, fs, running = _unit_integral(self._unit_mesh, self._shape_key)
+        j = np.maximum(np.searchsorted(xs, u, side="right") - 1, 0)
+        du = np.maximum(u - xs[j], 0.0)
+        return running[j] + 0.5 * du * (fs[j] + np.interp(u, xs, fs))
+
+    def _unit_levels(self, count: int) -> np.ndarray:
+        """Unit quantiles at the levels i/count by interpolation: a level on a
+        flat stretch of the CDF may land anywhere on it, and every such point
+        splits exactly."""
+        xs, fs = self._unit_mesh(self._shape_key)
+        return np.interp(np.arange(1, count) / count, fs, xs)
+
+    def _dilate(self, count: int, unit) -> np.ndarray:
+        """loc + scale * unit(), or ``count`` copies of loc at scale 0."""
+        loc, scale = self._dilation()
+        return np.full(count, float(loc)) if scale == 0 else loc + scale * unit()
 
     def cdf(self, x) -> np.ndarray:
-        xs, fs = self._mesh()
         x = np.asarray(x, dtype=float)
-        out = np.interp(x, xs, fs, left=0.0, right=1.0)
+        loc, scale = self._dilation()
+        out = (x >= loc).astype(float) if scale == 0 else self._unit_cdf((x - loc) / scale)
         return out if out.ndim else float(out)
+
+    def integrated_cdf(self, x) -> np.ndarray:
+        """Phi(x) = int_{-inf}^x F; (x - loc)_+ for the point mass."""
+        x = np.asarray(x, dtype=float)
+        loc, scale = self._dilation()
+        if scale == 0:
+            return np.maximum(x - loc, 0.0)
+        return scale * self._unit_integrated_cdf((x - loc) / scale)
 
     def quantile_atoms(self, count: int) -> np.ndarray:
         """Midpoint-quantile discretization: atoms at F^{-1}((i-1/2)/count)."""
-        return _invert_mesh(*self._mesh(), _midpoints(count))
+        return self._dilate(
+            count, lambda: _unit_quantiles(self._unit_mesh, self._shape_key, count)
+        )
 
     def level_quantiles(self, count: int) -> np.ndarray:
         """Quantiles at the levels i/count, i = 1..count-1: a split point of
-        each empirical level's piece in :func:`eigenflow.empirical.wasserstein1`.
-
-        Inverts the mesh by interpolation; a level on a flat stretch of the
-        CDF may land anywhere on it, and every such point splits exactly.
-        """
-        xs, fs = self._mesh()
-        return np.interp(np.arange(1, count) / count, fs, xs)
-
-    def integrated_cdf(self, x) -> np.ndarray:
-        """Phi(x) = int_{-inf}^x F, exactly for the mesh CDF that ``cdf``
-        interpolates: the running trapezoid of the mesh up to the last mesh
-        point at or below x, plus the trapezoid of the linear piece after it.
-        """
-        cached = self.__dict__.get("_integral_cache")
-        if cached is None:
-            xs, fs = self._mesh()
-            # F is 0 before the mesh and 1 after it, as ``cdf`` pads it
-            xs = np.concatenate((xs[:1], xs, xs[-1:]))
-            fs = np.concatenate(([0.0], fs, [1.0]))
-            cached = xs, fs, _cumtrapz(fs, xs)
-            self.__dict__["_integral_cache"] = cached
-        xs, fs, running = cached
-        x = np.asarray(x, dtype=float)
-        j = np.maximum(np.searchsorted(xs, x, side="right") - 1, 0)
-        dx = np.maximum(x - xs[j], 0.0)
-        return running[j] + 0.5 * dx * (fs[j] + np.interp(x, xs, fs))
+        each empirical level's piece in :func:`eigenflow.empirical.wasserstein1`."""
+        return self._dilate(count - 1, lambda: self._unit_levels(count))
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        xs, fs = self._mesh()
-        return _invert_mesh(xs, fs, rng.uniform(size=count))
+        u = rng.uniform(size=count)
+        return self._dilate(count, lambda: _invert_mesh(*self._unit_mesh(self._shape_key), u))
 
     def continuous_mass(self) -> float:
         return 1.0 - sum(m for _, m in self.atoms())
@@ -305,7 +340,9 @@ class Semicircle(_LawBase):
     ``Semicircle(t, beta)`` is the time-t law of the flat flow with
     2 g h = 1 at Dyson index beta (beta=2: variance t; beta=1: the beta=2
     law at time t/2). ``from_radius``/``from_variance`` build the same
-    family parameterized directly.
+    family parameterized directly. The law is the radius-1 semicircle
+    dilated by its radius about its center; the unit CDF, Phi and level
+    quantiles have closed forms.
     """
 
     t: float
@@ -357,89 +394,45 @@ class Semicircle(_LawBase):
         inside = np.clip(r * r - x * x, 0.0, None)
         return 2.0 * np.sqrt(inside) / (math.pi * r * r)
 
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.is_degenerate:
-            out = (x >= self.center).astype(float)
-            return out if out.ndim else float(out)
-        r = self.radius
-        u = np.clip((x - self.center) / r, -1.0, 1.0)
-        out = 0.5 + (u * np.sqrt(1.0 - u * u) + np.arcsin(u)) / math.pi
-        return out if out.ndim else float(out)
+    def _dilation(self) -> tuple[float, float]:
+        return self.center, self.radius
 
-    def integrated_cdf(self, x) -> np.ndarray:
-        """Phi(x) = int_{-inf}^x F in closed form: with u = (x - c)/r clipped
-        to [-1, 1], r (u/2 + (u asin u + sqrt(1-u^2) - (1-u^2)^{3/2}/3)/pi)
-        + (x - c - r)_+."""
-        if self.is_degenerate:
-            return super().integrated_cdf(x)
-        x = np.asarray(x, dtype=float)
-        r = self.radius
-        u = np.clip((x - self.center) / r, -1.0, 1.0)
-        s = np.sqrt(1.0 - u * u)
-        inside = 0.5 * u + (u * np.arcsin(u) + s - s**3 / 3.0) / math.pi
-        return r * inside + np.maximum(x - self.center - r, 0.0)
+    @staticmethod
+    def _unit_cdf(u: np.ndarray) -> np.ndarray:
+        u = np.clip(u, -1.0, 1.0)
+        return 0.5 + (u * np.sqrt(1.0 - u * u) + np.arcsin(u)) / math.pi
 
-    def level_quantiles(self, count: int) -> np.ndarray:
-        if self.is_degenerate:
-            return super().level_quantiles(count)
-        return self.center + self.radius * _semicircle_levels(count)
+    @staticmethod
+    def _unit_integrated_cdf(u: np.ndarray) -> np.ndarray:
+        """With v = u clipped to [-1, 1]:
+        v/2 + (v asin v + sqrt(1-v^2) - (1-v^2)^{3/2}/3)/pi + (u - 1)_+."""
+        v = np.clip(u, -1.0, 1.0)
+        s = np.sqrt(1.0 - v * v)
+        return 0.5 * v + (v * np.arcsin(v) + s - s**3 / 3.0) / math.pi + np.maximum(u - 1.0, 0.0)
 
-    def _build_mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.is_degenerate:
-            xs = np.array([self.center, self.center])
-            return xs, np.array([0.0, 1.0])
-        lo, hi = self.bounds()
-        xs = np.linspace(lo, hi, _MESH_POINTS)
-        return xs, np.asarray(self.cdf(xs))
+    @staticmethod
+    @functools.lru_cache(maxsize=16)
+    def _unit_levels(count: int) -> np.ndarray:
+        """Unit quantiles at the levels i/count, i = 1..count-1, by bisection
+        on the closed-form CDF, halving the bracket [-1, 1] down to rounding.
+        The array is read-only."""
+        levels = np.arange(1, count) / count
+        lo, hi = -np.ones_like(levels), np.ones_like(levels)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = Semicircle._unit_cdf(mid) < levels
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return _read_only(hi)[0]
 
-    def quantile_atoms(self, count: int) -> np.ndarray:
-        if self.is_degenerate:
-            return np.full(count, self.center)
-        idx = _shape_quantiles(_semicircle_index_mesh, None, count)
-        lo, hi = self.bounds()
-        # the law's mesh points linspace(lo, hi, M)[idx], in numpy's arithmetic
-        return lo + idx * ((hi - lo) / (_MESH_POINTS - 1))
+    @staticmethod
+    @functools.lru_cache(maxsize=1)
+    def _unit_mesh(_key=None) -> tuple[np.ndarray, np.ndarray]:
+        xs = np.linspace(-1.0, 1.0, _MESH_POINTS)
+        return _read_only(xs, Semicircle._unit_cdf(xs))
 
     def moments(self, k_max: int) -> MomentSequence:
         return semicircle_moments(self.t, self.beta, k_max, center=self.center)
-
-
-@functools.lru_cache(maxsize=1)
-def _semicircle_index_mesh(_key=None) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, CDF values) of the mesh every semicircle shares up to rounding.
-
-    ``_build_mesh`` puts every semicircle's CDF on the same standardized
-    points, so a quantile level picks the same mesh index for each; only
-    the abscissae move. (A level that ties a mesh value, u = 1/2 at the
-    center, can round to the next index on a shifted law's own mesh.) Both
-    arrays are read-only.
-    """
-    _, fs = Semicircle.from_radius(1.0)._build_mesh()
-    idx = np.arange(fs.size)
-    idx.flags.writeable = False
-    fs.flags.writeable = False
-    return idx, fs
-
-
-@functools.lru_cache(maxsize=16)
-def _semicircle_levels(count: int) -> np.ndarray:
-    """Quantiles of the centred radius-1 semicircle at the levels i/count,
-    i = 1..count-1 (``level_quantiles`` dilates them by (center, radius)).
-
-    Bisection on the closed-form CDF, halving the bracket [-1, 1] down to
-    rounding. The array is read-only.
-    """
-    levels = np.arange(1, count) / count
-    unit = Semicircle.from_radius(1.0)
-    lo, hi = -np.ones_like(levels), np.ones_like(levels)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = unit.cdf(mid) < levels
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    hi.flags.writeable = False
-    return hi
 
 
 def semicircle_moments(
@@ -453,7 +446,6 @@ def semicircle_moments(
     """
     if t < 0:
         raise ValidationError("t must be >= 0")
-    half_var = Fraction(beta, 2) * Fraction(t)
     centered = [Fraction(0)] * (k_max + 1)
     polys: list[list[Fraction]] = []
     for k in range(k_max + 1):
@@ -560,49 +552,37 @@ class MarchenkoPastur(_LawBase):
         out[inside] = np.sqrt((xi - a) * (b - xi)) / (2.0 * math.pi * xi * self.scale)
         return out
 
-    def _build_mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.is_degenerate:
-            return np.array([0.0, 0.0]), np.array([0.0, 1.0])
-        xs, fs = _mp_shape_mesh(self.ratio)
-        return self.scale * xs, fs
+    def _dilation(self) -> tuple[float, float]:
+        return 0.0, (0.0 if self.is_degenerate else self.scale)
 
-    def quantile_atoms(self, count: int) -> np.ndarray:
-        if self.is_degenerate:
-            return np.zeros(count)
-        return self.scale * _shape_quantiles(_mp_shape_mesh, self.ratio, count)
+    @property
+    def _shape_key(self) -> float:
+        return self.ratio
+
+    @staticmethod
+    @functools.lru_cache(maxsize=8)
+    def _unit_mesh(ratio: float) -> tuple[np.ndarray, np.ndarray]:
+        """CDF mesh of the unit-scale MP shape with ``ratio``, atom included."""
+        a, b = mp_params(ratio)
+        # Edge-adapted substitution x = a + (b-a) sin^2(theta): the integrand
+        # of the CDF becomes smooth even at a = 0, where the density has an
+        # integrable x^{-1/2} singularity.
+        theta = np.linspace(0.0, 0.5 * math.pi, _MESH_POINTS)
+        xs = a + (b - a) * np.sin(theta) ** 2
+        if a == 0.0:
+            # x = b sin^2(theta): the integrand reduces to (b/pi) cos^2.
+            integrand = (b / math.pi) * np.cos(theta) ** 2
+        else:
+            integrand = (b - a) ** 2 * np.sin(2.0 * theta) ** 2 / (4.0 * math.pi * xs)
+        fs = _cumtrapz(integrand, theta)
+        atom = max(0.0, 1.0 - ratio)
+        if atom > 0.0:
+            xs = np.concatenate(([0.0, 0.0], xs))
+            fs = np.concatenate(([0.0, atom], atom + fs))
+        return _read_only(xs, fs)
 
     def moments(self, k_max: int) -> MomentSequence:
         return mp_moments(self.alpha, self.beta, self.t, k_max)
-
-
-@functools.lru_cache(maxsize=8)
-def _mp_shape_mesh(ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """CDF mesh of the unit-scale MP shape with ``ratio``, atom included.
-
-    Dilation scales the abscissae and leaves the CDF values alone, so every
-    time of one MP family shares this mesh (``MarchenkoPastur._build_mesh``
-    returns ``(scale * xs, fs)``) and its quantiles (``quantile_atoms``
-    returns ``scale * _shape_quantiles(...)``). Both arrays are read-only.
-    """
-    a, b = mp_params(ratio)
-    # Edge-adapted substitution x = a + (b-a) sin^2(theta): the integrand
-    # of the CDF becomes smooth even at a = 0, where the density has an
-    # integrable x^{-1/2} singularity.
-    theta = np.linspace(0.0, 0.5 * math.pi, _MESH_POINTS)
-    xs = a + (b - a) * np.sin(theta) ** 2
-    if a == 0.0:
-        # x = b sin^2(theta): the integrand reduces to (b/pi) cos^2.
-        integrand = (b / math.pi) * np.cos(theta) ** 2
-    else:
-        integrand = (b - a) ** 2 * np.sin(2.0 * theta) ** 2 / (4.0 * math.pi * xs)
-    fs = _cumtrapz(integrand, theta)
-    atom = max(0.0, 1.0 - ratio)
-    if atom > 0.0:
-        xs = np.concatenate(([0.0, 0.0], xs))
-        fs = np.concatenate(([0.0, atom], atom + fs))
-    xs.flags.writeable = False
-    fs.flags.writeable = False
-    return xs, fs
 
 
 def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequence:
@@ -639,6 +619,10 @@ def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequenc
 class PointMass(_LawBase):
     a: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.a):
+            raise ValidationError("a must be finite")
+
     def at(self, t: float) -> "PointMass":
         return self
 
@@ -653,8 +637,8 @@ class PointMass(_LawBase):
     def density(self, x):
         raise UnsupportedLawOperation("point mass has no density")
 
-    def _build_mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array([self.a, self.a]), np.array([0.0, 1.0])
+    def _dilation(self) -> tuple[float, float]:
+        return self.a, 0.0
 
     def moments(self, k_max: int) -> MomentSequence:
         return MomentSequence(np.array([self.a**k for k in range(k_max + 1)], dtype=float))
@@ -671,9 +655,8 @@ class MPMixture(_LawBase):
     with kernel G(x,y) = |x| + |y| and constant drift ``alpha`` (the
     non-uniqueness examples). Build it with :func:`mp_mixture_two` or
     :func:`mp_mixture_three`, which check the parameters and compute the
-    weights. The law at time t is the time-1 law dilated by t, so the CDF
-    mesh and the quantiles are those of the time-1 law (cached per shape)
-    scaled by t.
+    weights. Both components dilate with t, so the law at time t is the
+    time-1 law (its unit shape) dilated by t.
     """
 
     alpha: float
@@ -734,21 +717,28 @@ class MPMixture(_LawBase):
         """Mass of (-inf, 0)."""
         return 0.0 if self.components()[1].is_degenerate else self.lam_star
 
+    def _dilation(self) -> tuple[float, float]:
+        return 0.0, self.t
+
     @property
     def _shape_key(self) -> tuple:
-        """The parameters of the time-1 mesh: everything but t and alpha."""
+        """The parameters of the time-1 law: everything but t and alpha."""
         return (self.alpha_plus, self.alpha_minus, self.lam, self.lam_star, self.gamma)
 
-    def _build_mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.t == 0.0:
-            return np.array([0.0, 0.0]), np.array([0.0, self.atoms()[0][1]])
-        xs, fs = _mixture_unit_mesh(self._shape_key)
-        return self.t * xs, fs
-
-    def quantile_atoms(self, count: int) -> np.ndarray:
-        if self.t == 0.0:
-            return np.zeros(count)
-        return self.t * _shape_quantiles(_mixture_unit_mesh, self._shape_key, count)
+    @staticmethod
+    @functools.lru_cache(maxsize=8)
+    def _unit_mesh(key: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """CDF mesh of the time-1 mixture: the components' unit MP meshes
+        dilated by lam and lam_star (at t = 1 neither is degenerate)."""
+        alpha_plus, alpha_minus, lam, lam_star, gamma = key
+        neg_xs, neg_fs = MarchenkoPastur._unit_mesh(alpha_minus)
+        pos_xs, pos_fs = MarchenkoPastur._unit_mesh(alpha_plus)
+        atom_x, atom_f = ([0.0, 0.0], [lam_star, lam_star + gamma]) if gamma > 0 else ([], [])
+        xs = np.concatenate([-lam_star * neg_xs[::-1], atom_x, lam * pos_xs])
+        fs = np.concatenate(
+            [lam_star * (1.0 - neg_fs[::-1]), atom_f, lam_star + gamma + lam * pos_fs]
+        )
+        return _read_only(xs, np.maximum.accumulate(fs))
 
     def moments(self, k_max: int) -> MomentSequence:
         pos, neg = self.components()
@@ -759,28 +749,6 @@ class MPMixture(_LawBase):
         )
         vals[0] = 1.0  # the atom restores full mass at k = 0
         return MomentSequence(vals, t=None)
-
-
-@functools.lru_cache(maxsize=8)
-def _mixture_unit_mesh(key: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """CDF mesh of the time-1 mixture with ``MPMixture._shape_key`` ``key``.
-
-    Both components dilate with t (each is an MP law at time lam*t or
-    lam_star*t), so the mixture at time t is this law dilated by t:
-    ``MPMixture._build_mesh`` returns ``(t * xs, fs)``. At t = 1 neither
-    component is degenerate. Both arrays are read-only.
-    """
-    alpha_plus, alpha_minus, lam, lam_star, gamma = key
-    neg_xs, neg_fs = MarchenkoPastur(alpha_minus, lam_star, beta=1)._build_mesh()
-    pos_xs, pos_fs = MarchenkoPastur(alpha_plus, lam, beta=1)._build_mesh()
-    atom_x, atom_f = ([0.0, 0.0], [lam_star, lam_star + gamma]) if gamma > 0 else ([], [])
-    xs = np.concatenate([-neg_xs[::-1], atom_x, pos_xs])
-    fs = np.maximum.accumulate(
-        np.concatenate([lam_star * (1.0 - neg_fs[::-1]), atom_f, lam_star + gamma + lam * pos_fs])
-    )
-    xs.flags.writeable = False
-    fs.flags.writeable = False
-    return xs, fs
 
 
 def mp_mixture_two(alpha: float, t: float = 1.0) -> MPMixture:
@@ -919,7 +887,7 @@ def _check_coefficients(b, g2, h2, *values) -> None:
 
 def _check_closes(b, g2, h2) -> None:
     """Raise TruncationError unless deg(b) <= 1 and deg g^2, deg h^2 <= 2."""
-    deg_b, deg_g, deg_h = (int(max(np.flatnonzero(c), default=0)) for c in (b, g2, h2))
+    deg_b, deg_g, deg_h = map(_degree, (b, g2, h2))
     if deg_b > 1 or max(deg_g, deg_h) > 2:
         raise TruncationError(
             "moment hierarchy does not close at k_max: requires deg(b) <= 1 "

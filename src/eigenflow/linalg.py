@@ -27,6 +27,12 @@ __all__ = [
 ]
 
 
+def _degree(coeffs) -> int:
+    """Degree of an ascending coefficient array: the index of its last
+    nonzero entry, so trailing zeros do not count (0 for the zero array)."""
+    return int(max(np.flatnonzero(coeffs), default=0))
+
+
 def hermitize(x: np.ndarray) -> np.ndarray:
     """Project onto Hermitian matrices: (X + X*)/2."""
     return 0.5 * (x + x.conj().T)
@@ -55,6 +61,10 @@ class SpectralFunction:
     Coefficient functions of the flows are of the form sqrt(|p(x)|) for a
     low-degree polynomial p (so that their squares are polynomials); use
     :meth:`sqrt_abs_poly` for those — ``square_poly`` then records p.
+
+    Degrees ignore trailing zero coefficients. A function that carries
+    neither ``poly`` nor ``square_poly`` has no known degree: it is never
+    constant, and the flows do not judge its growth.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -102,9 +112,17 @@ class SpectralFunction:
         )
 
     @property
+    def square_degree(self) -> int | None:
+        """Degree of f^2 as a polynomial, |square_poly| or poly^2; None when
+        f carries neither."""
+        if self.square_poly is not None:
+            return _degree(self.square_poly)
+        return None if self.poly is None else 2 * _degree(self.poly)
+
+    @property
     def is_constant(self) -> bool:
-        """True for a degree-0 polynomial, or sqrt(|p|) of one."""
-        return any(c is not None and np.size(c) == 1 for c in (self.poly, self.square_poly))
+        """True when f^2, hence f, is a degree-0 polynomial."""
+        return self.square_degree == 0
 
     def __call__(self, lam: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(lam, dtype=float))

@@ -29,6 +29,16 @@ from eigenflow.presets import (
 _W1_GRID = 4000  # fixed for test determinism
 
 
+def law_mesh(law) -> tuple[np.ndarray, np.ndarray]:
+    """A CDF law's mesh: its unit shape's mesh dilated by (loc, scale), or
+    the jump of the point mass at loc when the scale is 0."""
+    loc, scale = law._dilation()
+    if scale == 0:
+        return np.array([loc, loc]), np.array([0.0, 1.0])
+    xs, fs = law._unit_mesh(law._shape_key)
+    return loc + scale * xs, fs
+
+
 def ks_distance(m, law) -> float:
     """sup |F_emp - F_law| over both one-sided limits at the unique points."""
     pts = np.concatenate([m.atoms, [p for p, _ in _law_atoms(law)]])
@@ -103,7 +113,7 @@ def fine_wasserstein1(atoms: np.ndarray, law, points: int = 100_001) -> float:
     jumps = np.concatenate([atoms, [p for p, _ in law_atoms]])
     lo = min(jumps.min(), law.bounds()[0])
     hi = max(jumps.max(), law.bounds()[1])
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, points), jumps, law._mesh()[0]]))
+    grid = np.unique(np.concatenate([np.linspace(lo, hi, points), jumps, law_mesh(law)[0]]))
     f_right = np.asarray(law.cdf(grid), dtype=float)
     mass = np.zeros_like(grid)
     for pos, w in law_atoms:

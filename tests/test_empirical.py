@@ -243,6 +243,14 @@ def test_from_law_uses_quantile_atoms():
     assert abs(proc.measures[1].moment(2) - 1.0) <= 5e-3
 
 
+@pytest.mark.parametrize("atom_count", [0, -1, 2.5, "7"])
+def test_from_law_rejects_a_bad_atom_count(atom_count):
+    from eigenflow import ValidationError
+
+    with pytest.raises(ValidationError, match="atom_count"):
+        EmpiricalMeasureProcess.from_law(Semicircle(1.0), (0.0, 1.0), atom_count)
+
+
 # ---------------------------------------------------------------------------
 # limiting-equation residual
 

@@ -12,7 +12,7 @@ recording and reproducibility contracts, the replica-block stepper against
 a per-replica loop (bit for bit), invariance under the replica-process
 split (and its worker cap), the free OU
 finite-n identity of the Euler scheme, and the superlinear coefficient-growth
-warning.
+warning (read from the coefficients' degrees).
 """
 
 import concurrent.futures
@@ -804,9 +804,9 @@ def test_replica_processes_are_not_forked_beside_other_threads(monkeypatch):
     assert started == []
 
 
-def test_superlinear_growth_warns_once_per_replica_from_workers(monkeypatch, caplog):
-    """At threads = 2 the worker's replicas warn too, once each, and in the
-    caller's process: the warning is logged after the paths are gathered."""
+def test_superlinear_growth_warns_once_per_ensemble_with_workers(monkeypatch, caplog):
+    """The growth check reads the coefficients' degrees, not the paths: at
+    threads = 2 it warns once per ensemble, in the caller's process."""
     spec = FlowSpec(
         n=6,
         g=SpectralFunction.from_poly([0.0, 1.0]),  # g^2 = x^2
@@ -822,7 +822,7 @@ def test_superlinear_growth_warns_once_per_replica_from_workers(monkeypatch, cap
     with caplog.at_level(logging.WARNING, logger="eigenflow.flows"):
         simulate_ensemble(spec, 3, base_seed=6, threads=2)
     warned = [rec for rec in caplog.records if "superlinear" in rec.message]
-    assert len(warned) == 3
+    assert len(warned) == 1
     assert {rec.process for rec in warned} == {os.getpid()}
 
 
@@ -842,6 +842,25 @@ def test_linear_growth_does_not_warn(caplog):
     with caplog.at_level(logging.WARNING, logger="eigenflow.flows"):
         simulate_path(spec, 0)
     assert not [rec for rec in caplog.records if "superlinear" in rec.message]
+
+
+@pytest.mark.parametrize(
+    "h, warns",
+    [
+        (SpectralFunction.sqrt_abs_poly([1.0, 0.0, -1.0]), True),  # h^2 = |1 - x^2|
+        (SpectralFunction.sqrt_abs_poly([1.0, 2.0, 0.0]), False),  # trailing zero
+        (SpectralFunction(fn=lambda x: x**2), False),  # no degree: not judged
+    ],
+    ids=["square_poly_deg2", "trailing_zero", "no_poly"],
+)
+def test_growth_check_reads_the_degree_of_h_squared(h, warns, caplog):
+    spec = FlowSpec(
+        n=4, g=ONE, h=h, b=ZERO, initial_spectrum=np.linspace(0.5, 2.0, 4),
+        dt=1e-3, t_grid=(0.0, 0.002),
+    )
+    with caplog.at_level(logging.WARNING, logger="eigenflow.flows"):
+        simulate_path(spec, 0)
+    assert bool([rec for rec in caplog.records if "superlinear" in rec.message]) == warns
 
 
 def test_flow_spec_validation():

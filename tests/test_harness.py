@@ -322,16 +322,24 @@ def _count_noise_draws(monkeypatch):
 
 
 def test_one_coefficient_custom_flow_steps_once_per_record_gap(monkeypatch):
+    """Trailing zero coefficients do not raise the degree: a g^2 of
+    (0.25, 0) and a free OU drift theta x with theta = 0 are flat too."""
     draws = _count_noise_draws(monkeypatch)
-    cfg = ExperimentConfig(
-        preset="custom", g2=(0.25,), h2=(1.0,), n_list=(40,), replica_count=30,
-        t_grid=(0.0, 0.5, 1.0), base_seed=17,
-    )
-    rows = run_preset(cfg)
-    assert len(draws) == 30 * 2
-    m2 = np.array([r.value for r in rows if r.stat == "m2" and r.t == 1.0 and r.replica != "ens"])
-    se = m2.std(ddof=1) / math.sqrt(m2.size)
-    assert abs(m2.mean() - Semicircle(1.0).moments(2)[2]) <= 4.0 * se
+    common = dict(n_list=(40,), replica_count=30, t_grid=(0.0, 0.5, 1.0), base_seed=17)
+    for cfg in (
+        ExperimentConfig(preset="custom", g2=(0.25,), h2=(1.0,), **common),
+        ExperimentConfig(preset="custom", g2=(0.25, 0.0), h2=(1.0, 0.0, 0.0), **common),
+        ExperimentConfig(preset="free_ou", theta=0.0, **common),
+    ):
+        draws.clear()
+        assert build_flow_spec(cfg, 4).is_constant_coefficients
+        rows = run_preset(cfg)
+        assert len(draws) == 30 * 2
+        m2 = np.array(
+            [r.value for r in rows if r.stat == "m2" and r.t == 1.0 and r.replica != "ens"]
+        )
+        se = m2.std(ddof=1) / math.sqrt(m2.size)
+        assert abs(m2.mean() - Semicircle(1.0).moments(2)[2]) <= 4.0 * se
 
 
 def test_degree_one_custom_flow_steps_every_dt(monkeypatch):
@@ -622,6 +630,7 @@ def _measures(count):
         lambda: eigenflow.mp_mixture_three(1.5, 2.0, float("inf")),
         lambda: eigenflow.mp_mixture_two(0.5).at(float("nan")),
         lambda: eigenflow.mp_mixture_three(2.0, 3.0).at(float("inf")),
+        lambda: eigenflow.PointMass(float("nan")),
         lambda: eigenflow.EmpiricalMeasureProcess((0.0, float("nan")), _measures(2)),
         lambda: eigenflow.EmpiricalMeasure([0.1, float("nan"), 0.3]),
         lambda: eigenflow.EmpiricalMeasure([float("-inf"), 0.2]),
@@ -631,7 +640,7 @@ def _measures(count):
          "noise_n_negative", "noise_n_fractional",
          "mp_alpha_nan", "mp_t_nan", "mp_alpha_inf", "semicircle_t_nan",
          "semicircle_center_nan", "mixture_two_t_nan", "mixture_three_alpha_inf",
-         "mixture_three_t_inf", "mixture_two_at_nan", "mixture_three_at_inf",
+         "mixture_three_t_inf", "mixture_two_at_nan", "mixture_three_at_inf", "point_mass_nan",
          "process_t_grid_nan", "empirical_atoms_nan",
          "empirical_atoms_inf"],
 )

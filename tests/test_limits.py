@@ -42,12 +42,10 @@ from eigenflow.limits import (
     _invert_mesh,
     _midpoints,
     _MESH_POINTS,
-    _mixture_unit_mesh,
-    _mp_shape_mesh,
-    _semicircle_index_mesh,
-    _semicircle_levels,
-    _shape_quantiles,
+    _unit_integral,
+    _unit_quantiles,
 )
+from empirical_oracles import law_mesh
 from moment_oracles import rk4_moment_path
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
@@ -238,7 +236,7 @@ def _per_law_mp_mesh(law):
 )
 def test_mp_shape_mesh_matches_per_law_mesh(alpha, t, beta):
     law = MarchenkoPastur(alpha, t, beta)
-    xs, fs = law._mesh()
+    xs, fs = law_mesh(law)
     ref_xs, ref_fs = _per_law_mp_mesh(law)
     assert xs.shape == ref_xs.shape
     assert np.allclose(xs, ref_xs, rtol=1e-12, atol=0.0)
@@ -254,11 +252,11 @@ def test_mp_shape_mesh_dilates_with_time():
 
 def test_mp_shape_mesh_is_read_only():
     law = MarchenkoPastur(2.5, 1.0, beta=2)
-    for arr in _mp_shape_mesh(law.ratio) + (law._mesh()[1],):
+    for arr in MarchenkoPastur._unit_mesh(law.ratio):
         with pytest.raises(ValueError):
             arr[0] = 7.0
     # another time of the same family shares the CDF values
-    assert MarchenkoPastur(2.5, 0.4, beta=2)._mesh()[1] is law._mesh()[1]
+    assert law_mesh(MarchenkoPastur(2.5, 0.4, beta=2))[1] is law_mesh(law)[1]
 
 
 _MP_CASES = pytest.mark.parametrize(
@@ -274,7 +272,7 @@ def test_mp_quantile_atoms_are_dilated_shape_quantiles(alpha, t, beta):
     law = MarchenkoPastur(alpha, t, beta)
     for count in (1, 400, 4001):
         atoms = law.quantile_atoms(count)
-        assert np.array_equal(atoms, _invert_mesh(*law._mesh(), _midpoints(count)))
+        assert np.array_equal(atoms, _invert_mesh(*law_mesh(law), _midpoints(count)))
     assert np.array_equal(MarchenkoPastur(alpha, 0.0, beta).quantile_atoms(50), np.zeros(50))
     assert np.array_equal(MarchenkoPastur(0.0, t, beta).quantile_atoms(50), np.zeros(50))
 
@@ -286,7 +284,7 @@ def _per_time_mixture_mesh(law):
     pos, neg = law.components()
     pieces_x, pieces_f, mass_so_far = [], [], 0.0
     if not neg.is_degenerate:
-        xs, fs = neg._mesh()
+        xs, fs = law_mesh(neg)
         pieces_x.append(-xs[::-1])
         pieces_f.append(lam_star * (1.0 - fs[::-1]))
         mass_so_far = lam_star
@@ -296,7 +294,7 @@ def _per_time_mixture_mesh(law):
         pieces_f.append(np.array([mass_so_far, mass_so_far + atom]))
         mass_so_far += atom
     if not pos.is_degenerate:
-        xs, fs = pos._mesh()
+        xs, fs = law_mesh(pos)
         pieces_x.append(xs)
         pieces_f.append(mass_so_far + lam * fs)
     return np.concatenate(pieces_x), np.maximum.accumulate(np.concatenate(pieces_f))
@@ -311,7 +309,7 @@ def test_mixture_quantiles_match_per_time_mesh(family):
     for t in np.linspace(0.0, 1.0, 201):
         law = family(t)
         ref_xs, ref_fs = _per_time_mixture_mesh(law)
-        xs, fs = law._mesh()
+        xs, fs = law_mesh(law)
         assert np.array_equal(fs, ref_fs), t
         assert np.all(np.abs(xs - ref_xs) <= 1e-15 * np.abs(ref_xs)), t
         atoms = law.quantile_atoms(400)
@@ -328,12 +326,15 @@ def test_mixture_quantiles_match_per_time_mesh(family):
 def test_semicircle_quantiles_match_per_law_mesh(t, beta, center):
     law = Semicircle(t, beta=beta, center=center)
     step = 2.0 * law.radius / (_MESH_POINTS - 1)
+    own = np.linspace(*law.bounds(), _MESH_POINTS)  # the law's own mesh
     for count in (1, 400, 4001):
         u = _midpoints(count)
         atoms = law.quantile_atoms(count)
-        reference = _invert_mesh(*law._mesh(), u)
+        reference = _invert_mesh(own, law.cdf(own), u)
         median = u == 0.5
-        assert np.all(np.abs(atoms - reference)[~median] <= 1e-12 * law.radius)
+        # center + radius * (unit quantile) rounds at the center's ulp
+        tol = 1e-12 * law.radius + 4.0 * np.spacing(abs(center) + law.radius)
+        assert np.all(np.abs(atoms - reference)[~median] <= tol)
         # u = 1/2 ties the mesh value at the center: the shared mesh picks the
         # center, a shifted law's own mesh may round to its neighbour
         assert np.all(np.abs(atoms[median] - center) <= 1e-12 * max(law.radius, abs(center)))
@@ -370,21 +371,32 @@ def test_level_quantiles_invert_the_cdf(law):
 
 
 def test_dilation_caches_are_read_only():
-    law = mp_mixture_three(1.5, 2.0, 0.3)
-    law.quantile_atoms(400)
-    cached = _mixture_unit_mesh(law._shape_key) + (
-        _shape_quantiles(_mixture_unit_mesh, law._shape_key, 400),
-        _shape_quantiles(_mp_shape_mesh, 2.5, 400),
-        *_semicircle_index_mesh(),
-        _shape_quantiles(_semicircle_index_mesh, None, 400),
-        _semicircle_levels(400),
-    )
+    laws = (mp_mixture_three(1.5, 2.0, 0.3), MarchenkoPastur(2.5, 0.4), Semicircle(0.3, 1, -2.0))
+    cached = [Semicircle._unit_levels(400)]
+    for law in laws:
+        law.integrated_cdf(np.array([0.1]))
+        law.quantile_atoms(400)
+        cached += law._unit_mesh(law._shape_key)
+        cached.append(_unit_quantiles(law._unit_mesh, law._shape_key, 400))
+    for law in laws[:2]:  # the semicircle's Phi is closed-form
+        cached += _unit_integral(law._unit_mesh, law._shape_key)
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0] = 7.0
-    # every time of one family shares the time-1 CDF values
-    for family in (lambda t: mp_mixture_two(0.5, t), lambda t: mp_mixture_three(1.5, 2.0, t)):
-        assert family(0.9)._mesh()[1] is family(0.3)._mesh()[1]
+    # every time of one family shares the unit mesh; what the law hands out is its own
+    for family in (lambda t: mp_mixture_two(0.5, t), lambda t: mp_mixture_three(1.5, 2.0, t),
+                   lambda t: Semicircle(t, center=1.0)):
+        assert law_mesh(family(0.9))[1] is law_mesh(family(0.3))[1]
+        family(0.3).quantile_atoms(400)[0] = 7.0
+        family(0.3).level_quantiles(400)[0] = 7.0
+
+
+def test_every_time_of_a_family_shares_one_unit_integral():
+    before = _unit_integral.cache_info().misses
+    for family in (lambda t: MarchenkoPastur(3.7, t, beta=1), lambda t: mp_mixture_two(0.35, t)):
+        for t in np.linspace(0.05, 1.0, 20):
+            family(t).integrated_cdf(np.array([-0.5, 0.5, 2.0]))
+    assert _unit_integral.cache_info().misses - before == 2
 
 
 def test_mp_hankel_psd():

@@ -193,6 +193,12 @@ def test_spectral_function_constant_flags():
     assert c.is_constant
     lin = SpectralFunction.from_poly([0.0, 1.0])
     assert not lin.is_constant
+    # trailing zeros do not raise the degree
+    assert SpectralFunction.from_poly([0.5, 0.0]).is_constant
+    assert SpectralFunction.sqrt_abs_poly([0.25, 0.0, 0.0]).is_constant
+    assert SpectralFunction.from_poly([0.0, 0.0]).is_constant
+    assert not SpectralFunction.sqrt_abs_poly([1.0, 0.0, 2.0, 0.0]).is_constant
+    assert not SpectralFunction(fn=np.abs).is_constant
 
 
 def test_sqrt_abs_poly_uses_absolute_value():
