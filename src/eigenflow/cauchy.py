@@ -28,36 +28,32 @@ equation hold for these closed forms at beta = 2 is g^2 = h^2 = sigma/2
 (so that 2 beta g^2 h^2 = sigma^2); :func:`free_pde_residual` implements
 and verifies exactly that convention.
 
-The law families have closed-form transforms, each the Herglotz root of a
-quadratic a r^2 + b r + 1 = 0: the semicircle with variance v and center c
-has (a, b) = (v, z - c), the Marchenko-Pastur law with scale s and ratio
-c has (z s, z + s (1 - c)) (Marchenko-Pastur 1967; the atom is included),
-and a mixture combines its components through the reflection identity
-int (-x - z)^{-1} nu(dx) = -conj(G_nu(-conj z)). Weighted transforms
-E[phi R^k] (the evolution right-hand side) use quadrature for these laws
-and atom sums for empirical measures and point masses; any other object
-raises UnsupportedLawOperation.
+Each law answers its own transform, ``law.transform(z)`` (for the
+semicircle and MP laws the Herglotz root of a quadratic, Marchenko-Pastur
+1967), and its weighted transforms E[phi R^k], ``law.weighted_transform``:
+atoms plus one quadrature per piece of its continuous part
+(:mod:`eigenflow.limits`). An empirical measure sums over its atoms; any
+other object raises UnsupportedLawOperation.
 
 NumPy is the only third-party module this package imports when it loads.
-SciPy's adaptive quadrature is imported on first use, by the weighted
-transforms of laws behind :func:`ct_evolution_rhs` and
+SciPy's adaptive quadrature (``limits._cquad``) is imported on first use,
+by the weighted transforms of laws behind :func:`ct_evolution_rhs` and
 :func:`free_pde_residual`; no ``eigenflow`` subcommand reaches them, so none
 loads SciPy.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import UnsupportedLawOperation, ValidationError
 from .empirical import EmpiricalMeasure
-from .limits import MarchenkoPastur, MPMixture, PointMass, Semicircle
+from .limits import Semicircle
 
 __all__ = [
     "cauchy_transform",
@@ -71,8 +67,6 @@ __all__ = [
     "stieltjes_invert",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
-
 
 def _require_upper(z: complex) -> complex:
     z = complex(z)
@@ -81,66 +75,11 @@ def _require_upper(z: complex) -> complex:
     return z
 
 
-def _cquad(f: Callable[[float], complex], a: float, b: float) -> complex:
-    # imported on first use: no subcommand reaches quadrature or pays for SciPy
-    from scipy.integrate import quad
-
-    re = quad(lambda s: f(s).real, a, b, **_QUAD_OPTS)[0]
-    im = quad(lambda s: f(s).imag, a, b, **_QUAD_OPTS)[0]
-    return complex(re, im)
-
-
-def _weighted_atoms(
-    atoms: Sequence[tuple[float, float]], z: complex, weight, power: int
-) -> complex:
-    acc = 0.0 + 0.0j
-    for pos, mass in atoms:
-        acc += mass * complex(weight(pos)) / (pos - z) ** power
-    return acc
-
-
-def _weighted_semicircle(law: Semicircle, z: complex, weight, power: int) -> complex:
-    # x = center + R sin(theta): rho(x) dx = (2/pi) cos^2(theta) d(theta),
-    # a smooth integrand including the edges.
-    r = law.radius
-    c = law.center
-
-    def f(theta: float) -> complex:
-        x = c + r * math.sin(theta)
-        return (2.0 / math.pi) * math.cos(theta) ** 2 * complex(weight(x)) / (x - z) ** power
-
-    return _cquad(f, -0.5 * math.pi, 0.5 * math.pi)
-
-
-def _weighted_mp_continuous(
-    law: MarchenkoPastur, z: complex, weight, power: int, reflect: bool = False
-) -> complex:
-    """Integral of weight(x) (x-z)^{-power} over the continuous MP part.
-
-    Uses the edge substitution x = a + (b - a) sin^2(theta), under which
-    the integrand is smooth even at a = 0 (where the density has an
-    integrable x^{-1/2} singularity). The integral carries the continuous
-    part's own mass min(1, ratio). With ``reflect`` the component is the
-    reflection x -> -x.
-    """
-    a, b = law.edges
-    y = law.scale
-    sign = -1.0 if reflect else 1.0
-
-    if a == 0.0:
-        def f(theta: float) -> complex:
-            u = b * math.sin(theta) ** 2
-            dens = (b / (math.pi * y)) * math.cos(theta) ** 2
-            x = sign * u
-            return dens * complex(weight(x)) / (x - z) ** power
-    else:
-        def f(theta: float) -> complex:
-            u = a + (b - a) * math.sin(theta) ** 2
-            dens = (b - a) ** 2 * math.sin(2.0 * theta) ** 2 / (4.0 * math.pi * u * y)
-            x = sign * u
-            return dens * complex(weight(x)) / (x - z) ** power
-
-    return _cquad(f, 0.0, 0.5 * math.pi)
+def _law_method(mu, name: str):
+    method = getattr(mu, name, None)
+    if method is None:
+        raise UnsupportedLawOperation(f"cannot integrate against {type(mu).__name__}")
+    return method
 
 
 def _weighted_transform(mu, z: complex, weight, power: int) -> complex:
@@ -149,28 +88,7 @@ def _weighted_transform(mu, z: complex, weight, power: int) -> complex:
         lam = mu.atoms
         wv = np.asarray(weight(lam), dtype=float)
         return complex(np.mean(wv / (lam - z) ** power))
-    if isinstance(mu, PointMass):
-        return _weighted_atoms(mu.atoms(), z, weight, power)
-    if isinstance(mu, Semicircle):
-        if mu.is_degenerate:
-            return _weighted_atoms(mu.atoms(), z, weight, power)
-        return _weighted_semicircle(mu, z, weight, power)
-    if isinstance(mu, MarchenkoPastur):
-        acc = _weighted_atoms(mu.atoms(), z, weight, power)
-        if not mu.is_degenerate:
-            acc += _weighted_mp_continuous(mu, z, weight, power)
-        return acc
-    if isinstance(mu, MPMixture):
-        pos, neg = mu.components()
-        acc = _weighted_atoms(mu.atoms(), z, weight, power)
-        if not pos.is_degenerate:
-            acc += mu.lam * _weighted_mp_continuous(pos, z, weight, power)
-        if not neg.is_degenerate:
-            acc += mu.lam_star * _weighted_mp_continuous(
-                neg, z, weight, power, reflect=True
-            )
-        return acc
-    raise UnsupportedLawOperation(f"cannot integrate against {type(mu).__name__}")
+    return _law_method(mu, "weighted_transform")(weight, z, power)
 
 
 def _one(x):
@@ -178,47 +96,16 @@ def _one(x):
     return np.ones_like(arr) if arr.ndim else 1.0
 
 
-def _herglotz_root(num_plus: complex, num_minus: complex, denom: complex, z: complex) -> complex:
-    roots = [num_plus / denom, num_minus / denom]
-    for r in roots:
-        if r.imag > 0:
-            return r
-    # Degenerate boundary (not reachable for Im z > 0): nearest to -1/z.
-    target = -1.0 / z
-    return min(roots, key=lambda r: abs(r - target))
-
-
-def _quadratic_root(a: complex, b: complex, z: complex) -> complex:
-    """The root with Im r > 0 of a r^2 + b r + 1 = 0; -1/b when a = 0."""
-    if a == 0:
-        return -1.0 / b
-    disc = cmath.sqrt(b * b - 4.0 * a)
-    return _herglotz_root(-b + disc, -b - disc, 2.0 * a, z)
-
-
-def _mp_transform(law: MarchenkoPastur, z: complex) -> complex:
-    if law.is_degenerate:
-        return -1.0 / z
-    s = law.scale
-    return _quadratic_root(z * s, z + s * (1.0 - law.ratio), z)
-
-
 def cauchy_transform(mu, z: complex) -> complex:
     """G(z) = int (x - z)^{-1} mu(dx), for Im z > 0.
 
-    Closed form for the semicircle, Marchenko-Pastur and mixture laws;
-    any other measure goes through :func:`_weighted_transform`.
+    An empirical measure sums over its atoms; a law answers its own
+    closed form, ``mu.transform(z)``.
     """
     z = _require_upper(z)
-    if isinstance(mu, Semicircle):
-        return _quadratic_root(mu.variance, z - mu.center, z)
-    if isinstance(mu, MarchenkoPastur):
-        return _mp_transform(mu, z)
-    if isinstance(mu, MPMixture):
-        pos, neg = mu.components()
-        reflected = _mp_transform(neg, -z.conjugate()).conjugate()
-        return -mu.gamma / z + mu.lam * _mp_transform(pos, z) - mu.lam_star * reflected
-    return _weighted_transform(mu, z, _one, 1)
+    if isinstance(mu, EmpiricalMeasure):
+        return _weighted_transform(mu, z, _one, 1)
+    return _law_method(mu, "transform")(z)
 
 
 def stieltjes_invert(
@@ -279,8 +166,7 @@ def free_bm_transform(theta: float, sigma: float, t: float, z: complex) -> compl
     """
     if t <= 0:
         raise ValidationError("t must be > 0")
-    z = _require_upper(z)
-    return _quadratic_root(sigma**2 * t, z - theta * t, z)
+    return free_bm_law(theta, sigma, t).transform(_require_upper(z))
 
 
 def free_ou_variance(theta: float, sigma: float, t: float) -> float:
@@ -304,8 +190,7 @@ def free_ou_transform(theta: float, sigma: float, t: float, z: complex) -> compl
     """
     if t <= 0:
         raise ValidationError("t must be > 0")
-    z = _require_upper(z)
-    return _quadratic_root(free_ou_variance(theta, sigma, t), z, z)
+    return free_ou_law(theta, sigma, t).transform(_require_upper(z))
 
 
 def free_bm_law(theta: float, sigma: float, t: float) -> Semicircle:

@@ -37,10 +37,12 @@ alpha*n.  Under this definition the law's moments, :func:`mp_moments`, and
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,6 +74,7 @@ __all__ = [
 ]
 
 _MESH_POINTS = 20001  # fixed CDF mesh size: deterministic quadrature/inversion
+_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,8 @@ class MomentPath:
 
 
 # ---------------------------------------------------------------------------
-# Trapezoid integration (CDF meshes, time integrals) and the dilation rule
+# Trapezoid integration (CDF meshes, time integrals), quadrature of the
+# continuous parts, transforms, and the dilation rule
 # ---------------------------------------------------------------------------
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -244,6 +248,43 @@ def _check_time(t: float) -> None:
         raise ValidationError("t must be finite and >= 0")
 
 
+class _Piece(NamedTuple):
+    """Part of a unit shape's continuous part: mass ``weight * density(theta)
+    dtheta`` at u = e0 + (e1 - e0) sin^2(theta), theta in [0, pi/2], from the
+    edge e0 where the density may be singular (theta: a float or an array)."""
+
+    e0: float
+    e1: float
+    density: Callable
+    weight: float = 1.0
+
+    def u(self, theta):
+        return self.e0 + (self.e1 - self.e0) * np.sin(theta) ** 2
+
+
+def _cquad(f: Callable[[float], complex], a: float, b: float) -> complex:
+    # imported on first use: no subcommand reaches quadrature or pays for SciPy
+    from scipy.integrate import quad
+
+    re = quad(lambda s: f(s).real, a, b, **_QUAD_OPTS)[0]
+    im = quad(lambda s: f(s).imag, a, b, **_QUAD_OPTS)[0]
+    return complex(re, im)
+
+
+def _quadratic_root(a: complex, b: complex, z: complex) -> complex:
+    """The root with Im r > 0 of a r^2 + b r + 1 = 0; -1/b when a = 0."""
+    if a == 0:
+        return -1.0 / b
+    disc = cmath.sqrt(b * b - 4.0 * a)
+    roots = [(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)]
+    for r in roots:
+        if r.imag > 0:
+            return r
+    # Degenerate boundary (not reachable for Im z > 0): nearest to -1/z.
+    target = -1.0 / z
+    return min(roots, key=lambda r: abs(r - target))
+
+
 class _LawBase:
     """Shared behavior of the laws with a CDF: each one is a dilation.
 
@@ -262,6 +303,10 @@ class _LawBase:
     (:func:`_unit_quantiles`) are cached too, so every time of one family
     shares them. A family with closed forms overrides ``_unit_cdf``,
     ``_unit_integrated_cdf`` or ``_unit_levels``.
+
+    A family states its continuous part once, as the pieces ``_pieces()``
+    (:class:`_Piece`) that :meth:`weighted_transform` integrates, and
+    answers its own Cauchy transform, ``transform(z)``.
     """
 
     has_density = True
@@ -327,6 +372,25 @@ class _LawBase:
 
     def atoms(self) -> list[tuple[float, float]]:
         return []
+
+    def weighted_transform(self, weight, z: complex, power: int) -> complex:
+        """E[weight(x) (x - z)^{-power}]: the sum over the atoms plus one
+        quadrature per piece, at x = loc + scale u(theta). A law at scale 0
+        has no pieces."""
+        acc = 0.0 + 0.0j
+        for pos, mass in self.atoms():
+            acc += mass * complex(weight(pos)) / (pos - z) ** power
+        loc, scale = self._dilation()
+        if scale == 0:
+            return acc
+        for piece in self._pieces():
+            def f(theta: float, piece: _Piece = piece) -> complex:
+                x = loc + scale * float(piece.u(theta))  # float: NumPy scalars are slow here
+                mass = piece.weight * float(piece.density(theta))
+                return mass * complex(weight(x)) / (x - z) ** power
+
+            acc += _cquad(f, 0.0, 0.5 * math.pi)
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +460,15 @@ class Semicircle(_LawBase):
 
     def _dilation(self) -> tuple[float, float]:
         return self.center, self.radius
+
+    @staticmethod
+    def _pieces() -> tuple[_Piece, ...]:
+        """u = -cos(2 theta) on [-1, 1], dF/dtheta = (4/pi) sin^2(2 theta)."""
+        return (_Piece(-1.0, 1.0, lambda theta: (4.0 / math.pi) * np.sin(2.0 * theta) ** 2),)
+
+    def transform(self, z: complex) -> complex:
+        """G(z): the Herglotz root of v r^2 + (z - c) r + 1 = 0."""
+        return _quadratic_root(self.variance, z - self.center, z)
 
     @staticmethod
     def _unit_cdf(u: np.ndarray) -> np.ndarray:
@@ -480,6 +553,22 @@ def mp_params(alpha: float) -> tuple[float, float]:
     return (1.0 - s) ** 2, (1.0 + s) ** 2
 
 
+def _mp_piece(ratio: float, s: float = 1.0) -> _Piece:
+    """The continuous part (mass min(1, ratio)) of the unit MP shape, from the
+    inner edge a: dF/dtheta = (b - a)^2 sin^2(2 theta) / (4 pi u), smooth even
+    at a = 0 (density ~ x^{-1/2}), where it reduces to (b/pi) cos^2(theta).
+    A mixture side moves it to s u, with weight |s|."""
+    a, b = mp_params(ratio)
+    if a == 0.0:
+        def density(theta):
+            return (b / math.pi) * np.cos(theta) ** 2
+    else:
+        def density(theta):
+            u = a + (b - a) * np.sin(theta) ** 2
+            return (b - a) ** 2 * np.sin(2.0 * theta) ** 2 / (4.0 * math.pi * u)
+    return _Piece(s * a, s * b, density, abs(s))
+
+
 @dataclass(eq=False)
 class MarchenkoPastur(_LawBase):
     """Marchenko-Pastur limit law of the square-root flow with drift alpha.
@@ -559,22 +648,25 @@ class MarchenkoPastur(_LawBase):
     def _shape_key(self) -> float:
         return self.ratio
 
+    def _pieces(self) -> tuple[_Piece, ...]:
+        return (_mp_piece(self.ratio),)
+
+    def transform(self, z: complex) -> complex:
+        """G(z), atom included: the root of z s r^2 + (z + s (1 - c)) r + 1."""
+        if self.is_degenerate:
+            return -1.0 / z
+        s = self.scale
+        return _quadratic_root(z * s, z + s * (1.0 - self.ratio), z)
+
     @staticmethod
     @functools.lru_cache(maxsize=8)
     def _unit_mesh(ratio: float) -> tuple[np.ndarray, np.ndarray]:
-        """CDF mesh of the unit-scale MP shape with ``ratio``, atom included."""
-        a, b = mp_params(ratio)
-        # Edge-adapted substitution x = a + (b-a) sin^2(theta): the integrand
-        # of the CDF becomes smooth even at a = 0, where the density has an
-        # integrable x^{-1/2} singularity.
+        """CDF mesh of the unit-scale MP shape with ``ratio``, atom included:
+        the running trapezoid of its piece."""
+        piece = _mp_piece(ratio)
         theta = np.linspace(0.0, 0.5 * math.pi, _MESH_POINTS)
-        xs = a + (b - a) * np.sin(theta) ** 2
-        if a == 0.0:
-            # x = b sin^2(theta): the integrand reduces to (b/pi) cos^2.
-            integrand = (b / math.pi) * np.cos(theta) ** 2
-        else:
-            integrand = (b - a) ** 2 * np.sin(2.0 * theta) ** 2 / (4.0 * math.pi * xs)
-        fs = _cumtrapz(integrand, theta)
+        xs = piece.u(theta)
+        fs = _cumtrapz(piece.density(theta), theta)
         atom = max(0.0, 1.0 - ratio)
         if atom > 0.0:
             xs = np.concatenate(([0.0, 0.0], xs))
@@ -640,6 +732,9 @@ class PointMass(_LawBase):
     def _dilation(self) -> tuple[float, float]:
         return self.a, 0.0
 
+    def transform(self, z: complex) -> complex:
+        return 1.0 / (self.a - z)
+
     def moments(self, k_max: int) -> MomentSequence:
         return MomentSequence(np.array([self.a**k for k in range(k_max + 1)], dtype=float))
 
@@ -654,9 +749,10 @@ class MPMixture(_LawBase):
     where the reflection is about the origin. It solves the limit equation
     with kernel G(x,y) = |x| + |y| and constant drift ``alpha`` (the
     non-uniqueness examples). Build it with :func:`mp_mixture_two` or
-    :func:`mp_mixture_three`, which check the parameters and compute the
-    weights. Both components dilate with t, so the law at time t is the
-    time-1 law (its unit shape) dilated by t.
+    :func:`mp_mixture_three`, which compute the weights; the class rejects
+    a negative or non-finite parameter and weights that do not sum to 1.
+    Both components dilate with t, so the law at time t is the time-1 law
+    (its unit shape) dilated by t.
     """
 
     alpha: float
@@ -668,6 +764,12 @@ class MPMixture(_LawBase):
     t: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha", "alpha_plus", "alpha_minus", "lam", "lam_star", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0")
+        if abs(self.lam + self.lam_star + self.gamma - 1.0) > 1e-12:
+            raise ValidationError("lam + lam_star + gamma must equal 1")
         _check_time(self.t)
 
     @property
@@ -719,6 +821,17 @@ class MPMixture(_LawBase):
 
     def _dilation(self) -> tuple[float, float]:
         return 0.0, self.t
+
+    def _pieces(self) -> tuple[_Piece, ...]:
+        """Both sides' MP pieces at time 1, scaled by lam and -lam_star and
+        weighted by lam and lam_star (a degenerate side integrates to 0)."""
+        return _mp_piece(self.alpha_plus, self.lam), _mp_piece(self.alpha_minus, -self.lam_star)
+
+    def transform(self, z: complex) -> complex:
+        """G(z); the reflected side by int (-x - z)^{-1} nu(dx) = -conj(G_nu(-conj z))."""
+        pos, neg = self.components()
+        reflected = neg.transform(-z.conjugate()).conjugate()
+        return -self.gamma / z + self.lam * pos.transform(z) - self.lam_star * reflected
 
     @property
     def _shape_key(self) -> tuple:

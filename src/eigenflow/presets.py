@@ -398,7 +398,7 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
     g2, h2, b = bundle.residual_coefficients()
     monomials = _monomials(_RESIDUAL_DEGREES)
     law = bundle.law
-    cdf_laws = {} if law is None else {t: law.at(t) for t in cfg.t_grid if law.at(t).has_cdf}
+    cdf_laws = {} if law is None else {t: law_t for t in cfg.t_grid if (law_t := law.at(t)).has_cdf}
     rows: list[ResultRow] = []
     for n in cfg.n_list:
         spec = bundle.flow_spec(n)

@@ -8,8 +8,11 @@ their defining quadratic equation, shift covariance, and the evolution
 equation itself via finite differences.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from eigenflow import (
     HierarchyLaw,
@@ -115,6 +118,40 @@ def test_closed_form_transform_matches_quadrature(law):
             z = complex(re, eps)
             ref = _weighted_transform(law, z, _one, 1)
             assert abs(cauchy_transform(law, z) - ref) <= 1e-10 * abs(ref), (re, eps)
+
+
+IDENTITY_LAWS = ORACLE_LAWS + [Semicircle(0.0, beta=2), PointMass(0.7)]
+PHI = [0.3, -0.7, 0.5, 0.2]  # phi(x) = 0.3 - 0.7 x + 0.5 x^2 + 0.2 x^3
+
+
+def _polynomial_identity(law, z):
+    """E[phi R] for polynomial phi, exactly: phi(z) G(z) plus the mean of
+    (phi(x) - phi(z)) / (x - z) = sum_k phi_k sum_{j<k} x^j z^{k-1-j}."""
+    m = law.moments(len(PHI) - 1)
+    tail = sum(c * sum(m[j] * z ** (k - 1 - j) for j in range(k)) for k, c in enumerate(PHI))
+    return polyval(z, PHI) * cauchy_transform(law, z) + tail
+
+
+@pytest.mark.parametrize(
+    "law",
+    IDENTITY_LAWS,
+    ids=["semicircle", "mp", "mp_atom", "mix2", "mix3", "semicircle_centered",
+         "mp_small_ratio", "mp_alpha0", "mp_t0", "mix2_alpha0", "semicircle_t0", "point_mass"],
+)
+def test_weighted_transform_polynomial_identity(law):
+    """Every law's weighted transform against the exact identity for a
+    polynomial weight (power 1) and its z-derivative, by a 4th-order central
+    difference with h = 1e-3 (power 2, since d/dz R = R^2)."""
+    phi = partial(polyval, c=PHI)
+    h = 1e-3
+    for z in (1.0j, 0.5 + 0.5j, -1.2 + 0.8j, 2.0 + 0.5j, 1.5 + 1.5j):
+        exact = _polynomial_identity(law, z)
+        assert abs(_weighted_transform(law, z, phi, 1) - exact) <= 1e-12 * abs(exact), z
+        deriv = (
+            8.0 * (_polynomial_identity(law, z + h) - _polynomial_identity(law, z - h))
+            - (_polynomial_identity(law, z + 2 * h) - _polynomial_identity(law, z - 2 * h))
+        ) / (12.0 * h)
+        assert abs(_weighted_transform(law, z, phi, 2) - deriv) <= 1e-9 * abs(deriv), z
 
 
 # ---------------------------------------------------------------------------

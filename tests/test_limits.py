@@ -475,6 +475,35 @@ def test_mixture_three_weights_and_atom():
 
 
 @pytest.mark.parametrize(
+    "params, field",
+    [
+        ((0.5, 1.0, 1.0, 0.75, -0.25, 0.0), "lam_star"),
+        ((0.5, float("nan"), 1.0, 0.75, 0.25, 0.0), "alpha_plus"),
+        ((-0.1, 1.0, 1.0, 0.75, 0.25, 0.0), "alpha"),
+        ((0.5, 1.0, float("inf"), 0.75, 0.25, 0.0), "alpha_minus"),
+        ((0.5, 1.0, 1.0, float("nan"), 0.25, 0.0), "lam"),
+        ((0.5, 1.0, 1.0, 0.75, 0.25, -1e-3), "gamma"),
+        ((0.5, 1.0, 1.0, 0.75, 0.3, 0.0), r"lam \+ lam_star \+ gamma"),
+        ((0.5, 1.0, 1.0, 0.75, 0.25, 2e-12), r"lam \+ lam_star \+ gamma"),
+    ],
+)
+def test_mixture_rejects_bad_parameters_at_construction(params, field):
+    """A directly built mixture names its bad field at construction, not a
+    component's field on first use."""
+    with pytest.raises(ValidationError, match=f"^{field} must"):
+        MPMixture(*params, 1.0)
+
+
+def test_mixture_factories_keep_their_messages():
+    with pytest.raises(ValidationError, match="mixture-two requires"):
+        mp_mixture_two(float("nan"))
+    with pytest.raises(ValidationError, match="mixture-three requires"):
+        mp_mixture_three(2.0, 1.5)
+    with pytest.raises(ValidationError, match="alpha_minus must be finite"):
+        mp_mixture_three(2.0, float("inf"))
+
+
+@pytest.mark.parametrize(
     "law", [mp_mixture_three(1.5, 1.8, 0.0), mp_mixture_two(0.5, 0.0), mp_mixture_two(0.37, 0.0)]
 )
 def test_mixture_at_time_zero_is_one_exact_atom(law):
