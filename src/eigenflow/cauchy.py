@@ -33,7 +33,10 @@ semicircle and MP laws the Herglotz root of a quadratic, Marchenko-Pastur
 1967), and its weighted transforms E[phi R^k], ``law.weighted_transform``:
 atoms plus one quadrature per piece of its continuous part
 (:mod:`eigenflow.limits`). An empirical measure sums over its atoms; any
-other object raises UnsupportedLawOperation.
+other object raises UnsupportedLawOperation. :func:`cauchy_transform` and
+every ``transform`` take a scalar or an array of z and work elementwise
+(one code path for both); :func:`stieltjes_invert` passes its transform one
+array, x_grid + i eps, per eps.
 
 NumPy is the only third-party module this package imports when it loads.
 SciPy's adaptive quadrature (``limits._cquad``) is imported on first use,
@@ -68,11 +71,12 @@ __all__ = [
 ]
 
 
-def _require_upper(z: complex) -> complex:
-    z = complex(z)
-    if z.imag <= 0:
+def _require_upper(z):
+    """z as a complex scalar or array, every element in the open upper half plane."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag <= 0):
         raise ValidationError("z must lie in the open upper half plane")
-    return z
+    return z[()]
 
 
 def _law_method(mu, name: str):
@@ -82,12 +86,13 @@ def _law_method(mu, name: str):
     return method
 
 
-def _weighted_transform(mu, z: complex, weight, power: int) -> complex:
-    """E[weight(x) (x - z)^{-power}] under a measure or law ``mu``."""
+def _weighted_transform(mu, z, weight, power: int):
+    """E[weight(x) (x - z)^{-power}] under a measure or law ``mu``; an
+    empirical measure takes a scalar or an array of z."""
     if isinstance(mu, EmpiricalMeasure):
         lam = mu.atoms
         wv = np.asarray(weight(lam), dtype=float)
-        return complex(np.mean(wv / (lam - z) ** power))
+        return np.mean(wv / (lam - np.expand_dims(z, -1)) ** power, axis=-1)
     return _law_method(mu, "weighted_transform")(weight, z, power)
 
 
@@ -96,8 +101,9 @@ def _one(x):
     return np.ones_like(arr) if arr.ndim else 1.0
 
 
-def cauchy_transform(mu, z: complex) -> complex:
-    """G(z) = int (x - z)^{-1} mu(dx), for Im z > 0.
+def cauchy_transform(mu, z):
+    """G(z) = int (x - z)^{-1} mu(dx), for Im z > 0: a scalar z gives a
+    scalar, an array of z an array of the same shape.
 
     An empirical measure sums over its atoms; a law answers its own
     closed form, ``mu.transform(z)``.
@@ -109,13 +115,15 @@ def cauchy_transform(mu, z: complex) -> complex:
 
 
 def stieltjes_invert(
-    transform: Callable[[complex], complex], x_grid, eps_list
+    transform: Callable[[np.ndarray], np.ndarray], x_grid, eps_list
 ) -> np.ndarray:
     """Density estimates (1/pi) Im G(x + i eps) extrapolated to eps -> 0.
 
-    ``eps_list`` must be positive and strictly descending with at least
-    two entries; extrapolation is Neville's algorithm in eps (linear for
-    two entries, higher order with more).
+    ``transform`` is called once per eps, on the whole array x_grid + i eps,
+    and returns G there elementwise. ``eps_list`` must be positive and
+    strictly descending with at least two entries; extrapolation is
+    Neville's algorithm in eps (linear for two entries, higher order with
+    more).
     """
     eps = [float(e) for e in eps_list]
     if len(eps) < 2 or any(e <= 0 for e in eps) or any(
@@ -125,12 +133,7 @@ def stieltjes_invert(
             "eps_list must be positive and strictly descending with >= 2 entries"
         )
     x_grid = np.asarray(x_grid, dtype=float)
-    table = [
-        np.array(
-            [(1.0 / math.pi) * complex(transform(complex(x, e))).imag for x in x_grid]
-        )
-        for e in eps
-    ]
+    table = [(1.0 / math.pi) * np.asarray(transform(x_grid + 1j * e)).imag for e in eps]
     m = len(eps)
     for j in range(1, m):
         for i in range(m - j):

@@ -47,6 +47,7 @@ cannot be read and an output path that cannot be created or written;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -322,7 +323,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call
+    (parsing leaves it unchanged: each call gets a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="eigenflow",
         description="simulation and verification toolkit for matrix-valued stochastic flows",

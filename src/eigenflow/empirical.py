@@ -274,11 +274,13 @@ def _limit_terms(
     step = max(1, _CHUNK_ENTRIES // (n * width))
     for lo in range(0, count, step):
         lam = atoms[lo : lo + step]
-        # lam^l / n, as np.vander forms the powers: one running product
+        # lam^l / n, as np.vander forms the powers: one running product, a
+        # column at a time (np.multiply.accumulate along the short last axis
+        # is slower)
         powers = np.empty(lam.shape + (width,))
         powers[..., 0] = 1.0
-        powers[..., 1:] = lam[..., None]
-        np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
+        for l in range(1, width):
+            np.multiply(powers[..., l - 1], lam, out=powers[..., l])
         powers /= n
         head = powers[..., : width - 2].swapaxes(-1, -2)
         p_g = head @ np.broadcast_to(g2(lam), lam.shape)[..., None]

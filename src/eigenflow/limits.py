@@ -37,12 +37,12 @@ alpha*n.  Under this definition the law's moments, :func:`mp_moments`, and
 
 from __future__ import annotations
 
-import cmath
+import copy
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,7 +133,7 @@ class MomentSequence:
 
     values: np.ndarray
     t: float | None = None
-    polys: list[list[Fraction]] | None = None
+    polys: Sequence[Sequence[Fraction]] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -271,18 +271,19 @@ def _cquad(f: Callable[[float], complex], a: float, b: float) -> complex:
     return complex(re, im)
 
 
-def _quadratic_root(a: complex, b: complex, z: complex) -> complex:
-    """The root with Im r > 0 of a r^2 + b r + 1 = 0; -1/b when a = 0."""
-    if a == 0:
-        return -1.0 / b
-    disc = cmath.sqrt(b * b - 4.0 * a)
-    roots = [(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)]
-    for r in roots:
-        if r.imag > 0:
-            return r
+def _quadratic_root(a, b, z):
+    """The root with Im r > 0 of a r^2 + b r + 1 = 0 (b complex), elementwise
+    over the broadcast of a, b and z (scalars give a scalar); -1/b where a = 0."""
+    a, b, z = np.broadcast_arrays(a, b, z)
+    flat = a == 0
+    disc = np.sqrt(b * b - 4.0 * a)
+    two_a = np.where(flat, 1.0, 2.0 * a)
+    r1, r2 = (-b + disc) / two_a, (-b - disc) / two_a
     # Degenerate boundary (not reachable for Im z > 0): nearest to -1/z.
     target = -1.0 / z
-    return min(roots, key=lambda r: abs(r - target))
+    nearest = np.where(abs(r1 - target) <= abs(r2 - target), r1, r2)
+    root = np.where(r1.imag > 0, r1, np.where(r2.imag > 0, r2, nearest))
+    return np.where(flat, -1.0 / b, root)[()]
 
 
 class _LawBase:
@@ -306,7 +307,8 @@ class _LawBase:
 
     A family states its continuous part once, as the pieces ``_pieces()``
     (:class:`_Piece`) that :meth:`weighted_transform` integrates, and
-    answers its own Cauchy transform, ``transform(z)``.
+    answers its own Cauchy transform, ``transform(z)``, for a scalar or an
+    array of z (elementwise).
     """
 
     has_density = True
@@ -466,7 +468,7 @@ class Semicircle(_LawBase):
         """u = -cos(2 theta) on [-1, 1], dF/dtheta = (4/pi) sin^2(2 theta)."""
         return (_Piece(-1.0, 1.0, lambda theta: (4.0 / math.pi) * np.sin(2.0 * theta) ** 2),)
 
-    def transform(self, z: complex) -> complex:
+    def transform(self, z):
         """G(z): the Herglotz root of v r^2 + (z - c) r + 1 = 0."""
         return _quadratic_root(self.variance, z - self.center, z)
 
@@ -651,7 +653,7 @@ class MarchenkoPastur(_LawBase):
     def _pieces(self) -> tuple[_Piece, ...]:
         return (_mp_piece(self.ratio),)
 
-    def transform(self, z: complex) -> complex:
+    def transform(self, z):
         """G(z), atom included: the root of z s r^2 + (z + s (1 - c)) r + 1."""
         if self.is_degenerate:
             return -1.0 / z
@@ -677,19 +679,10 @@ class MarchenkoPastur(_LawBase):
         return mp_moments(self.alpha, self.beta, self.t, k_max)
 
 
-def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequence:
-    """Exact Marchenko-Pastur moment recursion, polynomial in t.
-
-        m_k(t) = alpha k int_0^t m_{k-1}
-                 + beta k sum_{i=0}^{k-2} int_0^t m_{i+1} m_{k-2-i},
-
-    computed with rational coefficient arithmetic (each m_k is a degree-k
-    polynomial in t with nonnegative coefficients).
-    """
-    if alpha < 0:
-        raise ValidationError("alpha must be >= 0")
-    if k_max < 0:
-        raise ValidationError("k_max must be >= 0")
+@functools.lru_cache(maxsize=32)
+def _mp_polys(alpha: float, beta: float, k_max: int) -> tuple[tuple[Fraction, ...], ...]:
+    """m_0..m_kmax of :func:`mp_moments` as exact polynomials in t, built
+    once per (alpha, beta, k_max); tuples, so no caller can change them."""
     af = Fraction(alpha)
     bf = Fraction(beta)
     polys: list[list[Fraction]] = [[Fraction(1)]]
@@ -698,6 +691,24 @@ def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequenc
         for i in range(k - 1):
             deriv = _padd(deriv, _pscale(_pmul(polys[i + 1], polys[k - 2 - i]), bf * k))
         polys.append(_pint(deriv))
+    return tuple(tuple(p) for p in polys)
+
+
+def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequence:
+    """Exact Marchenko-Pastur moment recursion, polynomial in t.
+
+        m_k(t) = alpha k int_0^t m_{k-1}
+                 + beta k sum_{i=0}^{k-2} int_0^t m_{i+1} m_{k-2-i},
+
+    computed with rational coefficient arithmetic (each m_k is a degree-k
+    polynomial in t with nonnegative coefficients, cached per
+    (alpha, beta, k_max) and evaluated at t).
+    """
+    if alpha < 0:
+        raise ValidationError("alpha must be >= 0")
+    if k_max < 0:
+        raise ValidationError("k_max must be >= 0")
+    polys = _mp_polys(alpha, beta, k_max)
     tf = Fraction(t)
     values = np.array([float(_peval(p, tf)) for p in polys])
     return MomentSequence(values, t=float(t), polys=polys).check_hankel()
@@ -732,7 +743,7 @@ class PointMass(_LawBase):
     def _dilation(self) -> tuple[float, float]:
         return self.a, 0.0
 
-    def transform(self, z: complex) -> complex:
+    def transform(self, z):
         return 1.0 / (self.a - z)
 
     def moments(self, k_max: int) -> MomentSequence:
@@ -827,10 +838,10 @@ class MPMixture(_LawBase):
         weighted by lam and lam_star (a degenerate side integrates to 0)."""
         return _mp_piece(self.alpha_plus, self.lam), _mp_piece(self.alpha_minus, -self.lam_star)
 
-    def transform(self, z: complex) -> complex:
+    def transform(self, z):
         """G(z); the reflected side by int (-x - z)^{-1} nu(dx) = -conj(G_nu(-conj z))."""
         pos, neg = self.components()
-        reflected = neg.transform(-z.conjugate()).conjugate()
+        reflected = np.conj(neg.transform(-np.conj(z)))
         return -self.gamma / z + self.lam * pos.transform(z) - self.lam_star * reflected
 
     @property
@@ -1178,7 +1189,13 @@ class HierarchyLaw:
         _check_time(self.t)
 
     def at(self, t: float) -> "HierarchyLaw":
-        return replace(self, t=float(t))
+        """The law at time t: only t is checked, the coefficients were
+        checked when this law was built."""
+        t = float(t)
+        _check_time(t)
+        law = copy.copy(self)
+        object.__setattr__(law, "t", t)
+        return law
 
     def moments(self, k_max: int) -> MomentSequence:
         if k_max < 1:

@@ -15,6 +15,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from eigenflow import (
+    EmpiricalMeasure,
     HierarchyLaw,
     MarchenkoPastur,
     PointMass,
@@ -152,6 +153,57 @@ def test_weighted_transform_polynomial_identity(law):
             - (_polynomial_identity(law, z + 2 * h) - _polynomial_identity(law, z - 2 * h))
         ) / (12.0 * h)
         assert abs(_weighted_transform(law, z, phi, 2) - deriv) <= 1e-9 * abs(deriv), z
+
+
+# ---------------------------------------------------------------------------
+# transforms over arrays of z
+
+ARRAY_MEASURES = {
+    "semicircle": Semicircle(1.0, beta=2),
+    "mp": MarchenkoPastur(2.5, 1.0, beta=2),
+    "mp_atom": MarchenkoPastur(1.0, 1.0, beta=2),
+    "mp_alpha0": MarchenkoPastur(0.0, 1.0, beta=2),
+    "mp_t0": MarchenkoPastur(2.5, 0.0, beta=2),
+    "mix2": mp_mixture_two(0.5),
+    "mix2_alpha0": mp_mixture_two(0.0, 0.3),
+    "mix3": mp_mixture_three(2.0, 3.0, t=0.8),
+    "point_mass": PointMass(0.4),
+    "empirical": EmpiricalMeasure(np.array([-1.0, 0.2, 0.2, 0.4, 3.0])),
+}
+
+
+@pytest.mark.parametrize("mu", ARRAY_MEASURES.values(), ids=ARRAY_MEASURES.keys())
+def test_array_transform_equals_the_scalar_calls(mu):
+    """An array of z (here 2-d, across and beside every support, down to
+    Im z = 1e-3) gives the scalar calls' values in the same shape."""
+    z = np.linspace(-5.0, 7.0, 25) + 1j * np.array([[1e-3], [0.05], [1.0], [10.0]])
+    got = cauchy_transform(mu, z)
+    assert got.shape == z.shape
+    want = np.array([[cauchy_transform(mu, complex(v)) for v in row] for row in z])
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.all(got.imag > 0)
+
+
+@pytest.mark.parametrize("mu", ARRAY_MEASURES.values(), ids=ARRAY_MEASURES.keys())
+def test_array_transform_rejects_any_point_off_the_upper_half_plane(mu):
+    for bad in (0.0, -1e-3):
+        z = np.array([1.0 + 1.0j, complex(0.5, bad), 2.0 + 0.1j])
+        with pytest.raises(ValidationError):
+            cauchy_transform(mu, z)
+
+
+def test_stieltjes_invert_calls_its_transform_once_per_eps():
+    law = Semicircle(1.0, beta=2)
+    grid = np.linspace(-1.9, 1.9, 97)
+    eps = (0.08, 0.04, 0.02, 0.01)
+    shapes = []
+
+    def transform(z):
+        shapes.append(np.shape(z))
+        return cauchy_transform(law, z)
+
+    stieltjes_invert(transform, grid, eps)
+    assert shapes == [grid.shape] * len(eps)
 
 
 # ---------------------------------------------------------------------------

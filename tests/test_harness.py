@@ -527,6 +527,46 @@ def test_cli_simulate_thread_count_invariant(tmp_path):
     )
 
 
+_FRESH_MAIN = "import sys; from eigenflow.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    """One cached parser serves every main() call: a flag given to one call
+    must not reach the next, so each in-process output equals the same call
+    run first in a fresh interpreter."""
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    sim = _write_cfg(tmp_path, TINY_WIGNER, "sim.cfg")
+    inv = _write_cfg(
+        tmp_path,
+        "preset = wishart\nalpha = 2.5\nn_list = 25\nreplica_count = 1\n"
+        "dt = 0.01\nt_grid = 0.0, 1.0\n",
+        "inv.cfg",
+    )
+    calls = [
+        (["simulate", "--config", sim, "--seed", "7", "--threads", "2"], "simulate.csv"),
+        (["simulate", "--config", sim], "simulate.csv"),
+        (["invert", "--config", inv], "invert.csv"),
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    for i, (argv, name) in enumerate(calls):
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_MAIN, *argv, "--out", str(tmp_path / f"fresh{i}")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+    for i, (argv, name) in enumerate(calls):
+        assert cli_main([*argv, "--out", str(tmp_path / f"here{i}")]) == 0
+    for i, (argv, name) in enumerate(calls):
+        here = _read_rows(tmp_path / f"here{i}" / name)
+        assert here == _read_rows(tmp_path / f"fresh{i}" / name), argv
+    assert _read_rows(tmp_path / "here0" / "simulate.csv") != _read_rows(
+        tmp_path / "here1" / "simulate.csv"
+    )
+
+
 def test_cli_seed_override_changes_rows(tmp_path):
     cfg = _write_cfg(tmp_path, TINY_WIGNER)
     cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "s1")])

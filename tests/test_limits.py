@@ -181,6 +181,17 @@ def test_mp_moment_polynomials_nonnegative_coefficients():
             assert all(c >= 0 for c in poly)
 
 
+def test_mp_moment_polynomials_are_cached_read_only_and_evaluated_per_t():
+    first = mp_moments(2.5, 2.0, 0.3, 8)
+    again = mp_moments(2.5, 2.0, 0.7, 8)
+    assert first.polys is again.polys  # built once per (alpha, beta, k_max)
+    assert isinstance(first.polys, tuple) and all(isinstance(p, tuple) for p in first.polys)
+    for t, seq in ((0.3, first), (0.7, again)):
+        tf = Fraction(t)
+        want = [float(sum(c * tf**j for j, c in enumerate(p))) for p in seq.polys]
+        assert seq.values.tolist() == want
+
+
 def test_mp_density_quadrature_matches_recursion():
     # The continuous-plus-atom law reproduces the recursion moments at both
     # field parameters, including the atom regime alpha < beta.
@@ -821,6 +832,24 @@ def test_hierarchy_law_grid_pass_equals_per_time_moments_bit_for_bit():
         assert alone.tobytes() == seq.values.tobytes() == back.values.tobytes()
     with pytest.raises(ValidationError):
         law.at(-0.5)
+
+
+@pytest.mark.parametrize(
+    "make", [_jacobi_law, lambda: _geometric_law(0.5)], ids=["jacobi", "geometric"]
+)
+def test_hierarchy_law_at_checks_only_t_and_shares_its_family(make):
+    """``at`` re-checks only the time (the coefficients were checked when the
+    law was built), shares the law's Taylor families and reads, bit for bit,
+    what a freshly built law at that time reads."""
+    law = make()
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            law.at(bad)
+    for t in (0.0, 0.1, 0.35, 1.0, 2.5):
+        moved = law.at(t)
+        assert moved._families is law._families and moved.t == t
+        fresh = HierarchyLaw(law.b, law.g2, law.h2, law.beta, law.a, t=t)
+        assert moved.moments(8).values.tobytes() == fresh.moments(8).values.tobytes()
 
 
 def test_jacobi_law_is_moments_only():
