@@ -45,6 +45,9 @@ from .limits import (
     MPMixture,
     PointMass,
     Semicircle,
+    free_bm_law,
+    free_ou_law,
+    free_ou_variance,
     generic_moment_ode,
     geometric_moments,
     geometric_w,
@@ -66,11 +69,8 @@ from .empirical import (
 from .cauchy import (
     cauchy_transform,
     ct_evolution_rhs,
-    free_bm_law,
     free_bm_transform,
-    free_ou_law,
     free_ou_transform,
-    free_ou_variance,
     free_pde_residual,
     stieltjes_invert,
 )

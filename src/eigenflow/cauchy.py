@@ -1,4 +1,4 @@
-"""Cauchy (Stieltjes) transforms, inversion, and free-diffusion closed forms.
+"""Cauchy (Stieltjes) transforms, inversion, and the transform evolution.
 
 Global sign convention: G(z) = int (x - z)^{-1} mu(dx) on the upper half
 plane, so G is Herglotz (Im G > 0 for Im z > 0) and G(z) ~ -1/z at
@@ -14,35 +14,33 @@ with R = (x - z)^{-1} and E[phi R^k] = int phi(x) (x - z)^{-k} mu_t(dx);
 measures and for the package's density-carrying laws (beta = 1 reproduces
 the coefficient-1-per-term variant).
 
-Free diffusions are represented solely through their transforms: free
-Brownian motion with drift theta and scale sigma has
+Free diffusions enter only through their transforms: free Brownian motion
+with drift theta and scale sigma has
 
     r_t(z) = ( -(z - theta t) + sqrt((z - theta t)^2 - 4 sigma^2 t) )
              / (2 sigma^2 t)
 
 (square-root branch chosen by the Herglotz test at each evaluation, never
-by a principal-branch formula), and the free Ornstein-Uhlenbeck marginal
-is the centered semicircle with variance sigma^2 (e^{2 theta t} - 1) /
-(2 theta). The constant coefficient convention that makes the evolution
-equation hold for these closed forms at beta = 2 is g^2 = h^2 = sigma/2
-(so that 2 beta g^2 h^2 = sigma^2); :func:`free_pde_residual` implements
-and verifies exactly that convention.
+by a principal-branch formula); the marginals themselves, free Brownian
+and Ornstein-Uhlenbeck, are :class:`eigenflow.limits.FreeDiffusion`. The
+constant coefficient convention that makes the evolution equation hold for
+these closed forms at beta = 2 is g^2 = h^2 = sigma/2 (so that
+2 beta g^2 h^2 = sigma^2); :func:`free_pde_residual` implements and
+verifies exactly that convention.
 
 Each law answers its own transform, ``law.transform(z)`` (for the
 semicircle and MP laws the Herglotz root of a quadratic, Marchenko-Pastur
 1967), and its weighted transforms E[phi R^k], ``law.weighted_transform``:
-atoms plus one quadrature per piece of its continuous part
-(:mod:`eigenflow.limits`). An empirical measure sums over its atoms; any
-other object raises UnsupportedLawOperation. :func:`cauchy_transform` and
-every ``transform`` take a scalar or an array of z and work elementwise
-(one code path for both); :func:`stieltjes_invert` passes its transform one
-array, x_grid + i eps, per eps.
+atoms plus the trapezoid rule in theta on each piece of its continuous
+part, which converges or raises NumericalError (:mod:`eigenflow.limits`).
+An empirical measure sums over its atoms; any other object raises
+UnsupportedLawOperation. :func:`cauchy_transform` and every ``transform``
+take a scalar or an array of z and work elementwise (one code path for
+both); :func:`stieltjes_invert` passes its transform one array,
+x_grid + i eps, per eps.
 
-NumPy is the only third-party module this package imports when it loads.
-SciPy's adaptive quadrature (``limits._cquad``) is imported on first use,
-by the weighted transforms of laws behind :func:`ct_evolution_rhs` and
-:func:`free_pde_residual`; no ``eigenflow`` subcommand reaches them, so none
-loads SciPy.
+NumPy is the only third-party module this package imports; SciPy serves
+only the tests, as their reference quadrature.
 """
 
 from __future__ import annotations
@@ -56,16 +54,13 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import UnsupportedLawOperation, ValidationError
 from .empirical import EmpiricalMeasure
-from .limits import Semicircle
+from .limits import FreeDiffusion, free_bm_law, free_ou_law
 
 __all__ = [
     "cauchy_transform",
     "ct_evolution_rhs",
-    "free_bm_law",
     "free_bm_transform",
-    "free_ou_law",
     "free_ou_transform",
-    "free_ou_variance",
     "free_pde_residual",
     "stieltjes_invert",
 ]
@@ -96,11 +91,6 @@ def _weighted_transform(mu, z, weight, power: int):
     return _law_method(mu, "weighted_transform")(weight, z, power)
 
 
-def _one(x):
-    arr = np.asarray(x, dtype=float)
-    return np.ones_like(arr) if arr.ndim else 1.0
-
-
 def cauchy_transform(mu, z):
     """G(z) = int (x - z)^{-1} mu(dx), for Im z > 0: a scalar z gives a
     scalar, an array of z an array of the same shape.
@@ -110,7 +100,7 @@ def cauchy_transform(mu, z):
     """
     z = _require_upper(z)
     if isinstance(mu, EmpiricalMeasure):
-        return _weighted_transform(mu, z, _one, 1)
+        return _weighted_transform(mu, z, np.ones_like, 1)
     return _law_method(mu, "transform")(z)
 
 
@@ -120,17 +110,17 @@ def stieltjes_invert(
     """Density estimates (1/pi) Im G(x + i eps) extrapolated to eps -> 0.
 
     ``transform`` is called once per eps, on the whole array x_grid + i eps,
-    and returns G there elementwise. ``eps_list`` must be positive and
-    strictly descending with at least two entries; extrapolation is
+    and returns G there elementwise. ``eps_list`` must be finite, positive
+    and strictly descending with at least two entries; extrapolation is
     Neville's algorithm in eps (linear for two entries, higher order with
     more).
     """
     eps = [float(e) for e in eps_list]
-    if len(eps) < 2 or any(e <= 0 for e in eps) or any(
+    if len(eps) < 2 or not all(0 < e < math.inf for e in eps) or any(
         e2 >= e1 for e1, e2 in zip(eps, eps[1:])
     ):
         raise ValidationError(
-            "eps_list must be positive and strictly descending with >= 2 entries"
+            "eps_list must be finite, positive and strictly descending with >= 2 entries"
         )
     x_grid = np.asarray(x_grid, dtype=float)
     table = [(1.0 / math.pi) * np.asarray(transform(x_grid + 1j * e)).imag for e in eps]
@@ -172,38 +162,16 @@ def free_bm_transform(theta: float, sigma: float, t: float, z: complex) -> compl
     return free_bm_law(theta, sigma, t).transform(_require_upper(z))
 
 
-def free_ou_variance(theta: float, sigma: float, t: float) -> float:
-    """sigma^2 (e^{2 theta t} - 1) / (2 theta); theta -> 0 limit sigma^2 t.
-
-    Valid for both signs of theta (for theta < 0 it equals
-    sigma^2 (1 - e^{-2|theta| t}) / (2|theta|), stationary value
-    sigma^2/(2|theta|)).
-    """
-    if theta == 0.0:
-        return sigma**2 * t
-    return sigma**2 * math.expm1(2.0 * theta * t) / (2.0 * theta)
-
-
 def free_ou_transform(theta: float, sigma: float, t: float, z: complex) -> complex:
     """Transform of the free Ornstein-Uhlenbeck marginal at time t.
 
     The marginal is the centered semicircle with variance
-    :func:`free_ou_variance` (radius^2 = 4 * variance); continuous with
-    free BM as theta -> 0.
+    :func:`~eigenflow.limits.free_ou_variance` (radius^2 = 4 * variance);
+    continuous with free BM as theta -> 0.
     """
     if t <= 0:
         raise ValidationError("t must be > 0")
     return free_ou_law(theta, sigma, t).transform(_require_upper(z))
-
-
-def free_bm_law(theta: float, sigma: float, t: float) -> Semicircle:
-    """Free-BM marginal: semicircle with variance sigma^2 t centered at theta t."""
-    return Semicircle.from_variance(sigma**2 * t, center=theta * t)
-
-
-def free_ou_law(theta: float, sigma: float, t: float) -> Semicircle:
-    """Free-OU marginal: centered semicircle with the OU variance."""
-    return Semicircle.from_variance(free_ou_variance(theta, sigma, t))
 
 
 def free_pde_residual(
@@ -222,20 +190,16 @@ def free_pde_residual(
     g^2 = h^2 = sigma/2 (the unique constant choice with g = h making the
     equation hold: 2 * beta * (sigma/2)^2 = sigma^2).
     """
-    if case not in ("free_bm", "free_ou"):
-        raise ValidationError("case must be 'free_bm' or 'free_ou'")
-    if t - delta_t <= 0:
-        raise ValidationError("need t - delta_t > 0 for the centered difference")
+    family = FreeDiffusion(case, theta, sigma)
+    if not 0 < delta_t < t < math.inf:
+        raise ValidationError("need 0 < delta_t < t, both finite, for the centered difference")
     z = _require_upper(z)
-    if case == "free_bm":
-        transform, law, drift = free_bm_transform, free_bm_law(theta, sigma, t), [theta]
-    else:
-        transform, law, drift = free_ou_transform, free_ou_law(theta, sigma, t), [0.0, theta]
-    dr_dt = (
-        transform(theta, sigma, t + delta_t, z) - transform(theta, sigma, t - delta_t, z)
-    ) / (2.0 * delta_t)
+    dr_dt = (family.at(t + delta_t).transform(z) - family.at(t - delta_t).transform(z)) / (
+        2.0 * delta_t
+    )
     diffusion = partial(polyval, c=[sigma / 2.0])
+    drift = [theta] if case == "free_bm" else [0.0, theta]
     rhs = ct_evolution_rhs(
-        law, z, g2=diffusion, h2=diffusion, b=partial(polyval, c=drift), beta=2.0
+        family.at(t), z, g2=diffusion, h2=diffusion, b=partial(polyval, c=drift), beta=2.0
     )
     return abs(dr_dt - rhs)

@@ -8,7 +8,8 @@ Wishart-type limit equation (the non-uniqueness examples): one law,
 and :func:`mp_mixture_three` (an atom at 0 between the two sides). Every
 class whose moment hierarchy closes (deg b <= 1, deg g^2, deg h^2 <= 2),
 the geometric and Jacobi classes among them, has a moments-only
-:class:`HierarchyLaw`.
+:class:`HierarchyLaw`. The free diffusions are one time-indexed family of
+semicircles, :class:`FreeDiffusion`.
 
 Every law with a CDF moves in time by dilation: the semicircle by its
 radius about its center, the MP law by beta*t, the mixtures by t (and a
@@ -55,6 +56,7 @@ from .errors import (
 from .linalg import _degree
 
 __all__ = [
+    "FreeDiffusion",
     "HierarchyLaw",
     "MarchenkoPastur",
     "MomentPath",
@@ -62,6 +64,9 @@ __all__ = [
     "MPMixture",
     "PointMass",
     "Semicircle",
+    "free_bm_law",
+    "free_ou_law",
+    "free_ou_variance",
     "generic_moment_ode",
     "geometric_moments",
     "geometric_w",
@@ -74,7 +79,9 @@ __all__ = [
 ]
 
 _MESH_POINTS = 20001  # fixed CDF mesh size: deterministic quadrature/inversion
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
+_TRAPEZOID_START = 256  # intervals of the first trapezoid sum in theta
+_TRAPEZOID_CAP = 2**16  # the most intervals before a weighted transform raises
+_TRAPEZOID_TOL = 1e-13  # two successive sums agree to this, relative
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +203,8 @@ class MomentPath:
 
 
 # ---------------------------------------------------------------------------
-# Trapezoid integration (CDF meshes, time integrals), quadrature of the
-# continuous parts, transforms, and the dilation rule
+# Trapezoid integration (CDF meshes, time integrals, the continuous parts
+# in theta), transforms, and the dilation rule
 # ---------------------------------------------------------------------------
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -262,13 +269,22 @@ class _Piece(NamedTuple):
         return self.e0 + (self.e1 - self.e0) * np.sin(theta) ** 2
 
 
-def _cquad(f: Callable[[float], complex], a: float, b: float) -> complex:
-    # imported on first use: no subcommand reaches quadrature or pays for SciPy
-    from scipy.integrate import quad
-
-    re = quad(lambda s: f(s).real, a, b, **_QUAD_OPTS)[0]
-    im = quad(lambda s: f(s).imag, a, b, **_QUAD_OPTS)[0]
-    return complex(re, im)
+def _theta_trapezoid(f: Callable[[np.ndarray], np.ndarray], what: str) -> complex:
+    """int_0^{pi/2} f(theta) dtheta for an f that is even and pi-periodic, so
+    that the trapezoid rule is the periodic one and converges geometrically.
+    From 256 intervals it doubles, T_2n = (T_n + M_n)/2 with M_n the midpoint
+    sum, so each doubling calls ``f`` once, on the new nodes only. Returns
+    the first sum within ``_TRAPEZOID_TOL`` (relative) of the one before it;
+    past 2^16 intervals it raises NumericalError naming ``what``."""
+    n, half_pi = _TRAPEZOID_START, 0.5 * math.pi
+    ends = f(np.linspace(0.0, half_pi, n + 1))
+    total = half_pi / n * (np.sum(ends) - 0.5 * (ends[0] + ends[-1]))
+    while n < _TRAPEZOID_CAP:
+        refined = 0.5 * (total + half_pi / n * np.sum(f(half_pi * _midpoints(n))))
+        if abs(refined - total) <= _TRAPEZOID_TOL * abs(refined):
+            return complex(refined)
+        total, n = refined, 2 * n
+    raise NumericalError(f"{what} did not converge in {_TRAPEZOID_CAP} trapezoid intervals")
 
 
 def _quadratic_root(a, b, z):
@@ -306,7 +322,8 @@ class _LawBase:
     ``_unit_integrated_cdf`` or ``_unit_levels``.
 
     A family states its continuous part once, as the pieces ``_pieces()``
-    (:class:`_Piece`) that :meth:`weighted_transform` integrates, and
+    (:class:`_Piece`) that :meth:`weighted_transform` integrates by one
+    numpy rule, the trapezoid in theta, which converges or raises; and it
     answers its own Cauchy transform, ``transform(z)``, for a scalar or an
     array of z (elementwise).
     """
@@ -376,22 +393,22 @@ class _LawBase:
         return []
 
     def weighted_transform(self, weight, z: complex, power: int) -> complex:
-        """E[weight(x) (x - z)^{-power}]: the sum over the atoms plus one
-        quadrature per piece, at x = loc + scale u(theta). A law at scale 0
-        has no pieces."""
-        acc = 0.0 + 0.0j
-        for pos, mass in self.atoms():
-            acc += mass * complex(weight(pos)) / (pos - z) ** power
+        """E[weight(x) (x - z)^{-power}] at one z: the sum over the atoms plus,
+        per piece at x = loc + scale u(theta), the trapezoid rule in theta
+        (:func:`_theta_trapezoid`); ``weight`` takes an array of x. A law at
+        scale 0 has no pieces. A piece whose sums do not converge raises
+        NumericalError naming the law and z."""
+        pos, mass = np.array(self.atoms(), dtype=float).reshape(-1, 2).T
+        acc = complex(np.sum(mass * weight(pos) / (pos - z) ** power))
         loc, scale = self._dilation()
         if scale == 0:
             return acc
         for piece in self._pieces():
-            def f(theta: float, piece: _Piece = piece) -> complex:
-                x = loc + scale * float(piece.u(theta))  # float: NumPy scalars are slow here
-                mass = piece.weight * float(piece.density(theta))
-                return mass * complex(weight(x)) / (x - z) ** power
+            def f(theta: np.ndarray, piece: _Piece = piece) -> np.ndarray:
+                x = loc + scale * piece.u(theta)
+                return piece.weight * piece.density(theta) * weight(x) / (x - z) ** power
 
-            acc += _cquad(f, 0.0, 0.5 * math.pi)
+            acc += _theta_trapezoid(f, f"weighted transform of {self!r} at z={complex(z)}")
         return acc
 
 
@@ -519,8 +536,8 @@ def semicircle_moments(
     here is variance = beta*t/2). A nonzero center shifts by binomial
     convolution.
     """
-    if t < 0:
-        raise ValidationError("t must be >= 0")
+    if not (0 <= t < math.inf and math.isfinite(center)):
+        raise ValidationError("t must be finite and >= 0, center finite")
     centered = [Fraction(0)] * (k_max + 1)
     polys: list[list[Fraction]] = []
     for k in range(k_max + 1):
@@ -543,14 +560,58 @@ def semicircle_moments(
     return MomentSequence(values, t=float(t)).check_hankel()
 
 
+def free_ou_variance(theta: float, sigma: float, t: float) -> float:
+    """sigma^2 (e^{2 theta t} - 1) / (2 theta); theta -> 0 limit sigma^2 t.
+
+    Valid for both signs of theta (for theta < 0 it equals
+    sigma^2 (1 - e^{-2|theta| t}) / (2|theta|), stationary value
+    sigma^2/(2|theta|)).
+    """
+    if not all(map(math.isfinite, (theta, sigma, t))):
+        raise ValidationError("theta, sigma and t must be finite")
+    if theta == 0.0:
+        return sigma**2 * t
+    return sigma**2 * math.expm1(2.0 * theta * t) / (2.0 * theta)
+
+
+@dataclass(frozen=True)
+class FreeDiffusion:
+    """Marginals in time of free Brownian motion (``kind="free_bm"``, drift
+    theta) or of the free Ornstein-Uhlenbeck process (``"free_ou"``, drift
+    theta x) with scale sigma, from 0: ``at(t)`` is :func:`free_bm_law` or
+    :func:`free_ou_law` at t."""
+
+    kind: str
+    theta: float
+    sigma: float
+
+    def __post_init__(self):
+        if self.kind not in ("free_bm", "free_ou"):
+            raise ValidationError("free diffusion kind must be 'free_bm' or 'free_ou'")
+
+    def at(self, t: float) -> Semicircle:
+        law = free_bm_law if self.kind == "free_bm" else free_ou_law
+        return law(self.theta, self.sigma, t)
+
+
+def free_bm_law(theta: float, sigma: float, t: float) -> Semicircle:
+    """Free-BM marginal: semicircle with variance sigma^2 t centered at theta t."""
+    return Semicircle.from_variance(sigma**2 * t, center=theta * t)
+
+
+def free_ou_law(theta: float, sigma: float, t: float) -> Semicircle:
+    """Free-OU marginal: centered semicircle with variance :func:`free_ou_variance`."""
+    return Semicircle.from_variance(free_ou_variance(theta, sigma, t))
+
+
 # ---------------------------------------------------------------------------
 # Marchenko-Pastur family
 # ---------------------------------------------------------------------------
 
 def mp_params(alpha: float) -> tuple[float, float]:
     """Edge pair ((1 - sqrt(alpha))^2, (1 + sqrt(alpha))^2)."""
-    if alpha < 0:
-        raise ValidationError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ValidationError("alpha must be finite and >= 0")
     s = math.sqrt(alpha)
     return (1.0 - s) ** 2, (1.0 + s) ** 2
 
@@ -704,8 +765,8 @@ def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequenc
     polynomial in t with nonnegative coefficients, cached per
     (alpha, beta, k_max) and evaluated at t).
     """
-    if alpha < 0:
-        raise ValidationError("alpha must be >= 0")
+    if not (0 <= alpha < math.inf and math.isfinite(beta) and math.isfinite(t)):
+        raise ValidationError("alpha must be finite and >= 0, beta and t finite")
     if k_max < 0:
         raise ValidationError("k_max must be >= 0")
     polys = _mp_polys(alpha, beta, k_max)
@@ -955,10 +1016,8 @@ def geometric_moments(a: float, alpha: float, beta: float, t: float, k_max: int)
     Also validates the growth bound w_k(x) <= k! 9^{k-1} (1+x)^{k-1} at
     x = t*beta for each computed k.
     """
-    if a <= 0:
-        raise ValidationError("a must be > 0")
-    if t < 0:
-        raise ValidationError("t must be >= 0")
+    if not (0 < a < math.inf and 0 <= t < math.inf and all(map(math.isfinite, (alpha, beta)))):
+        raise ValidationError("a must be finite and > 0, t finite and >= 0, alpha and beta finite")
     values = [1.0]
     if k_max >= 1:
         ws = geometric_w(k_max)

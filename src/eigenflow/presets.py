@@ -57,12 +57,11 @@ from typing import Callable
 
 import numpy as np
 
-from .cauchy import free_bm_law, free_ou_law
 from .config import ExperimentConfig
 from .empirical import ks_distance, limit_equation_residual, wasserstein1
 from .errors import ValidationError
 from .flows import _DYSON_INDEX, FlowSpec, simulate_ensemble
-from .limits import HierarchyLaw, MarchenkoPastur, Semicircle, mp_mixture_two
+from .limits import FreeDiffusion, HierarchyLaw, MarchenkoPastur, Semicircle, mp_mixture_two
 from .linalg import SpectralFunction
 
 __all__ = [
@@ -100,20 +99,6 @@ class ResultRow:
     t: float
     stat: str
     value: float
-
-
-@dataclass(frozen=True)
-class FreeDiffusionFamily:
-    """Time-indexed family of free-diffusion marginals (semicircles)."""
-
-    kind: str  # "free_bm" | "free_ou"
-    theta: float
-    sigma: float
-
-    def at(self, t: float) -> Semicircle:
-        if self.kind == "free_bm":
-            return free_bm_law(self.theta, self.sigma, t)
-        return free_ou_law(self.theta, self.sigma, t)
 
 
 @dataclass(frozen=True)
@@ -217,7 +202,7 @@ def _free_diffusion(cfg: ExperimentConfig, b: tuple) -> dict:
     half = (cfg.sigma / 2.0,)
     return dict(
         field="complex", g2=half, h2=half, b=b, initial_spectrum=np.zeros,
-        law=FreeDiffusionFamily(cfg.preset, cfg.theta, cfg.sigma),
+        law=FreeDiffusion(cfg.preset, cfg.theta, cfg.sigma),
     )
 
 

@@ -3,21 +3,29 @@
 The transform convention G(z) = int dmu(x)/(x - z) is pinned on point
 masses and Laurent tails, the Herglotz property is asserted on a grid,
 density recovery (Stieltjes inversion) is checked against exact
-densities, and the free-diffusion closed forms are verified against
-their defining quadratic equation, shift covariance, and the evolution
-equation itself via finite differences.
+densities, the weighted transforms of the laws against SciPy's adaptive
+quadrature (``cauchy_oracles``) and exact polynomial identities, and the
+free-diffusion closed forms are verified against their defining quadratic
+equation, shift covariance, and the evolution equation itself via finite
+differences.
 """
 
+import math
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
+
+import cauchy_oracles
 
 from eigenflow import (
     EmpiricalMeasure,
     HierarchyLaw,
     MarchenkoPastur,
+    MPMixture,
+    NumericalError,
     PointMass,
     Semicircle,
     UnsupportedLawOperation,
@@ -34,7 +42,8 @@ from eigenflow import (
     mp_mixture_two,
     stieltjes_invert,
 )
-from eigenflow.cauchy import _one, _weighted_transform
+from eigenflow.cauchy import _weighted_transform
+from eigenflow.limits import _theta_trapezoid
 
 LAWS = [
     Semicircle(1.0, beta=2),
@@ -111,13 +120,13 @@ ORACLE_LAWS = LAWS + [
          "semicircle_centered", "mp_small_ratio", "mp_alpha0", "mp_t0", "mix2_alpha0"],
 )
 def test_closed_form_transform_matches_quadrature(law):
-    """The closed-form G of each law family equals the quadrature of
+    """The closed-form G of each law family equals SciPy's quadrature of
     int (x - z)^{-1} mu(dx), also close to the support."""
     lo, hi = law.bounds()
     for re in np.linspace(lo - 1.0, hi + 1.0, 17):
         for eps in (1.0, 0.05, 0.00625, 1e-3):
             z = complex(re, eps)
-            ref = _weighted_transform(law, z, _one, 1)
+            ref = cauchy_oracles.weighted_transform(law, np.ones_like, z, 1)
             assert abs(cauchy_transform(law, z) - ref) <= 1e-10 * abs(ref), (re, eps)
 
 
@@ -153,6 +162,112 @@ def test_weighted_transform_polynomial_identity(law):
             - (_polynomial_identity(law, z + 2 * h) - _polynomial_identity(law, z - 2 * h))
         ) / (12.0 * h)
         assert abs(_weighted_transform(law, z, phi, 2) - deriv) <= 1e-9 * abs(deriv), z
+
+
+IDENTITY_IDS = ["semicircle", "mp", "mp_atom", "mix2", "mix3", "semicircle_centered",
+                "mp_small_ratio", "mp_alpha0", "mp_t0", "mix2_alpha0", "semicircle_t0",
+                "point_mass"]
+
+
+@pytest.mark.parametrize("law", IDENTITY_LAWS, ids=IDENTITY_IDS)
+def test_weighted_transform_matches_quadrature_oracle(law):
+    """The trapezoid rule in theta against SciPy's adaptive quadrature, for
+    weights 1 and phi at powers 1 and 2, across and beside the support at
+    Im z = 1 and 0.1. (On finer real grids ``quad`` itself warns of roundoff
+    at a few power-2 points at Im z = 0.1, so it is no reference there.)"""
+    phi = partial(polyval, c=PHI)
+    lo, hi = law.bounds()
+    for re in np.linspace(lo - 1.0, hi + 1.0, 7):
+        for eps in (1.0, 0.1):
+            z = complex(re, eps)
+            for weight in (np.ones_like, phi):
+                for power in (1, 2):
+                    got = law.weighted_transform(weight, z, power)
+                    ref = cauchy_oracles.weighted_transform(law, weight, z, power)
+                    assert abs(got - ref) <= 1e-12 * abs(ref), (z, weight, power)
+
+
+def _transform_derivative(law, z):
+    """G'(z) by implicit differentiation of the family's quadratic
+    a r^2 + b r + 1 = 0: r' = -(a' r^2 + b' r) / (2 a r + b)."""
+    if isinstance(law, Semicircle):
+        r = law.transform(z)
+        return -r / (2.0 * law.variance * r + z - law.center)
+    if isinstance(law, MarchenkoPastur):
+        r, s = law.transform(z), law.scale
+        return -(s * r * r + r) / (2.0 * z * s * r + z + s * (1.0 - law.ratio))
+    assert isinstance(law, MPMixture)
+    pos, neg = law.components()
+    reflected = np.conj(_transform_derivative(neg, -np.conj(z)))
+    return law.gamma / z**2 + law.lam * _transform_derivative(pos, z) + law.lam_star * reflected
+
+
+def _polynomial_identity_derivative(law, z):
+    """d/dz of :func:`_polynomial_identity`, exactly: phi'(z) G + phi(z) G'
+    plus the z-derivative of its tail."""
+    m = law.moments(len(PHI) - 1)
+    tail = sum(
+        c * sum(m[j] * (k - 1 - j) * z ** (k - 2 - j) for j in range(k - 1))
+        for k, c in enumerate(PHI)
+    )
+    return (
+        polyval(z, polyder(PHI)) * cauchy_transform(law, z)
+        + polyval(z, PHI) * _transform_derivative(law, z)
+        + tail
+    )
+
+
+NEAR_AXIS_LAWS = {
+    "semicircle": Semicircle(1.0),
+    "mp": MarchenkoPastur(2.5, 1.0),
+    "mix3": mp_mixture_three(2.0, 3.0, 0.8),
+}
+
+
+@pytest.mark.parametrize("law", NEAR_AXIS_LAWS.values(), ids=NEAR_AXIS_LAWS.keys())
+def test_weighted_transform_near_the_axis_converges_or_raises(law):
+    """At nine real parts across the support, at Im z = 1e-2 and 1e-3, each
+    call either meets the exact polynomial identity (power 1) or its exact
+    z-derivative (power 2) to 1e-12 relative, or raises NumericalError
+    naming the law and z; no call warns. At Im z = 1e-2 every power-1 call
+    converges."""
+    phi = partial(polyval, c=PHI)
+    lo, hi = law.bounds()
+    for eps in (1e-2, 1e-3):
+        for re in np.linspace(lo, hi, 9):
+            z = complex(re, eps)
+            for power, exact in ((1, _polynomial_identity), (2, _polynomial_identity_derivative)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        got = law.weighted_transform(phi, z, power)
+                    except NumericalError as err:
+                        assert repr(law) in str(err) and str(z) in str(err)
+                        assert (eps, power) != (1e-2, 1), z
+                        continue
+                want = exact(law, z)
+                assert abs(got - want) <= 1e-12 * abs(want), (z, power)
+
+
+def test_theta_trapezoid_converges_geometrically_or_raises():
+    """The Poisson kernel (1 - r^2) / (1 - 2 r cos 2 theta + r^2) integrates
+    to pi/2 on [0, pi/2] (its denominator is written (1 - r)^2 + 4 r
+    sin^2 theta, which rounds well near the peak). Each doubling evaluates
+    only the new nodes; a kernel too sharp for 2^16 intervals raises,
+    naming what it integrated."""
+    nodes = []
+
+    def poisson(r):
+        def f(theta):
+            nodes.append(theta.size)
+            return (1.0 - r * r) / ((1.0 - r) ** 2 + 4.0 * r * np.sin(theta) ** 2)
+
+        return f
+
+    assert abs(_theta_trapezoid(poisson(0.99), "kernel") - 0.5 * math.pi) <= 1e-14
+    assert nodes[0] == 257 and nodes[1:] == [256 * 2**j for j in range(len(nodes) - 1)]
+    with pytest.raises(NumericalError, match="sharp kernel did not converge in 65536"):
+        _theta_trapezoid(poisson(1.0 - 1e-4), "sharp kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +345,17 @@ def test_invert_mp_density():
     assert np.max(np.abs(est - exact)) <= 1e-2
 
 
+@pytest.mark.parametrize(
+    "eps",
+    [(0.04, float("nan")), (float("inf"), 0.04), (0.08, 0.04, float("nan"), 0.01)],
+    ids=["nan_last", "inf_first", "nan_inside"],
+)
+def test_stieltjes_invert_rejects_non_finite_eps(eps):
+    law = Semicircle(1.0, beta=2)
+    with pytest.raises(ValidationError, match="eps_list must be finite"):
+        stieltjes_invert(lambda z: cauchy_transform(law, z), np.linspace(-1.0, 1.0, 5), eps)
+
+
 def test_invert_vanishes_outside_support():
     law = Semicircle(1.0, beta=2)
     grid = np.array([-3.5, 3.0, 4.0])
@@ -272,7 +398,7 @@ def test_ct_evolution_rejects_other_laws():
 
     for law in (Uniform(), HierarchyLaw((0.0,), (1.0,), (1.0,), beta=2, a=0.0)):
         with pytest.raises(UnsupportedLawOperation):
-            ct_evolution_rhs(law, 1.0 + 1.0j, _one, _one, _one)
+            ct_evolution_rhs(law, 1.0 + 1.0j, np.ones_like, np.ones_like, np.ones_like)
 
 
 def test_ct_evolution_matches_fd_semicircle():
@@ -357,6 +483,14 @@ def test_free_pde_residuals_small():
         assert free_pde_residual("free_ou", 0.5, z, theta=-1.0, sigma=1.0) <= 1e-4
     with pytest.raises(ValidationError):
         free_pde_residual("heat", 0.5, 1.0j)
+
+
+@pytest.mark.parametrize(
+    "delta_t", [0.0, float("nan"), float("inf"), 0.5], ids=["zero", "nan", "inf", "t"]
+)
+def test_free_pde_residual_needs_a_finite_step_inside_0_t(delta_t):
+    with pytest.raises(ValidationError, match="need 0 < delta_t < t, both finite"):
+        free_pde_residual("free_ou", 0.5, 1.0j, delta_t=delta_t, theta=-1.0)
 
 
 def test_free_bm_rigid_translation_at_zero_sigma():

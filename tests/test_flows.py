@@ -40,7 +40,7 @@ from eigenflow import (
     simulate_ensemble,
     simulate_path,
 )
-from eigenflow.cauchy import free_ou_variance
+from eigenflow.limits import free_ou_variance
 from eigenflow.presets import build_flow_spec
 from stepper_oracles import dw_euler_step, dw_step_matrix
 

@@ -674,6 +674,14 @@ def _measures(count):
         lambda: eigenflow.EmpiricalMeasureProcess((0.0, float("nan")), _measures(2)),
         lambda: eigenflow.EmpiricalMeasure([0.1, float("nan"), 0.3]),
         lambda: eigenflow.EmpiricalMeasure([float("-inf"), 0.2]),
+        lambda: eigenflow.mp_moments(float("nan"), 2, 1.0, 4),
+        lambda: eigenflow.mp_moments(2.5, 2, float("nan"), 4),
+        lambda: eigenflow.semicircle_moments(float("nan"), 2, 4),
+        lambda: eigenflow.semicircle_moments(float("inf"), 2, 4),
+        lambda: eigenflow.geometric_moments(float("nan"), 0.0, 2.0, 1.0, 4),
+        lambda: eigenflow.geometric_moments(1.0, 0.0, 2.0, float("nan"), 4),
+        lambda: eigenflow.mp_params(float("nan")),
+        lambda: eigenflow.free_ou_variance(float("nan"), 1.0, 1.0),
     ],
     ids=["flow_dt_nan", "flow_dt_inf", "flow_t_grid_nan", "noise_dt_nan", "noise_dt_inf",
          "flow_n_zero", "flow_n_negative", "flow_n_fractional", "noise_n_zero",
@@ -682,7 +690,9 @@ def _measures(count):
          "semicircle_center_nan", "mixture_two_t_nan", "mixture_three_alpha_inf",
          "mixture_three_t_inf", "mixture_two_at_nan", "mixture_three_at_inf", "point_mass_nan",
          "process_t_grid_nan", "empirical_atoms_nan",
-         "empirical_atoms_inf"],
+         "empirical_atoms_inf", "mp_moments_alpha_nan", "mp_moments_t_nan",
+         "semicircle_moments_t_nan", "semicircle_moments_t_inf", "geometric_moments_a_nan",
+         "geometric_moments_t_nan", "mp_params_alpha_nan", "free_ou_variance_theta_nan"],
 )
 def test_python_api_rejects_non_finite_inputs(build):
     with pytest.raises(ValidationError, match="finite"):
@@ -759,9 +769,10 @@ def test_cli_output_mkdir_failure_exits_2_naming_the_path(tmp_path, capsys, monk
 
 
 # Runs in a fresh interpreter: every subcommand on a tiny config of every
-# preset (``threads`` unset), then reports the exit codes, any SciPy module
-# that got loaded, and the process-pool modules loaded by the import alone
-# and by the end.
+# preset (``threads`` unset) and the weighted transforms of the laws (a free
+# PDE residual and ct_evolution_rhs of an MP law and a mixture), then
+# reports the exit codes, any SciPy module that got loaded, and the
+# process-pool modules loaded by the import alone and by the end.
 _COLD_PATH_CHILD = """\
 import contextlib, io, json, sys, tempfile
 from pathlib import Path
@@ -786,6 +797,10 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(
         for cmd in ("simulate", "compare", "sweep", "moments", "invert", "residual"):
             out = Path(tmp) / name / cmd
             codes[cmd + " " + name] = main([cmd, "--config", str(cfg), "--out", str(out)])
+from eigenflow import MarchenkoPastur, ct_evolution_rhs, free_pde_residual, mp_mixture_three
+free_pde_residual("free_ou", 0.5, 1.0 + 1.0j, theta=-1.0)
+for law in (MarchenkoPastur(2.5, 1.0), mp_mixture_three(2.0, 3.0)):
+    ct_evolution_rhs(law, 1.0 + 0.5j, abs, abs, abs)
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 pools = {"import": pools_at_import, "end": pool_modules()}
 print(json.dumps({"codes": codes, "scipy": scipy, "pools": pools}))
