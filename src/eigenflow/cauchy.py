@@ -50,11 +50,11 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import UnsupportedLawOperation, ValidationError
 from .empirical import EmpiricalMeasure
 from .limits import FreeDiffusion, free_bm_law, free_ou_law
+from .linalg import _horner
 
 __all__ = [
     "cauchy_transform",
@@ -83,7 +83,7 @@ def _law_method(mu, name: str):
 
 def _weighted_transform(mu, z, weight, power: int):
     """E[weight(x) (x - z)^{-power}] under a measure or law ``mu``; an
-    empirical measure takes a scalar or an array of z."""
+    empirical measure takes a scalar or an array of z, a law one z."""
     if isinstance(mu, EmpiricalMeasure):
         lam = mu.atoms
         wv = np.asarray(weight(lam), dtype=float)
@@ -133,15 +133,18 @@ def stieltjes_invert(
     return table[0]
 
 
-def ct_evolution_rhs(mu, z: complex, g2, h2, b, beta: float = 2.0) -> complex:
+def ct_evolution_rhs(mu, z, g2, h2, b, beta: float = 2.0):
     """RHS of the transform evolution equation at measure ``mu``, point z.
 
         -E[b R^2] + beta ( E[g^2 R] E[h^2 R^2] + E[g^2 R^2] E[h^2 R] ),
 
     R = (x - z)^{-1}, with ``g2``, ``h2``, ``b`` callables evaluating
-    g^2, h^2 and the drift pointwise.
+    g^2, h^2 and the drift pointwise. An array of z gives, in z's shape, the
+    scalar calls' values, one z at a time (numpy fuses an array's complex products).
     """
     z = _require_upper(z)
+    if np.ndim(z):
+        return np.reshape([ct_evolution_rhs(mu, v, g2, h2, b, beta) for v in z.ravel()], z.shape)
     drift = -_weighted_transform(mu, z, b, 2)
     g_r1 = _weighted_transform(mu, z, g2, 1)
     g_r2 = _weighted_transform(mu, z, g2, 2)
@@ -197,9 +200,9 @@ def free_pde_residual(
     dr_dt = (family.at(t + delta_t).transform(z) - family.at(t - delta_t).transform(z)) / (
         2.0 * delta_t
     )
-    diffusion = partial(polyval, c=[sigma / 2.0])
-    drift = [theta] if case == "free_bm" else [0.0, theta]
+    diffusion = partial(_horner, coeffs=(sigma / 2.0,))
+    drift = (float(theta),) if case == "free_bm" else (0.0, float(theta))
     rhs = ct_evolution_rhs(
-        family.at(t), z, g2=diffusion, h2=diffusion, b=partial(polyval, c=drift), beta=2.0
+        family.at(t), z, g2=diffusion, h2=diffusion, b=partial(_horner, coeffs=drift), beta=2.0
     )
     return abs(dr_dt - rhs)

@@ -14,14 +14,10 @@ equal to f'' on the diagonal (automatic for polynomial f), together with
 the finite-n decomposition of d<mu, f> into drift, (2-beta)/(2n)
 correction, interaction, and martingale parts.
 
-The double integral is never formed atom pair by atom pair. For
-polynomial f it separates into power sums,
-
-    iint (f'(x) - f'(y))/(x - y) G dmu dmu = 2 sum_j f'_j (P_g * P_h)[j-1],
-
-with P_g[l] = <mu, x^l g^2>, P_h[l] = <mu, x^l h^2> and * discrete
-convolution, exact at coincident atoms and for any g^2, h^2 (see
-:func:`eigenflow.limits._interaction_kernel`): O(n deg f) per measure.
+The double integral is never formed atom pair by atom pair: for
+polynomial f it separates into the power sums <mu, x^l g^2> and
+<mu, x^l h^2>, exact at coincident atoms and for any g^2, h^2
+(:func:`eigenflow.limits._interaction_kernel`): O(n deg f) per measure.
 """
 
 from __future__ import annotations
@@ -32,11 +28,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyder
 
 from .errors import UnsupportedLawOperation, ValidationError
 from .flows import EigenPath, FlowSpec
 from .limits import _cumtrapz, _interaction_kernel
+from .linalg import _horner
 
 __all__ = [
     "EmpiricalMeasure",
@@ -259,11 +256,13 @@ def _limit_terms(
     ``coeffs`` is one ascending coefficient array, giving shape (3, M), or
     a 2-D array of rows, giving shape (3, rows, M): each measure's powers
     and power sums are formed once, at the largest degree, for every row.
-    The measures run in chunks whose (chunk, n, width) powers hold at most
-    ``_CHUNK_ENTRIES`` entries; each measure's terms are the same bits
-    whatever the chunk. The double integral runs over the full product
-    measure (diagonal = f'') and comes from the atoms' power sums through
-    the interaction kernel.
+    The measures run in chunks whose (chunk, width, n) table of powers
+    lambda^l / n holds at most ``_CHUNK_ENTRIES`` entries; one stacked
+    matmul against the (chunk, 4, n) stack [1, g^2, h^2, b] gives every
+    power sum <x^l w>, and one interaction-kernel call the double integral
+    over the full product measure (diagonal = f''). Every stacked product
+    makes, per measure, the BLAS call of a one-measure product, so a
+    measure's terms are the same bits in any chunk.
     """
     rows = np.atleast_2d(coeffs)
     width = max(rows.shape[1], 2)  # f' has at least one coefficient
@@ -274,24 +273,21 @@ def _limit_terms(
     step = max(1, _CHUNK_ENTRIES // (n * width))
     for lo in range(0, count, step):
         lam = atoms[lo : lo + step]
-        # lam^l / n, as np.vander forms the powers: one running product, a
-        # column at a time (np.multiply.accumulate along the short last axis
-        # is slower)
-        powers = np.empty(lam.shape + (width,))
-        powers[..., 0] = 1.0
+        # lam^l / n, as np.vander forms the powers: one running product
+        powers = np.empty((len(lam), width, n))
+        powers[:, 0] = 1.0
         for l in range(1, width):
-            np.multiply(powers[..., l - 1], lam, out=powers[..., l])
+            np.multiply(powers[:, l - 1], lam, out=powers[:, l])
         powers /= n
-        head = powers[..., : width - 2].swapaxes(-1, -2)
-        p_g = head @ np.broadcast_to(g2(lam), lam.shape)[..., None]
-        p_h = head @ np.broadcast_to(h2(lam), lam.shape)[..., None]
-        b_lam = np.broadcast_to(b(lam), lam.shape)[..., None, :]
-        # np.convolve per measure keeps the summation order of its BLAS dot
-        inter = np.array([_interaction_kernel(g, h) for g, h in zip(p_g[..., 0], p_h[..., 0])])
-        # each stacked @ makes the very BLAS call the one-measure product made
+        weights = np.empty((len(lam), 4, n))
+        weights[:, 0] = 1.0
+        for row, fn in enumerate((g2, h2, b), start=1):
+            weights[:, row] = fn(lam)
+        sums = weights @ powers.swapaxes(-1, -2)  # (chunk, 4, width)
+        inter = _interaction_kernel(sums[:, 1, : width - 2], sums[:, 2, : width - 2])
         chunk = terms[..., lo : lo + step]
-        chunk[0] = (rows @ powers.sum(axis=-2)[..., None])[..., 0].T
-        chunk[1] = (fp @ (b_lam @ powers[..., :-1]).swapaxes(-1, -2))[..., 0].T
+        chunk[0] = (rows @ sums[:, 0, :, None])[..., 0].T
+        chunk[1] = (fp @ sums[:, 3, : width - 1, None])[..., 0].T
         chunk[2] = (fp @ inter[..., None])[..., 0].T
     return terms if np.ndim(coeffs) == 2 else terms[:, 0]
 
@@ -355,7 +351,7 @@ def em_sde_decomposition(proc: EmpiricalMeasureProcess, f, spec: FlowSpec) -> di
 
     atoms = proc.spectra
     observable, drift_i, inter_i = _limit_terms(atoms, coeffs, g2, h2, spec.b)
-    corr_i = np.mean(polyval(atoms, fpp) * 2.0 * g2(atoms) * h2(atoms), axis=-1)
+    corr_i = np.mean(_horner(atoms, tuple(fpp.tolist())) * 2.0 * g2(atoms) * h2(atoms), axis=-1)
     lhs = observable - observable[0]
     drift = _cumtrapz(drift_i, proc.t_grid)
     correction = _cumtrapz((2.0 - beta) / (2.0 * n) * corr_i, proc.t_grid)

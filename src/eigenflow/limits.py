@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedLawOperation,
     ValidationError,
 )
-from .linalg import _degree
+from .linalg import _degree, _horner
 
 __all__ = [
     "FreeDiffusion",
@@ -113,13 +113,6 @@ def _pscale(a: list[Fraction], c: Fraction) -> list[Fraction]:
 def _pint(a: list[Fraction]) -> list[Fraction]:
     """Antiderivative with zero constant term."""
     return [Fraction(0)] + [ai / (i + 1) for i, ai in enumerate(a)]
-
-
-def _peval(a: list[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for ai in reversed(a):
-        acc = acc * t + ai
-    return acc
 
 
 def _catalan(j: int) -> int:
@@ -771,7 +764,7 @@ def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequenc
         raise ValidationError("k_max must be >= 0")
     polys = _mp_polys(alpha, beta, k_max)
     tf = Fraction(t)
-    values = np.array([float(_peval(p, tf)) for p in polys])
+    values = np.array([float(_horner(tf, p)) for p in polys])
     return MomentSequence(values, t=float(t), polys=polys).check_hankel()
 
 
@@ -1023,7 +1016,7 @@ def geometric_moments(a: float, alpha: float, beta: float, t: float, k_max: int)
         ws = geometric_w(k_max)
         x = Fraction(beta) * Fraction(t)
         for k in range(1, k_max + 1):
-            wk = float(_peval(ws[k - 1], x))
+            wk = float(_horner(x, ws[k - 1]))
             if not geometric_growth_bound_ok(k, float(x), wk):
                 raise NumericalError(f"geometric w_{k} violates its growth bound")
             values.append(a**k * wk * math.exp(k * alpha * t))
@@ -1037,8 +1030,8 @@ def geometric_moments(a: float, alpha: float, beta: float, t: float, k_max: int)
 def _interaction_kernel(p_g: np.ndarray, p_h: np.ndarray) -> np.ndarray:
     """Interaction integrals of every monomial f' = x^j from power sums.
 
-    Given P_g[l] = <mu, x^l g^2> and P_h[l] = <mu, x^l h^2> for
-    l = 0..J-1, returns I[0..J] with
+    Given stacked P_g[..., l] = <mu, x^l g^2> and P_h[..., l] = <mu, x^l h^2>
+    for l = 0..J-1, returns I[..., 0..J] with
 
         I[j] = iint (x^j - y^j)/(x - y) G(x, y) mu(dx) mu(dy)
              = 2 (P_g * P_h)[j-1],          I[0] = 0,
@@ -1046,12 +1039,14 @@ def _interaction_kernel(p_g: np.ndarray, p_h: np.ndarray) -> np.ndarray:
     where * is discrete convolution: the divided difference of x^j is
     sum_l x^l y^{j-1-l} and G(x, y) = g^2(x) h^2(y) + g^2(y) h^2(x) is a
     sum of products, so the double integral separates into power sums
-    (O(J^2) given P, for any g^2 and h^2, polynomial or not). The
-    interaction of a polynomial f' with coefficients fp is fp @ I.
+    (O(J^2) given P, for any g^2 and h^2, polynomial or not). Each row is
+    summed in l order, whatever the stack around it. The interaction of a
+    polynomial f' with coefficients fp is fp @ I.
     """
-    out = np.zeros(p_g.size + 1)
-    if p_g.size:
-        out[1:] = 2.0 * np.convolve(p_g, p_h)[: p_g.size]
+    size = p_g.shape[-1]
+    out = np.zeros(p_g.shape[:-1] + (size + 1,))
+    for l in range(size):
+        out[..., l + 1 :] += 2.0 * p_g[..., l, None] * p_h[..., : size - l]
     return out
 
 
@@ -1092,14 +1087,12 @@ def _hierarchy_operators(b, g2, h2, beta, k_max) -> tuple[np.ndarray, np.ndarray
 
     the interaction (beta/2) k I[k-1] of f = x^k (:func:`_interaction_kernel`)
     with power sums P_g[l] = sum_j g2_j m_{l+j}. Column i (k_max+1) + j of Q
-    is Q(e_i, e_j)."""
+    is Q(e_i, e_j); one kernel call serves every pair."""
     size, ks = k_max + 1, np.arange(k_max + 1)[:, None]
     g_op, h_op = (_shift_operator(c, k_max - 1, size) for c in (g2, h2))
     lin = ks * np.vstack([np.zeros(size), _shift_operator(b, k_max, size)])
-    quad = 0.5 * beta * ks * np.array([
-        np.append(0.0, _interaction_kernel(g_op[:, i], h_op[:, j]))
-        for i in range(size) for j in range(size)
-    ]).T
+    pairs = _interaction_kernel(np.repeat(g_op.T, size, axis=0), np.tile(h_op.T, (size, 1)))
+    quad = 0.5 * beta * ks * np.pad(pairs, ((0, 0), (1, 0))).T
     return lin, quad
 
 

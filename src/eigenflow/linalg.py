@@ -15,7 +15,7 @@ implementation on small matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,18 @@ def _degree(coeffs) -> int:
     """Degree of an ascending coefficient array: the index of its last
     nonzero entry, so trailing zeros do not count (0 for the zero array)."""
     return int(max(np.flatnonzero(coeffs), default=0))
+
+
+def _horner(x, coeffs: Sequence):
+    """p(x) for ascending scalar ``coeffs`` (floats, or Fractions for exact
+    values): bit for bit ``numpy.polynomial.polynomial.polyval(x, coeffs)``,
+    ±inf, nan and -0.0 included, by its Horner steps from its
+    ``coeffs[-1] + x*0`` start, without its reshape of the coefficients to
+    x's rank (whose broadcast first step costs more than all the rest)."""
+    out = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * x
+    return out
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
@@ -86,10 +98,9 @@ class SpectralFunction:
     def from_poly(coeffs, name: str | None = None) -> "SpectralFunction":
         """Polynomial function with ascending-degree coefficients."""
         c = np.asarray(coeffs, dtype=float)
+        terms = tuple(np.atleast_1d(c).tolist())
         return SpectralFunction(
-            fn=lambda lam: np.polynomial.polynomial.polyval(
-                np.asarray(lam, dtype=float), c
-            ),
+            fn=lambda lam: _horner(np.asarray(lam, dtype=float), terms),
             poly=c,
             name=name or "poly",
         )
@@ -102,12 +113,10 @@ class SpectralFunction:
         whole real line (e.g. sqrt(|x|) for square-root diffusions), so no
         domain clamp is required for the coefficient evaluation itself.
         """
-        c = np.asarray(square_coeffs, dtype=float)
+        p = SpectralFunction.from_poly(square_coeffs)
         return SpectralFunction(
-            fn=lambda lam: np.sqrt(
-                np.abs(np.polynomial.polynomial.polyval(np.asarray(lam, dtype=float), c))
-            ),
-            square_poly=c,
+            fn=lambda lam: np.sqrt(np.abs(p(lam))),
+            square_poly=p.poly,
             name=name or "sqrt_abs_poly",
         )
 

@@ -3,9 +3,13 @@
 These are the one-measure-at-a-time bodies that the stacked kernels of
 :mod:`eigenflow.empirical` and :func:`eigenflow.presets.run_preset`
 replaced. The tests hold the kernels to them bit for bit (``==``, not
-``isclose``): the CSVs must not move by an ulp. The exception is W1: the
-kernel is exact, and the grid quadratures it replaced (``wasserstein1``,
-``_w1_row``) and a fine trapezoid rule (``fine_wasserstein1``) bound it.
+``isclose``): the CSVs must not move by an ulp. The exceptions are W1,
+whose kernel is exact, so the grid quadratures it replaced
+(``wasserstein1``, ``_w1_row``) and a fine trapezoid rule
+(``fine_wasserstein1``) bound it; and the limit-equation terms, where
+``limit_terms`` follows the stacked kernel's per-measure order bit for bit
+and ``vander_limit_terms``, the np.vander / np.convolve form it replaced,
+agrees to roundoff.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from eigenflow.presets import (
     _monomials,
     make_bundle,
 )
+from moment_oracles import convolve_interaction_kernel
 
 
 _W1_GRID = 4000  # fixed for test determinism
@@ -127,12 +132,39 @@ def fine_wasserstein1(atoms: np.ndarray, law, points: int = 100_001) -> float:
     return float(np.sum(0.5 * (g_start + g_end) * np.diff(grid)))
 
 
-def limit_terms(proc, coeffs, g2, h2, b) -> np.ndarray:
-    """(3, T) or (3, rows, T) terms, one np.vander pass per measure."""
+def _coefficient_rows(coeffs) -> tuple[np.ndarray, np.ndarray, int]:
+    """f's rows padded to a common width >= 2, their f' rows, and the width."""
     rows = np.atleast_2d(coeffs)
     width = max(rows.shape[1], 2)
     rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
-    fp = rows[:, 1:] * np.arange(1, width)
+    return rows, rows[:, 1:] * np.arange(1, width), width
+
+
+def limit_terms(proc, coeffs, g2, h2, b) -> np.ndarray:
+    """(3, T) or (3, rows, T) terms, one measure at a time in the stacked
+    kernel's order: the measure's (width, n) table of powers lambda^l / n
+    against its (4, n) stack [1, g^2, h^2, b], then the interaction kernel
+    of its own power sums."""
+    rows, fp, width = _coefficient_rows(coeffs)
+    terms = np.empty((3, rows.shape[0], len(proc)))
+    for idx, m in enumerate(proc.measures):
+        lam = m.atoms
+        powers = np.ascontiguousarray(np.vander(lam, width, increasing=True).T) / lam.size
+        weights = np.stack(
+            [np.broadcast_to(w, lam.shape) for w in (1.0, g2(lam), h2(lam), b(lam))]
+        )
+        sums = weights @ powers.T  # (4, width)
+        terms[0, :, idx] = rows @ sums[0]
+        terms[1, :, idx] = fp @ sums[3, :-1]
+        terms[2, :, idx] = fp @ _interaction_kernel(sums[1, :-2], sums[2, :-2])
+    return terms if np.ndim(coeffs) == 2 else terms[:, 0]
+
+
+def vander_limit_terms(proc, coeffs, g2, h2, b) -> np.ndarray:
+    """The same terms by one (n, width) np.vander pass per measure, column
+    power sums and an np.convolve interaction: a different summation order,
+    so it agrees with the kernel to roundoff, not bit for bit."""
+    rows, fp, width = _coefficient_rows(coeffs)
     terms = np.empty((3, rows.shape[0], len(proc)))
     for idx, m in enumerate(proc.measures):
         lam = m.atoms
@@ -142,7 +174,7 @@ def limit_terms(proc, coeffs, g2, h2, b) -> np.ndarray:
         p_h = head @ np.broadcast_to(h2(lam), lam.shape)
         terms[0, :, idx] = rows @ powers.sum(axis=0)
         terms[1, :, idx] = fp @ (np.broadcast_to(b(lam), lam.shape) @ powers[:, :-1])
-        terms[2, :, idx] = fp @ _interaction_kernel(p_g, p_h)
+        terms[2, :, idx] = fp @ convolve_interaction_kernel(p_g, p_h)
     return terms if np.ndim(coeffs) == 2 else terms[:, 0]
 
 

@@ -1,15 +1,44 @@
-"""Classical RK4 of the closed moment hierarchy, kept as an oracle.
+"""Classical RK4 of the closed moment hierarchy and the per-pair hierarchy
+operators, kept as oracles.
 
 ``rk4_moment_path`` is the fixed-step integrator that
 ``limits.generic_moment_ode`` ran before every moment of a closed class came
 from the exact Taylor engine (``limits._taylor_family``). It builds the same
 right-hand side from shift operators and the interaction kernel, so it is
 the independent check of the engine's step control.
+
+``convolve_interaction_kernel`` is the one-measure np.convolve kernel that
+the stacked ``limits._interaction_kernel`` replaced, and
+``pairwise_hierarchy_operators`` the (L, Q) construction that called it once
+per pair (e_i, e_j). np.convolve sums in another order (fused multiply-adds
+but for its last entry), so the stacked forms agree with these to roundoff.
 """
 
 import numpy as np
 
 from eigenflow.limits import MomentPath, _interaction_kernel, _shift_operator
+
+
+def convolve_interaction_kernel(p_g: np.ndarray, p_h: np.ndarray) -> np.ndarray:
+    """I[0..J] of one measure's power sums P_g, P_h[0..J-1]: 0, then
+    2 (P_g * P_h)[j-1] by np.convolve."""
+    out = np.zeros(p_g.size + 1)
+    if p_g.size:
+        out[1:] = 2.0 * np.convolve(p_g, p_h)[: p_g.size]
+    return out
+
+
+def pairwise_hierarchy_operators(b, g2, h2, beta, k_max) -> tuple[np.ndarray, np.ndarray]:
+    """(L, Q) of the closed hierarchy, Q's column i (k_max+1) + j from one
+    kernel call on the pair (e_i, e_j)."""
+    size, ks = k_max + 1, np.arange(k_max + 1)[:, None]
+    g_op, h_op = (_shift_operator(c, k_max - 1, size) for c in (g2, h2))
+    lin = ks * np.vstack([np.zeros(size), _shift_operator(b, k_max, size)])
+    quad = 0.5 * beta * ks * np.array([
+        np.append(0.0, convolve_interaction_kernel(g_op[:, i], h_op[:, j]))
+        for i in range(size) for j in range(size)
+    ]).T
+    return lin, quad
 
 
 def rk4_moment_path(b, g2, h2, beta, mu0_moments, k_max, t_final, dt=1e-3) -> MomentPath:

@@ -427,6 +427,22 @@ def test_ct_evolution_matches_fd_mp():
         assert abs(fd - rhs) <= 1e-5, z
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [Semicircle(1.0), EmpiricalMeasure(np.array([-1.0, 0.2, 0.2, 0.4, 3.0]))],
+    ids=["semicircle", "empirical"],
+)
+def test_ct_evolution_rhs_answers_an_array_of_z_elementwise(mu):
+    """An array of z gives, in z's shape, the scalar calls' values bit for bit."""
+    coefficients = (lambda x: 0.25 + 0.0 * x, lambda x: 1.0 + x * x, lambda x: 0.5 - x)
+    for z in (np.array([1j, 2j]), np.array([[0.5 + 1j, -1.0 + 0.5j], [2.0 + 0.1j, 3j]])):
+        got = ct_evolution_rhs(mu, z, *coefficients)
+        want = np.array([ct_evolution_rhs(mu, v, *coefficients) for v in z.ravel()])
+        assert got.shape == z.shape
+        assert got.tobytes() == want.reshape(z.shape).tobytes()
+    assert isinstance(ct_evolution_rhs(mu, 1j, *coefficients), complex)
+
+
 # ---------------------------------------------------------------------------
 # free diffusion closed forms
 

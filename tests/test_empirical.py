@@ -30,6 +30,7 @@ from eigenflow import (
     wasserstein1,
 )
 from eigenflow.empirical import _limit_terms
+from eigenflow.limits import _interaction_kernel
 
 ZERO = SpectralFunction.constant(0.0)
 ONE = SpectralFunction.constant(1.0)
@@ -380,7 +381,8 @@ def test_residual_rows_match_per_row_calls(atoms, g2, h2):
 @pytest.mark.parametrize("n", [1, 2, 25, 100])
 def test_limit_terms_equal_the_per_measure_oracle_in_any_chunk(monkeypatch, n):
     """One stacked pass gives each measure's terms bit for bit, whether the
-    measures run one, three or all at a time."""
+    measures run one, three or all at a time; the np.vander / np.convolve
+    oracle, which sums in another order, agrees to 1e-12 relative."""
     rng = np.random.default_rng(40 + n)
     grid = np.linspace(0.0, 0.7, 8)
     atoms = np.sort(np.round(rng.standard_normal((grid.size, n)), 2), axis=-1)
@@ -390,6 +392,8 @@ def test_limit_terms_equal_the_per_measure_oracle_in_any_chunk(monkeypatch, n):
     for coeffs in (rows, np.array([0.3, -1.0, 0.5, 2.0]), np.array([0.0, 1.0]), np.array([4.2])):
         for g2, h2 in [(np.abs, lambda x: 0.3 + x**2), (lambda x: 0.25 + 0.0 * x, ONE)]:
             expected = oracle.limit_terms(proc, coeffs, g2, h2, b)
+            vander = oracle.vander_limit_terms(proc, coeffs, g2, h2, b)
+            np.testing.assert_allclose(expected, vander, rtol=1e-12, atol=0.0)
             width = max(np.shape(coeffs)[-1], 2)
             for per_chunk in (1, 3, grid.size):
                 monkeypatch.setattr(empirical_mod, "_CHUNK_ENTRIES", per_chunk * n * width)
@@ -435,6 +439,22 @@ def _dyson_spec(n, field, t_grid=(0.0, 0.5, 1.0)):
         dt=1e-3,
         t_grid=t_grid,
     )
+
+
+def test_limit_terms_call_the_interaction_kernel_once_per_chunk(monkeypatch):
+    """Each chunk's measures share one interaction-kernel call on their
+    stacked power sums: 8 measures three at a time make 3 calls."""
+    calls = []
+
+    def spy(p_g, p_h):
+        calls.append(p_g.shape)
+        return _interaction_kernel(p_g, p_h)
+
+    monkeypatch.setattr(empirical_mod, "_interaction_kernel", spy)
+    monkeypatch.setattr(empirical_mod, "_CHUNK_ENTRIES", 3 * 25 * 5)
+    atoms = np.sort(np.random.default_rng(3).standard_normal((8, 25)), axis=-1)
+    _limit_terms(atoms, np.eye(5)[1:], np.abs, lambda x: 1.0 + x * x, lambda x: 0.5 - x)
+    assert calls == [(3, 3), (3, 3), (2, 3)]
 
 
 def _decomposition(proc, f, spec):

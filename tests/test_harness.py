@@ -864,6 +864,25 @@ def test_cli_failure_in_a_replica_worker_exits_3(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_cli_never_calls_numpy_polyval(tmp_path, monkeypatch):
+    """Every polynomial the package evaluates goes through its one Horner
+    helper: no module holds numpy's polyval, and with polyval patched to
+    raise, the law residual and a simulation still exit 0."""
+    polyval = np.polynomial.polynomial.polyval
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eigenflow"):
+            assert all(value is not polyval for value in vars(module).values()), name
+
+    def broken(*args, **kwargs):
+        raise AssertionError("numpy polyval called")
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", broken)
+    res = _write_cfg(tmp_path, "preset = wishart_nonunique\nt_grid = 0.0, 0.5, 1.0\n", "r.cfg")
+    sim = _write_cfg(tmp_path, TINY_WIGNER.replace("wigner", "wishart"), "s.cfg")
+    assert cli_main(["residual", "--config", res, "--out", str(tmp_path / "r")]) == 0
+    assert cli_main(["simulate", "--config", sim, "--out", str(tmp_path / "s")]) == 0
+
+
 def test_cli_moments_subcommand(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "preset = geometric\nt_grid = 0.0, 1.0\n")
     assert cli_main(["moments", "--config", cfg, "--out", str(tmp_path / "m")]) == 0

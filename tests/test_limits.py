@@ -37,8 +37,10 @@ from eigenflow import (
     mp_params,
     semicircle_moments,
 )
+import eigenflow.limits as limits_mod
 from eigenflow.limits import (
     _hierarchy_operators,
+    _interaction_kernel,
     _invert_mesh,
     _midpoints,
     _MESH_POINTS,
@@ -46,7 +48,11 @@ from eigenflow.limits import (
     _unit_quantiles,
 )
 from empirical_oracles import law_mesh
-from moment_oracles import rk4_moment_path
+from moment_oracles import (
+    convolve_interaction_kernel,
+    pairwise_hierarchy_operators,
+    rk4_moment_path,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -768,6 +774,61 @@ def test_generic_ode_matches_loop_hierarchy_at_closure_boundary(beta):
     for m in ref[::5]:
         engine = lin @ m + quad @ np.outer(m, m).ravel()
         assert np.allclose(engine, _loop_hierarchy_rhs(b, g2, h2, beta, m), rtol=1e-12, atol=0.0)
+
+
+def test_stacked_interaction_kernel_is_the_per_row_convolution():
+    """Stacked power sums (..., J) give (..., J+1): each row is the same bits
+    alone as in any stack, and within 4 ulp of np.convolve, which sums in
+    another order (J = 0..12, positive sums so no cancellation)."""
+    rng = np.random.default_rng(7)
+    for size in range(13):
+        atoms = rng.uniform(0.05, 2.0, (6, 40))
+        powers = atoms[..., None, :] ** np.arange(size)[:, None] / 40  # (6, J, 40)
+        p_g = np.sum(powers * (0.3 + atoms[..., None, :]), axis=-1)
+        p_h = np.sum(powers * (1.0 + atoms[..., None, :] ** 2), axis=-1)
+        stacked = _interaction_kernel(p_g.reshape(2, 3, size), p_h.reshape(2, 3, size))
+        assert stacked.shape == (2, 3, size + 1)
+        for row, g, h in zip(stacked.reshape(6, size + 1), p_g, p_h):
+            assert row.tobytes() == _interaction_kernel(g, h).tobytes()
+            np.testing.assert_array_max_ulp(row, convolve_interaction_kernel(g, h), maxulp=4)
+
+
+_OPERATOR_CASES = {
+    "jacobi": ([3.0, -6.0], [0.0, 1.0], [1.0, -1.0], 2.0),
+    "geometric": ([0.0, 0.5], [0.0, 1.0], [0.0, 1.0], 1.0),
+    "closure_boundary": ([0.3, -0.5], [0.2, 0.1, 0.05], [1.0, -0.3, 0.2], 1.0),
+    "flat": ([0.0], [0.25], [1.0], 2.0),
+}
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 8])
+@pytest.mark.parametrize("case", _OPERATOR_CASES.values(), ids=_OPERATOR_CASES.keys())
+def test_hierarchy_operators_equal_the_per_pair_construction(case, k_max):
+    """One kernel call for every pair (e_i, e_j) gives the per-pair Q within
+    1e-15 relative (and the same L)."""
+    lin, quad = _hierarchy_operators(*case, k_max)
+    lin_pairs, quad_pairs = pairwise_hierarchy_operators(*case, k_max)
+    assert quad.shape == quad_pairs.shape == (k_max + 1, (k_max + 1) ** 2)
+    assert np.array_equal(lin, lin_pairs)
+    np.testing.assert_allclose(quad, quad_pairs, rtol=1e-15, atol=0.0)
+
+
+def _counting(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records each call; return the record."""
+    calls, original = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_hierarchy_operators_call_the_interaction_kernel_once(monkeypatch):
+    calls = _counting(monkeypatch, limits_mod, "_interaction_kernel")
+    _hierarchy_operators(*_OPERATOR_CASES["closure_boundary"], 8)
+    assert len(calls) == 1 and calls[0][0].shape == (81, 7)
 
 
 def test_generic_ode_truncation_errors():

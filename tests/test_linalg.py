@@ -8,8 +8,10 @@ against hand values, the multiset property, and polynomial composition.
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from eigenflow import SpectralFunction, apply_spectral, eigen, hermitize
+from eigenflow.linalg import _horner
 
 
 def _random_hermitian(n, rng, field="complex"):
@@ -205,3 +207,38 @@ def test_sqrt_abs_poly_uses_absolute_value():
     f = SpectralFunction.sqrt_abs_poly([0.0, 1.0])
     assert np.allclose(f(np.array([-4.0, 4.0])), [2.0, 2.0])
     assert np.allclose(f.square_poly, [0.0, 1.0])
+
+
+_SPECIAL = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 1e308, -2.5])
+
+
+def _same_bits(got, want) -> bool:
+    return np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(
+        want
+    ).tobytes()
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_horner_is_polyval_bit_for_bit(degree):
+    """The one polynomial evaluator, and the SpectralFunctions built on it,
+    equal numpy's polyval bit for bit, sign bit and nan included: x of shape
+    (), (7,) and the residual grid's (201, 400), holding +-inf, nan, -0.0 and
+    1e308, against coefficients with the same values."""
+    rng = np.random.default_rng(degree)
+    grid = rng.standard_normal((201, 400))
+    grid.flat[:7] = _SPECIAL
+    points = [np.float64(v) for v in _SPECIAL] + [np.array(v) for v in _SPECIAL]
+    coefficient_sets = [
+        rng.standard_normal(degree + 1),
+        np.full(degree + 1, -0.0),
+        np.roll(_SPECIAL, degree)[: degree + 1],
+    ]
+    with np.errstate(all="ignore"):
+        for c in coefficient_sets:
+            coeffs = tuple(c.tolist())
+            for x in [*points, _SPECIAL, grid]:
+                assert _same_bits(_horner(x, coeffs), polyval(x, c)), (c, x)
+            assert _same_bits(SpectralFunction.from_poly(c)(grid), polyval(grid, c))
+            assert _same_bits(
+                SpectralFunction.sqrt_abs_poly(c)(grid), np.sqrt(np.abs(polyval(grid, c)))
+            )
