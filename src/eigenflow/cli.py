@@ -31,7 +31,9 @@ Flags (all subcommands): ``--config PATH``, ``--out DIR`` (overrides the
 config's ``out_dir``), ``--seed U64`` (overrides ``base_seed``),
 ``--threads N`` (split each n's replicas into up to N contiguous ranges,
 one per usable CPU; the first steps in this process and each other one in
-a forked worker process; the outputs do not depend on N).
+a forked worker process; the outputs do not depend on N; the workers need a
+single-threaded BLAS, such as ``OPENBLAS_NUM_THREADS=1``, or each one's BLAS
+threads compete for the same CPUs).
 
 CSV format: one comment line ``# timestamp=...`` (excluded from
 reproducibility comparisons), a header ``preset,n,replica,t,stat,value``,
@@ -59,6 +61,7 @@ from .cauchy import cauchy_transform, stieltjes_invert
 from .config import ExperimentConfig, load_config
 from .empirical import EmpiricalMeasureProcess, limit_equation_residual
 from .errors import NumericalError, ValidationError
+from .limits import HierarchyLaw
 from .presets import (
     _MOMENT_COUNT,
     PRESETS,
@@ -160,12 +163,19 @@ def _law_or_fail(args, cdf_for: str | None = None):
 
 
 def _law_moment_rows(cfg: ExperimentConfig, law) -> list[ResultRow]:
-    rows = []
-    for t in cfg.t_grid:
-        ms = law.at(t).moments(_MOMENT_COUNT)
-        for k in range(1, _MOMENT_COUNT + 1):
-            rows.append(ResultRow(cfg.preset, 0, "law", float(t), f"m{k}", ms[k]))
-    return rows
+    """Rows m1..m8 of the law at every grid time, read off one (T, 9) moment
+    table: a HierarchyLaw's is one evaluation of its Taylor family over the
+    grid, checked by one stacked Hankel test (``moment_table``); any other
+    family stacks the closed forms of its per-time laws."""
+    if isinstance(law, HierarchyLaw):
+        table = law.moment_table(cfg.t_grid, _MOMENT_COUNT)
+    else:
+        table = np.stack([law.at(t).moments(_MOMENT_COUNT).values for t in cfg.t_grid])
+    return [
+        ResultRow(cfg.preset, 0, "law", float(t), f"m{k}", float(row[k]))
+        for t, row in zip(cfg.t_grid, table)
+        for k in range(1, _MOMENT_COUNT + 1)
+    ]
 
 
 def cmd_presets(args) -> int:
@@ -339,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, metavar="U64", help="base seed override")
         p.add_argument(
             "--threads", type=int, metavar="N",
-            help="replica processes per n, capped by the usable CPUs (outputs do not depend on N)",
+            help="replica processes per n, capped by the usable CPUs (outputs do not depend on N);"
+            " the workers need a single-threaded BLAS, e.g. OPENBLAS_NUM_THREADS=1",
         )
         p.set_defaults(handler=handler)
     return parser

@@ -93,6 +93,8 @@ _DYSON_INDEX = {"complex": 2, "real": 1}
 _FIELDS = tuple(_DYSON_INDEX)
 # cap on R * n^2 of one replica block: about 8 MB per complex temporary
 _BLOCK_ENTRIES = 1 << 19
+# one of them set to 1 keeps each replica process's BLAS single-threaded
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -496,7 +498,10 @@ def simulate_ensemble(
     ``multiprocessing`` import). A range steps in consecutive blocks of at
     most ``_BLOCK_ENTRIES // n^2`` replicas (at least one). A path depends
     only on its stream, so the result is the same for every ``threads``.
-    The coefficient-growth warning is logged here, once per call. A
+    The coefficient-growth warning is logged here, once per call, and so is
+    one warning per call that forks workers while none of
+    ``_BLAS_THREAD_VARIABLES`` is 1: each worker's BLAS would then run its
+    own threads on the same CPUs, which can make two workers slower than one. A
     NumericalError from any range (the first failing range, in replica
     order) reaches the caller with its replica and time.
     """
@@ -506,5 +511,12 @@ def simulate_ensemble(
     workers = _worker_count(threads, replica_count)
     if workers == 1:
         return _simulate_range(spec, base_seed, 0, replica_count)
+    if not any(os.environ.get(name) == "1" for name in _BLAS_THREAD_VARIABLES):
+        logger.warning(
+            "flow %s: %d replica processes, but no BLAS thread variable is 1, so each "
+            "one's BLAS threads share the same CPUs; set OPENBLAS_NUM_THREADS=1",
+            spec.name,
+            workers,
+        )
     bounds = [replica_count * k // workers for k in range(workers + 1)]
     return _simulate_in_processes(spec, base_seed, bounds)

@@ -82,6 +82,8 @@ _MESH_POINTS = 20001  # fixed CDF mesh size: deterministic quadrature/inversion
 _TRAPEZOID_START = 256  # intervals of the first trapezoid sum in theta
 _TRAPEZOID_CAP = 2**16  # the most intervals before a weighted transform raises
 _TRAPEZOID_TOL = 1e-13  # two successive sums agree to this, relative
+_TRAPEZOID_TRUST = 1e-12  # the relative accuracy a returned integral promises
+_ROUNDOFF = 16 * np.finfo(float).eps  # attainable accuracy per unit of h sum |f|
 
 
 # ---------------------------------------------------------------------------
@@ -153,26 +155,40 @@ class MomentSequence:
         return self.values.size
 
     def hankel_min_eig(self) -> float:
-        """Smallest eigenvalue of the Hankel moment matrix (m_{i+j})."""
-        half = self.k_max // 2
-        hankel = np.array(
-            [[self.values[i + j] for j in range(half + 1)] for i in range(half + 1)]
-        )
-        return float(np.linalg.eigvalsh(hankel)[0])
+        """Smallest eigenvalue of the Hankel moment matrix (m_{i+j}): the
+        one-row case of :func:`_hankel_min_eigs`."""
+        return float(_hankel_min_eigs(self.values))
 
     def check_hankel(self) -> "MomentSequence":
-        """Raise NumericalError unless the Hankel matrix is PSD.
-
-        Tolerance is relative to the moment scale, since moment magnitudes
-        range over several orders across the law families.
-        """
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(self.values))))
-        min_eig = self.hankel_min_eig()
-        if min_eig < -tol:
-            raise NumericalError(
-                f"moment sequence is not positive semidefinite (min Hankel eig {min_eig:.3e})"
-            )
+        """Raise NumericalError unless the Hankel matrix is PSD: the one-row
+        case of :func:`_check_hankel`, naming this sequence's t if it has one."""
+        _check_hankel(self.values[None], [self.t])
         return self
+
+
+def _hankel_min_eigs(values: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hankel matrix (m_{i+j}) of each row of a
+    (..., k_max + 1) moment stack: one (..., h, h) stack built by index
+    arithmetic, one stacked eigvalsh (each matrix its own LAPACK call)."""
+    i = np.arange((values.shape[-1] - 1) // 2 + 1)
+    return np.linalg.eigvalsh(values[..., i[:, None] + i])[..., 0]
+
+
+def _check_hankel(values: np.ndarray, times) -> np.ndarray:
+    """``values``, a (T, k_max + 1) moment table, unless a row's Hankel matrix
+    is not PSD: then NumericalError naming the first such time of ``times``
+    (unless it is None). The tolerance is relative to each row's moment
+    scale, since moment magnitudes range over orders across the families."""
+    min_eig = _hankel_min_eigs(values)
+    bad = np.flatnonzero(min_eig < -1e-8 * (1.0 + np.abs(values).max(axis=-1)))
+    if bad.size:
+        first = bad[0]
+        where = "" if times[first] is None else f" at t={times[first]:g}"
+        raise NumericalError(
+            f"moment sequence{where} is not positive semidefinite"
+            f" (min Hankel eig {min_eig[first]:.3e})"
+        )
+    return values
 
 
 @dataclass
@@ -243,8 +259,9 @@ def _unit_quantiles(unit_mesh, key, count: int) -> np.ndarray:
     return _read_only(_invert_mesh(*unit_mesh(key), _midpoints(count)))[0]
 
 
-def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0):
+def _check_time(t) -> None:
+    """Raise ValidationError unless t (a time or an array) is finite and >= 0."""
+    if not np.all(np.isfinite(t) & (np.asarray(t) >= 0)):
         raise ValidationError("t must be finite and >= 0")
 
 
@@ -266,18 +283,35 @@ def _theta_trapezoid(f: Callable[[np.ndarray], np.ndarray], what: str) -> comple
     """int_0^{pi/2} f(theta) dtheta for an f that is even and pi-periodic, so
     that the trapezoid rule is the periodic one and converges geometrically.
     From 256 intervals it doubles, T_2n = (T_n + M_n)/2 with M_n the midpoint
-    sum, so each doubling calls ``f`` once, on the new nodes only. Returns
-    the first sum within ``_TRAPEZOID_TOL`` (relative) of the one before it;
-    past 2^16 intervals it raises NumericalError naming ``what``."""
+    sum, so each doubling calls ``f`` once, on the new nodes only.
+
+    It returns the first sum T within ``_TRAPEZOID_TOL`` (relative) of the
+    one before it, or within the attainable accuracy, the roundoff floor
+    ``_ROUNDOFF`` h sum |f| on the same nodes, when that floor is at most
+    ``_TRAPEZOID_TRUST`` |T|. It raises NumericalError naming ``what`` and
+    the condition number h sum |f| / |T| when two sums meet only within a
+    floor above that, or when past 2^16 intervals they still differ by more
+    than the floor."""
     n, half_pi = _TRAPEZOID_START, 0.5 * math.pi
     ends = f(np.linspace(0.0, half_pi, n + 1))
     total = half_pi / n * (np.sum(ends) - 0.5 * (ends[0] + ends[-1]))
+    scale = half_pi / n * (np.sum(np.abs(ends)) - 0.5 * (abs(ends[0]) + abs(ends[-1])))
     while n < _TRAPEZOID_CAP:
-        refined = 0.5 * (total + half_pi / n * np.sum(f(half_pi * _midpoints(n))))
-        if abs(refined - total) <= _TRAPEZOID_TOL * abs(refined):
+        mids = f(half_pi * _midpoints(n))
+        refined = 0.5 * (total + half_pi / n * np.sum(mids))
+        scale = 0.5 * (scale + half_pi / n * np.sum(np.abs(mids)))
+        step, floor = abs(refined - total), _ROUNDOFF * scale
+        if step <= _TRAPEZOID_TOL * abs(refined) or step <= floor <= _TRAPEZOID_TRUST * abs(refined):
             return complex(refined)
+        if step <= floor:
+            break
         total, n = refined, 2 * n
-    raise NumericalError(f"{what} did not converge in {_TRAPEZOID_CAP} trapezoid intervals")
+    condition = float(scale) / abs(refined) if refined else math.inf
+    problem = (
+        f"did not converge in {_TRAPEZOID_CAP} trapezoid intervals" if n == _TRAPEZOID_CAP
+        else f"has roundoff above {_TRAPEZOID_TRUST:g} of its value"
+    )
+    raise NumericalError(f"{what} {problem} (condition number h sum|f| / |T| = {condition:.3g})")
 
 
 def _quadratic_root(a, b, z):
@@ -298,9 +332,11 @@ def _quadratic_root(a, b, z):
 class _LawBase:
     """Shared behavior of the laws with a CDF: each one is a dilation.
 
-    A subclass supplies ``_dilation() -> (loc, scale)``, ``atoms`` and
+    A subclass supplies ``_dilation(t=None) -> (loc, scale)``, ``atoms`` and
     ``bounds``. The law is its family's unit shape U moved to ``loc`` and
-    stretched by ``scale``; scale 0 means the point mass at loc. The unit
+    stretched by ``scale``; scale 0 means the point mass at loc. Given an
+    array of times t, ``_dilation`` answers for the family's law at each
+    (``at(t_i)``) by the same formula, elementwise, with no law built. The unit
     shape is the CDF mesh ``_unit_mesh(_shape_key) -> (xs, fs)``, with fs
     the full CDF (atoms as jumps at repeated x), cached per family and
     read-only. Everything else follows from the one dilation rule
@@ -449,7 +485,7 @@ class Semicircle(_LawBase):
 
     @property
     def radius(self) -> float:
-        return 2.0 * math.sqrt(self.variance)
+        return float(self._dilation()[1])
 
     @property
     def is_degenerate(self) -> bool:
@@ -470,8 +506,9 @@ class Semicircle(_LawBase):
         inside = np.clip(r * r - x * x, 0.0, None)
         return 2.0 * np.sqrt(inside) / (math.pi * r * r)
 
-    def _dilation(self) -> tuple[float, float]:
-        return self.center, self.radius
+    def _dilation(self, t=None) -> tuple:
+        """(center, radius), the radius 2 sqrt(beta t / 2)."""
+        return self.center, 2.0 * np.sqrt(self.beta * (self.t if t is None else t) / 2.0)
 
     @staticmethod
     def _pieces() -> tuple[_Piece, ...]:
@@ -582,9 +619,20 @@ class FreeDiffusion:
         if self.kind not in ("free_bm", "free_ou"):
             raise ValidationError("free diffusion kind must be 'free_bm' or 'free_ou'")
 
+    _shape_key = None  # every marginal is a semicircle: one unit shape
+    _unit_mesh = staticmethod(Semicircle._unit_mesh)
+
     def at(self, t: float) -> Semicircle:
         law = free_bm_law if self.kind == "free_bm" else free_ou_law
         return law(self.theta, self.sigma, t)
+
+    def _dilation(self, t: np.ndarray) -> tuple:
+        """(loc, scale) of ``at(t_i)`` for each time of the array t, by the
+        formulas ``at`` uses (:func:`free_ou_variance` once per time)."""
+        if self.kind == "free_bm":
+            return self.theta * t, Semicircle(0.0)._dilation(self.sigma**2 * t)[1]
+        variance = np.array([free_ou_variance(self.theta, self.sigma, s) for s in t])
+        return 0.0, Semicircle(0.0)._dilation(variance)[1]
 
 
 def free_bm_law(theta: float, sigma: float, t: float) -> Semicircle:
@@ -697,8 +745,9 @@ class MarchenkoPastur(_LawBase):
         out[inside] = np.sqrt((xi - a) * (b - xi)) / (2.0 * math.pi * xi * self.scale)
         return out
 
-    def _dilation(self) -> tuple[float, float]:
-        return 0.0, (0.0 if self.is_degenerate else self.scale)
+    def _dilation(self, t=None) -> tuple:
+        """(0, beta t), or scale 0 for alpha = 0: the point mass at 0."""
+        return 0.0, 0.0 if self.alpha == 0 else self.beta * (self.t if t is None else t)
 
     @property
     def _shape_key(self) -> float:
@@ -794,7 +843,7 @@ class PointMass(_LawBase):
     def density(self, x):
         raise UnsupportedLawOperation("point mass has no density")
 
-    def _dilation(self) -> tuple[float, float]:
+    def _dilation(self, t=None) -> tuple[float, float]:
         return self.a, 0.0
 
     def transform(self, z):
@@ -884,8 +933,8 @@ class MPMixture(_LawBase):
         """Mass of (-inf, 0)."""
         return 0.0 if self.components()[1].is_degenerate else self.lam_star
 
-    def _dilation(self) -> tuple[float, float]:
-        return 0.0, self.t
+    def _dilation(self, t=None) -> tuple:
+        return 0.0, self.t if t is None else t
 
     def _pieces(self) -> tuple[_Piece, ...]:
         """Both sides' MP pieces at time 1, scaled by lam and -lam_star and
@@ -1137,9 +1186,9 @@ def _taylor_family(b, g2, h2, beta, m0):
             extend(knots[-1] + steps[-1], steps[-1] ** _TAYLOR_ORDERS @ expansions[-1])
         idx = np.searchsorted(knots, times, side="right") - 1
         out = np.empty((times.size, m0.size))
-        for j in set(idx.tolist()):
+        for j in set(idx.tolist()):  # (m, 1, 25) @ (25, k+1): a row reads the bits it reads alone
             at = idx == j
-            out[at] = (times[at, None] - knots[j]) ** _TAYLOR_ORDERS @ expansions[j]
+            out[at] = ((times[at] - knots[j])[:, None, None] ** _TAYLOR_ORDERS @ expansions[j])[:, 0]
         if not np.all(np.isfinite(out)):
             raise NumericalError(f"hierarchy moments overflow by t={times.max():g}")
         return out
@@ -1249,14 +1298,21 @@ class HierarchyLaw:
         object.__setattr__(law, "t", t)
         return law
 
-    def moments(self, k_max: int) -> MomentSequence:
+    def moment_table(self, times, k_max: int) -> np.ndarray:
+        """(T, k_max + 1) moments of ``at(t)`` at each of the times, bit for
+        bit: one evaluation of the Taylor family over the grid, checked by
+        one stacked Hankel test (:func:`_check_hankel`)."""
         if k_max < 1:
             raise ValidationError("k_max must be >= 1")
+        times = np.asarray(times, dtype=float)
+        _check_time(times)
         if k_max not in self._families:
             start = float(self.a) ** np.arange(k_max + 1)
             self._families[k_max] = _taylor_family(self.b, self.g2, self.h2, self.beta, start)
-        values = self._families[k_max](np.array([self.t]))[0]
-        return MomentSequence(values, t=self.t).check_hankel()
+        return _check_hankel(self._families[k_max](times), times)
+
+    def moments(self, k_max: int) -> MomentSequence:
+        return MomentSequence(self.moment_table([self.t], k_max)[0], t=self.t)
 
     def cdf(self, x):
         raise UnsupportedLawOperation("hierarchy law exposes moments only")

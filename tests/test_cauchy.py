@@ -270,6 +270,32 @@ def test_theta_trapezoid_converges_geometrically_or_raises():
         _theta_trapezoid(poisson(1.0 - 1e-4), "sharp kernel")
 
 
+def test_theta_trapezoid_stops_at_the_roundoff_floor():
+    """f = 1 + K cos 2 theta integrates to pi/2 exactly at every n, so its
+    sums differ only by roundoff, here a relative error 5e-15 of |f| that
+    flips sign on every call. At K = 100 (condition number h sum|f| / |T|
+    about 64) the sums never meet to 1e-13 but meet within the roundoff
+    floor 16 eps h sum |f|, which is below 1e-12 of the value, and the value
+    returns; at K = 1000 the floor is above that, and the call raises naming
+    the condition number, after three calls of f instead of nine."""
+
+    def kernel(k, calls):
+        def f(theta):
+            calls.append(theta.size)
+            g = 1.0 + k * np.cos(2.0 * theta)
+            return g + (-1.0) ** len(calls) * 5e-15 * np.abs(g)
+
+        return f
+
+    calls = []
+    assert abs(_theta_trapezoid(kernel(100.0, calls), "k100") - 0.5 * math.pi) <= 1e-12 * math.pi
+    calls = []
+    with pytest.raises(NumericalError, match=r"k1000 has roundoff above 1e-12 of its value "
+                       r"\(condition number h sum\|f\| / \|T\| = 6\d\d\)"):
+        _theta_trapezoid(kernel(1000.0, calls), "k1000")
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # transforms over arrays of z
 

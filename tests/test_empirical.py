@@ -16,7 +16,9 @@ from eigenflow import (
     EmpiricalMeasure,
     EmpiricalMeasureProcess,
     FlowSpec,
+    HierarchyLaw,
     MarchenkoPastur,
+    MPMixture,
     PointMass,
     Semicircle,
     SpectralFunction,
@@ -30,7 +32,7 @@ from eigenflow import (
     wasserstein1,
 )
 from eigenflow.empirical import _limit_terms
-from eigenflow.limits import _interaction_kernel
+from eigenflow.limits import FreeDiffusion, _interaction_kernel, _LawBase
 
 ZERO = SpectralFunction.constant(0.0)
 ONE = SpectralFunction.constant(1.0)
@@ -242,6 +244,76 @@ def test_from_law_uses_quantile_atoms():
     assert len(proc) == 2
     assert proc.measures[0].n == 200
     assert abs(proc.measures[1].moment(2) - 1.0) <= 5e-3
+
+
+FROM_LAW_FAMILIES = {
+    "semicircle": Semicircle(1.0),
+    "semicircle_centered": Semicircle(1.0, center=-0.7),
+    "semicircle_beta1": Semicircle(1.0, beta=1),
+    "mp_atom": MarchenkoPastur(0.5, 1.0, beta=2),
+    "mp": MarchenkoPastur(2.5, 1.0, beta=2),
+    "mp_alpha0": MarchenkoPastur(0.0, 1.0, beta=2),
+    "mix2": mp_mixture_two(0.5),
+    "mix3": mp_mixture_three(1.5, 3.0),
+    "point_mass": PointMass(1.3),
+    "point_mass_negative_zero": PointMass(-0.0),
+    "free_bm": FreeDiffusion("free_bm", -0.5, 1.2),
+    "free_ou": FreeDiffusion("free_ou", 0.7, 1.1),
+    "free_ou_stable": FreeDiffusion("free_ou", -0.7, 1.1),
+}
+
+
+@pytest.mark.parametrize("law", FROM_LAW_FAMILIES.values(), ids=FROM_LAW_FAMILIES.keys())
+@pytest.mark.parametrize("atom_count", [1, 7, 400])
+def test_from_law_table_is_the_per_time_quantile_atoms(law, atom_count):
+    """The one outer product over the grid gives each time's
+    ``law.at(t).quantile_atoms`` row bit for bit, sign of zero included (the
+    free BM at t = 0 sits at theta * 0 = -0.0)."""
+    grid = (0.0, 1e-9, 0.05, 0.3, 1.0, 2.5)
+    table = EmpiricalMeasureProcess.from_law(law, grid, atom_count).spectra
+    rows = np.stack([law.at(t).quantile_atoms(atom_count) for t in grid])
+    assert np.array_equal(table, rows)
+    assert np.array_equal(np.signbit(table), np.signbit(rows))
+
+
+def test_from_law_builds_no_law_per_time(monkeypatch):
+    """The table comes from the family's dilation over the grid: neither
+    ``at`` nor ``quantile_atoms`` runs once per time."""
+    calls = []
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((cls.__name__, name))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls in (Semicircle, MarchenkoPastur, MPMixture, FreeDiffusion):
+        spy(cls, "at")
+    spy(_LawBase, "quantile_atoms")
+    for law in (Semicircle(1.0), MarchenkoPastur(2.5), mp_mixture_two(0.5)):
+        EmpiricalMeasureProcess.from_law(law, np.linspace(0.0, 1.0, 201), 400)
+    for kind in ("free_bm", "free_ou"):
+        EmpiricalMeasureProcess.from_law(FreeDiffusion(kind, 0.3, 1.0), (0.0, 0.5, 1.0), 50)
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid", [(0.0, -0.5), (0.0, float("nan"))], ids=["negative", "nan"])
+def test_from_law_rejects_a_bad_time(grid):
+    from eigenflow import ValidationError
+
+    with pytest.raises(ValidationError, match="t must be finite and >= 0"):
+        EmpiricalMeasureProcess.from_law(MarchenkoPastur(2.5), grid, 10)
+
+
+def test_from_law_of_a_moments_only_law_fails_as_before():
+    """A HierarchyLaw has no CDF and so no dilation: the attribute lookup
+    fails, as the per-time ``quantile_atoms`` lookup did."""
+    law = HierarchyLaw((3.0, -6.0), (0.0, 1.0), (1.0, -1.0), beta=2, a=0.5)
+    with pytest.raises(AttributeError):
+        EmpiricalMeasureProcess.from_law(law, (0.0, 1.0), 10)
 
 
 @pytest.mark.parametrize("atom_count", [0, -1, 2.5, "7"])

@@ -826,6 +826,40 @@ def test_superlinear_growth_warns_once_per_ensemble_with_workers(monkeypatch, ca
     assert {rec.process for rec in warned} == {os.getpid()}
 
 
+@pytest.mark.parametrize(
+    "env,warns",
+    [
+        ({}, True),
+        ({"OPENBLAS_NUM_THREADS": "2"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, False),
+        ({"OMP_NUM_THREADS": "1"}, False),
+        ({"MKL_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"}, False),
+    ],
+    ids=["unset", "two", "openblas", "omp", "mkl"],
+)
+def test_replica_processes_warn_once_without_a_single_threaded_blas(
+    monkeypatch, caplog, env, warns
+):
+    """A call that forks workers logs one warning when no BLAS thread
+    variable is 1, since each worker's BLAS threads would share the same
+    CPUs; a serial call never warns."""
+    for name in flows._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(flows, "_simulate_in_processes", lambda spec, seed, bounds: bounds)
+    _usable_cpus(monkeypatch, 2)
+    spec = _flat_spec(3, dt=0.01, t_grid=(0.0, 0.02))
+    with caplog.at_level(logging.WARNING, logger="eigenflow.flows"):
+        assert simulate_ensemble(spec, 4, base_seed=4, threads=2) == [0, 2, 4]
+        simulate_ensemble(spec, 4, base_seed=4, threads=1)
+    warned = [rec.message for rec in caplog.records if "BLAS" in rec.message]
+    assert warned == (
+        ["flow flat: 2 replica processes, but no BLAS thread variable is 1, so each one's"
+         " BLAS threads share the same CPUs; set OPENBLAS_NUM_THREADS=1"] if warns else []
+    )
+
+
 def test_linear_growth_does_not_warn(caplog):
     sqrt_x = SpectralFunction.sqrt_abs_poly([0.0, 1.0])
     spec = FlowSpec(

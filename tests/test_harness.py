@@ -904,6 +904,35 @@ def test_cli_law_moments_do_not_depend_on_dt(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_cli_moments_checks_its_grid_with_one_stacked_eigvalsh(tmp_path, monkeypatch):
+    """``moments`` on a hierarchy law checks its whole (21, 9) table with one
+    stacked Hankel eigvalsh, not one per time."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    grid = ", ".join(f"{0.05 * i:g}" for i in range(21))
+    cfg = _write_cfg(tmp_path, f"preset = jacobi\nt_grid = {grid}\n")
+    assert cli_main(["moments", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+    assert shapes == [(21, 5, 5)]
+
+
+@pytest.mark.parametrize("name", ["geometric", "jacobi"])
+def test_cli_residual_of_a_moments_only_law_exits_2(tmp_path, capsys, name):
+    cfg = _write_cfg(tmp_path, f"preset = {name}\n")
+    assert cli_main(["residual", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"validation error: preset {name!r} exposes moments only; its law has no CDF"
+        " for quantile-discretized residuals\n"
+    )
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("name", ["geometric", "jacobi"])
 def test_moments_only_presets_take_the_hierarchy_law_of_their_own_arrays(name):
     bundle = make_bundle(default_config(name))

@@ -898,6 +898,55 @@ def test_hierarchy_law_grid_pass_equals_per_time_moments_bit_for_bit():
 @pytest.mark.parametrize(
     "make", [_jacobi_law, lambda: _geometric_law(0.5)], ids=["jacobi", "geometric"]
 )
+def test_hierarchy_law_moment_table_is_the_per_time_moments(make):
+    """One evaluation of the Taylor family over a grid gives each time's
+    ``at(t).moments(k_max).values``, read from a fresh law, bit for bit, at
+    repeated k_max. No step exceeds 1, so [0, 3] spans at least three knots."""
+    assert limits_mod._STEP_CAP <= 1.0
+    grid = np.linspace(0.0, 3.0, 61)
+    law = make()
+    for k_max in (8, 4, 8):
+        table = law.moment_table(grid, k_max)
+        rows = np.stack([make().at(t).moments(k_max).values for t in grid])
+        assert table.tobytes() == rows.tobytes()
+    with pytest.raises(ValidationError):
+        law.moment_table([0.0, -0.5], 8)
+
+
+def test_stacked_hankel_minimum_is_the_per_row_one():
+    """One stacked eigvalsh over a moment table gives each row's
+    ``hankel_min_eig`` and the smallest eigenvalue of the Hankel matrix
+    built entry by entry, for even and odd k_max."""
+    table = _jacobi_law().moment_table(np.linspace(0.0, 1.0, 21), 8)
+    for k_max in (8, 7, 2, 1):
+        values = np.ascontiguousarray(table[:, : k_max + 1])
+        half = k_max // 2
+        nested = [
+            np.linalg.eigvalsh(np.array([[row[i + j] for j in range(half + 1)] for i in range(half + 1)]))[0]
+            for row in values
+        ]
+        per_row = [MomentSequence(row).hankel_min_eig() for row in values]
+        assert limits_mod._hankel_min_eigs(values).tolist() == per_row == nested
+
+
+def test_a_non_psd_moment_row_names_its_time():
+    """The stacked check names the first failing time; a one-row sequence
+    names its own t when it has one."""
+    table = np.tile(semicircle_moments(1.0, 2, 4).values, (5, 1))
+    table[3:, 2] = -1.0
+    with pytest.raises(NumericalError, match="moment sequence at t=0.75 is not positive semidefinite"):
+        limits_mod._check_hankel(table, np.linspace(0.0, 1.0, 5))
+    psd = table[:3]
+    assert limits_mod._check_hankel(psd, np.linspace(0.0, 0.5, 3)) is psd
+    with pytest.raises(NumericalError, match="moment sequence at t=0.5 is not"):
+        MomentSequence(np.array([1.0, 0.0, -1.0]), t=0.5).check_hankel()
+    with pytest.raises(NumericalError, match="^moment sequence is not"):
+        MomentSequence(np.array([1.0, 0.0, -1.0])).check_hankel()
+
+
+@pytest.mark.parametrize(
+    "make", [_jacobi_law, lambda: _geometric_law(0.5)], ids=["jacobi", "geometric"]
+)
 def test_hierarchy_law_at_checks_only_t_and_shares_its_family(make):
     """``at`` re-checks only the time (the coefficients were checked when the
     law was built), shares the law's Taylor families and reads, bit for bit,
