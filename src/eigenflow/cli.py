@@ -61,7 +61,6 @@ from .cauchy import cauchy_transform, stieltjes_invert
 from .config import ExperimentConfig, load_config
 from .empirical import EmpiricalMeasureProcess, limit_equation_residual
 from .errors import NumericalError, ValidationError
-from .limits import HierarchyLaw
 from .presets import (
     _MOMENT_COUNT,
     PRESETS,
@@ -150,12 +149,12 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 def _law_or_fail(args, cdf_for: str | None = None):
     """The resolved preset of the subcommand's config, which must have a law;
-    when ``cdf_for`` names a use, one with a CDF at the final record time.
-    Both are read off the bundle, before any simulation."""
+    when ``cdf_for`` names a use, one with a CDF. Both are read off the
+    bundle, before any simulation."""
     bundle = make_bundle(_load_config(args))
     if bundle.law is None:
         raise ValidationError(f"preset {bundle.name!r} has no limit law for this subcommand")
-    if cdf_for and not bundle.law.at(bundle.cfg.t_grid[-1]).has_cdf:
+    if cdf_for and not bundle.law.has_cdf:
         raise ValidationError(
             f"preset {bundle.name!r} exposes moments only; its law has no CDF for {cdf_for}"
         )
@@ -163,14 +162,9 @@ def _law_or_fail(args, cdf_for: str | None = None):
 
 
 def _law_moment_rows(cfg: ExperimentConfig, law) -> list[ResultRow]:
-    """Rows m1..m8 of the law at every grid time, read off one (T, 9) moment
-    table: a HierarchyLaw's is one evaluation of its Taylor family over the
-    grid, checked by one stacked Hankel test (``moment_table``); any other
-    family stacks the closed forms of its per-time laws."""
-    if isinstance(law, HierarchyLaw):
-        table = law.moment_table(cfg.t_grid, _MOMENT_COUNT)
-    else:
-        table = np.stack([law.at(t).moments(_MOMENT_COUNT).values for t in cfg.t_grid])
+    """Rows m1..m8 of the law at every grid time, read off the family's one
+    (T, 9) ``moment_table``."""
+    table = law.moment_table(cfg.t_grid, _MOMENT_COUNT)
     return [
         ResultRow(cfg.preset, 0, "law", float(t), f"m{k}", float(row[k]))
         for t, row in zip(cfg.t_grid, table)
@@ -231,7 +225,7 @@ def cmd_compare(args) -> int:
             err = abs(ens_final[f"m{k}"] - law_final[f"m{k}"])
             moment_errs.append(err)
             rows.append(ResultRow(cfg.preset, n, "ens", t_final, f"m{k}_err", err))
-        if bundle.law.at(t_final).has_cdf:  # then run_preset gave w1 and ks rows
+        if bundle.law.has_cdf:  # then run_preset gave w1 and ks rows
             by_cell: dict[tuple, list] = {}
             for r in sim_rows:
                 if r.n == n and r.replica != "ens":

@@ -32,7 +32,7 @@ from numpy.polynomial.polynomial import polyder
 
 from .errors import UnsupportedLawOperation, ValidationError
 from .flows import EigenPath, FlowSpec
-from .limits import _check_time, _cumtrapz, _interaction_kernel, _unit_quantiles
+from .limits import _cumtrapz, _interaction_kernel
 from .linalg import _horner
 
 __all__ = [
@@ -131,20 +131,13 @@ class EmpiricalMeasureProcess:
     def from_law(law, t_grid, atom_count: int) -> "EmpiricalMeasureProcess":
         """Quantile discretization of a limit-law family along a grid, row i
         the (ascending) ``law.at(t_i).quantile_atoms(atom_count)`` bit for bit:
-        one outer product loc + scale * U of the family's dilations over the
-        grid with its unit shape's cached quantiles U (a scale-0 row is
-        exactly loc), no law built per time. ``atom_count`` must be an
+        the family's ``quantile_table``, no law built per time. A law without
+        a CDF raises UnsupportedLawOperation; ``atom_count`` must be an
         integer >= 1."""
         if not (isinstance(atom_count, numbers.Integral) and atom_count >= 1):
             raise ValidationError(f"atom_count must be an integer >= 1, got {atom_count!r}")
-        grid = np.asarray(t_grid, dtype=float)
-        _check_time(grid)
-        loc, scale = (np.broadcast_to(v, grid.shape)[:, None] for v in law._dilation(grid))
-        unit = (  # a family that is all point masses (PointMass) has no unit shape
-            _unit_quantiles(law._unit_mesh, law._shape_key, atom_count)
-            if scale.any() else np.zeros(atom_count)
-        )
-        spectra = np.where(scale == 0, loc, loc + scale * unit)
+        _require_cdf(law)
+        spectra = law.quantile_table(t_grid, atom_count)
         if not np.isfinite(spectra).all():
             raise ValidationError("empirical measure atoms must be finite")
         proc = object.__new__(EmpiricalMeasureProcess)

@@ -303,12 +303,6 @@ def matrix_euler_step(x: np.ndarray, spec: FlowSpec, noise: NoiseIncrement) -> n
     return hermitize(x + gm @ dw @ hm + hm @ dw.conj().T @ gm + noise.dt * bm)
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _warn_if_superlinear_growth(spec: FlowSpec) -> None:
     """Warn when deg g^2 or deg h^2 is at least 2 (see
     :attr:`SpectralFunction.square_degree`): then g^2 + h^2 outgrows every
@@ -405,7 +399,7 @@ def simulate_path(spec: FlowSpec, seed) -> EigenPath:
     state stops being finite, reporting the time.
     """
     _warn_if_superlinear_growth(spec)
-    return _simulate_block(spec, [_as_generator(seed)], 0)[0]
+    return _simulate_block(spec, [np.random.default_rng(seed)], 0)[0]
 
 
 def replica_stream(base_seed: int, replica: int) -> np.random.Generator:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -334,9 +334,10 @@ class _LawBase:
 
     A subclass supplies ``_dilation(t=None) -> (loc, scale)``, ``atoms`` and
     ``bounds``. The law is its family's unit shape U moved to ``loc`` and
-    stretched by ``scale``; scale 0 means the point mass at loc. Given an
-    array of times t, ``_dilation`` answers for the family's law at each
-    (``at(t_i)``) by the same formula, elementwise, with no law built. The unit
+    stretched by ``scale``; scale 0 means the point mass at loc. ``at(t)``
+    replaces the field t. Given an array of times t, ``_dilation`` answers
+    for the family's law at each (``at(t_i)``) by the same formula,
+    elementwise, with no law built, and so does :meth:`quantile_table`. The unit
     shape is the CDF mesh ``_unit_mesh(_shape_key) -> (xs, fs)``, with fs
     the full CDF (atoms as jumps at repeated x), cached per family and
     read-only. Everything else follows from the one dilation rule
@@ -360,6 +361,28 @@ class _LawBase:
     has_density = True
     has_cdf = True
     _shape_key = None
+
+    def at(self, t: float):
+        return replace(self, t=float(t))
+
+    def quantile_table(self, times, count: int) -> np.ndarray:
+        """(T, count) table, row i ``at(t_i).quantile_atoms(count)`` bit for
+        bit: one outer product loc + scale * U of the dilations over the times
+        with the unit shape's cached quantiles U (a scale-0 row is exactly
+        loc), no law built per time."""
+        times = np.asarray(times, dtype=float)
+        _check_time(times)
+        loc, scale = (np.broadcast_to(v, times.shape)[:, None] for v in self._dilation(times))
+        unit = (  # a family that is all point masses (PointMass) has no unit shape
+            _unit_quantiles(self._unit_mesh, self._shape_key, count)
+            if scale.any() else np.zeros(count)
+        )
+        return np.where(scale == 0, loc, loc + scale * unit)
+
+    def moment_table(self, times, k_max: int) -> np.ndarray:
+        """(T, k_max + 1) moments of ``at(t)`` at each of the times: the
+        per-time closed forms, stacked."""
+        return np.stack([self.at(t).moments(k_max).values for t in times])
 
     def _unit_cdf(self, u: np.ndarray) -> np.ndarray:
         xs, fs = self._unit_mesh(self._shape_key)
@@ -476,9 +499,6 @@ class Semicircle(_LawBase):
     def from_radius(radius: float, center: float = 0.0) -> "Semicircle":
         return Semicircle(t=float(radius) ** 2 / 4.0, beta=2, center=center)
 
-    def at(self, t: float) -> "Semicircle":
-        return Semicircle(t=float(t), beta=self.beta, center=self.center)
-
     @property
     def variance(self) -> float:
         return self.beta * self.t / 2.0
@@ -569,18 +589,11 @@ def semicircle_moments(
     if not (0 <= t < math.inf and math.isfinite(center)):
         raise ValidationError("t must be finite and >= 0, center finite")
     centered = [Fraction(0)] * (k_max + 1)
-    polys: list[list[Fraction]] = []
-    for k in range(k_max + 1):
-        if k % 2 == 0:
-            j = k // 2
-            coef = Fraction(_catalan(j)) * Fraction(beta, 2) ** j
-            centered[k] = coef * Fraction(t) ** j
-            polys.append([Fraction(0)] * j + [coef])
-        else:
-            polys.append([Fraction(0)])
+    for j in range(k_max // 2 + 1):
+        centered[2 * j] = Fraction(_catalan(j)) * Fraction(beta, 2) ** j * Fraction(t) ** j
     if center == 0.0:
         values = np.array([float(v) for v in centered])
-        return MomentSequence(values, t=float(t), polys=polys).check_hankel()
+        return MomentSequence(values, t=float(t)).check_hankel()
     c = Fraction(center)
     shifted = [
         sum(math.comb(k, j) * c ** (k - j) * centered[j] for j in range(k + 1))
@@ -608,8 +621,8 @@ def free_ou_variance(theta: float, sigma: float, t: float) -> float:
 class FreeDiffusion:
     """Marginals in time of free Brownian motion (``kind="free_bm"``, drift
     theta) or of the free Ornstein-Uhlenbeck process (``"free_ou"``, drift
-    theta x) with scale sigma, from 0: ``at(t)`` is :func:`free_bm_law` or
-    :func:`free_ou_law` at t."""
+    theta x) with scale sigma, from 0: ``at(t)`` is the semicircle that
+    ``_placement(t)`` places. It shares :class:`_LawBase`'s tables."""
 
     kind: str
     theta: float
@@ -619,30 +632,38 @@ class FreeDiffusion:
         if self.kind not in ("free_bm", "free_ou"):
             raise ValidationError("free diffusion kind must be 'free_bm' or 'free_ou'")
 
+    has_cdf = True
     _shape_key = None  # every marginal is a semicircle: one unit shape
     _unit_mesh = staticmethod(Semicircle._unit_mesh)
+    quantile_table = _LawBase.quantile_table
+    moment_table = _LawBase.moment_table
+
+    def _placement(self, t) -> tuple:
+        """(center, variance) at t, a time or an array of times: (theta t,
+        sigma^2 t) for free BM, (0, :func:`free_ou_variance`) for free OU."""
+        if self.kind == "free_bm":
+            return self.theta * t, self.sigma**2 * t
+        return 0.0, np.vectorize(free_ou_variance, otypes=[float])(self.theta, self.sigma, t)
 
     def at(self, t: float) -> Semicircle:
-        law = free_bm_law if self.kind == "free_bm" else free_ou_law
-        return law(self.theta, self.sigma, t)
+        center, variance = self._placement(t)
+        return Semicircle.from_variance(variance, center=center)
 
     def _dilation(self, t: np.ndarray) -> tuple:
-        """(loc, scale) of ``at(t_i)`` for each time of the array t, by the
-        formulas ``at`` uses (:func:`free_ou_variance` once per time)."""
-        if self.kind == "free_bm":
-            return self.theta * t, Semicircle(0.0)._dilation(self.sigma**2 * t)[1]
-        variance = np.array([free_ou_variance(self.theta, self.sigma, s) for s in t])
-        return 0.0, Semicircle(0.0)._dilation(variance)[1]
+        """(loc, scale) of ``at(t_i)`` for each time of the array t: the
+        center and the radius 2 sqrt(variance)."""
+        center, variance = self._placement(t)
+        return center, 2.0 * np.sqrt(variance)
 
 
 def free_bm_law(theta: float, sigma: float, t: float) -> Semicircle:
     """Free-BM marginal: semicircle with variance sigma^2 t centered at theta t."""
-    return Semicircle.from_variance(sigma**2 * t, center=theta * t)
+    return FreeDiffusion("free_bm", theta, sigma).at(t)
 
 
 def free_ou_law(theta: float, sigma: float, t: float) -> Semicircle:
     """Free-OU marginal: centered semicircle with variance :func:`free_ou_variance`."""
-    return Semicircle.from_variance(free_ou_variance(theta, sigma, t))
+    return FreeDiffusion("free_ou", theta, sigma).at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +719,6 @@ class MarchenkoPastur(_LawBase):
         _check_time(self.t)
         if self.beta not in (1, 2):
             raise ValidationError("beta must be 1 or 2")
-
-    def at(self, t: float) -> "MarchenkoPastur":
-        return MarchenkoPastur(self.alpha, float(t), self.beta)
 
     @property
     def ratio(self) -> float:
@@ -891,12 +909,6 @@ class MPMixture(_LawBase):
         """The constant drift of the limit equation the mixture solves."""
         return self.alpha
 
-    def at(self, t: float) -> "MPMixture":
-        return MPMixture(
-            self.alpha, self.alpha_plus, self.alpha_minus,
-            self.lam, self.lam_star, self.gamma, float(t),
-        )
-
     def components(self) -> tuple[MarchenkoPastur, MarchenkoPastur]:
         """The positive component and the negative one before reflection."""
         return (
@@ -1047,11 +1059,6 @@ def geometric_w(k_max: int) -> list[list[Fraction]]:
     return ws
 
 
-def geometric_growth_bound_ok(k: int, x: float, w_value: float) -> bool:
-    """Check w_k(x) <= k! 9^{k-1} (1+x)^{k-1}."""
-    return w_value <= math.factorial(k) * 9.0 ** (k - 1) * (1.0 + x) ** (k - 1) + 1e-9
-
-
 def geometric_moments(a: float, alpha: float, beta: float, t: float, k_max: int) -> MomentSequence:
     """Closed-form geometric moments m_k(t) = a^k w_k(t beta) e^{k alpha t}.
 
@@ -1066,7 +1073,7 @@ def geometric_moments(a: float, alpha: float, beta: float, t: float, k_max: int)
         x = Fraction(beta) * Fraction(t)
         for k in range(1, k_max + 1):
             wk = float(_horner(x, ws[k - 1]))
-            if not geometric_growth_bound_ok(k, float(x), wk):
+            if not wk <= math.factorial(k) * 9.0 ** (k - 1) * (1.0 + float(x)) ** (k - 1) + 1e-9:
                 raise NumericalError(f"geometric w_{k} violates its growth bound")
             values.append(a**k * wk * math.exp(k * alpha * t))
     return MomentSequence(np.array(values), t=float(t)).check_hankel()

@@ -108,8 +108,9 @@ class PresetBundle:
     ``g2``, ``h2`` and ``b`` are ascending coefficient arrays, from which
     :meth:`coefficients` builds every function of the class.
     ``initial_spectrum`` maps n to the start; ``cfg`` is the resolved config.
-    ``law`` is None for ``custom``; otherwise ``law.at(t)`` is the time-t law,
-    which has ``moments(k)`` and declares ``has_cdf`` and ``has_density``.
+    ``law`` is None for ``custom``; otherwise a family in time that declares
+    ``has_cdf`` and tabulates ``moment_table(times, k)``; ``law.at(t)`` is its
+    time-t law, with ``moments(k)`` and ``has_density``.
     """
 
     cfg: ExperimentConfig
@@ -383,7 +384,7 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
     g2, h2, b = bundle.residual_coefficients()
     monomials = _monomials(_RESIDUAL_DEGREES)
     law = bundle.law
-    cdf_laws = {} if law is None else {t: law_t for t in cfg.t_grid if (law_t := law.at(t)).has_cdf}
+    cdf_laws = {t: law.at(t) for t in cfg.t_grid} if law is not None and law.has_cdf else {}
     rows: list[ResultRow] = []
     for n in cfg.n_list:
         spec = bundle.flow_spec(n)

@@ -40,23 +40,30 @@ def _rel(diff: float, target: float) -> float:
     return abs(diff) / (1.0 + abs(target))
 
 
-def elementary_symmetric(lam) -> np.ndarray:
-    """All elementary symmetric polynomials e_0..e_n of a spectrum.
+def _masked_elementary(lam: np.ndarray, keep: np.ndarray, kept: int) -> np.ndarray:
+    """Row r: e_0..e_kept of the entries of lam that row r of the boolean
+    mask ``keep`` keeps (``kept`` of them in every row). The stable prefix
+    recurrence e_k <- e_k + lam_l e_{k-1}, no divisions, advances every row
+    that keeps lam_l in one vectorized step per entry; symmetric functions
+    do not depend on the order."""
+    out = np.zeros((keep.shape[0], kept + 1))
+    out[:, 0] = 1.0
+    for ell, x in enumerate(lam):
+        rows = keep[:, ell]
+        out[rows, 1:] += x * out[rows, :-1]
+    return out
 
-    Uses the stable prefix recurrence e_k <- e_k + lam_i * e_{k-1},
-    O(n^2) additions, no divisions. e_0 = 1.
+
+def elementary_symmetric(lam) -> np.ndarray:
+    """All elementary symmetric polynomials e_0..e_n of a spectrum: the one
+    full row of :func:`_masked_elementary`, O(n^2) additions. e_0 = 1.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1:
         raise ValidationError("elementary_symmetric expects a 1-d spectrum")
     if not np.all(np.isfinite(lam)):
         raise ValidationError("spectrum must be finite")
-    n = lam.size
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for x in lam:
-        e[1 : n + 1] += x * e[0:n].copy()
-    return e
+    return _masked_elementary(lam, np.ones((1, lam.size), dtype=bool), lam.size)[0]
 
 
 def power_sums(lam, k_max: int) -> np.ndarray:
@@ -91,19 +98,11 @@ def newton_residual(e: np.ndarray, p: np.ndarray, k: int) -> float:
 def incomplete_elementary(lam) -> np.ndarray:
     """Matrix E with E[i, k] = e_k of the spectrum with lam_i removed.
 
-    Shape (n, n): columns k = 0..n-1. Each row is built by running the
-    elementary-symmetric recurrence over the full spectrum while skipping
-    the deleted entry; because symmetric functions are order-independent,
-    all rows advance in one vectorized pass per spectrum element.
+    Shape (n, n): columns k = 0..n-1. Row i is the row of
+    :func:`_masked_elementary` whose mask drops lam_i.
     """
     lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    out = np.zeros((n, n))
-    out[:, 0] = 1.0
-    for ell in range(n):
-        rows = np.arange(n) != ell
-        out[rows, 1:] += lam[ell] * out[rows, :-1]
-    return out
+    return _masked_elementary(lam, ~np.eye(lam.size, dtype=bool), lam.size - 1)
 
 
 def incomplete_elementary_pairs(lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,19 +110,14 @@ def incomplete_elementary_pairs(lam) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     Returns ``(ii, jj, E2)`` where ``ii, jj`` index the deleted pair and
     ``E2[p, k]`` is e_k (k = 0..n-2) of the spectrum with lam_ii[p] and
-    lam_jj[p] removed. Division-free, same masked recurrence as
-    :func:`incomplete_elementary`.
+    lam_jj[p] removed: the row of :func:`_masked_elementary` whose mask
+    drops both.
     """
     lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    ii, jj = np.triu_indices(n, k=1)
-    n_pairs = ii.size
-    e2 = np.zeros((n_pairs, n - 1))
-    e2[:, 0] = 1.0
-    for ell in range(n):
-        rows = (ii != ell) & (jj != ell)
-        e2[rows, 1:] += lam[ell] * e2[rows, :-1]
-    return ii, jj, e2
+    ii, jj = np.triu_indices(lam.size, k=1)
+    ells = np.arange(lam.size)
+    keep = (ii[:, None] != ells) & (jj[:, None] != ells)
+    return ii, jj, _masked_elementary(lam, keep, lam.size - 2)
 
 
 def pairwise_drift_identity_residual(

@@ -22,6 +22,7 @@ from eigenflow import (
     PointMass,
     Semicircle,
     SpectralFunction,
+    UnsupportedLawOperation,
     em_sde_decomposition,
     ks_distance,
     limit_equation_residual,
@@ -309,10 +310,10 @@ def test_from_law_rejects_a_bad_time(grid):
 
 
 def test_from_law_of_a_moments_only_law_fails_as_before():
-    """A HierarchyLaw has no CDF and so no dilation: the attribute lookup
-    fails, as the per-time ``quantile_atoms`` lookup did."""
+    """A HierarchyLaw has no CDF and so no quantiles: ``from_law`` refuses it
+    as the distance statistics do."""
     law = HierarchyLaw((3.0, -6.0), (0.0, 1.0), (1.0, -1.0), beta=2, a=0.5)
-    with pytest.raises(AttributeError):
+    with pytest.raises(UnsupportedLawOperation, match="exposes moments only"):
         EmpiricalMeasureProcess.from_law(law, (0.0, 1.0), 10)
 
 

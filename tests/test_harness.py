@@ -261,10 +261,15 @@ _TABLE_IDS = [f"{name}-{'set' if p else 'default'}-{i}" for i, (name, p) in enum
 
 @pytest.mark.parametrize("name, params", _TABLE_CASES, ids=_TABLE_IDS)
 def test_table_coefficients_match_oracle(name, params):
+    """Each row's coefficients are the oracle's, and its law family (none
+    for custom) declares the has_cdf of its time-t law at every grid time."""
     cfg = ExperimentConfig(preset=name, **params)
     spec = build_flow_spec(cfg, 5)
     for got, want in zip((spec.g, spec.h, spec.b), _oracle_coefficients(resolve_config(cfg))):
         assert np.array_equal(got(_GRID), want(_GRID))
+    law = make_bundle(cfg).law
+    for t in () if law is None else cfg.t_grid:
+        assert law.has_cdf == law.at(t).has_cdf
 
 
 def test_constant_coefficient_presets_step_as_before():

@@ -39,6 +39,7 @@ from eigenflow import (
 )
 import eigenflow.limits as limits_mod
 from eigenflow.limits import (
+    FreeDiffusion,
     _hierarchy_operators,
     _interaction_kernel,
     _invert_mesh,
@@ -895,13 +896,28 @@ def test_hierarchy_law_grid_pass_equals_per_time_moments_bit_for_bit():
         law.at(-0.5)
 
 
-@pytest.mark.parametrize(
-    "make", [_jacobi_law, lambda: _geometric_law(0.5)], ids=["jacobi", "geometric"]
-)
+_TABLE_FAMILIES = {
+    "jacobi": _jacobi_law,
+    "geometric": lambda: _geometric_law(0.5),
+    "semicircle": lambda: Semicircle(1.0, center=-0.7),
+    "semicircle_beta1": lambda: Semicircle(1.0, beta=1),
+    "mp_atom": lambda: MarchenkoPastur(0.5, 1.0),
+    "mp_alpha0": lambda: MarchenkoPastur(0.0, 1.0),
+    "mix2": lambda: mp_mixture_two(0.5),
+    "mix3": lambda: mp_mixture_three(1.5, 3.0),
+    "free_bm": lambda: FreeDiffusion("free_bm", -0.5, 1.2),
+    "free_ou": lambda: FreeDiffusion("free_ou", 0.7, 1.1),
+    "free_ou_stable": lambda: FreeDiffusion("free_ou", -0.7, 1.1),
+}
+
+
+@pytest.mark.parametrize("make", _TABLE_FAMILIES.values(), ids=_TABLE_FAMILIES.keys())
 def test_hierarchy_law_moment_table_is_the_per_time_moments(make):
-    """One evaluation of the Taylor family over a grid gives each time's
-    ``at(t).moments(k_max).values``, read from a fresh law, bit for bit, at
-    repeated k_max. No step exceeds 1, so [0, 3] spans at least three knots."""
+    """A family's moment table gives each time's ``at(t).moments(k_max).values``,
+    read from a fresh law, bit for bit, at repeated k_max, and refuses a
+    negative time. For a HierarchyLaw it is one evaluation of the Taylor
+    family over the grid; no step exceeds 1, so [0, 3] spans at least three
+    knots."""
     assert limits_mod._STEP_CAP <= 1.0
     grid = np.linspace(0.0, 3.0, 61)
     law = make()
