@@ -5,6 +5,14 @@ Two error families matter operationally: configuration/validation problems
 compute. The CLI maps them to distinct exit codes (2 and 3).
 """
 
+__all__ = [
+    "EigenflowError",
+    "NumericalError",
+    "TruncationError",
+    "UnsupportedLawOperation",
+    "ValidationError",
+]
+
 
 class EigenflowError(Exception):
     """Base class for all eigenflow errors."""

@@ -17,6 +17,8 @@ radius about its center, the MP law by beta*t, the mixtures by t (and a
 dilation (loc, scale) and its family's unit shape; :class:`_LawBase`
 derives the CDF, Phi = int F, the quantiles and sampling from that one rule,
 with each unit shape's mesh, running integral and quantiles cached once.
+Every family in time, these laws, :class:`FreeDiffusion` and
+:class:`HierarchyLaw`, takes ``at(t)`` and its tables from :class:`_Family`.
 
 One engine computes those moments: exact Taylor steps of the quadratic
 hierarchy, each sized from its own expansion (:func:`_taylor_family`),
@@ -38,7 +40,6 @@ alpha*n.  Under this definition the law's moments, :func:`mp_moments`, and
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -329,36 +330,12 @@ def _quadratic_root(a, b, z):
     return np.where(flat, -1.0 / b, root)[()]
 
 
-class _LawBase:
-    """Shared behavior of the laws with a CDF: each one is a dilation.
+class _Family:
+    """What every law family answers over time: ``at(t)``, a
+    ``dataclasses.replace`` of t that re-runs the law's own checks;
+    ``has_cdf``; and its quantile table (from ``_dilation(times)`` and the
+    unit shape, see :class:`_LawBase`) and moment table over a time grid."""
 
-    A subclass supplies ``_dilation(t=None) -> (loc, scale)``, ``atoms`` and
-    ``bounds``. The law is its family's unit shape U moved to ``loc`` and
-    stretched by ``scale``; scale 0 means the point mass at loc. ``at(t)``
-    replaces the field t. Given an array of times t, ``_dilation`` answers
-    for the family's law at each (``at(t_i)``) by the same formula,
-    elementwise, with no law built, and so does :meth:`quantile_table`. The unit
-    shape is the CDF mesh ``_unit_mesh(_shape_key) -> (xs, fs)``, with fs
-    the full CDF (atoms as jumps at repeated x), cached per family and
-    read-only. Everything else follows from the one dilation rule
-
-        F(x) = F_U((x - loc)/scale),   Phi(x) = scale Phi_U((x - loc)/scale),
-        Q(u) = loc + scale Q_U(u),
-
-    where Phi = int_{-inf}^x F. Per unit shape, its running integral
-    (:func:`_unit_integral`) and its midpoint quantiles
-    (:func:`_unit_quantiles`) are cached too, so every time of one family
-    shares them. A family with closed forms overrides ``_unit_cdf``,
-    ``_unit_integrated_cdf`` or ``_unit_levels``.
-
-    A family states its continuous part once, as the pieces ``_pieces()``
-    (:class:`_Piece`) that :meth:`weighted_transform` integrates by one
-    numpy rule, the trapezoid in theta, which converges or raises; and it
-    answers its own Cauchy transform, ``transform(z)``, for a scalar or an
-    array of z (elementwise).
-    """
-
-    has_density = True
     has_cdf = True
     _shape_key = None
 
@@ -383,6 +360,38 @@ class _LawBase:
         """(T, k_max + 1) moments of ``at(t)`` at each of the times: the
         per-time closed forms, stacked."""
         return np.stack([self.at(t).moments(k_max).values for t in times])
+
+
+class _LawBase(_Family):
+    """Shared behavior of the laws with a CDF: each one is a dilation.
+
+    A subclass supplies ``_dilation(t=None) -> (loc, scale)``, ``atoms`` and
+    ``bounds``. The law is its family's unit shape U moved to ``loc`` and
+    stretched by ``scale``; scale 0 means the point mass at loc. Given an
+    array of times t, ``_dilation`` answers for the family's law at each
+    (``at(t_i)``) by the same formula, elementwise, with no law built, and so
+    does :meth:`_Family.quantile_table`. The unit shape is the CDF mesh
+    ``_unit_mesh(_shape_key) -> (xs, fs)``, with fs the full CDF (atoms as
+    jumps at repeated x), cached per family and read-only. Everything else
+    follows from the one dilation rule
+
+        F(x) = F_U((x - loc)/scale),   Phi(x) = scale Phi_U((x - loc)/scale),
+        Q(u) = loc + scale Q_U(u),
+
+    where Phi = int_{-inf}^x F. Per unit shape, its running integral
+    (:func:`_unit_integral`) and its midpoint quantiles
+    (:func:`_unit_quantiles`) are cached too, so every time of one family
+    shares them. A family with closed forms overrides ``_unit_cdf``,
+    ``_unit_integrated_cdf`` or ``_unit_levels``.
+
+    A family states its continuous part once, as the pieces ``_pieces()``
+    (:class:`_Piece`) that :meth:`weighted_transform` integrates by one
+    numpy rule, the trapezoid in theta, which converges or raises; and it
+    answers its own Cauchy transform, ``transform(z)``, for a scalar or an
+    array of z (elementwise).
+    """
+
+    has_density = True
 
     def _unit_cdf(self, u: np.ndarray) -> np.ndarray:
         xs, fs = self._unit_mesh(self._shape_key)
@@ -618,11 +627,11 @@ def free_ou_variance(theta: float, sigma: float, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class FreeDiffusion:
+class FreeDiffusion(_Family):
     """Marginals in time of free Brownian motion (``kind="free_bm"``, drift
     theta) or of the free Ornstein-Uhlenbeck process (``"free_ou"``, drift
     theta x) with scale sigma, from 0: ``at(t)`` is the semicircle that
-    ``_placement(t)`` places. It shares :class:`_LawBase`'s tables."""
+    ``_placement(t)`` places; its tables are :class:`_Family`'s."""
 
     kind: str
     theta: float
@@ -632,11 +641,7 @@ class FreeDiffusion:
         if self.kind not in ("free_bm", "free_ou"):
             raise ValidationError("free diffusion kind must be 'free_bm' or 'free_ou'")
 
-    has_cdf = True
-    _shape_key = None  # every marginal is a semicircle: one unit shape
-    _unit_mesh = staticmethod(Semicircle._unit_mesh)
-    quantile_table = _LawBase.quantile_table
-    moment_table = _LawBase.moment_table
+    _unit_mesh = staticmethod(Semicircle._unit_mesh)  # every marginal is a semicircle
 
     def _placement(self, t) -> tuple:
         """(center, variance) at t, a time or an array of times: (theta t,
@@ -848,6 +853,7 @@ class PointMass(_LawBase):
             raise ValidationError("a must be finite")
 
     def at(self, t: float) -> "PointMass":
+        _check_time(t)
         return self
 
     def atoms(self) -> list[tuple[float, float]]:
@@ -1271,7 +1277,7 @@ def jacobi_moments(
 
 
 @dataclass(frozen=True, eq=False)
-class HierarchyLaw:
+class HierarchyLaw(_Family):
     """Time-t law of a class whose moment hierarchy closes: moments only.
 
     ``b``, ``g2``, ``h2`` are the ascending coefficients the flow steps with
@@ -1296,15 +1302,6 @@ class HierarchyLaw:
         _check_closes(self.b, self.g2, self.h2)
         _check_time(self.t)
 
-    def at(self, t: float) -> "HierarchyLaw":
-        """The law at time t: only t is checked, the coefficients were
-        checked when this law was built."""
-        t = float(t)
-        _check_time(t)
-        law = copy.copy(self)
-        object.__setattr__(law, "t", t)
-        return law
-
     def moment_table(self, times, k_max: int) -> np.ndarray:
         """(T, k_max + 1) moments of ``at(t)`` at each of the times, bit for
         bit: one evaluation of the Taylor family over the grid, checked by
@@ -1321,7 +1318,7 @@ class HierarchyLaw:
     def moments(self, k_max: int) -> MomentSequence:
         return MomentSequence(self.moment_table([self.t], k_max)[0], t=self.t)
 
-    def cdf(self, x):
+    def cdf(self, *args):
         raise UnsupportedLawOperation("hierarchy law exposes moments only")
 
-    density = cdf
+    density = quantile_table = cdf

@@ -108,9 +108,9 @@ class PresetBundle:
     ``g2``, ``h2`` and ``b`` are ascending coefficient arrays, from which
     :meth:`coefficients` builds every function of the class.
     ``initial_spectrum`` maps n to the start; ``cfg`` is the resolved config.
-    ``law`` is None for ``custom``; otherwise a family in time that declares
-    ``has_cdf`` and tabulates ``moment_table(times, k)``; ``law.at(t)`` is its
-    time-t law, with ``moments(k)`` and ``has_density``.
+    ``law`` is None for ``custom``; otherwise a family in time, whose one base
+    ``limits._Family`` gives ``at(t)`` (its time-t law, with ``moments(k)``
+    and ``has_density``), ``has_cdf`` and ``moment_table(times, k)``.
     """
 
     cfg: ExperimentConfig

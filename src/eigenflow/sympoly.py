@@ -54,15 +54,24 @@ def _masked_elementary(lam: np.ndarray, keep: np.ndarray, kept: int) -> np.ndarr
     return out
 
 
+def _spectrum(lam, deleted: int) -> np.ndarray:
+    """lam as a float array, unless it is not 1-d, not finite, or has fewer
+    than ``deleted`` entries to delete: then ValidationError."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1:
+        raise ValidationError("elementary symmetric polynomials expect a 1-d spectrum")
+    if not np.all(np.isfinite(lam)):
+        raise ValidationError("spectrum must be finite")
+    if lam.size < deleted:
+        raise ValidationError(f"spectrum must have at least {deleted} entries, got {lam.size}")
+    return lam
+
+
 def elementary_symmetric(lam) -> np.ndarray:
     """All elementary symmetric polynomials e_0..e_n of a spectrum: the one
     full row of :func:`_masked_elementary`, O(n^2) additions. e_0 = 1.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1:
-        raise ValidationError("elementary_symmetric expects a 1-d spectrum")
-    if not np.all(np.isfinite(lam)):
-        raise ValidationError("spectrum must be finite")
+    lam = _spectrum(lam, 0)
     return _masked_elementary(lam, np.ones((1, lam.size), dtype=bool), lam.size)[0]
 
 
@@ -99,9 +108,9 @@ def incomplete_elementary(lam) -> np.ndarray:
     """Matrix E with E[i, k] = e_k of the spectrum with lam_i removed.
 
     Shape (n, n): columns k = 0..n-1. Row i is the row of
-    :func:`_masked_elementary` whose mask drops lam_i.
+    :func:`_masked_elementary` whose mask drops lam_i. Needs n >= 1.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _spectrum(lam, 1)
     return _masked_elementary(lam, ~np.eye(lam.size, dtype=bool), lam.size - 1)
 
 
@@ -111,9 +120,9 @@ def incomplete_elementary_pairs(lam) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Returns ``(ii, jj, E2)`` where ``ii, jj`` index the deleted pair and
     ``E2[p, k]`` is e_k (k = 0..n-2) of the spectrum with lam_ii[p] and
     lam_jj[p] removed: the row of :func:`_masked_elementary` whose mask
-    drops both.
+    drops both. Needs n >= 2.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _spectrum(lam, 2)
     ii, jj = np.triu_indices(lam.size, k=1)
     ells = np.arange(lam.size)
     keep = (ii[:, None] != ells) & (jj[:, None] != ells)

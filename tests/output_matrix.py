@@ -1,0 +1,107 @@
+"""Byte-identity matrix of the eigenflow CLI between two source trees.
+
+Usage::
+
+    python3 tests/output_matrix.py PARENT_ROOT CHANGE_ROOT
+
+Each root is a checkout with the package under ``src/``. For each one, in
+its own temporary directory, this runs 81 invocations of
+``python3 -m eigenflow.cli`` with ``PYTHONPATH=ROOT/src`` and
+``OPENBLAS_NUM_THREADS=1``:
+
+- every preset under ``simulate``, ``compare``, ``sweep``, ``moments``,
+  ``invert`` and ``residual`` on a tiny config: n = 4, 8; 2 replicas;
+  dt = 0.05; 21 record times on [0, 1]; alpha = 20 on ``wishart``;
+  ``custom`` with g2 = 0.25 and h2 = 1;
+- ``moments``, ``invert`` and ``residual`` on each preset's default config.
+
+It prints the exit-code counts per root, then every file that differs
+between the two runs: the configs, the outputs, and each invocation's
+stdout, stderr and exit code. A ``# timestamp=`` line and the path of the
+run directory are ignored. The exit status is 0 when every file matches
+and 1 otherwise. Standard library only; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import collections
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PRESETS = (
+    "wigner", "wigner_real", "wishart", "wishart_nonunique", "geometric",
+    "jacobi", "free_bm", "free_ou", "custom",
+)
+TINY_COMMANDS = ("simulate", "compare", "sweep", "moments", "invert", "residual")
+DEFAULT_COMMANDS = ("moments", "invert", "residual")
+TINY = (
+    "n_list = 4, 8\nreplica_count = 2\ndt = 0.05\n"
+    f"t_grid = {', '.join(f'{i / 20:g}' for i in range(21))}\n"
+)
+TINY_EXTRA = {"wishart": "alpha = 20\n", "custom": "g2 = 0.25\nh2 = 1\n"}
+TIMESTAMP = b"# timestamp="
+
+
+def invocations():
+    """(label, subcommand, config text) of each of the 81 invocations."""
+    for preset in PRESETS:
+        tiny = f"preset = {preset}\n{TINY}{TINY_EXTRA.get(preset, '')}"
+        for command in TINY_COMMANDS:
+            yield f"{command}-{preset}-tiny", command, tiny
+        for command in DEFAULT_COMMANDS:
+            yield f"{command}-{preset}-default", command, f"preset = {preset}\n"
+
+
+def run(root: Path, work: Path) -> dict[str, bytes]:
+    """Every file the invocations leave under ``work``, keyed by its path
+    there, plus each one's stdout, stderr and exit code."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    files = {}
+    for label, command, text in invocations():
+        case = work / label
+        case.mkdir()
+        (case / "exp.cfg").write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenflow.cli", command, "--config", "exp.cfg", "--out", "out"],
+            cwd=case, env=env, capture_output=True,
+        )
+        files[f"{label}/exit"] = str(proc.returncode).encode()
+        files[f"{label}/stdout"] = proc.stdout
+        files[f"{label}/stderr"] = proc.stderr
+        for path in sorted(p for p in case.rglob("*") if p.is_file()):
+            files[str(path.relative_to(work))] = path.read_bytes()
+    return {
+        name: b"".join(
+            line for line in data.replace(os.fsencode(work), b"<run>").splitlines(keepends=True)
+            if not line.startswith(TIMESTAMP)
+        )
+        for name, data in files.items()
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tests/output_matrix.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    runs = []
+    for root in map(Path, argv):
+        with tempfile.TemporaryDirectory(prefix="output-matrix-") as tmp:
+            files = run(root.resolve(), Path(tmp))
+        exits = collections.Counter(v.decode() for k, v in files.items() if k.endswith("/exit"))
+        counts = ", ".join(f"{n} x exit {code}" for code, n in sorted(exits.items()))
+        print(f"{root}: {counts}")
+        runs.append(files)
+    parent, change = runs
+    names = sorted(parent.keys() | change.keys())
+    differ = [name for name in names if parent.get(name) != change.get(name)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(names)} files compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

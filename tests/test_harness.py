@@ -3,6 +3,7 @@ run_preset row contracts, sweep reduction, the CLI subcommands, and CSV
 reproducibility (byte-identical modulo the timestamp comment line).
 """
 
+import importlib
 import json
 import math
 import os
@@ -148,6 +149,54 @@ def test_version_has_one_source():
     assert not re.search(r'^version = "', pyproject, re.MULTILINE)
     init = (root / "src" / "eigenflow" / "__init__.py").read_text(encoding="utf-8")
     assert f'\n__version__ = "{eigenflow.__version__}"\n' in init
+
+
+_SURFACE_MODULES = (
+    "errors", "linalg", "sympoly", "flows", "limits", "empirical", "cauchy", "config", "presets",
+)
+
+# The top level before it re-exported every module's ``__all__``.
+_NAMED_SURFACE = set("""
+    EigenflowError EigenPath EmpiricalMeasure EmpiricalMeasureProcess ExperimentConfig
+    FlowSpec HierarchyLaw MarchenkoPastur MomentPath MomentSequence MPMixture
+    NoiseIncrement NumericalError PathDiagnostics PointMass ResultRow Semicircle
+    SpectralFunction TruncationError UnsupportedLawOperation ValidationError
+    apply_spectral build_flow_spec cauchy_transform ct_evolution_rhs default_config eigen
+    elementary_symmetric em_sde_decomposition euler_step free_bm_law free_bm_transform
+    free_ou_law free_ou_transform free_ou_variance free_pde_residual generic_moment_ode
+    geometric_moments geometric_w hermitize incomplete_elementary
+    incomplete_elementary_pairs jacobi_moments ks_distance limit_equation_residual
+    load_config log_det_drift make_bundle matrix_euler_step mp_mixture_three
+    mp_mixture_two mp_moments mp_params newton_residual pairwise_drift_identity_residual
+    parse_config_text power_sums replica_stream run_preset sample_noise
+    semicircle_moments simulate_ensemble simulate_path stieltjes_invert sweep_report
+    validate_config wasserstein1
+""".split())
+
+
+def test_package_surface_is_its_modules_all():
+    """``eigenflow.__all__`` is the nine modules' ``__all__`` in order, every
+    name resolves on the package to the module's own object, and a star
+    import defines each one."""
+    modules = [importlib.import_module(f"eigenflow.{name}") for name in _SURFACE_MODULES]
+    assert eigenflow.__all__ == [name for module in modules for name in module.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(eigenflow, name) is getattr(module, name)
+    namespace = {}
+    exec("from eigenflow import *", namespace)
+    assert set(eigenflow.__all__) <= namespace.keys()
+
+
+def test_package_surface_only_gains_what_its_modules_declare():
+    """Against the hand-kept list it replaced, the top level loses no name
+    and gains exactly the seven names their modules already declared."""
+    surface = set(eigenflow.__all__)
+    assert len(_NAMED_SURFACE) == 67 and _NAMED_SURFACE <= surface
+    assert surface - _NAMED_SURFACE == {
+        "FreeDiffusion", "PRESET_NAMES", "PRESETS", "PresetBundle", "PresetRow",
+        "SweepLine", "resolve_config",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -908,6 +908,7 @@ _TABLE_FAMILIES = {
     "free_bm": lambda: FreeDiffusion("free_bm", -0.5, 1.2),
     "free_ou": lambda: FreeDiffusion("free_ou", 0.7, 1.1),
     "free_ou_stable": lambda: FreeDiffusion("free_ou", -0.7, 1.1),
+    "point_mass": lambda: PointMass(-0.4),
 }
 
 
@@ -964,9 +965,11 @@ def test_a_non_psd_moment_row_names_its_time():
     "make", [_jacobi_law, lambda: _geometric_law(0.5)], ids=["jacobi", "geometric"]
 )
 def test_hierarchy_law_at_checks_only_t_and_shares_its_family(make):
-    """``at`` re-checks only the time (the coefficients were checked when the
-    law was built), shares the law's Taylor families and reads, bit for bit,
-    what a freshly built law at that time reads."""
+    """``at`` is a ``dataclasses.replace`` of t, so it re-runs all of the
+    law's own checks; the coefficients pass them again, so only a bad time
+    raises. The moved law shares the law's Taylor families (``_families`` is
+    an init field) and reads, bit for bit, what a freshly built law at that
+    time reads."""
     law = make()
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(ValidationError):
@@ -986,6 +989,8 @@ def test_jacobi_law_is_moments_only():
         law.cdf(np.array([0.5]))
     with pytest.raises(UnsupportedLawOperation):
         law.density(np.array([0.5]))
+    with pytest.raises(UnsupportedLawOperation):
+        law.quantile_table([0.0, 1.0], 10)
 
 
 def _assert_rel(values, oracle, rtol=1e-12):
@@ -1147,6 +1152,16 @@ def test_point_mass_basics():
     assert pm.atoms() == [(0.3, 1.0)]
     assert np.allclose(pm.moments(3).values, [1.0, 0.3, 0.09, 0.027])
     assert pm.bounds() == (0.3, 0.3)
+
+
+@pytest.mark.parametrize("t", [-0.5, math.nan, math.inf])
+def test_point_mass_at_checks_t(t):
+    """A point mass is the same law at every time, but ``at`` refuses a time
+    that no other family accepts."""
+    law = PointMass(1.0)
+    assert law.at(0.0) is law and law.at(2.5) is law
+    with pytest.raises(ValidationError):
+        PointMass(1.0).at(t)
 
 
 def test_moment_sequence_accessors():

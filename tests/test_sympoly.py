@@ -51,6 +51,29 @@ def test_elementary_rejects_bad_input():
         elementary_symmetric([1.0, np.inf])
 
 
+@pytest.mark.parametrize("bad", ["not_1d", "not_finite", "too_short"])
+@pytest.mark.parametrize(
+    "helper, deleted",
+    [(elementary_symmetric, 0), (incomplete_elementary, 1), (incomplete_elementary_pairs, 2)],
+    ids=["elementary", "incomplete", "pairs"],
+)
+def test_spectrum_helpers_share_one_input_check(helper, deleted, bad):
+    """e_k, one deletion and every pair of deletions raise ValidationError
+    for a spectrum that is not 1-d, not finite, or shorter than the 0, 1 or
+    2 entries they delete. No spectrum is shorter than 0 entries: the full
+    e_k of an empty one stays [1]."""
+    if bad == "too_short" and deleted == 0:
+        assert helper([]).tolist() == [1.0]
+        return
+    spectrum = {
+        "not_1d": np.ones((2, 3)),
+        "not_finite": [1.0, np.nan, 2.0],
+        "too_short": [1.0] * (deleted - 1),
+    }[bad]
+    with pytest.raises(ValidationError):
+        helper(spectrum)
+
+
 def test_power_sums_hand_values():
     assert np.allclose(power_sums([1.0, 2.0, 3.0], 2), [6.0, 14.0])
     assert np.allclose(power_sums([-1.0, 1.0], 3), [0.0, 2.0, 0.0])
