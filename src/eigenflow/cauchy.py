@@ -28,16 +28,16 @@ these closed forms at beta = 2 is g^2 = h^2 = sigma/2 (so that
 2 beta g^2 h^2 = sigma^2); :func:`free_pde_residual` implements and
 verifies exactly that convention.
 
-Each law answers its own transform, ``law.transform(z)`` (for the
-semicircle and MP laws the Herglotz root of a quadratic, Marchenko-Pastur
-1967), and its weighted transforms E[phi R^k], ``law.weighted_transform``:
-atoms plus the trapezoid rule in theta on each piece of its continuous
-part, which converges or raises NumericalError (:mod:`eigenflow.limits`).
-An empirical measure sums over its atoms; any other object raises
-UnsupportedLawOperation. :func:`cauchy_transform` and every ``transform``
-take a scalar or an array of z and work elementwise (one code path for
-both); :func:`stieltjes_invert` passes its transform one array,
-x_grid + i eps, per eps.
+Each measure answers its own transform, ``mu.transform(z)``, and its
+weighted transforms E[phi R^k], ``mu.weighted_transform``: a law by the
+Herglotz root of a quadratic (semicircle and MP, Marchenko-Pastur 1967)
+and by atoms plus the trapezoid rule in theta on each piece of its
+continuous part, which converges or raises NumericalError
+(:mod:`eigenflow.limits`); an empirical measure by sums over its atoms.
+Any other object raises UnsupportedLawOperation. :func:`cauchy_transform`
+and every ``transform`` take a scalar or an array of z and work
+elementwise (one code path for both); :func:`stieltjes_invert` passes
+its transform one array, x_grid + i eps, per eps.
 
 NumPy is the only third-party module this package imports; SciPy serves
 only the tests, as their reference quadrature.
@@ -52,7 +52,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedLawOperation, ValidationError
-from .empirical import EmpiricalMeasure
 from .limits import FreeDiffusion, free_bm_law, free_ou_law
 from .linalg import _horner
 
@@ -67,10 +66,10 @@ __all__ = [
 
 
 def _require_upper(z):
-    """z as a complex scalar or array, every element in the open upper half plane."""
+    """z as a complex scalar or array, each element finite and in the open upper half plane."""
     z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise ValidationError("z must lie in the open upper half plane")
+    if not np.all(np.isfinite(z) & (z.imag > 0)):
+        raise ValidationError("z must be finite and lie in the open upper half plane")
     return z[()]
 
 
@@ -82,12 +81,8 @@ def _law_method(mu, name: str):
 
 
 def _weighted_transform(mu, z, weight, power: int):
-    """E[weight(x) (x - z)^{-power}] under a measure or law ``mu``; an
+    """E[weight(x) (x - z)^{-power}], ``mu``'s own ``weighted_transform``: an
     empirical measure takes a scalar or an array of z, a law one z."""
-    if isinstance(mu, EmpiricalMeasure):
-        lam = mu.atoms
-        wv = np.asarray(weight(lam), dtype=float)
-        return np.mean(wv / (lam - np.expand_dims(z, -1)) ** power, axis=-1)
     return _law_method(mu, "weighted_transform")(weight, z, power)
 
 
@@ -95,13 +90,10 @@ def cauchy_transform(mu, z):
     """G(z) = int (x - z)^{-1} mu(dx), for Im z > 0: a scalar z gives a
     scalar, an array of z an array of the same shape.
 
-    An empirical measure sums over its atoms; a law answers its own
-    closed form, ``mu.transform(z)``.
+    The measure answers for itself, ``mu.transform(z)``: an empirical
+    measure sums over its atoms, a law gives its closed form.
     """
-    z = _require_upper(z)
-    if isinstance(mu, EmpiricalMeasure):
-        return _weighted_transform(mu, z, np.ones_like, 1)
-    return _law_method(mu, "transform")(z)
+    return _law_method(mu, "transform")(_require_upper(z))
 
 
 def stieltjes_invert(
@@ -110,10 +102,10 @@ def stieltjes_invert(
     """Density estimates (1/pi) Im G(x + i eps) extrapolated to eps -> 0.
 
     ``transform`` is called once per eps, on the whole array x_grid + i eps,
-    and returns G there elementwise. ``eps_list`` must be finite, positive
-    and strictly descending with at least two entries; extrapolation is
-    Neville's algorithm in eps (linear for two entries, higher order with
-    more).
+    and returns G there elementwise. x_grid must be finite; ``eps_list``
+    finite, positive and strictly descending with at least two entries.
+    Extrapolation is Neville's algorithm in eps (linear for two entries,
+    higher order with more).
     """
     eps = [float(e) for e in eps_list]
     if len(eps) < 2 or not all(0 < e < math.inf for e in eps) or any(
@@ -123,6 +115,8 @@ def stieltjes_invert(
             "eps_list must be finite, positive and strictly descending with >= 2 entries"
         )
     x_grid = np.asarray(x_grid, dtype=float)
+    if not np.all(np.isfinite(x_grid)):
+        raise ValidationError("x_grid entries must be finite")
     table = [(1.0 / math.pi) * np.asarray(transform(x_grid + 1j * e)).imag for e in eps]
     m = len(eps)
     for j in range(1, m):

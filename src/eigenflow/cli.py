@@ -278,8 +278,7 @@ def cmd_invert(args) -> int:
     cfg = bundle.cfg
     t_final = cfg.t_grid[-1]
     law_t = bundle.law.at(t_final)
-    # a law that is all atoms (up to the rounding of its summed weights) has no density
-    if not law_t.has_density or law_t.continuous_mass() <= 1e-12:
+    if not law_t.has_density:
         raise ValidationError(
             f"preset {cfg.preset!r} has no continuous density at t={t_final:g} to invert"
         )

@@ -1,9 +1,9 @@
 """Empirical spectral measures, distances to limit laws, and residuals.
 
-An empirical measure puts mass 1/n on each recorded eigenvalue. This
-module quantifies weak convergence (Kolmogorov-Smirnov and Wasserstein-1
-distances against limit laws, honoring atoms) and provides numerical
-residuals of the limiting measure-evolution equation
+An empirical measure (mass 1/n per recorded eigenvalue) sums over its
+atoms for its Cauchy transforms. This module measures weak convergence by
+Kolmogorov-Smirnov and Wasserstein-1 distances to limit laws with a CDF,
+honoring atoms, and gives residuals of the limiting measure-evolution equation
 
     d<mu_t, f>/dt = int b f' dmu_t
                     + (beta/2) iint (f'(x) - f'(y))/(x - y) G(x, y)
@@ -32,7 +32,7 @@ from numpy.polynomial.polynomial import polyder
 
 from .errors import UnsupportedLawOperation, ValidationError
 from .flows import EigenPath, FlowSpec
-from .limits import _cumtrapz, _interaction_kernel
+from .limits import _cumtrapz, _Family, _interaction_kernel
 from .linalg import _horner
 
 __all__ = [
@@ -69,8 +69,6 @@ class EmpiricalMeasure:
         """k-th moment (1/n) sum atoms^k; moment(0) = 1."""
         if k < 0:
             raise ValidationError("k must be >= 0")
-        if k == 0:
-            return 1.0
         return float(np.mean(self.atoms**k))
 
     def cdf(self, x) -> np.ndarray:
@@ -88,6 +86,15 @@ class EmpiricalMeasure:
     def mass_below(self, x0: float) -> float:
         """Mass of (-inf, x0)."""
         return float(self.cdf_left(x0))
+
+    def transform(self, z):
+        """Cauchy transform (1/n) sum (atom - z)^{-1}, elementwise in z."""
+        return self.weighted_transform(np.ones_like, z, 1)
+
+    def weighted_transform(self, weight, z, power: int):
+        """(1/n) sum weight(atom) (atom - z)^{-power}, elementwise in z."""
+        wv = np.asarray(weight(self.atoms), dtype=float)
+        return np.mean(wv / (self.atoms - np.expand_dims(z, -1)) ** power, axis=-1)
 
 
 @dataclass(frozen=True, init=False)
@@ -132,8 +139,8 @@ class EmpiricalMeasureProcess:
         """Quantile discretization of a limit-law family along a grid, row i
         the (ascending) ``law.at(t_i).quantile_atoms(atom_count)`` bit for bit:
         the family's ``quantile_table``, no law built per time. A law without
-        a CDF raises UnsupportedLawOperation; ``atom_count`` must be an
-        integer >= 1."""
+        a CDF, or an object that is no limit law, raises UnsupportedLawOperation;
+        ``atom_count`` must be an integer >= 1."""
         if not (isinstance(atom_count, numbers.Integral) and atom_count >= 1):
             raise ValidationError(f"atom_count must be an integer >= 1, got {atom_count!r}")
         _require_cdf(law)
@@ -153,16 +160,13 @@ class EmpiricalMeasureProcess:
 
 
 def _require_cdf(law) -> None:
-    if not getattr(law, "has_cdf", True):
-        raise UnsupportedLawOperation(
-            f"{type(law).__name__} exposes moments only (no CDF); "
-            "distance statistics are undefined"
-        )
+    if not (isinstance(law, _Family) and law.has_cdf):
+        what = "exposes moments only (no CDF)" if isinstance(law, _Family) else "is no limit law"
+        raise UnsupportedLawOperation(f"{type(law).__name__} {what}: no distance statistics")
 
 
 def _law_atoms(law) -> list[tuple[float, float]]:
-    getter = getattr(law, "atoms", None)
-    return list(getter()) if callable(getter) else []
+    return list(law.atoms())
 
 
 def _atom_rows(m) -> np.ndarray:

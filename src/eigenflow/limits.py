@@ -391,7 +391,9 @@ class _LawBase(_Family):
     array of z (elementwise).
     """
 
-    has_density = True
+    @property
+    def has_density(self) -> bool:  # not when all atoms, up to their summed weights' rounding
+        return self.continuous_mass() > 1e-12
 
     def _unit_cdf(self, u: np.ndarray) -> np.ndarray:
         xs, fs = self._unit_mesh(self._shape_key)
@@ -600,9 +602,6 @@ def semicircle_moments(
     centered = [Fraction(0)] * (k_max + 1)
     for j in range(k_max // 2 + 1):
         centered[2 * j] = Fraction(_catalan(j)) * Fraction(beta, 2) ** j * Fraction(t) ** j
-    if center == 0.0:
-        values = np.array([float(v) for v in centered])
-        return MomentSequence(values, t=float(t)).check_hankel()
     c = Fraction(center)
     shifted = [
         sum(math.comb(k, j) * c ** (k - j) * centered[j] for j in range(k + 1))
@@ -619,8 +618,9 @@ def free_ou_variance(theta: float, sigma: float, t: float) -> float:
     sigma^2 (1 - e^{-2|theta| t}) / (2|theta|), stationary value
     sigma^2/(2|theta|)).
     """
-    if not all(map(math.isfinite, (theta, sigma, t))):
-        raise ValidationError("theta, sigma and t must be finite")
+    if not (math.isfinite(theta) and math.isfinite(sigma)):
+        raise ValidationError("theta and sigma must be finite")
+    _check_time(t)
     if theta == 0.0:
         return sigma**2 * t
     return sigma**2 * math.expm1(2.0 * theta * t) / (2.0 * theta)
@@ -830,8 +830,9 @@ def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequenc
     polynomial in t with nonnegative coefficients, cached per
     (alpha, beta, k_max) and evaluated at t).
     """
-    if not (0 <= alpha < math.inf and math.isfinite(beta) and math.isfinite(t)):
-        raise ValidationError("alpha must be finite and >= 0, beta and t finite")
+    if not (0 <= alpha < math.inf and math.isfinite(beta)):
+        raise ValidationError("alpha must be finite and >= 0, beta finite")
+    _check_time(t)
     if k_max < 0:
         raise ValidationError("k_max must be >= 0")
     polys = _mp_polys(alpha, beta, k_max)
@@ -861,8 +862,6 @@ class PointMass(_LawBase):
 
     def bounds(self) -> tuple[float, float]:
         return self.a, self.a
-
-    has_density = False
 
     def density(self, x):
         raise UnsupportedLawOperation("point mass has no density")

@@ -176,7 +176,6 @@ def log_det_drift(
     h: Callable[[np.ndarray], np.ndarray],
     b: Callable[[np.ndarray], np.ndarray],
     beta: float,
-    n: int | None = None,
 ) -> float:
     """Finite-variation drift of V = log det at a positive spectrum.
 
@@ -194,10 +193,7 @@ def log_det_drift(
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0):
         raise ValidationError("log_det_drift requires a strictly positive spectrum")
-    size = lam.size
-    if n is not None and n != size:
-        raise ValidationError(f"n={n} does not match spectrum size {size}")
-    n = size
+    n = lam.size
     e = elementary_symmetric(lam)
     e_n = e[n]
     e1 = incomplete_elementary(lam)          # e1[i, k] = e_k without lam_i

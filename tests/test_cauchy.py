@@ -71,6 +71,17 @@ def test_poisson_kernel_of_point_mass():
         assert np.isclose(val.imag, eps / ((x - a) ** 2 + eps**2), rtol=1e-12)
 
 
+def test_empirical_transform_is_its_atom_sum_bit_for_bit():
+    """An empirical measure answers its own transform: the mean of
+    1/(atom - z), the same bits for one z and for an array of z."""
+    m = EmpiricalMeasure(np.array([3.0, -1.0, 0.2, 0.2, 0.4]))
+    z = np.linspace(-2.0, 4.0, 7) + 1j * np.array([[1e-3], [0.5], [20.0]])
+    got = cauchy_transform(m, z)
+    assert np.array_equal(got, np.mean(1 / (m.atoms - z[..., None]), axis=-1))
+    for v in (0.2 + 1e-3j, -1.5 + 2.0j):
+        assert cauchy_transform(m, v) == np.mean(1 / (m.atoms - v))
+
+
 def test_requires_upper_half_plane():
     with pytest.raises(ValidationError):
         cauchy_transform(Semicircle(1.0, beta=2), 1.0 - 0.5j)

@@ -317,6 +317,23 @@ def test_from_law_of_a_moments_only_law_fails_as_before():
         EmpiricalMeasureProcess.from_law(law, (0.0, 1.0), 10)
 
 
+@pytest.mark.parametrize(
+    "statistic",
+    [ks_distance, wasserstein1, lambda m, law: EmpiricalMeasureProcess.from_law(law, (0.0, 1.0), 4)],
+    ids=["ks", "w1", "from_law"],
+)
+def test_distance_statistics_admit_only_a_limit_law(statistic):
+    """An empirical measure in the law's place is refused by name, not read
+    through defaults (KS of a measure with itself once read 0.5); a
+    moments-only law keeps its message."""
+    m = EmpiricalMeasure([0.0, 1.0])
+    with pytest.raises(UnsupportedLawOperation, match="EmpiricalMeasure is no limit law"):
+        statistic(m, m)
+    law = HierarchyLaw((0.0,), (1.0,), (1.0,), beta=2, a=0.0)
+    with pytest.raises(UnsupportedLawOperation, match="HierarchyLaw exposes moments only"):
+        statistic(m, law)
+
+
 @pytest.mark.parametrize("atom_count", [0, -1, 2.5, "7"])
 def test_from_law_rejects_a_bad_atom_count(atom_count):
     from eigenflow import ValidationError

@@ -3,6 +3,7 @@ run_preset row contracts, sweep reduction, the CLI subcommands, and CSV
 reproducibility (byte-identical modulo the timestamp comment line).
 """
 
+import ast
 import importlib
 import json
 import math
@@ -201,6 +202,37 @@ def test_package_surface_only_gains_what_its_modules_declare():
 
 # ---------------------------------------------------------------------------
 # preset validation
+
+
+# Each module's ``from .x import`` lines; the package ``__init__`` imports
+# every module but ``cli`` and is pinned by the surface tests above.
+_IMPORT_GRAPH = {
+    "errors": set(),
+    "linalg": set(),
+    "sympoly": {"errors"},
+    "flows": {"errors", "linalg"},
+    "limits": {"errors", "linalg"},
+    "config": {"errors", "flows"},
+    "empirical": {"errors", "flows", "limits", "linalg"},
+    "cauchy": {"errors", "limits", "linalg"},
+    "presets": {"config", "empirical", "errors", "flows", "limits", "linalg"},
+    "cli": {"cauchy", "config", "empirical", "errors", "presets"},
+}
+
+
+def test_package_import_graph():
+    """Which module imports which: ``cauchy`` names no measure class, so it
+    does not import ``empirical``, and no module imports one above it."""
+    src = Path(eigenflow.__file__).parent
+    graph = {}
+    for path in sorted(src.glob("*.py")):
+        if path.stem != "__init__":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            graph[path.stem] = {
+                node.module.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            }
+    assert graph == _IMPORT_GRAPH
 
 
 def test_wishart_drift_inequality_message():
@@ -736,6 +768,17 @@ def _measures(count):
         lambda: eigenflow.geometric_moments(1.0, 0.0, 2.0, float("nan"), 4),
         lambda: eigenflow.mp_params(float("nan")),
         lambda: eigenflow.free_ou_variance(float("nan"), 1.0, 1.0),
+        lambda: eigenflow.cauchy_transform(Semicircle(1.0), complex(float("nan"), 1.0)),
+        lambda: eigenflow.cauchy_transform(Semicircle(1.0), complex(1.0, float("nan"))),
+        lambda: eigenflow.cauchy_transform(
+            eigenflow.EmpiricalMeasure([0.0, 1.0]), complex(1.0, math.inf)
+        ),
+        lambda: eigenflow.ct_evolution_rhs(
+            Semicircle(1.0), complex(float("nan"), 1.0), np.ones_like, np.ones_like, np.ones_like
+        ),
+        lambda: eigenflow.stieltjes_invert(
+            lambda z: eigenflow.cauchy_transform(Semicircle(1.0), z), [0.0, float("nan")], [0.1, 0.05]
+        ),
     ],
     ids=["flow_dt_nan", "flow_dt_inf", "flow_t_grid_nan", "noise_dt_nan", "noise_dt_inf",
          "flow_n_zero", "flow_n_negative", "flow_n_fractional", "noise_n_zero",
@@ -746,7 +789,9 @@ def _measures(count):
          "process_t_grid_nan", "empirical_atoms_nan",
          "empirical_atoms_inf", "mp_moments_alpha_nan", "mp_moments_t_nan",
          "semicircle_moments_t_nan", "semicircle_moments_t_inf", "geometric_moments_a_nan",
-         "geometric_moments_t_nan", "mp_params_alpha_nan", "free_ou_variance_theta_nan"],
+         "geometric_moments_t_nan", "mp_params_alpha_nan", "free_ou_variance_theta_nan",
+         "transform_z_real_nan", "transform_z_imag_nan", "transform_z_imag_inf",
+         "ct_evolution_rhs_z_nan", "stieltjes_invert_x_nan"],
 )
 def test_python_api_rejects_non_finite_inputs(build):
     with pytest.raises(ValidationError, match="finite"):

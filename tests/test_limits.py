@@ -157,6 +157,22 @@ def test_mp_params_hand_values():
     assert np.allclose(mp_params(4.0), (1.0, 9.0))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: mp_moments(2.5, 2, t, 4),
+        lambda t: limits_mod.free_ou_variance(-1.0, 1.0, t),
+    ],
+    ids=["mp_moments", "free_ou_variance"],
+)
+def test_closed_forms_refuse_a_negative_or_non_finite_time(build):
+    """Like every law and the other moment helpers, the two closed forms
+    that once extended to t < 0 refuse it."""
+    for t in (-0.1, -0.5, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="t must be finite and >= 0"):
+            build(t)
+
+
 def test_mp_moments_trivials():
     assert np.allclose(mp_moments(2.5, 2.0, 0.0, 3).values, [1, 0, 0, 0])
     for alpha, beta, t in ((1.0, 2.0, 1.0), (2.5, 2.0, 0.8), (0.5, 1.0, 2.0)):
@@ -1152,6 +1168,29 @@ def test_point_mass_basics():
     assert pm.atoms() == [(0.3, 1.0)]
     assert np.allclose(pm.moments(3).values, [1.0, 0.3, 0.09, 0.027])
     assert pm.bounds() == (0.3, 0.3)
+
+
+@pytest.mark.parametrize(
+    "law, has_density",
+    [
+        (Semicircle(0.0), False),
+        (MarchenkoPastur(0.0), False),
+        (MarchenkoPastur(2.5, 0.0), False),
+        (mp_mixture_two(0.5, 0.0), False),
+        (Semicircle(1.0), True),
+        (MarchenkoPastur(0.5), True),
+        (PointMass(1.0), False),
+        (mp_mixture_two(0.5), True),
+        (mp_mixture_three(2.0, 3.0), True),
+    ],
+    ids=["semicircle_t0", "mp_alpha0", "mp_t0", "mix2_t0", "semicircle", "mp_atom",
+         "point_mass", "mix2", "mix3"],
+)
+def test_has_density_is_a_continuous_part(law, has_density):
+    """A law has a density exactly when its continuous part has mass above
+    the rounding of its summed atom weights; a law that is all atoms (a
+    degenerate semicircle, MP law or mixture) has none."""
+    assert law.has_density == (law.continuous_mass() > 1e-12) == has_density
 
 
 @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf])
