@@ -1,9 +1,11 @@
 """Empirical spectral measures, distances to limit laws, and residuals.
 
 An empirical measure (mass 1/n per recorded eigenvalue) sums over its
-atoms for its Cauchy transforms. This module measures weak convergence by
-Kolmogorov-Smirnov and Wasserstein-1 distances to limit laws with a CDF,
-honoring atoms, and gives residuals of the limiting measure-evolution equation
+atoms for its Cauchy transforms and takes its moments by one running
+product. This module measures weak convergence by Kolmogorov-Smirnov and
+Wasserstein-1 distances to limit laws with a CDF, honoring atoms, one
+law or a family's laws over a whole time grid per call, and gives
+residuals of the limiting measure-evolution equation
 
     d<mu_t, f>/dt = int b f' dmu_t
                     + (beta/2) iint (f'(x) - f'(y))/(x - y) G(x, y)
@@ -25,14 +27,14 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder
 
 from .errors import UnsupportedLawOperation, ValidationError
 from .flows import EigenPath, FlowSpec
-from .limits import _cumtrapz, _Family, _interaction_kernel
+from .limits import _cumtrapz, _Dilated, _Family, _interaction_kernel
 from .linalg import _horner
 
 __all__ = [
@@ -44,7 +46,33 @@ __all__ = [
     "wasserstein1",
 ]
 
-_CHUNK_ENTRIES = 1 << 16  # cap on chunk * n * width in one _limit_terms pass
+_CHUNK_ENTRIES = 1 << 16  # cap on the entries of one chunk's per-atom tables
+
+
+def _chunks(count: int, entries: int):
+    """Slices cutting ``count`` cells into chunks of at most
+    ``_CHUNK_ENTRIES // entries`` cells (at least one) of ``entries`` each."""
+    step = max(1, _CHUNK_ENTRIES // entries)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def _moment_table(atoms: np.ndarray, k_max: int) -> np.ndarray:
+    """m_0..m_kmax of each atom row (last axis) of ``atoms``, as its
+    trailing axis: the means of one running product x^k = x^(k-1) x, the
+    power rule of :func:`_limit_terms`, so m_1 and m_2 are the means of x
+    and x * x. The rows run in chunks of at most ``_CHUNK_ENTRIES`` atoms;
+    a row's means are the same bits in any chunk and any stack."""
+    n = atoms.shape[-1]
+    rows = atoms.reshape(-1, n)
+    out = np.empty((len(rows), k_max + 1))
+    out[:, 0] = 1.0
+    for cells in _chunks(len(rows), n):
+        power = rows[cells].copy()
+        for k in range(1, k_max + 1):
+            if k > 1:
+                power *= rows[cells]
+            out[cells, k] = np.mean(power, axis=-1)
+    return out.reshape(atoms.shape[:-1] + (k_max + 1,))
 
 
 @dataclass(frozen=True)
@@ -66,10 +94,11 @@ class EmpiricalMeasure:
         return self.atoms.size
 
     def moment(self, k: int) -> float:
-        """k-th moment (1/n) sum atoms^k; moment(0) = 1."""
-        if k < 0:
-            raise ValidationError("k must be >= 0")
-        return float(np.mean(self.atoms**k))
+        """k-th moment (1/n) sum atoms^k, the powers by the running product
+        x^k = x^(k-1) x (:func:`_moment_table`); moment(0) = 1."""
+        if not (isinstance(k, numbers.Integral) and k >= 0):
+            raise ValidationError(f"k must be an integer >= 0, got {k!r}")
+        return float(_moment_table(self.atoms, k)[k])
 
     def cdf(self, x) -> np.ndarray:
         """Right-continuous CDF."""
@@ -165,46 +194,81 @@ def _require_cdf(law) -> None:
         raise UnsupportedLawOperation(f"{type(law).__name__} {what}: no distance statistics")
 
 
-def _law_atoms(law) -> list[tuple[float, float]]:
-    return list(law.atoms())
-
-
 def _atom_rows(m) -> np.ndarray:
     """A measure's sorted atoms, or an array of sorted atom rows as given."""
     return m.atoms if isinstance(m, EmpiricalMeasure) else np.asarray(m, dtype=float)
+
+
+def _per_cell(statistic: Callable, m, law) -> float | np.ndarray:
+    """``statistic(rows, laws)`` of each sorted atom row of ``m`` against its
+    law, in chunks of (c, n) rows with the matching (c, 1) :class:`_Dilated`
+    table: ``law`` is one law with a CDF, met by every row, or a family's
+    ``at_times(times)`` table, met by the rows at each time (the rows'
+    second-to-last axis). A chunk's widest table, (c, 2n), holds at most
+    ``_CHUNK_ENTRIES`` entries; a row's value is the same bits in any chunk."""
+    if not isinstance(law, _Dilated):
+        _require_cdf(law)
+        law = law._dilated()
+    atoms = _atom_rows(m)
+    lead, n = atoms.shape[:-1], atoms.shape[-1]
+    rows = atoms.reshape(-1, n)
+    loc, scale = (np.broadcast_to(v, lead + (1,)).reshape(-1, 1) for v in (law.loc, law.scale))
+    out = np.empty(len(rows))
+    for cells in _chunks(len(rows), 2 * n):
+        out[cells] = statistic(rows[cells], law._replace(loc=loc[cells], scale=scale[cells]))
+    return float(out[0]) if isinstance(m, EmpiricalMeasure) else out.reshape(lead)[()]
+
+
+def _ks_rows(atoms: np.ndarray, law: _Dilated) -> np.ndarray:
+    n = atoms.shape[-1]
+    pos, mass = law.atoms()  # (c, 1): each law's one atom, of mass 0 if it has none
+    pos = np.where(mass > 0, pos, atoms[:, :1])  # none: a point already compared
+    pts = np.concatenate([atoms, pos], axis=-1)
+    f_law = law.cdf(pts)
+    jump = np.where(pts == pos, mass, 0.0)
+    # empirical counts below (left) and at or below (right) each point: for
+    # an atom, the ends of its run of ties in the sorted row
+    index, tie = np.arange(n), atoms[:, 1:] == atoms[:, :-1]  # atom i + 1 ties atom i
+    left = np.maximum.accumulate(np.where(np.pad(tie, ((0, 0), (1, 0))), 0, index), axis=-1)
+    back = np.maximum.accumulate(np.where(np.pad(tie, ((0, 0), (0, 1)))[:, ::-1], 0, index), axis=-1)
+    right = n - back[:, ::-1]
+    f_emp, f_emp_left = (
+        np.concatenate([run, np.count_nonzero(below, axis=-1, keepdims=True)], axis=-1) / n
+        for run, below in ((right, atoms <= pos), (left, atoms < pos))
+    )
+    return np.max(np.maximum(np.abs(f_emp - f_law), np.abs(f_emp_left - (f_law - jump))), axis=-1)
 
 
 def ks_distance(m, law) -> float | np.ndarray:
     """Kolmogorov-Smirnov distance sup_x |F_emp(x) - F_law(x)|.
 
     ``m`` is an :class:`EmpiricalMeasure` (returns a float) or an array
-    whose last axis holds sorted atom rows, such as an ensemble's spectra
-    at one time (returns one distance per row, from one ``law.cdf`` call).
+    whose last axis holds sorted atom rows (returns one distance per row).
+    ``law`` is a law with a CDF, met by every row, or a family's
+    ``at_times(times)`` table over a time grid, met by the rows of each time
+    (an (R, T, n) ensemble's spectra take one call for the whole grid): one
+    pass over the rows in chunks, one ``cdf`` call per chunk.
     Both CDFs are right-continuous step/absolutely-continuous mixtures;
     the supremum is attained at an atom of either measure, approached from
     the left or the right, so it suffices to compare both one-sided limits
-    at every empirical atom and every law atom (a point met twice gives
-    the same term twice, so no ``np.unique`` is needed).
+    at every empirical atom and at the law's atom (a point met twice gives
+    the same term twice, so no ``np.unique`` is needed). The empirical
+    counts come from the runs of ties in each sorted row, with no search.
     """
-    _require_cdf(law)
-    atoms = _atom_rows(m)
-    law_atoms = _law_atoms(law)
-    pos = np.array([p for p, _ in law_atoms])
-    pts = np.concatenate([atoms, np.broadcast_to(pos, atoms.shape[:-1] + pos.shape)], axis=-1)
-    f_law = np.asarray(law.cdf(pts), dtype=float)
-    mass = np.zeros_like(f_law)
-    for p, w in law_atoms:
-        mass[pts == p] += w
-    rows = list(zip(atoms.reshape(-1, atoms.shape[-1]), pts.reshape(-1, pts.shape[-1])))
-    f_emp, f_emp_left = (
-        np.array([np.searchsorted(a, x, side=side) for a, x in rows]).reshape(pts.shape)
-        / atoms.shape[-1]
-        for side in ("right", "left")
-    )
-    out = np.max(
-        np.maximum(np.abs(f_emp - f_law), np.abs(f_emp_left - (f_law - mass))), axis=-1
-    )
-    return float(out) if isinstance(m, EmpiricalMeasure) else out
+    return _per_cell(_ks_rows, m, law)
+
+
+def _w1_rows(atoms: np.ndarray, law: _Dilated) -> np.ndarray:
+    n = atoms.shape[-1]
+    lo, hi = atoms[:, :-1], atoms[:, 1:]
+    split = np.clip(law.level_quantiles(n), lo, hi)
+    top = law.bounds()[1]
+    phi = law.integrated_cdf(np.concatenate([atoms, split, top], axis=-1))
+    phi_x, phi_q = phi[:, :n], phi[:, n:-1]
+    levels = np.arange(1, n) / n
+    pieces = levels * (2.0 * split - lo - hi) - 2.0 * phi_q + phi_x[:, :-1] + phi_x[:, 1:]
+    tails = phi_x[:, 0] + (phi_x[:, -1] - atoms[:, -1]) + (top[:, 0] - phi[:, -1])
+    return tails + pieces.sum(axis=-1)
 
 
 def wasserstein1(m, law) -> float | np.ndarray:
@@ -213,32 +277,22 @@ def wasserstein1(m, law) -> float | np.ndarray:
 
     ``m`` is an :class:`EmpiricalMeasure` (returns a float) or an array
     whose last axis holds sorted atom rows x_1 <= ... <= x_n (returns one
-    distance per row). With Phi(x) = int_{-inf}^x F_law: left of x_1 the
-    integral is Phi(x_1); right of x_n it is Phi(x_n) - x_n + mean, with
-    mean = top - Phi(top) for the law's upper bound ``top``. On
-    [x_i, x_{i+1}] the empirical CDF is the level L = i/n, F_law crosses it
-    at q = clip(Q(L), x_i, x_{i+1}), and the piece is
+    distance per row). ``law`` is a law with a CDF, met by every row, or a
+    family's ``at_times(times)`` table over a time grid, met by the rows of
+    each time (an (R, T, n) ensemble's spectra take one call for the whole
+    grid). With Phi(x) = int_{-inf}^x F_law: left of x_1 the integral is
+    Phi(x_1); right of x_n it is Phi(x_n) - x_n + mean, with mean =
+    top - Phi(top) for the law's upper bound ``top``. On [x_i, x_{i+1}] the
+    empirical CDF is the level L = i/n, F_law crosses it at
+    q = clip(Q(L), x_i, x_{i+1}), and the piece is
 
         L (2q - x_i - x_{i+1}) - 2 Phi(q) + Phi(x_i) + Phi(x_{i+1}).
 
-    The levels, hence Q(L) (``law.level_quantiles``), are shared by every
-    row, so an (R, n) block takes one ``law.integrated_cdf`` call. A split
-    point off by d moves its piece by O(f d^2), and only downwards.
+    The rows run in chunks, each taking one ``level_quantiles`` and one
+    ``integrated_cdf`` call (of every row's atoms, split points and top).
+    A split point off by d moves its piece by O(f d^2), and only downwards.
     """
-    _require_cdf(law)
-    atoms = _atom_rows(m)
-    n = atoms.shape[-1]
-    lo, hi = atoms[..., :-1], atoms[..., 1:]
-    split = np.clip(law.level_quantiles(n), lo, hi)
-    top = law.bounds()[1]
-    phi = law.integrated_cdf(np.concatenate([atoms.ravel(), split.ravel(), [top]]))
-    phi_x = phi[: atoms.size].reshape(atoms.shape)
-    phi_q = phi[atoms.size : -1].reshape(split.shape)
-    levels = np.arange(1, n) / n
-    pieces = levels * (2.0 * split - lo - hi) - 2.0 * phi_q + phi_x[..., :-1] + phi_x[..., 1:]
-    tails = phi_x[..., 0] + (phi_x[..., -1] - atoms[..., -1]) + (top - phi[-1])
-    out = tails + pieces.sum(axis=-1)
-    return float(out) if isinstance(m, EmpiricalMeasure) else out
+    return _per_cell(_w1_rows, m, law)
 
 
 def _poly_coeffs(f) -> np.ndarray:
@@ -275,9 +329,8 @@ def _limit_terms(
     fp = rows[:, 1:] * np.arange(1, width)
     count, n = atoms.shape
     terms = np.empty((3, rows.shape[0], count))
-    step = max(1, _CHUNK_ENTRIES // (n * width))
-    for lo in range(0, count, step):
-        lam = atoms[lo : lo + step]
+    for cells in _chunks(count, n * width):
+        lam = atoms[cells]
         # lam^l / n, as np.vander forms the powers: one running product
         powers = np.empty((len(lam), width, n))
         powers[:, 0] = 1.0
@@ -290,7 +343,7 @@ def _limit_terms(
             weights[:, row] = fn(lam)
         sums = weights @ powers.swapaxes(-1, -2)  # (chunk, 4, width)
         inter = _interaction_kernel(sums[:, 1, : width - 2], sums[:, 2, : width - 2])
-        chunk = terms[..., lo : lo + step]
+        chunk = terms[..., cells]
         chunk[0] = (rows @ sums[:, 0, :, None])[..., 0].T
         chunk[1] = (fp @ sums[:, 3, : width - 1, None])[..., 0].T
         chunk[2] = (fp @ inter[..., None])[..., 0].T
@@ -298,7 +351,7 @@ def _limit_terms(
 
 
 def limit_equation_residual(
-    proc: EmpiricalMeasureProcess | EigenPath,
+    proc: EmpiricalMeasureProcess | EigenPath | Sequence[EigenPath],
     f,
     g2: Callable,
     h2: Callable,
@@ -309,24 +362,33 @@ def limit_equation_residual(
 
     ``proc`` is a process or an :class:`EigenPath`, whose ``spectra`` rows
     (the measures' sorted atoms) go through :func:`_limit_terms` as one
-    stack. ``f`` is a polynomial (coefficient array or an object with
+    stack; or a nonempty list or tuple of them on one grid, such as an
+    ensemble's paths, whose rows all go through one stacked pass. ``f`` is
+    a polynomial (coefficient array or an object with
     ``poly``), or a 2-D array whose rows are coefficient arrays; ``g2``, ``h2``,
     ``b`` are callables evaluating g^2, h^2 and the drift on atom arrays.
     Time integration is trapezoidal on the recorded grid; the double
     integral is the exact atom sum over the product measure.
     Returns max_t |<mu_t,f> - <mu_0,f> - int_0^t RHS ds| as a float, or
     one such residual per row of a 2-D ``f`` (one pass over the measures
-    serves every row).
+    serves every row); for a list of R processes, one residual per process
+    (shape (R,), or (rows, R) for a 2-D ``f``), each the bits of its own call.
     """
     coeffs = _poly_coeffs(f)
     if coeffs.ndim > 2:
         raise ValidationError("f must be a coefficient array or a 2-d array of rows")
     if coeffs.shape[-1] > 13:
         raise ValidationError("polynomial degree must be <= 12")
-    observable, drift, inter = _limit_terms(proc.spectra, coeffs, g2, h2, b)
-    rhs = _cumtrapz(drift + 0.5 * beta * inter, proc.t_grid)
+    stack = isinstance(proc, (list, tuple))
+    if stack and not (proc and all(np.array_equal(p.t_grid, proc[0].t_grid) for p in proc)):
+        raise ValidationError("a list of processes must be nonempty and share one time grid")
+    t_grid = proc[0].t_grid if stack else proc.t_grid
+    spectra = np.stack([p.spectra for p in proc]) if stack else proc.spectra  # (..., T, n)
+    terms = _limit_terms(spectra.reshape(-1, spectra.shape[-1]), coeffs, g2, h2, b)
+    observable, drift, inter = terms.reshape(terms.shape[:-1] + spectra.shape[:-1])
+    rhs = _cumtrapz(drift + 0.5 * beta * inter, t_grid)
     res = np.max(np.abs(observable - observable[..., :1] - rhs), axis=-1)
-    return res if coeffs.ndim == 2 else float(res)
+    return res if res.ndim else float(res)
 
 
 def em_sde_decomposition(proc: EmpiricalMeasureProcess, f, spec: FlowSpec) -> dict:

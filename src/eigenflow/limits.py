@@ -14,10 +14,11 @@ semicircles, :class:`FreeDiffusion`.
 Every law with a CDF moves in time by dilation: the semicircle by its
 radius about its center, the MP law by beta*t, the mixtures by t (and a
 :class:`PointMass` is the scale-0 case). So each one only names its
-dilation (loc, scale) and its family's unit shape; :class:`_LawBase`
-derives the CDF, Phi = int F, the quantiles and sampling from that one rule,
-with each unit shape's mesh, running integral and quantiles cached once.
-Every family in time, these laws, :class:`FreeDiffusion` and
+dilation (loc, scale) and its family's unit shape; :class:`_Dilated`
+derives the CDF, Phi = int F, the quantiles, bounds and atoms from that one
+rule, for one law or for a family's laws at every time of a grid at once
+(``at_times``), with each unit shape's mesh, running integral and quantiles
+cached once. Every family in time, these laws, :class:`FreeDiffusion` and
 :class:`HierarchyLaw`, takes ``at(t)`` and its tables from :class:`_Family`.
 
 One engine computes those moments: exact Taylor steps of the quadratic
@@ -330,31 +331,97 @@ def _quadratic_root(a, b, z):
     return np.where(flat, -1.0 / b, root)[()]
 
 
+class _Dilated(NamedTuple):
+    """Laws of one family at many dilations at once: the unit shape of
+    ``shape`` (its ``_unit_*`` functions, ``_unit_atom``, the mass of its one
+    atom, at u = 0, and ``_extent(loc, scale)``, the support's ends) moved to
+    ``loc`` and stretched by ``scale``; the point mass at loc where scale is
+    0. loc and scale are 0-d for one law (any x), or a table's shape with a
+    trailing axis of length 1, against which x broadcasts. Every answer is
+    the one law's formula elementwise, so an entry has that law's bits."""
+
+    shape: object
+    loc: np.ndarray
+    scale: np.ndarray
+
+    def _blend(self, at_point, unit: Callable, none=0.0) -> np.ndarray:
+        """``at_point`` where scale is 0, else ``unit()`` (``none`` when every
+        law is a point mass, so a family with no unit shape needs none)."""
+        point = self.scale == 0
+        return np.where(point, at_point, none if point.all() else unit())
+
+    def _unit_x(self, x: np.ndarray) -> np.ndarray:
+        return (x - self.loc) / np.where(self.scale == 0, 1.0, self.scale)
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        """F(x) = F_U((x - loc)/scale); the unit step at loc for a point mass."""
+        return self._blend(x >= self.loc, lambda: self.shape._unit_cdf(self._unit_x(x)))
+
+    def integrated_cdf(self, x: np.ndarray) -> np.ndarray:
+        """Phi(x) = int_{-inf}^x F = scale Phi_U((x - loc)/scale); (x - loc)_+
+        for a point mass."""
+        return self._blend(
+            np.maximum(x - self.loc, 0.0),
+            lambda: self.scale * self.shape._unit_integrated_cdf(self._unit_x(x)),
+        )
+
+    def place(self, count: int, unit: Callable) -> np.ndarray:
+        """loc + scale * unit(), for ``count`` unit points; ``count`` copies
+        of loc for a point mass."""
+        return self._blend(self.loc, lambda: self.loc + self.scale * unit(), np.zeros(count))
+
+    def quantile_atoms(self, count: int) -> np.ndarray:
+        """Midpoint-quantile discretization: atoms at F^{-1}((i-1/2)/count)."""
+        shape = self.shape
+        return self.place(count, lambda: _unit_quantiles(shape._unit_mesh, shape._shape_key, count))
+
+    def level_quantiles(self, count: int) -> np.ndarray:
+        """Quantiles at the levels i/count, i = 1..count-1: a split point of
+        each empirical level's piece in :func:`eigenflow.empirical.wasserstein1`."""
+        return self.place(count - 1, lambda: self.shape._unit_levels(count))
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.shape._extent(self.loc, self.scale)
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(loc, mass) of each law's atom: 1 for a point mass, else the unit
+        shape's (0 when it has none)."""
+        return self.loc, np.where(self.scale == 0, 1.0, self.shape._unit_atom)
+
+
 class _Family:
     """What every law family answers over time: ``at(t)``, a
     ``dataclasses.replace`` of t that re-runs the law's own checks;
-    ``has_cdf``; and its quantile table (from ``_dilation(times)`` and the
-    unit shape, see :class:`_LawBase`) and moment table over a time grid."""
+    ``has_cdf``; its laws at every time of a grid as one table
+    (:meth:`at_times`, from ``_dilation(times)`` and the unit shape, see
+    :class:`_LawBase`); and its quantile and moment tables."""
 
     has_cdf = True
     _shape_key = None
 
+    @property
+    def _shape(self):
+        """What answers for the unit shape (:class:`_Dilated`): the family."""
+        return self
+
     def at(self, t: float):
         return replace(self, t=float(t))
+
+    def at_times(self, times) -> _Dilated:
+        """The laws ``at(t_i)`` as one (T, 1) :class:`_Dilated` table, no law
+        built per time: its CDF, Phi, quantiles, bounds and atoms answer for
+        every time at once, each row with ``at(t_i)``'s own bits."""
+        times = np.asarray(times, dtype=float)
+        _check_time(times)
+        loc, scale = (np.broadcast_to(v, times.shape)[..., None] for v in self._dilation(times))
+        return _Dilated(self._shape, loc, scale)
 
     def quantile_table(self, times, count: int) -> np.ndarray:
         """(T, count) table, row i ``at(t_i).quantile_atoms(count)`` bit for
         bit: one outer product loc + scale * U of the dilations over the times
         with the unit shape's cached quantiles U (a scale-0 row is exactly
-        loc), no law built per time."""
-        times = np.asarray(times, dtype=float)
-        _check_time(times)
-        loc, scale = (np.broadcast_to(v, times.shape)[:, None] for v in self._dilation(times))
-        unit = (  # a family that is all point masses (PointMass) has no unit shape
-            _unit_quantiles(self._unit_mesh, self._shape_key, count)
-            if scale.any() else np.zeros(count)
-        )
-        return np.where(scale == 0, loc, loc + scale * unit)
+        loc)."""
+        return self.at_times(times).quantile_atoms(count)
 
     def moment_table(self, times, k_max: int) -> np.ndarray:
         """(T, k_max + 1) moments of ``at(t)`` at each of the times: the
@@ -365,21 +432,23 @@ class _Family:
 class _LawBase(_Family):
     """Shared behavior of the laws with a CDF: each one is a dilation.
 
-    A subclass supplies ``_dilation(t=None) -> (loc, scale)``, ``atoms`` and
-    ``bounds``. The law is its family's unit shape U moved to ``loc`` and
-    stretched by ``scale``; scale 0 means the point mass at loc. Given an
-    array of times t, ``_dilation`` answers for the family's law at each
-    (``at(t_i)``) by the same formula, elementwise, with no law built, and so
-    does :meth:`_Family.quantile_table`. The unit shape is the CDF mesh
-    ``_unit_mesh(_shape_key) -> (xs, fs)``, with fs the full CDF (atoms as
-    jumps at repeated x), cached per family and read-only. Everything else
-    follows from the one dilation rule
+    A subclass supplies ``_dilation(t=None) -> (loc, scale)`` and
+    ``_extent(loc, scale) -> (lo, hi)``, and, if its unit shape has an atom
+    (always at u = 0, so at loc), its mass ``_unit_atom``. The law is its
+    family's unit shape U moved to ``loc`` and stretched by ``scale``; scale
+    0 means the point mass at loc. Given an array of times t, ``_dilation``
+    answers for the family's law at each (``at(t_i)``) by the same formula,
+    elementwise, with no law built, and so does :meth:`_Family.at_times`.
+    The unit shape is the CDF mesh ``_unit_mesh(_shape_key) -> (xs, fs)``,
+    with fs the full CDF (atoms as jumps at repeated x), cached per family
+    and read-only. Everything else follows from the one dilation rule of
+    :class:`_Dilated`
 
         F(x) = F_U((x - loc)/scale),   Phi(x) = scale Phi_U((x - loc)/scale),
         Q(u) = loc + scale Q_U(u),
 
-    where Phi = int_{-inf}^x F. Per unit shape, its running integral
-    (:func:`_unit_integral`) and its midpoint quantiles
+    where Phi = int_{-inf}^x F; one law is its 0-d case. Per unit shape, its
+    running integral (:func:`_unit_integral`) and its midpoint quantiles
     (:func:`_unit_quantiles`) are cached too, so every time of one family
     shares them. A family with closed forms overrides ``_unit_cdf``,
     ``_unit_integrated_cdf`` or ``_unit_levels``.
@@ -391,9 +460,15 @@ class _LawBase(_Family):
     array of z (elementwise).
     """
 
+    _unit_atom = 0.0
+
     @property
     def has_density(self) -> bool:  # not when all atoms, up to their summed weights' rounding
         return self.continuous_mass() > 1e-12
+
+    def _dilated(self) -> _Dilated:
+        """This one law as a 0-d :class:`_Dilated`."""
+        return _Dilated(self, *map(np.asarray, self._dilation()))
 
     def _unit_cdf(self, u: np.ndarray) -> np.ndarray:
         xs, fs = self._unit_mesh(self._shape_key)
@@ -415,45 +490,36 @@ class _LawBase(_Family):
         xs, fs = self._unit_mesh(self._shape_key)
         return np.interp(np.arange(1, count) / count, fs, xs)
 
-    def _dilate(self, count: int, unit) -> np.ndarray:
-        """loc + scale * unit(), or ``count`` copies of loc at scale 0."""
-        loc, scale = self._dilation()
-        return np.full(count, float(loc)) if scale == 0 else loc + scale * unit()
-
     def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        loc, scale = self._dilation()
-        out = (x >= loc).astype(float) if scale == 0 else self._unit_cdf((x - loc) / scale)
+        out = self._dilated().cdf(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     def integrated_cdf(self, x) -> np.ndarray:
         """Phi(x) = int_{-inf}^x F; (x - loc)_+ for the point mass."""
-        x = np.asarray(x, dtype=float)
-        loc, scale = self._dilation()
-        if scale == 0:
-            return np.maximum(x - loc, 0.0)
-        return scale * self._unit_integrated_cdf((x - loc) / scale)
+        return self._dilated().integrated_cdf(np.asarray(x, dtype=float))
 
     def quantile_atoms(self, count: int) -> np.ndarray:
-        """Midpoint-quantile discretization: atoms at F^{-1}((i-1/2)/count)."""
-        return self._dilate(
-            count, lambda: _unit_quantiles(self._unit_mesh, self._shape_key, count)
-        )
+        return self._dilated().quantile_atoms(count)
 
     def level_quantiles(self, count: int) -> np.ndarray:
-        """Quantiles at the levels i/count, i = 1..count-1: a split point of
-        each empirical level's piece in :func:`eigenflow.empirical.wasserstein1`."""
-        return self._dilate(count - 1, lambda: self._unit_levels(count))
+        return self._dilated().level_quantiles(count)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.uniform(size=count)
-        return self._dilate(count, lambda: _invert_mesh(*self._unit_mesh(self._shape_key), u))
+        return self._dilated().place(
+            count, lambda: _invert_mesh(*self._unit_mesh(self._shape_key), u)
+        )
+
+    def bounds(self) -> tuple[float, float]:
+        lo, hi = self._dilated().bounds()
+        return float(lo), float(hi)
+
+    def atoms(self) -> list[tuple[float, float]]:
+        pos, mass = self._dilated().atoms()
+        return [(float(pos), float(mass))] if mass > 0 else []
 
     def continuous_mass(self) -> float:
         return 1.0 - sum(m for _, m in self.atoms())
-
-    def atoms(self) -> list[tuple[float, float]]:
-        return []
 
     def weighted_transform(self, weight, z: complex, power: int) -> complex:
         """E[weight(x) (x - z)^{-power}] at one z: the sum over the atoms plus,
@@ -522,13 +588,6 @@ class Semicircle(_LawBase):
     def is_degenerate(self) -> bool:
         return self.variance == 0.0
 
-    def atoms(self) -> list[tuple[float, float]]:
-        return [(self.center, 1.0)] if self.is_degenerate else []
-
-    def bounds(self) -> tuple[float, float]:
-        r = self.radius
-        return self.center - r, self.center + r
-
     def density(self, x) -> np.ndarray:
         if self.is_degenerate:
             raise UnsupportedLawOperation("degenerate semicircle has no density")
@@ -540,6 +599,11 @@ class Semicircle(_LawBase):
     def _dilation(self, t=None) -> tuple:
         """(center, radius), the radius 2 sqrt(beta t / 2)."""
         return self.center, 2.0 * np.sqrt(self.beta * (self.t if t is None else t) / 2.0)
+
+    @staticmethod
+    def _extent(loc, scale) -> tuple:
+        """The support [center - radius, center + radius]."""
+        return loc - scale, loc + scale
 
     @staticmethod
     def _pieces() -> tuple[_Piece, ...]:
@@ -611,19 +675,27 @@ def semicircle_moments(
     return MomentSequence(values, t=float(t)).check_hankel()
 
 
-def free_ou_variance(theta: float, sigma: float, t: float) -> float:
+def free_ou_variance(theta: float, sigma: float, t):
     """sigma^2 (e^{2 theta t} - 1) / (2 theta); theta -> 0 limit sigma^2 t.
 
     Valid for both signs of theta (for theta < 0 it equals
     sigma^2 (1 - e^{-2|theta| t}) / (2|theta|), stationary value
-    sigma^2/(2|theta|)).
+    sigma^2/(2|theta|)). ``t`` is a time (returns a float) or an array of
+    times, checked once and evaluated elementwise, each with the bits of
+    its scalar call: e^x - 1 is ``math.expm1`` per time, since ``np.expm1``
+    rounds differently on some inputs.
     """
     if not (math.isfinite(theta) and math.isfinite(sigma)):
         raise ValidationError("theta and sigma must be finite")
     _check_time(t)
+    times = np.asarray(t, dtype=float)
     if theta == 0.0:
-        return sigma**2 * t
-    return sigma**2 * math.expm1(2.0 * theta * t) / (2.0 * theta)
+        out = sigma**2 * times
+    else:
+        x = 2.0 * theta * times
+        out = sigma**2 * np.array([math.expm1(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        out = out / (2.0 * theta)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -641,14 +713,14 @@ class FreeDiffusion(_Family):
         if self.kind not in ("free_bm", "free_ou"):
             raise ValidationError("free diffusion kind must be 'free_bm' or 'free_ou'")
 
-    _unit_mesh = staticmethod(Semicircle._unit_mesh)  # every marginal is a semicircle
+    _shape = Semicircle  # every marginal is a semicircle: its unit shape answers
 
     def _placement(self, t) -> tuple:
         """(center, variance) at t, a time or an array of times: (theta t,
         sigma^2 t) for free BM, (0, :func:`free_ou_variance`) for free OU."""
         if self.kind == "free_bm":
             return self.theta * t, self.sigma**2 * t
-        return 0.0, np.vectorize(free_ou_variance, otypes=[float])(self.theta, self.sigma, t)
+        return 0.0, free_ou_variance(self.theta, self.sigma, t)
 
     def at(self, t: float) -> Semicircle:
         center, variance = self._placement(t)
@@ -746,16 +818,7 @@ class MarchenkoPastur(_LawBase):
     def is_degenerate(self) -> bool:
         return self.scale == 0.0 or self.alpha == 0.0
 
-    def atoms(self) -> list[tuple[float, float]]:
-        if self.is_degenerate:
-            return [(0.0, 1.0)]
-        return [(0.0, self.atom_mass)] if self.atom_mass > 0 else []
-
-    def bounds(self) -> tuple[float, float]:
-        if self.is_degenerate:
-            return 0.0, 0.0
-        a, b = self.edges
-        return min(0.0, a), b
+    _unit_atom = atom_mass
 
     def density(self, x) -> np.ndarray:
         if self.is_degenerate:
@@ -771,6 +834,11 @@ class MarchenkoPastur(_LawBase):
     def _dilation(self, t=None) -> tuple:
         """(0, beta t), or scale 0 for alpha = 0: the point mass at 0."""
         return 0.0, 0.0 if self.alpha == 0 else self.beta * (self.t if t is None else t)
+
+    def _extent(self, loc, scale) -> tuple:
+        """[min(0, a scale), b scale] for the unit edges (a, b) (loc is 0)."""
+        a, b = mp_params(self.ratio)
+        return np.minimum(0.0, a * scale), b * scale
 
     @property
     def _shape_key(self) -> float:
@@ -857,17 +925,15 @@ class PointMass(_LawBase):
         _check_time(t)
         return self
 
-    def atoms(self) -> list[tuple[float, float]]:
-        return [(self.a, 1.0)]
-
-    def bounds(self) -> tuple[float, float]:
-        return self.a, self.a
-
     def density(self, x):
         raise UnsupportedLawOperation("point mass has no density")
 
     def _dilation(self, t=None) -> tuple[float, float]:
         return self.a, 0.0
+
+    @staticmethod
+    def _extent(loc, scale) -> tuple:
+        return loc, loc
 
     def transform(self, z):
         return 1.0 / (self.a - z)
@@ -921,20 +987,26 @@ class MPMixture(_LawBase):
             MarchenkoPastur(self.alpha_minus, self.lam_star * self.t, beta=1),
         )
 
-    def atoms(self) -> list[tuple[float, float]]:
-        pos, neg = self.components()
-        if pos.is_degenerate and neg.is_degenerate:
-            return [(0.0, 1.0)]  # exact: the three weights need not sum to 1 in floats
-        mass = self.gamma
-        if pos.is_degenerate:
-            mass += self.lam
-        if neg.is_degenerate:
-            mass += self.lam_star
-        return [(0.0, mass)] if mass > 0 else []
+    def _sides(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(alpha, weight) of the positive side and of the reflected one."""
+        return (self.alpha_plus, self.lam), (self.alpha_minus, self.lam_star)
 
-    def bounds(self) -> tuple[float, float]:
-        pos, neg = self.components()
-        return -neg.bounds()[1], pos.bounds()[1]
+    @property
+    def _unit_atom(self) -> float:
+        """Mass at 0 for t > 0: gamma plus the weight of each side that is all
+        at 0 (alpha or weight 0); exactly 1 when both are (the three weights
+        need not sum to 1 in floats)."""
+        gone = [weight for alpha, weight in self._sides() if alpha == 0 or weight == 0]
+        return 1.0 if len(gone) == 2 else sum(gone, self.gamma)
+
+    def _extent(self, loc, scale) -> tuple:
+        """Each side's outer edge, b(alpha) weight scale (0 for alpha = 0):
+        the upper edge of its MP component at time weight * t."""
+        pos, neg = (
+            (0.0 if alpha == 0 else mp_params(alpha)[1]) * (weight * scale)
+            for alpha, weight in self._sides()
+        )
+        return -neg, pos
 
     def density(self, x) -> np.ndarray:
         pos, neg = self.components()
@@ -1320,4 +1392,4 @@ class HierarchyLaw(_Family):
     def cdf(self, *args):
         raise UnsupportedLawOperation("hierarchy law exposes moments only")
 
-    density = quantile_table = cdf
+    density = quantile_table = at_times = cdf

@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .config import ExperimentConfig
-from .empirical import ks_distance, limit_equation_residual, wasserstein1
+from .empirical import _moment_table, ks_distance, limit_equation_residual, wasserstein1
 from .errors import ValidationError
 from .flows import _DYSON_INDEX, FlowSpec, simulate_ensemble
 from .limits import FreeDiffusion, HierarchyLaw, MarchenkoPastur, Semicircle, mp_mixture_two
@@ -373,18 +373,20 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
     (n, then replica, then grid time, then statistic). ``cfg.threads``
     sets the replica worker processes of each n's ensemble
     (:func:`~eigenflow.flows.simulate_ensemble`); the rows do not depend
-    on it. Each n's spectra stay one (R, T, n) array through the
-    statistics: moments as one stacked power per k, W1 and KS as one call
-    per record time over every replica, and the residual as one stacked
-    pass per replica; every value has the bits of the one-measure
-    :class:`~eigenflow.empirical.EmpiricalMeasure` computation.
+    on it. The law is one ``at_times`` table over the grid, and each n's
+    spectra stay one (R, T, n) array through one pass per statistic over
+    the whole grid: the moments by one running product x^k = x^(k-1) x,
+    W1 and KS by one call each against the table, and the residual by one
+    stacked call over every replica. The rows are written from these
+    columns; every value has the bits of the one-measure
+    :class:`~eigenflow.empirical.EmpiricalMeasure` computation at its time.
     """
     bundle = make_bundle(cfg)
     cfg = bundle.cfg
     g2, h2, b = bundle.residual_coefficients()
     monomials = _monomials(_RESIDUAL_DEGREES)
     law = bundle.law
-    cdf_laws = {t: law.at(t) for t in cfg.t_grid} if law is not None and law.has_cdf else {}
+    laws = law.at_times(cfg.t_grid) if law is not None and law.has_cdf else None
     rows: list[ResultRow] = []
     for n in cfg.n_list:
         spec = bundle.flow_spec(n)
@@ -392,27 +394,23 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
             spec, cfg.replica_count, cfg.base_seed, threads=cfg.threads
         )
         spectra = np.stack([path.spectra for path in paths])  # (R, T, n)
-        moments = np.stack(
-            [np.mean(spectra**k, axis=-1) for k in range(1, _MOMENT_COUNT + 1)], axis=-1
-        )
-        cells = []  # per record time: (stat, one value per replica) after the moments
-        for ti, t in enumerate(spec.t_grid):
-            block, law_t, cell = spectra[:, ti], cdf_laws.get(t), []
-            if law_t is not None:
-                cell += [("w1", wasserstein1(block, law_t)), ("ks", ks_distance(block, law_t))]
-            if cfg.preset == "wishart_nonunique":
-                cell.append(("neg_mass", np.count_nonzero(block < 0.0, axis=-1) / n))
-            cells.append(cell)
+        moments = _moment_table(spectra, _MOMENT_COUNT)[..., 1:]
+        stats = [f"m{k}" for k in range(1, _MOMENT_COUNT + 1)]
+        columns = [moments]  # (R, T, stats)
+        if laws is not None:
+            stats += ["w1", "ks"]
+            columns += [wasserstein1(spectra, laws)[..., None], ks_distance(spectra, laws)[..., None]]
+        if cfg.preset == "wishart_nonunique":
+            stats.append("neg_mass")
+            columns.append(np.count_nonzero(spectra < 0.0, axis=-1)[..., None] / n)
+        cells = np.concatenate(columns, axis=-1).tolist()
+        residuals = limit_equation_residual(paths, monomials, g2, h2, b, beta=bundle.beta)
         t_final = float(spec.t_grid[-1])
-        for r, (path, path_moments) in enumerate(zip(paths, moments.tolist())):
+        for path, path_cells, path_residuals in zip(paths, cells, residuals.T.tolist()):
             rep = str(path.replica)
-            for t, cell_moments, cell in zip(spec.t_grid, path_moments, cells):
-                for k, val in enumerate(cell_moments, start=1):
-                    rows.append(ResultRow(cfg.preset, n, rep, t, f"m{k}", val))
-                for stat, vals in cell:
-                    rows.append(ResultRow(cfg.preset, n, rep, t, stat, float(vals[r])))
-            residuals = limit_equation_residual(path, monomials, g2, h2, b, beta=bundle.beta)
-            for k, val in zip(_RESIDUAL_DEGREES, residuals):
+            for t, cell in zip(spec.t_grid, path_cells):
+                rows.extend(ResultRow(cfg.preset, n, rep, t, s, val) for s, val in zip(stats, cell))
+            for k, val in zip(_RESIDUAL_DEGREES, path_residuals):
                 rows.append(ResultRow(cfg.preset, n, rep, t_final, f"residual_x{k}", val))
             diags = path.diagnostics
             rows.append(ResultRow(cfg.preset, n, rep, t_final, "min_eig", diags.min_eigenvalue))

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from eigenflow import EmpiricalMeasureProcess
-from eigenflow.empirical import _law_atoms, _poly_coeffs, wasserstein1 as exact_wasserstein1
+from eigenflow.empirical import _poly_coeffs, wasserstein1 as exact_wasserstein1
 from eigenflow.flows import simulate_ensemble
 from eigenflow.limits import _cumtrapz, _interaction_kernel
 from eigenflow.presets import (
@@ -46,11 +46,11 @@ def law_mesh(law) -> tuple[np.ndarray, np.ndarray]:
 
 def ks_distance(m, law) -> float:
     """sup |F_emp - F_law| over both one-sided limits at the unique points."""
-    pts = np.concatenate([m.atoms, [p for p, _ in _law_atoms(law)]])
+    pts = np.concatenate([m.atoms, [p for p, _ in law.atoms()]])
     pts = np.unique(pts)
     f_law = np.asarray(law.cdf(pts), dtype=float)
     mass = np.zeros_like(pts)
-    for pos, mas in _law_atoms(law):
+    for pos, mas in law.atoms():
         mass[np.searchsorted(pts, pos)] += mas
     f_law_left = f_law - mass
     f_emp = np.asarray(m.cdf(pts))
@@ -63,7 +63,7 @@ def ks_distance(m, law) -> float:
 def wasserstein1(m, law) -> float:
     """int |F_emp - F_law| dx on the np.unique grid of linspace and atoms."""
     law_lo, law_hi = law.bounds()
-    atom_pos = [p for p, _ in _law_atoms(law)]
+    atom_pos = [p for p, _ in law.atoms()]
     lo = min(float(m.atoms[0]), law_lo, *atom_pos) if atom_pos else min(float(m.atoms[0]), law_lo)
     hi = max(float(m.atoms[-1]), law_hi, *atom_pos) if atom_pos else max(float(m.atoms[-1]), law_hi)
     if hi <= lo:
@@ -97,7 +97,7 @@ def w1_grid_error(atoms: np.ndarray, law) -> float:
     left Riemann sum misses at most the cell width times the law's CDF
     increase (the empirical CDF is constant there), so in all at most the
     widest cell, the linspace step."""
-    atom_pos = [p for p, _ in _law_atoms(law)]
+    atom_pos = [p for p, _ in law.atoms()]
     lo = min(float(atoms[0]), law.bounds()[0], *atom_pos)
     hi = max(float(atoms[-1]), law.bounds()[1], *atom_pos)
     return (hi - lo) / (_W1_GRID - 1) if hi > lo else 0.0
@@ -114,7 +114,7 @@ def fine_wasserstein1(atoms: np.ndarray, law, points: int = 100_001) -> float:
     Riemann sum would be first order: about 5e-7 off even at 2e6 points.)
     """
     atoms = np.sort(np.asarray(atoms, dtype=float))
-    law_atoms = _law_atoms(law)
+    law_atoms = law.atoms()
     jumps = np.concatenate([atoms, [p for p, _ in law_atoms]])
     lo = min(jumps.min(), law.bounds()[0])
     hi = max(jumps.max(), law.bounds()[1])

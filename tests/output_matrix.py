@@ -17,15 +17,21 @@ its own temporary directory, this runs 81 invocations of
 
 It prints the exit-code counts per root, then every file that differs
 between the two runs: the configs, the outputs, and each invocation's
-stdout, stderr and exit code. A ``# timestamp=`` line and the path of the
-run directory are ignored. The exit status is 0 when every file matches
-and 1 otherwise. Standard library only; pytest does not collect it.
+stdout, stderr and exit code. For a differing CSV or ``.dat`` file it also
+prints the size of the difference: the largest absolute and relative
+change over its numeric fields, paired line by line and field by field
+(or that the files do not pair up so). A ``# timestamp=`` line and the
+path of the run directory are ignored. The exit status is 0 when every
+file matches and 1 otherwise. Standard library only; pytest does not
+collect it.
 """
 
 from __future__ import annotations
 
 import collections
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -82,6 +88,46 @@ def run(root: Path, work: Path) -> dict[str, bytes]:
     }
 
 
+def numeric_change(old: bytes, new: bytes) -> tuple[float, float] | None:
+    """The largest absolute and relative change over the numeric fields of
+    two CSV or ``.dat`` texts, paired line by line and field by field (split
+    at commas and whitespace); None when they do not pair up: a different
+    line or field count, or a field that is no number and changed. The
+    relative change of a pair is |a - b| / max(|a|, |b|)."""
+    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+    if len(old_lines) != len(new_lines):
+        return None
+    largest_abs = largest_rel = 0.0
+    for old_line, new_line in zip(old_lines, new_lines):
+        old_fields, new_fields = (re.split(r"[,\s]+", line.strip()) for line in (old_line, new_line))
+        if len(old_fields) != len(new_fields):
+            return None
+        for a_text, b_text in zip(old_fields, new_fields):
+            try:
+                a, b = float(a_text), float(b_text)
+            except ValueError:
+                if a_text != b_text:
+                    return None
+                continue
+            if a == b or (math.isnan(a) and math.isnan(b)):
+                continue
+            change = abs(a - b)
+            largest_abs = max(largest_abs, change)
+            largest_rel = max(largest_rel, change / max(abs(a), abs(b)))
+    return largest_abs, largest_rel
+
+
+def describe(name: str, old: bytes | None, new: bytes | None) -> str:
+    """``differs: name``, with the size of the change for a CSV or .dat file."""
+    line = f"differs: {name}"
+    if old is None or new is None or not name.endswith((".csv", ".dat")):
+        return line
+    change = numeric_change(old, new)
+    if change is None:
+        return f"{line} (lines or fields do not pair up)"
+    return f"{line} (largest change {change[0]:.3g} absolute, {change[1]:.3g} relative)"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tests/output_matrix.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
@@ -98,7 +144,7 @@ def main(argv: list[str]) -> int:
     names = sorted(parent.keys() | change.keys())
     differ = [name for name in names if parent.get(name) != change.get(name)]
     for name in differ:
-        print(f"differs: {name}")
+        print(describe(name, parent.get(name), change.get(name)))
     print(f"{len(names)} files compared, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -33,7 +33,7 @@ from eigenflow import (
     wasserstein1,
 )
 from eigenflow.empirical import _limit_terms
-from eigenflow.limits import FreeDiffusion, _interaction_kernel, _LawBase
+from eigenflow.limits import FreeDiffusion, _Dilated, _interaction_kernel, _LawBase
 
 ZERO = SpectralFunction.constant(0.0)
 ONE = SpectralFunction.constant(1.0)
@@ -50,6 +50,17 @@ def test_moments_hand_values():
     assert m.moment(1) == 0.0
     assert m.moment(2) == 1.0
     assert EmpiricalMeasure(np.array([1.0, 2.0, 3.0])).moment(1) == 2.0
+    assert m.moment(np.int64(4)) == 1.0
+
+
+@pytest.mark.parametrize("k", [-1, 2.5, "2"])
+def test_moment_order_must_be_a_natural_number(k):
+    """The running product x^k = x^(k-1) x has no fractional or negative
+    order: such a k is refused by name."""
+    from eigenflow import ValidationError
+
+    with pytest.raises(ValidationError, match="k must be an integer >= 0"):
+        EmpiricalMeasure(np.array([1.0, 2.0])).moment(k)
 
 
 def test_atoms_sorted_and_counted():
@@ -204,17 +215,93 @@ def test_wasserstein_is_exact(law_name, n):
         assert abs(got - oracle.fine_wasserstein1(row, law)) <= 1e-6
 
 
-def test_wasserstein_evaluates_phi_once_per_block():
-    """An (R, n) block takes one integrated-CDF call, whatever R is, like
-    KS's one law.cdf call."""
+def test_wasserstein_evaluates_phi_once_per_block(monkeypatch):
+    """An (R, n) block within one chunk takes one integrated-CDF call of the
+    law's table, whatever R is, on each row's atoms, split points and top,
+    like KS's one cdf call."""
+    calls = []
+    phi = _Dilated.integrated_cdf
+    monkeypatch.setattr(
+        _Dilated, "integrated_cdf", lambda self, x: calls.append(np.shape(x)) or phi(self, x)
+    )
     for law in (Semicircle(1.0, beta=2), MarchenkoPastur(2.5, 1.0)):
-        calls = []
-        phi = law.integrated_cdf
-        law.integrated_cdf = lambda x, phi=phi: calls.append(np.shape(x)) or phi(x)
+        calls.clear()
         for replicas in (1, 7, 40):
             rows = np.random.default_rng(replicas).standard_normal((replicas, 30))
             wasserstein1(np.sort(rows, axis=-1), law)
-        assert calls == [(replicas * (2 * 30 - 1) + 1,) for replicas in (1, 7, 40)]
+        assert calls == [(replicas, 2 * 30) for replicas in (1, 7, 40)]
+
+
+TABLE_FAMILIES = {
+    "semicircle_beta2": Semicircle(1.0, beta=2),
+    "semicircle_beta1": Semicircle(1.0, beta=1),
+    "mp_atom": MarchenkoPastur(0.5, 1.0),
+    "mp": MarchenkoPastur(2.5, 1.0),
+    "mix2": mp_mixture_two(0.5),
+    "mix3": mp_mixture_three(1.5, 2.0),
+    "free_bm": FreeDiffusion("free_bm", -0.5, 1.2),
+    "free_ou": FreeDiffusion("free_ou", -0.7, 1.1),
+    "point_mass": PointMass(0.3),
+}
+TABLE_GRID = (0.0, 1e-9, 0.05, 0.3, 1.0, 2.5)
+
+
+def _table_spectra(family, n: int) -> np.ndarray:
+    """(4, T, n) sorted rows per time: continuous, tied among themselves,
+    half of them exactly at the time's law atom (its loc when it has none),
+    and all at it."""
+    rng = np.random.default_rng(n)
+    out = np.empty((4, len(TABLE_GRID), n))
+    for i, t in enumerate(TABLE_GRID):
+        law = family.at(t)
+        (pos,) = [p for p, _ in law.atoms()] or [law._dilation()[0]]
+        out[0, i] = rng.standard_normal(n)
+        out[1, i] = np.round(rng.standard_normal(n), 1)
+        out[2, i] = np.where(np.arange(n) % 2 == 0, pos, rng.standard_normal(n))
+        out[3, i] = pos
+    return np.sort(out, axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 9])
+@pytest.mark.parametrize("family", TABLE_FAMILIES.values(), ids=TABLE_FAMILIES.keys())
+def test_family_table_distances_are_the_per_time_calls(monkeypatch, family, n):
+    """W1 and KS of an (R, T, n) stack against ``at_times`` over a grid from
+    t = 0, with ties at the law atoms, give each cell the bits of its own
+    call against ``at(t)`` (and KS the np.unique oracle's), in one chunk and
+    with the chunk cap cut to 3 cells, so that chunks end inside a time."""
+    spectra = _table_spectra(family, n)
+    laws = family.at_times(TABLE_GRID)
+    tables = [(wasserstein1(spectra, laws), ks_distance(spectra, laws))]
+    monkeypatch.setattr(empirical_mod, "_CHUNK_ENTRIES", 3 * 2 * n)
+    tables.append((wasserstein1(spectra, laws), ks_distance(spectra, laws)))
+    for w1, ks in tables:
+        assert w1.shape == ks.shape == spectra.shape[:-1]
+        for r, i in np.ndindex(*w1.shape):
+            law, m = family.at(TABLE_GRID[i]), EmpiricalMeasure(spectra[r, i])
+            assert w1[r, i] == wasserstein1(m, law)
+            assert ks[r, i] == ks_distance(m, law) == oracle.ks_distance(m, law)
+
+
+def test_moment_rule_is_one_running_product(monkeypatch):
+    """m_1 and m_2 are np.mean(x) and np.mean(x * x) bit for bit; m_3..m_8
+    lie within 8k eps mean|x|^k of the exact mean of dyadic atoms; and the
+    stacked table, in any chunk, is EmpiricalMeasure.moment bit for bit."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(11)
+    atoms = np.sort(rng.integers(-(2**20), 2**20, size=(3, 5, 64)) / 2.0**18, axis=-1)
+    table = empirical_mod._moment_table(atoms, 8)
+    monkeypatch.setattr(empirical_mod, "_CHUNK_ENTRIES", 2 * 64)
+    assert np.array_equal(empirical_mod._moment_table(atoms, 8), table)
+    eps = np.finfo(float).eps
+    for idx in np.ndindex(*atoms.shape[:-1]):
+        x, row = atoms[idx], table[idx]
+        m = EmpiricalMeasure(x)
+        assert [m.moment(k) for k in range(9)] == row.tolist()
+        assert row[0] == 1.0 and row[1] == np.mean(x) and row[2] == np.mean(x * x)
+        for k in range(3, 9):
+            exact = sum(Fraction(v) ** k for v in x.tolist()) / x.size
+            assert abs(Fraction(row[k]) - exact) <= 8 * k * eps * float(np.mean(np.abs(x) ** k))
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +588,27 @@ def test_residual_of_a_path_is_the_residual_of_its_process():
         limit_equation_residual(path, *args, beta=1.0),
         limit_equation_residual(proc, *args, beta=1.0),
     )
+
+
+def test_residual_of_an_ensemble_is_each_path_residual(monkeypatch):
+    """A list of paths takes one stacked pass, in one chunk or in chunks that
+    end inside a path, and gives each path its own call's bits; an empty
+    list and paths on different grids are refused."""
+    from eigenflow import ValidationError
+
+    spec = _dyson_spec(7, "real", t_grid=(0.0, 0.25, 0.5))
+    paths = simulate_ensemble(spec, 3, 8)
+    args = (np.eye(5)[1:], lambda x: 0.25 + 0.0 * x, lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x)
+    each = np.stack([limit_equation_residual(p, *args, beta=1.0) for p in paths], axis=-1)
+    assert np.array_equal(limit_equation_residual(paths, *args, beta=1.0), each)
+    monkeypatch.setattr(empirical_mod, "_CHUNK_ENTRIES", 2 * 7 * 5)
+    assert np.array_equal(limit_equation_residual(tuple(paths), *args, beta=1.0), each)
+    single = limit_equation_residual(paths, args[0][1], *args[1:], beta=1.0)
+    assert single.shape == (3,) and np.array_equal(single, each[1])
+    other = simulate_path(_dyson_spec(7, "real", t_grid=(0.0, 0.25, 0.75)), 8)
+    for bad in ([paths[0], other], []):
+        with pytest.raises(ValidationError, match="nonempty and share one time grid"):
+            limit_equation_residual(bad, *args, beta=1.0)
 
 
 def test_residual_rejects_high_degree():

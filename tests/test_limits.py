@@ -1193,6 +1193,34 @@ def test_has_density_is_a_continuous_part(law, has_density):
     assert law.has_density == (law.continuous_mass() > 1e-12) == has_density
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.7])
+@pytest.mark.parametrize(
+    "mixture",
+    [
+        lambda t: mp_mixture_two(0.35, t),
+        lambda t: mp_mixture_three(1.5, 2.0, t),
+        lambda t: MPMixture(0.1, 0.0, 2.0, 0.5, 0.3, 0.2, t),
+        lambda t: MPMixture(0.1, 1.7, 0.0, 0.5, 0.3, 0.2, t),
+        lambda t: MPMixture(0.1, 0.0, 0.0, 0.5, 0.3, 0.2, t),
+    ],
+    ids=["two", "three", "positive_side_at_0", "reflected_side_at_0", "both_sides_at_0"],
+)
+def test_mixture_bounds_and_atom_are_its_components(mixture, t):
+    """The mixture declares its support's ends and its atom from its unit
+    shape; they are its MP components' at times lam t and lam_star t, bit
+    for bit: the outer edges, and gamma plus each side that is all at 0."""
+    mix = mixture(t)
+    pos, neg = mix.components()
+    assert mix.bounds() == (-neg.bounds()[1], pos.bounds()[1])
+    if pos.is_degenerate and neg.is_degenerate:
+        assert mix.atoms() == [(0.0, 1.0)]
+        return
+    mass = mix.gamma
+    for side, weight in ((pos, mix.lam), (neg, mix.lam_star)):
+        mass += weight if side.is_degenerate else 0.0
+    assert mix.atoms() == ([(0.0, mass)] if mass > 0 else [])
+
+
 @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf])
 def test_point_mass_at_checks_t(t):
     """A point mass is the same law at every time, but ``at`` refuses a time
