@@ -197,9 +197,8 @@ def cmd_moments(args) -> int:
     bundle = _law_or_fail(args)
     cfg = bundle.cfg
     rows = _law_moment_rows(cfg, bundle.law)
-    final = [r for r in rows if r.t == cfg.t_grid[-1]]
     print(f"limit-law moments of {cfg.preset} at t={cfg.t_grid[-1]:g}:")
-    for r in final:
+    for r in rows[-_MOMENT_COUNT:]:
         print(f"  {r.stat} = {r.value:.12g}")
     _write_csv(_out_dir(cfg) / "moments.csv", rows)
     return 0
@@ -208,30 +207,19 @@ def cmd_moments(args) -> int:
 def cmd_compare(args) -> int:
     bundle = _law_or_fail(args)
     cfg = bundle.cfg
-    sim_rows = run_preset(cfg)
+    results = run_preset(cfg)
     out = _out_dir(cfg)
     t_final = cfg.t_grid[-1]
     law_rows = _law_moment_rows(cfg, bundle.law)
-    law_final = {r.stat: r.value for r in law_rows if r.t == t_final}
-    rows = [r for r in sim_rows if r.replica == "ens"] + law_rows
-    for n in cfg.n_list:
-        ens_final = {
-            r.stat: r.value
-            for r in sim_rows
-            if r.replica == "ens" and r.n == n and r.t == t_final
-        }
-        moment_errs = []
-        for k in range(1, _MOMENT_COUNT + 1):
-            err = abs(ens_final[f"m{k}"] - law_final[f"m{k}"])
-            moment_errs.append(err)
+    law_final = law_rows[-_MOMENT_COUNT:]
+    rows = [r for r in results if r.replica == "ens"] + law_rows
+    for n, (*_, ens) in results.blocks.items():
+        moment_errs = [abs(e - r.value) for e, r in zip(ens[-1].tolist(), law_final)]
+        for k, err in enumerate(moment_errs, start=1):
             rows.append(ResultRow(cfg.preset, n, "ens", t_final, f"m{k}_err", err))
-        if bundle.law.has_cdf:  # then run_preset gave w1 and ks rows
-            by_cell: dict[tuple, list] = {}
-            for r in sim_rows:
-                if r.n == n and r.replica != "ens":
-                    by_cell.setdefault((r.stat, r.t), []).append(r.value)
-            medians = [float(np.median(by_cell["w1", t])) for t in cfg.t_grid]
-            ks_median = float(np.median(by_cell["ks", t_final]))
+        if bundle.law.has_cdf:  # then run_preset gave w1 and ks columns
+            medians = np.median(results.column(n, "w1"), axis=0).tolist()
+            ks_median = float(np.median(results.column(n, "ks")[:, -1]))
             rows.append(ResultRow(cfg.preset, n, "ens", t_final, "w1_median", medians[-1]))
             rows.append(ResultRow(cfg.preset, n, "ens", t_final, "ks_median", ks_median))
             _write_plot(out / f"{cfg.preset}_n{n}_w1_vs_t.dat", cfg.t_grid, medians)
@@ -244,8 +232,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _law_or_fail(args, cdf_for="distance statistics to sweep").cfg
-    sim_rows = run_preset(cfg)
-    report = sweep_report(sim_rows)
+    report = sweep_report(run_preset(cfg))
     out = _out_dir(cfg)
     rows = []
     t_final = cfg.t_grid[-1]
@@ -254,16 +241,8 @@ def cmd_sweep(args) -> int:
             rows.append(ResultRow(cfg.preset, n, "ens", t_final, f"{stat}_median", med))
         n_top = line.n_values[-1]
         rows.append(ResultRow(cfg.preset, n_top, "ens", t_final, f"{stat}_slope", line.slope))
-        rows.append(
-            ResultRow(
-                cfg.preset,
-                n_top,
-                "ens",
-                t_final,
-                f"{stat}_monotone",
-                1.0 if line.monotone_decreasing else 0.0,
-            )
-        )
+        monotone = float(line.monotone_decreasing)
+        rows.append(ResultRow(cfg.preset, n_top, "ens", t_final, f"{stat}_monotone", monotone))
         _write_plot(out / f"sweep_{stat}.dat", line.n_values, line.medians)
         print(
             f"{stat}: medians {dict(zip(line.n_values, [round(m, 6) for m in line.medians]))}, "

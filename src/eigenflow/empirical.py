@@ -34,7 +34,7 @@ from numpy.polynomial.polynomial import polyder
 
 from .errors import UnsupportedLawOperation, ValidationError
 from .flows import EigenPath, FlowSpec
-from .limits import _cumtrapz, _Dilated, _Family, _interaction_kernel
+from .limits import _cumtrapz, _Dilated, _Family, _interaction_kernel, _LawBase
 from .linalg import _horner
 
 __all__ = [
@@ -208,6 +208,9 @@ def _per_cell(statistic: Callable, m, law) -> float | np.ndarray:
     ``_CHUNK_ENTRIES`` entries; a row's value is the same bits in any chunk."""
     if not isinstance(law, _Dilated):
         _require_cdf(law)
+        if not isinstance(law, _LawBase):
+            what = f"{type(law).__name__} is a family with no time of its own"
+            raise UnsupportedLawOperation(f"{what}: pass .at(t) or .at_times(times)")
         law = law._dilated()
     atoms = _atom_rows(m)
     lead, n = atoms.shape[:-1], atoms.shape[-1]

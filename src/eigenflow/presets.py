@@ -30,9 +30,10 @@ MP law — the uniqueness failure made observable. A preset's ``b`` is the
 *limiting* drift b(x) and enters the step as b(x) dt; the per-n drift is
 b_n = n b.
 
-:func:`run_preset` simulates every (n, replica) pair and emits a flat list
-of :class:`ResultRow` entries with a closed statistic vocabulary, computed
-over each n's spectra as one (replicas, record times, n) array:
+:func:`run_preset` simulates every (n, replica) pair and returns its
+:class:`Results`: per n, the statistic columns of that n's spectra, computed
+as one (replicas, record times, n) array. They iterate as :class:`ResultRow`
+entries with a closed statistic vocabulary:
 
 - ``m1`` .. ``m8``: empirical spectral moments, per replica per grid time,
   plus ensemble means with replica ``"ens"``;
@@ -45,8 +46,8 @@ over each n's spectra as one (replicas, record times, n) array:
 - ``min_eig``, ``max_eig``: extrema over the recorded spectra, per
   replica, reported at the final grid time.
 
-:func:`sweep_report` reduces distance rows to per-n medians, a log-log
-slope, and a monotone-decrease flag.
+:func:`sweep_report` reduces the distance columns to per-n medians, a
+log-log slope, and a monotone-decrease flag.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ __all__ = [
     "PresetBundle",
     "PresetRow",
     "ResultRow",
+    "Results",
     "SweepLine",
     "build_flow_spec",
     "default_config",
@@ -99,6 +101,51 @@ class ResultRow:
     t: float
     stat: str
     value: float
+
+
+_MOMENT_STATS = tuple(f"m{k}" for k in range(1, _MOMENT_COUNT + 1))
+_FINAL_STATS = (*(f"residual_x{k}" for k in _RESIDUAL_DEGREES), "min_eig", "max_eig")
+
+
+@dataclass(frozen=True, eq=False)  # its blocks hold arrays, which have no one truth value
+class Results:
+    """A preset run as columns: ``blocks`` maps each n, ascending, to its
+    ``(stats, cells, final, ens)`` over R replicas and the T times of ``t_grid``.
+
+    ``cells`` is the (R, T, S) array of the S statistics that ``stats`` names
+    in order (``m1`` .. ``m8``, then ``w1`` and ``ks``, then ``neg_mass``, as
+    present); ``final`` the (R, 6) ``residual_x1`` .. ``residual_x4``,
+    ``min_eig`` and ``max_eig`` at the last time; ``ens`` the (T, 8)
+    ensemble means of ``m1`` .. ``m8``. Iterating yields a
+    :class:`ResultRow` per value, as often as asked, in the order n, then
+    replica (``"0"``, ``"1"``, ...), then time, then statistic (a replica's
+    six final values after its last time), with each n's ``ens`` rows last.
+    """
+
+    preset: str
+    t_grid: tuple
+    blocks: dict
+
+    def column(self, n: int, stat: str) -> np.ndarray:
+        """The (R, T) values of one of the statistics ``stats`` at size n."""
+        stats, cells = self.blocks[n][:2]
+        return cells[..., stats.index(stat)]
+
+    def __len__(self) -> int:
+        return sum(a.size for _, *arrays in self.blocks.values() for a in arrays)
+
+    def __iter__(self):
+        t_final = self.t_grid[-1]
+        for n, (stats, cells, final, ens) in self.blocks.items():
+            for rep, (rep_cells, rep_final) in enumerate(zip(cells.tolist(), final.tolist())):
+                for t, cell in zip(self.t_grid, rep_cells):
+                    yield from self._rows(n, str(rep), t, stats, cell)
+                yield from self._rows(n, str(rep), t_final, _FINAL_STATS, rep_final)
+            for t, ens_t in zip(self.t_grid, ens.tolist()):
+                yield from self._rows(n, "ens", t, _MOMENT_STATS, ens_t)
+
+    def _rows(self, n, replica, t, stats, values):
+        return (ResultRow(self.preset, n, replica, t, s, v) for s, v in zip(stats, values))
 
 
 @dataclass(frozen=True)
@@ -366,19 +413,18 @@ def build_flow_spec(cfg: ExperimentConfig, n: int) -> FlowSpec:
     return make_bundle(cfg).flow_spec(n)
 
 
-def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Simulate a preset over its n_list and emit all statistic rows.
+def run_preset(cfg: ExperimentConfig) -> Results:
+    """Simulate a preset over its n_list and return its :class:`Results`.
 
-    Validation runs before any simulation; row order is deterministic
-    (n, then replica, then grid time, then statistic). ``cfg.threads``
-    sets the replica worker processes of each n's ensemble
-    (:func:`~eigenflow.flows.simulate_ensemble`); the rows do not depend
+    Validation runs before any simulation. ``cfg.threads`` sets the replica
+    worker processes of each n's ensemble
+    (:func:`~eigenflow.flows.simulate_ensemble`); the results do not depend
     on it. The law is one ``at_times`` table over the grid, and each n's
     spectra stay one (R, T, n) array through one pass per statistic over
     the whole grid: the moments by one running product x^k = x^(k-1) x,
     W1 and KS by one call each against the table, and the residual by one
-    stacked call over every replica. The rows are written from these
-    columns; every value has the bits of the one-measure
+    stacked call over every replica. These arrays are the result's blocks;
+    every value has the bits of the one-measure
     :class:`~eigenflow.empirical.EmpiricalMeasure` computation at its time.
     """
     bundle = make_bundle(cfg)
@@ -387,42 +433,27 @@ def run_preset(cfg: ExperimentConfig) -> list[ResultRow]:
     monomials = _monomials(_RESIDUAL_DEGREES)
     law = bundle.law
     laws = law.at_times(cfg.t_grid) if law is not None and law.has_cdf else None
-    rows: list[ResultRow] = []
+    blocks = {}
     for n in cfg.n_list:
-        spec = bundle.flow_spec(n)
         paths = simulate_ensemble(
-            spec, cfg.replica_count, cfg.base_seed, threads=cfg.threads
+            bundle.flow_spec(n), cfg.replica_count, cfg.base_seed, threads=cfg.threads
         )
         spectra = np.stack([path.spectra for path in paths])  # (R, T, n)
         moments = _moment_table(spectra, _MOMENT_COUNT)[..., 1:]
-        stats = [f"m{k}" for k in range(1, _MOMENT_COUNT + 1)]
+        stats = _MOMENT_STATS
         columns = [moments]  # (R, T, stats)
         if laws is not None:
-            stats += ["w1", "ks"]
+            stats += ("w1", "ks")
             columns += [wasserstein1(spectra, laws)[..., None], ks_distance(spectra, laws)[..., None]]
         if cfg.preset == "wishart_nonunique":
-            stats.append("neg_mass")
+            stats += ("neg_mass",)
             columns.append(np.count_nonzero(spectra < 0.0, axis=-1)[..., None] / n)
-        cells = np.concatenate(columns, axis=-1).tolist()
         residuals = limit_equation_residual(paths, monomials, g2, h2, b, beta=bundle.beta)
-        t_final = float(spec.t_grid[-1])
-        for path, path_cells, path_residuals in zip(paths, cells, residuals.T.tolist()):
-            rep = str(path.replica)
-            for t, cell in zip(spec.t_grid, path_cells):
-                rows.extend(ResultRow(cfg.preset, n, rep, t, s, val) for s, val in zip(stats, cell))
-            for k, val in zip(_RESIDUAL_DEGREES, path_residuals):
-                rows.append(ResultRow(cfg.preset, n, rep, t_final, f"residual_x{k}", val))
-            diags = path.diagnostics
-            rows.append(ResultRow(cfg.preset, n, rep, t_final, "min_eig", diags.min_eigenvalue))
-            rows.append(ResultRow(cfg.preset, n, rep, t_final, "max_eig", diags.max_eigenvalue))
-        ens = np.zeros(moments.shape[1:])
-        for replica_moments in moments:  # summed in replica order
-            ens += replica_moments
-        ens /= len(paths)
-        for t, ens_t in zip(spec.t_grid, ens.tolist()):
-            for k, val in enumerate(ens_t, start=1):
-                rows.append(ResultRow(cfg.preset, n, "ens", t, f"m{k}", val))
-    return rows
+        extrema = [(p.diagnostics.min_eigenvalue, p.diagnostics.max_eigenvalue) for p in paths]
+        ens = sum(moments) / len(paths)  # summed in replica order
+        final = np.column_stack([residuals.T, extrema])
+        blocks[n] = (stats, np.concatenate(columns, axis=-1), final, ens)
+    return Results(cfg.preset, cfg.t_grid, blocks)
 
 
 @dataclass(frozen=True)
@@ -436,41 +467,22 @@ class SweepLine:
     monotone_decreasing: bool
 
 
-def sweep_report(rows, stats: tuple = ("w1", "ks")) -> dict[str, SweepLine]:
-    """Reduce distance rows to per-n medians and a log-log slope.
+def sweep_report(results: Results, stats: tuple = ("w1", "ks")) -> dict[str, SweepLine]:
+    """Reduce distance columns to per-n medians and a log-log slope.
 
-    Uses the rows at the latest recorded time per n for each requested
-    statistic; needs at least two distinct n.
+    Uses each requested statistic's values at the latest recorded time, at
+    every n that has it; needs at least two distinct n.
     """
     report: dict[str, SweepLine] = {}
     for stat in stats:
-        stat_rows = [r for r in rows if r.stat == stat and r.replica != "ens"]
-        if not stat_rows:
-            continue
-        t_max: dict[int, float] = {}
-        for r in stat_rows:
-            t_max[r.n] = max(t_max.get(r.n, r.t), r.t)
-        per_n: dict[int, list[float]] = {}
-        for r in stat_rows:
-            if r.t == t_max[r.n]:
-                per_n.setdefault(r.n, []).append(r.value)
-        ns = sorted(per_n)
-        if len(ns) < 2:
-            raise ValidationError(
-                f"sweep needs at least 2 distinct n with {stat!r} rows, got {len(ns)}"
-            )
-        medians = [float(np.median(per_n[n])) for n in ns]
-        slope = float(
-            np.polyfit(np.log(ns), np.log(np.maximum(medians, 1e-300)), 1)[0]
-        )
-        monotone = all(m2 < m1 for m1, m2 in zip(medians, medians[1:]))
-        report[stat] = SweepLine(
-            stat=stat,
-            n_values=tuple(ns),
-            medians=tuple(medians),
-            slope=slope,
-            monotone_decreasing=monotone,
-        )
+        ns = [n for n, (names, *_) in results.blocks.items() if stat in names]
+        if len(ns) == 1:
+            raise ValidationError(f"sweep needs at least 2 distinct n with {stat!r} rows, got 1")
+        if ns:
+            medians = [float(np.median(results.column(n, stat)[:, -1])) for n in ns]
+            slope = float(np.polyfit(np.log(ns), np.log(np.maximum(medians, 1e-300)), 1)[0])
+            monotone = all(m2 < m1 for m1, m2 in zip(medians, medians[1:]))
+            report[stat] = SweepLine(stat, tuple(ns), tuple(medians), slope, monotone)
     if not report:
         raise ValidationError("no distance statistic rows found to sweep")
     return report

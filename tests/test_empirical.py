@@ -421,6 +421,17 @@ def test_distance_statistics_admit_only_a_limit_law(statistic):
         statistic(m, law)
 
 
+@pytest.mark.parametrize("statistic", [ks_distance, wasserstein1], ids=["ks", "w1"])
+def test_distance_statistics_refuse_a_family_with_no_time(statistic):
+    """A family with a CDF but no time of its own is refused by name, with
+    the way to give it one, and is met once given its time or grid."""
+    m = EmpiricalMeasure([-0.5, 0.25, 1.0])
+    family = FreeDiffusion("free_ou", -1.0, 1.0)
+    with pytest.raises(UnsupportedLawOperation, match=r"FreeDiffusion .*\.at\(t\) or \.at_times"):
+        statistic(m, family)
+    assert statistic(m, family.at(0.5)) == statistic(m.atoms[None, None], family.at_times((0.5,)))
+
+
 @pytest.mark.parametrize("atom_count", [0, -1, 2.5, "7"])
 def test_from_law_rejects_a_bad_atom_count(atom_count):
     from eigenflow import ValidationError

@@ -36,7 +36,7 @@ from eigenflow.cli import main as cli_main
 from eigenflow.config import PRESET_NAMES
 from eigenflow.presets import (
     PRESETS,
-    ResultRow,
+    Results,
     default_config,
     resolve_config,
     validate_config,
@@ -191,12 +191,12 @@ def test_package_surface_is_its_modules_all():
 
 def test_package_surface_only_gains_what_its_modules_declare():
     """Against the hand-kept list it replaced, the top level loses no name
-    and gains exactly the seven names their modules already declared."""
+    and gains exactly the eight names their modules have declared since."""
     surface = set(eigenflow.__all__)
     assert len(_NAMED_SURFACE) == 67 and _NAMED_SURFACE <= surface
     assert surface - _NAMED_SURFACE == {
         "FreeDiffusion", "PRESET_NAMES", "PRESETS", "PresetBundle", "PresetRow",
-        "SweepLine", "resolve_config",
+        "Results", "SweepLine", "resolve_config",
     }
 
 
@@ -531,45 +531,134 @@ def test_run_preset_moments_only_law_has_no_distance_rows():
 # sweep reduction
 
 
+def _w1_results(values_by_n: dict, t_grid=(1.0,)) -> Results:
+    """Results holding one ``w1`` column per n: the (R, T) values given."""
+    blocks = {}
+    for n, values in values_by_n.items():
+        cells = np.asarray(values, dtype=float).reshape(-1, len(t_grid), 1)
+        blocks[n] = (("w1",), cells, np.zeros((len(cells), 6)), np.zeros((len(t_grid), 8)))
+    return Results("wigner", tuple(t_grid), blocks)
+
+
 def test_sweep_recovers_synthetic_decay_slope():
-    rows = []
-    for n in (25, 50, 100, 200):
-        for r in range(10):
-            value = 2.0 / np.sqrt(n) * (1.0 + 0.01 * np.sin(3.0 * r + n))
-            rows.append(ResultRow("wigner", n, str(r), 1.0, "w1", value))
-    line = sweep_report(rows, stats=("w1",))["w1"]
+    results = _w1_results({
+        n: [2.0 / np.sqrt(n) * (1.0 + 0.01 * np.sin(3.0 * r + n)) for r in range(10)]
+        for n in (25, 50, 100, 200)
+    })
+    line = sweep_report(results, stats=("w1",))["w1"]
     assert abs(line.slope - (-0.5)) <= 0.05
     assert line.monotone_decreasing
     assert line.n_values == (25, 50, 100, 200)
 
 
 def test_sweep_flat_table_has_zero_slope():
-    rows = []
-    for n in (25, 50, 100, 200):
-        for r in range(10):
-            value = 0.3 + 5e-4 * ((n + 3 * r) % 7)
-            rows.append(ResultRow("wigner", n, str(r), 1.0, "w1", value))
-    line = sweep_report(rows, stats=("w1",))["w1"]
+    results = _w1_results({
+        n: [0.3 + 5e-4 * ((n + 3 * r) % 7) for r in range(10)] for n in (25, 50, 100, 200)
+    })
+    line = sweep_report(results, stats=("w1",))["w1"]
     assert abs(line.slope) <= 0.05
     assert not line.monotone_decreasing
 
 
 def test_sweep_uses_latest_time_only():
-    rows = [
-        ResultRow("wigner", 25, "0", 0.5, "w1", 9.0),
-        ResultRow("wigner", 25, "0", 1.0, "w1", 1.0),
-        ResultRow("wigner", 50, "0", 1.0, "w1", 0.5),
-    ]
-    line = sweep_report(rows, stats=("w1",))["w1"]
+    results = _w1_results({25: [[9.0, 1.0]], 50: [[9.0, 0.5]]}, t_grid=(0.5, 1.0))
+    line = sweep_report(results, stats=("w1",))["w1"]
     assert line.medians == (1.0, 0.5)
 
 
 def test_sweep_needs_two_sizes():
-    rows = [ResultRow("wigner", 25, "0", 1.0, "w1", 1.0)]
     with pytest.raises(ValidationError, match="2 distinct n"):
-        sweep_report(rows, stats=("w1",))
-    with pytest.raises(ValidationError):
-        sweep_report([])
+        sweep_report(_w1_results({25: [1.0]}), stats=("w1",))
+    moments_only = {
+        n: (("m1",), np.ones((2, 1, 1)), np.zeros((2, 6)), np.zeros((1, 8))) for n in (25, 50)
+    }
+    with pytest.raises(ValidationError, match="no distance statistic"):
+        sweep_report(Results("geometric", (1.0,), moments_only))
+
+
+def _scanned_compare_and_sweep(rows, cfg):
+    """compare's and sweep's values by the row scans that once derived them:
+    {(n, stat): value} of compare's derived rows, each n's W1 medians over
+    the grid, and {stat: (n_values, medians, slope, monotone)} of sweep."""
+    t_final = cfg.t_grid[-1]
+    law = make_bundle(cfg).law.moment_table(cfg.t_grid, 8)[-1]
+    derived, w1_vs_t, sweep = {}, {}, {}
+    for n in cfg.n_list:
+        ens_final = {
+            r.stat: r.value for r in rows if r.replica == "ens" and r.n == n and r.t == t_final
+        }
+        for k in range(1, 9):
+            derived[n, f"m{k}_err"] = abs(ens_final[f"m{k}"] - float(law[k]))
+        by_cell = {}
+        for r in rows:
+            if r.n == n and r.replica != "ens":
+                by_cell.setdefault((r.stat, r.t), []).append(r.value)
+        w1_vs_t[n] = [float(np.median(by_cell["w1", t])) for t in cfg.t_grid]
+        derived[n, "w1_median"] = w1_vs_t[n][-1]
+        derived[n, "ks_median"] = float(np.median(by_cell["ks", t_final]))
+    for stat in ("w1", "ks"):
+        stat_rows = [r for r in rows if r.stat == stat and r.replica != "ens"]
+        t_max = {}
+        for r in stat_rows:
+            t_max[r.n] = max(t_max.get(r.n, r.t), r.t)
+        per_n = {}
+        for r in stat_rows:
+            if r.t == t_max[r.n]:
+                per_n.setdefault(r.n, []).append(r.value)
+        ns = sorted(per_n)
+        medians = [float(np.median(per_n[n])) for n in ns]
+        slope = float(np.polyfit(np.log(ns), np.log(np.maximum(medians, 1e-300)), 1)[0])
+        sweep[stat] = (ns, medians, slope, all(b < a for a, b in zip(medians, medians[1:])))
+    return derived, w1_vs_t, sweep
+
+
+def _plot_points(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# x y"
+    return [tuple(float(v) for v in line.split()) for line in lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "extra", ["preset = wigner\n", "preset = wishart_nonunique\nalpha = 0.5\n"],
+    ids=["wigner", "wishart_nonunique"],
+)
+def test_cli_compare_and_sweep_values_equal_the_row_scans(tmp_path, extra):
+    """Every value compare and sweep derive, as written, equals the row scans
+    over run_preset's iterated rows; ``wishart_nonunique``'s extra
+    ``neg_mass`` column shows a wrong column index."""
+    text = extra + "n_list = 4, 8\nreplica_count = 3\nbase_seed = 11\ndt = 0.02\n"
+    text += "t_grid = 0, 0.04, 0.1\n"
+    cfg = parse_config_text(text)
+    results = run_preset(cfg)
+    rows = list(results)
+    assert list(results) == rows  # iterable more than once
+    derived, w1_vs_t, sweep = _scanned_compare_and_sweep(rows, cfg)
+    path = _write_cfg(tmp_path, text)
+    assert cli_main(["compare", "--config", path, "--out", str(tmp_path / "cmp")]) == 0
+    assert cli_main(["sweep", "--config", path, "--out", str(tmp_path / "sw")]) == 0
+
+    written = {}
+    for line in _read_rows(tmp_path / "cmp" / "compare.csv"):
+        _, n, replica, t, stat, value = line.split(",")
+        if stat.endswith(("_err", "_median")):
+            assert (replica, float(t)) == ("ens", cfg.t_grid[-1])
+            written[int(n), stat] = float(value)
+    assert written == derived
+    for n in cfg.n_list:
+        points = _plot_points(tmp_path / "cmp" / f"{cfg.preset}_n{n}_w1_vs_t.dat")
+        assert points == list(zip(cfg.t_grid, w1_vs_t[n]))
+
+    written = {}
+    for line in _read_rows(tmp_path / "sw" / "sweep.csv"):
+        _, n, _, _, stat, value = line.split(",")
+        written[int(n), stat] = float(value)
+    expected = {}
+    for stat, (ns, medians, slope, monotone) in sweep.items():
+        expected.update({(n, f"{stat}_median"): m for n, m in zip(ns, medians)})
+        expected[ns[-1], f"{stat}_slope"] = slope
+        expected[ns[-1], f"{stat}_monotone"] = float(monotone)
+        assert _plot_points(tmp_path / "sw" / f"sweep_{stat}.dat") == list(zip(ns, medians))
+    assert written == expected
 
 
 # ---------------------------------------------------------------------------
