@@ -51,7 +51,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -63,9 +62,9 @@ from .empirical import EmpiricalMeasureProcess, limit_equation_residual
 from .errors import NumericalError, ValidationError
 from .presets import (
     _MOMENT_COUNT,
+    _MOMENT_STATS,
     PRESETS,
     _monomials,
-    ResultRow,
     make_bundle,
     run_preset,
     sweep_report,
@@ -77,10 +76,13 @@ _INVERT_POINTS = 201
 _INVERT_EPS = (0.05, 0.025, 0.0125, 0.00625)
 _RESIDUAL_ATOMS = 400
 _RESIDUAL_DEGREES = (1, 2, 3, 4, 5, 6)
+_ERR_STATS = tuple(f"{stat}_err" for stat in _MOMENT_STATS)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _texts(values) -> list[str]:
+    """Each value of an array or sequence, flattened, as ``format(v, ".17g")``
+    of its float (so -0.0, nan and inf read ``-0``, ``nan`` and ``inf``)."""
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -90,33 +92,34 @@ def _write_lines(path: Path, lines) -> None:
         raise ValidationError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
 
 
-def _write_csv(path: Path, rows) -> None:
+def _write_csv(path: Path, preset: str, sections) -> None:
+    """Write ``sections`` as rows ``preset,n,replica,t,stat,value``: each
+    ``(n, replica, times, stats, values)`` is a row per time and statistic,
+    time-major, its times and values texts from :func:`_texts`."""
     lines = [f"# timestamp={datetime.now(timezone.utc).isoformat()}"]
     lines.append("preset,n,replica,t,stat,value")
-    for r in rows:
-        lines.append(f"{r.preset},{r.n},{r.replica},{_fmt(r.t)},{r.stat},{_fmt(r.value)}")
+    keys = {}
+    for n, replica, times, stats, values in sections:
+        pair = (tuple(times), stats)
+        if pair not in keys:
+            keys[pair] = [f"{t},{stat}," for t in times for stat in stats]
+        head = f"{preset},{n},{replica},"
+        lines += [f"{head}{key}{v}" for key, v in zip(keys[pair], values, strict=True)]
     _write_lines(path, lines)
-    print(f"wrote {len(rows)} rows to {path}")
+    print(f"wrote {len(lines) - 2} rows to {path}")
 
 
 def _write_plot(path: Path, xs, ys) -> None:
-    lines = ["# x y"]
-    for x, y in zip(xs, ys):
-        lines.append(f"{_fmt(x)} {_fmt(y)}")
-    _write_lines(path, lines)
+    _write_lines(path, ["# x y", *(f"{x} {y}" for x, y in zip(xs, ys))])
     print(f"wrote plot data to {path}")
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file with the flags' overrides, built and validated once."""
     if not args.config:
         raise ValidationError("this subcommand requires --config PATH")
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
+    flags = {"base_seed": args.seed, "threads": args.threads, "out_dir": args.out}
+    cfg = load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
     _check_out_dir(Path(cfg.out_dir))
     return cfg
 
@@ -161,17 +164,6 @@ def _law_or_fail(args, cdf_for: str | None = None):
     return bundle
 
 
-def _law_moment_rows(cfg: ExperimentConfig, law) -> list[ResultRow]:
-    """Rows m1..m8 of the law at every grid time, read off the family's one
-    (T, 9) ``moment_table``."""
-    table = law.moment_table(cfg.t_grid, _MOMENT_COUNT)
-    return [
-        ResultRow(cfg.preset, 0, "law", float(t), f"m{k}", float(row[k]))
-        for t, row in zip(cfg.t_grid, table)
-        for k in range(1, _MOMENT_COUNT + 1)
-    ]
-
-
 def cmd_presets(args) -> int:
     print("available presets:")
     for name, row in PRESETS.items():
@@ -188,19 +180,24 @@ def cmd_presets(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    rows = run_preset(cfg)
-    _write_csv(_out_dir(cfg) / "simulate.csv", rows)
+    results = run_preset(cfg)
+    sections = [
+        (n, replica, times, stats, _texts(values))
+        for n, replica, times, stats, values in results.sections(_texts(cfg.t_grid))
+    ]
+    _write_csv(_out_dir(cfg) / "simulate.csv", cfg.preset, sections)
     return 0
 
 
 def cmd_moments(args) -> int:
     bundle = _law_or_fail(args)
     cfg = bundle.cfg
-    rows = _law_moment_rows(cfg, bundle.law)
+    table = bundle.law.moment_table(cfg.t_grid, _MOMENT_COUNT)[:, 1:]
     print(f"limit-law moments of {cfg.preset} at t={cfg.t_grid[-1]:g}:")
-    for r in rows[-_MOMENT_COUNT:]:
-        print(f"  {r.stat} = {r.value:.12g}")
-    _write_csv(_out_dir(cfg) / "moments.csv", rows)
+    for stat, value in zip(_MOMENT_STATS, table[-1].tolist()):
+        print(f"  {stat} = {value:.12g}")
+    section = (0, "law", _texts(cfg.t_grid), _MOMENT_STATS, _texts(table))
+    _write_csv(_out_dir(cfg) / "moments.csv", cfg.preset, [section])
     return 0
 
 
@@ -209,24 +206,26 @@ def cmd_compare(args) -> int:
     cfg = bundle.cfg
     results = run_preset(cfg)
     out = _out_dir(cfg)
-    t_final = cfg.t_grid[-1]
-    law_rows = _law_moment_rows(cfg, bundle.law)
-    law_final = law_rows[-_MOMENT_COUNT:]
-    rows = [r for r in results if r.replica == "ens"] + law_rows
-    for n, (*_, ens) in results.blocks.items():
-        moment_errs = [abs(e - r.value) for e, r in zip(ens[-1].tolist(), law_final)]
-        for k, err in enumerate(moment_errs, start=1):
-            rows.append(ResultRow(cfg.preset, n, "ens", t_final, f"m{k}_err", err))
+    times = _texts(cfg.t_grid)
+    law = bundle.law.moment_table(cfg.t_grid, _MOMENT_COUNT)[:, 1:]
+    law_final = law[-1].tolist()
+    ens_by_n = {n: ens for n, (*_, ens) in results.blocks.items()}
+    sections = [(n, "ens", times, _MOMENT_STATS, _texts(ens)) for n, ens in ens_by_n.items()]
+    sections.append((0, "law", times, _MOMENT_STATS, _texts(law)))
+    for n, ens in ens_by_n.items():
+        moment_errs = [abs(e - m) for e, m in zip(ens[-1].tolist(), law_final)]
+        stats, values = _ERR_STATS, _texts(moment_errs)
         if bundle.law.has_cdf:  # then run_preset gave w1 and ks columns
             medians = np.median(results.column(n, "w1"), axis=0).tolist()
-            ks_median = float(np.median(results.column(n, "ks")[:, -1]))
-            rows.append(ResultRow(cfg.preset, n, "ens", t_final, "w1_median", medians[-1]))
-            rows.append(ResultRow(cfg.preset, n, "ens", t_final, "ks_median", ks_median))
-            _write_plot(out / f"{cfg.preset}_n{n}_w1_vs_t.dat", cfg.t_grid, medians)
-            print(f"n={n}: median w1(t={t_final:g}) = {medians[-1]:.6g}")
+            w1_texts = _texts(medians)
+            stats += ("w1_median", "ks_median")
+            values += [w1_texts[-1], *_texts(np.median(results.column(n, "ks")[:, -1]))]
+            _write_plot(out / f"{cfg.preset}_n{n}_w1_vs_t.dat", times, w1_texts)
+            print(f"n={n}: median w1(t={cfg.t_grid[-1]:g}) = {medians[-1]:.6g}")
         else:
             print(f"n={n}: moment-only comparison, max |m_k error| = {max(moment_errs):.6g}")
-    _write_csv(out / "compare.csv", rows)
+        sections.append((n, "ens", times[-1:], stats, values))
+    _write_csv(out / "compare.csv", cfg.preset, sections)
     return 0
 
 
@@ -234,21 +233,21 @@ def cmd_sweep(args) -> int:
     cfg = _law_or_fail(args, cdf_for="distance statistics to sweep").cfg
     report = sweep_report(run_preset(cfg))
     out = _out_dir(cfg)
-    rows = []
-    t_final = cfg.t_grid[-1]
+    t_final = _texts(cfg.t_grid[-1:])
+    sections = []
     for stat, line in report.items():
-        for n, med in zip(line.n_values, line.medians):
-            rows.append(ResultRow(cfg.preset, n, "ens", t_final, f"{stat}_median", med))
-        n_top = line.n_values[-1]
-        rows.append(ResultRow(cfg.preset, n_top, "ens", t_final, f"{stat}_slope", line.slope))
-        monotone = float(line.monotone_decreasing)
-        rows.append(ResultRow(cfg.preset, n_top, "ens", t_final, f"{stat}_monotone", monotone))
-        _write_plot(out / f"sweep_{stat}.dat", line.n_values, line.medians)
+        medians = _texts(line.medians)
+        for n, med in zip(line.n_values, medians):
+            sections.append((n, "ens", t_final, (f"{stat}_median",), [med]))
+        tail = (f"{stat}_slope", f"{stat}_monotone")
+        values = _texts([line.slope, line.monotone_decreasing])
+        sections.append((line.n_values[-1], "ens", t_final, tail, values))
+        _write_plot(out / f"sweep_{stat}.dat", _texts(line.n_values), medians)
         print(
             f"{stat}: medians {dict(zip(line.n_values, [round(m, 6) for m in line.medians]))}, "
             f"slope {line.slope:.3f}, monotone decreasing: {line.monotone_decreasing}"
         )
-    _write_csv(out / "sweep.csv", rows)
+    _write_csv(out / "sweep.csv", cfg.preset, sections)
     return 0
 
 
@@ -266,12 +265,9 @@ def cmd_invert(args) -> int:
     grid = np.linspace(lo - pad, hi + pad, _INVERT_POINTS)
     est = stieltjes_invert(lambda z: cauchy_transform(law_t, z), grid, _INVERT_EPS)
     out = _out_dir(cfg)
-    rows = [
-        ResultRow(cfg.preset, 0, "law", float(x), "density_est", float(v))
-        for x, v in zip(grid, est)
-    ]
-    _write_csv(out / "invert.csv", rows)
-    _write_plot(out / "invert_density.dat", grid, est)
+    xs, ys = _texts(grid), _texts(est)
+    _write_csv(out / "invert.csv", cfg.preset, [(0, "law", xs, ("density_est",), ys)])
+    _write_plot(out / "invert_density.dat", xs, ys)
     exact = np.asarray(law_t.density(grid), dtype=float)
     sup_err = float(np.max(np.abs(est - exact)))
     print(f"sup |recovered - exact| density error on the plotted grid: {sup_err:.6g}")
@@ -282,15 +278,14 @@ def cmd_residual(args) -> int:
     bundle = _law_or_fail(args, cdf_for="quantile-discretized residuals")
     cfg = bundle.cfg
     proc = EmpiricalMeasureProcess.from_law(bundle.law, cfg.t_grid, _RESIDUAL_ATOMS)
-    rows = []
-    t_final = cfg.t_grid[-1]
     vals = limit_equation_residual(
         proc, _monomials(_RESIDUAL_DEGREES), *bundle.residual_coefficients(), beta=bundle.beta
     )
     for k, val in zip(_RESIDUAL_DEGREES, vals):
-        rows.append(ResultRow(cfg.preset, 0, "law", t_final, f"residual_x{k}", val))
         print(f"residual (f = x^{k}): {val:.6g}")
-    _write_csv(_out_dir(cfg) / "residual.csv", rows)
+    stats = tuple(f"residual_x{k}" for k in _RESIDUAL_DEGREES)
+    section = (0, "law", _texts(cfg.t_grid[-1:]), stats, _texts(vals))
+    _write_csv(_out_dir(cfg) / "residual.csv", cfg.preset, [section])
     return 0
 
 

@@ -145,8 +145,9 @@ def _parse_value(key: str, raw: str, lineno: int):
         raise ValidationError(f"config line {lineno}: bad value for {key!r}: {raw!r}") from exc
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse config text into an :class:`ExperimentConfig`."""
+def parse_config_text(text: str, **overrides) -> ExperimentConfig:
+    """Parse config text into an :class:`ExperimentConfig`, validated once
+    with ``overrides`` (field values) in place of the parsed ones."""
     data: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -164,11 +165,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         data[key] = _parse_value(key, raw, lineno)
     if "preset" not in data:
         raise ValidationError("config must set 'preset'")
-    return ExperimentConfig(**data)
+    return ExperimentConfig(**{**data, **overrides})
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read and parse a config file."""
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Read and parse a config file, ``overrides`` as in :func:`parse_config_text`."""
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"config file not found: {p}")
@@ -176,4 +177,4 @@ def load_config(path) -> ExperimentConfig:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {p}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, **overrides)

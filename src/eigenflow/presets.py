@@ -32,8 +32,9 @@ b_n = n b.
 
 :func:`run_preset` simulates every (n, replica) pair and returns its
 :class:`Results`: per n, the statistic columns of that n's spectra, computed
-as one (replicas, record times, n) array. They iterate as :class:`ResultRow`
-entries with a closed statistic vocabulary:
+as one (replicas, record times, n) array, with a closed statistic
+vocabulary (the CLI writes the columns; iterating them as
+:class:`ResultRow` entries serves the tests and the benchmark):
 
 - ``m1`` .. ``m8``: empirical spectral moments, per replica per grid time,
   plus ensemble means with replica ``"ens"``;
@@ -116,10 +117,10 @@ class Results:
     in order (``m1`` .. ``m8``, then ``w1`` and ``ks``, then ``neg_mass``, as
     present); ``final`` the (R, 6) ``residual_x1`` .. ``residual_x4``,
     ``min_eig`` and ``max_eig`` at the last time; ``ens`` the (T, 8)
-    ensemble means of ``m1`` .. ``m8``. Iterating yields a
-    :class:`ResultRow` per value, as often as asked, in the order n, then
-    replica (``"0"``, ``"1"``, ...), then time, then statistic (a replica's
-    six final values after its last time), with each n's ``ens`` rows last.
+    ensemble means of ``m1`` .. ``m8``. :meth:`sections` gives them in row
+    order, which the CLI writes from. Iterating yields a :class:`ResultRow`
+    per value in that order, as often as asked; only the tests and the
+    benchmark's output checks iterate.
     """
 
     preset: str
@@ -131,21 +132,24 @@ class Results:
         stats, cells = self.blocks[n][:2]
         return cells[..., stats.index(stat)]
 
-    def __len__(self) -> int:
-        return sum(a.size for _, *arrays in self.blocks.values() for a in arrays)
+    def sections(self, times=None):
+        """``(n, replica, times, stats, values)`` in row order, ``values`` a
+        (len(times), len(stats)) array: per n, each replica's cells, then its
+        ``final`` row at the last time, then the ``ens`` means. ``times``
+        labels the grid (default ``t_grid``): a writer passes its texts."""
+        times = self.t_grid if times is None else times
+        last = times[-1:]
+        for n, (stats, cells, final, ens) in self.blocks.items():
+            for rep, (rep_cells, rep_final) in enumerate(zip(cells, final)):
+                yield n, str(rep), times, stats, rep_cells
+                yield n, str(rep), last, _FINAL_STATS, rep_final[None]
+            yield n, "ens", times, _MOMENT_STATS, ens
 
     def __iter__(self):
-        t_final = self.t_grid[-1]
-        for n, (stats, cells, final, ens) in self.blocks.items():
-            for rep, (rep_cells, rep_final) in enumerate(zip(cells.tolist(), final.tolist())):
-                for t, cell in zip(self.t_grid, rep_cells):
-                    yield from self._rows(n, str(rep), t, stats, cell)
-                yield from self._rows(n, str(rep), t_final, _FINAL_STATS, rep_final)
-            for t, ens_t in zip(self.t_grid, ens.tolist()):
-                yield from self._rows(n, "ens", t, _MOMENT_STATS, ens_t)
-
-    def _rows(self, n, replica, t, stats, values):
-        return (ResultRow(self.preset, n, replica, t, s, v) for s, v in zip(stats, values))
+        for n, replica, times, stats, values in self.sections():
+            for t, row in zip(times, values.tolist()):
+                for stat, value in zip(stats, row):
+                    yield ResultRow(self.preset, n, replica, t, stat, value)
 
 
 @dataclass(frozen=True)

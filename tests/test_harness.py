@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csv_oracles
 import empirical_oracles
 
 import eigenflow
@@ -36,6 +37,7 @@ from eigenflow.cli import main as cli_main
 from eigenflow.config import PRESET_NAMES
 from eigenflow.presets import (
     PRESETS,
+    ResultRow,
     Results,
     default_config,
     resolve_config,
@@ -466,7 +468,7 @@ def test_run_preset_row_shapes():
     # per n: 3 replicas x (8 moments x 2 times + w1/ks x 2 times + 4
     # residuals + min/max eig) + 8 ensemble moments x 2 times
     per_n = 3 * (16 + 4 + 4 + 2) + 16
-    assert len(rows) == 2 * per_n
+    assert len(list(rows)) == 2 * per_n
     for n in (4, 8):
         m2 = [r for r in rows if r.n == n and r.stat == "m2" and r.t == 0.1]
         reps = sorted(r.replica for r in m2)
@@ -662,6 +664,77 @@ def test_cli_compare_and_sweep_values_equal_the_row_scans(tmp_path, extra):
 
 
 # ---------------------------------------------------------------------------
+# the columnar writer against the row-by-row oracle
+
+_ORACLE_TINY = "n_list = 4, 8\nreplica_count = 3\nbase_seed = 11\ndt = 0.02\n"
+_ORACLE_TINY += "t_grid = 0, 0.04, 0.1\n"
+_ORACLE_SIMULATED = {"wigner": "", "wigner_real": "", "wishart_nonunique": "alpha = 0.5\n"}
+_ORACLE_CASES = {
+    **{
+        f"{command}-{name}": (command, f"preset = {name}\n{extra}{_ORACLE_TINY}")
+        for name, extra in _ORACLE_SIMULATED.items()
+        for command in ("simulate", "compare", "sweep")
+    },
+    "compare-jacobi": ("compare", f"preset = jacobi\n{_ORACLE_TINY}"),
+    "moments-jacobi": ("moments", "preset = jacobi\nt_grid = 0, 0.25, 0.5, 1\n"),
+    "moments-wishart": ("moments", "preset = wishart\nt_grid = 0, 0.5, 1\n"),
+    "invert-wishart": ("invert", "preset = wishart\nt_grid = 0, 1\n"),
+    "invert-free_ou": ("invert", "preset = free_ou\nt_grid = 0, 0.5\n"),
+    "residual-wishart_nonunique": ("residual", "preset = wishart_nonunique\nt_grid = 0, 0.5, 1\n"),
+    "residual-wigner": ("residual", "preset = wigner\nt_grid = 0, 0.5\n"),
+}
+
+
+@pytest.mark.parametrize("command, text", list(_ORACLE_CASES.values()), ids=list(_ORACLE_CASES))
+def test_cli_files_equal_the_row_by_row_rendering(tmp_path, command, text):
+    """Every CSV and ``.dat`` body a subcommand writes from its arrays equals
+    the row-by-row rendering of the ResultRows it once built."""
+    path = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", path, "--out", str(out)]) == 0
+    written = {}
+    for file in sorted(out.iterdir()):
+        body = file.read_text(encoding="utf-8")
+        if file.suffix == ".csv":
+            stamp, body = body.split("\n", 1)
+            assert stamp.startswith("# timestamp=")
+        written[file.name] = body
+    assert written == csv_oracles.COMMANDS[command](parse_config_text(text))
+
+
+def test_writers_spell_special_values_as_the_row_oracle(tmp_path, capsys):
+    """-0.0, nan and the infinities, in a time or a value, read as the row
+    renderer wrote them, and the row count counts the rows."""
+    values = np.array([[-0.0, 0.0, np.nan, np.inf, -np.inf], [5e-324, 0.1, 1 / 3, 1e300, -2.5]])
+    times, stats = (-0.0, 0.5), ("a", "b", "c", "d", "e")
+    sections = [
+        (3, "ens", cli_mod._texts(times), stats, cli_mod._texts(values)),
+        (0, "law", cli_mod._texts(times[-1:]), ("z",), cli_mod._texts(np.float64(-0.0))),
+        (3, "0", cli_mod._texts(times), stats[:1], cli_mod._texts(values[:, 2])),
+    ]
+    path = tmp_path / "x.csv"
+    cli_mod._write_csv(path, "p", sections)
+    rows = [
+        ResultRow("p", 3, "ens", t, stat, v)
+        for t, row in zip(times, values.tolist())
+        for stat, v in zip(stats, row)
+    ]
+    rows += [ResultRow("p", 0, "law", 0.5, "z", -0.0)]
+    rows += [ResultRow("p", 3, "0", t, "a", v) for t, v in zip(times, values[:, 2].tolist())]
+    stamp, body = path.read_text(encoding="utf-8").split("\n", 1)
+    assert stamp.startswith("# timestamp=")
+    assert body == csv_oracles.csv_body(rows)
+    assert "p,3,ens,-0,a,-0\np,3,ens,-0,b,0\np,3,ens,-0,c,nan\np,3,ens,-0,d,inf\n" in body
+    assert "p,3,ens,-0,e,-inf\n" in body
+    assert capsys.readouterr().out == f"wrote 13 rows to {path}\n"
+    flat = values.ravel().tolist()
+    cli_mod._write_plot(tmp_path / "x.dat", cli_mod._texts(flat), cli_mod._texts(flat[::-1]))
+    body = (tmp_path / "x.dat").read_text(encoding="utf-8")
+    assert body == csv_oracles.plot_body(flat, flat[::-1])
+    assert "-0 -2.5\n0 1.0000000000000001e+300\nnan 0.33333333333333331\n" in body
+
+
+# ---------------------------------------------------------------------------
 # CLI behaviour
 
 
@@ -740,6 +813,76 @@ def test_cli_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
     assert _read_rows(tmp_path / "here0" / "simulate.csv") != _read_rows(
         tmp_path / "here1" / "simulate.csv"
     )
+
+
+@pytest.mark.parametrize("command", list(csv_oracles.COMMANDS))
+def test_cli_validates_its_config_once_with_the_flags_applied(tmp_path, monkeypatch, command):
+    """``--seed``, ``--threads`` and ``--out`` override the parsed values
+    before the one construction, so a subcommand validates one config."""
+    built = []
+    post_init = ExperimentConfig.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append((self.base_seed, self.threads, self.out_dir))
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    cfg = _write_cfg(tmp_path, TINY_WIGNER)
+    out = str(tmp_path / "o")
+    argv = [command, "--config", cfg, "--seed", "5", "--threads", "2", "--out", out]
+    assert cli_main(argv) == 0
+    assert built == [(5, 2, out)]
+    built.clear()
+    assert cli_main([command, "--config", cfg, "--out", out]) == 0
+    assert built == [(11, None, out)]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--seed", "-1"], "base_seed must be >= 0"), (["--threads", "0"], "threads must be >= 1")],
+    ids=["seed", "threads"],
+)
+def test_cli_rejects_a_bad_override_with_its_message(tmp_path, capsys, flags, message):
+    cfg = _write_cfg(tmp_path, TINY_WIGNER)
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
+# The bindings that bench/layers.py rebinds through Tracer.patch, which reads
+# ``owner.__dict__[attr]``: a rename here is a KeyError in a traced run.
+_BENCH_SEAMS = {
+    "cli": ("_write_csv", "run_preset", "cauchy_transform", "stieltjes_invert",
+            "limit_equation_residual"),
+    "presets": ("simulate_ensemble", "wasserstein1", "ks_distance", "limit_equation_residual"),
+    "flows": ("euler_step", "sample_noise", "eigen", "apply_spectral", "hermitize",
+              "simulate_path"),
+    "limits": ("generic_moment_ode",),
+    "empirical.EmpiricalMeasure": ("moment",),
+    "empirical.EmpiricalMeasureProcess": ("from_law",),
+}
+
+
+@pytest.mark.parametrize("owner", list(_BENCH_SEAMS))
+def test_bench_tracer_seams_are_bound_where_it_patches_them(owner):
+    module, _, cls = owner.partition(".")
+    target = importlib.import_module(f"eigenflow.{module}")
+    if cls:
+        target = getattr(target, cls)
+    for name in _BENCH_SEAMS[owner]:
+        assert name in target.__dict__, f"{owner}.{name}"
+
+
+def test_run_preset_rows_carry_what_the_bench_checks_read():
+    """bench/workloads.py::check iterates run_preset's result and reads
+    ``.stat``, ``.n``, ``.replica``, ``.t`` and ``.value`` of each row."""
+    rows = list(run_preset(parse_config_text(TINY_WIGNER)))
+    assert rows
+    for row in rows:
+        assert isinstance(row.stat, str) and isinstance(row.replica, str)
+        assert isinstance(row.n, int) and isinstance(row.t, float)
+        assert isinstance(row.value, float)
 
 
 def test_cli_seed_override_changes_rows(tmp_path):
