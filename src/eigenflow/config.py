@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError
-from .flows import _FIELDS, _PROJECTIONS
+from .flows import _check_run_grid
 
 __all__ = [
     "PRESET_NAMES",
@@ -93,24 +93,11 @@ class ExperimentConfig:
             raise ValidationError("replica_count must be >= 1")
         if self.base_seed < 0:
             raise ValidationError("base_seed must be >= 0")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError("dt must be positive and finite")
-        t_grid = tuple(float(t) for t in self.t_grid)
-        if not all(math.isfinite(t) for t in t_grid):
-            raise ValidationError("t_grid entries must be finite")
-        if not t_grid or t_grid[0] != 0.0 or any(
-            t2 <= t1 for t1, t2 in zip(t_grid, t_grid[1:])
-        ):
-            raise ValidationError("t_grid must be ascending and start at 0")
-        self.t_grid = t_grid
+        self.t_grid = _check_run_grid(self.dt, self.t_grid, self.field, self.projection)
         for key in ("alpha", "a", "p", "q", "theta", "sigma"):
             val = getattr(self, key)
             if val is not None and not math.isfinite(val):
                 raise ValidationError(f"{key} must be finite")
-        if self.field not in _FIELDS:
-            raise ValidationError(f"field must be one of {_FIELDS}")
-        if self.projection not in _PROJECTIONS:
-            raise ValidationError(f"projection must be one of {_PROJECTIONS}")
         if self.threads is not None and self.threads < 1:
             raise ValidationError("threads must be >= 1")
         for key in ("g2", "h2", "b"):

@@ -113,6 +113,23 @@ class NoiseIncrement:
     dw: np.ndarray
 
 
+def _check_run_grid(dt, t_grid, field: str, projection: str) -> tuple[float, ...]:
+    """The step size, record grid, field and projection checks that a run's
+    config and its :class:`FlowSpec` share; returns the grid as floats."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be positive and finite")
+    grid = tuple(float(t) for t in t_grid)
+    if not all(math.isfinite(t) for t in grid):
+        raise ValidationError("t_grid entries must be finite")
+    if not grid or grid[0] != 0.0 or any(t2 <= t1 for t1, t2 in zip(grid, grid[1:])):
+        raise ValidationError("t_grid must be ascending and start at 0")
+    if field not in _FIELDS:
+        raise ValidationError(f"field must be one of {_FIELDS}")
+    if projection not in _PROJECTIONS:
+        raise ValidationError(f"projection must be one of {_PROJECTIONS}")
+    return grid
+
+
 def _check_dimension(n) -> None:
     # bool is an Integral too, but no matrix size
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
@@ -166,22 +183,21 @@ class FlowSpec:
 
     def __post_init__(self):
         _check_dimension(self.n)
-        if self.field not in _FIELDS:
-            raise ValidationError(f"field must be one of {_FIELDS}")
-        if self.projection not in _PROJECTIONS:
-            raise ValidationError(f"projection must be one of {_PROJECTIONS}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError("dt must be positive and finite")
-        grid = np.asarray(self.t_grid, dtype=float)
-        if not np.all(np.isfinite(grid)):
-            raise ValidationError("t_grid entries must be finite")
-        if grid.size == 0 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-            raise ValidationError("t_grid must be ascending and start at 0")
-        off_step = np.abs(np.rint(grid / self.dt) * self.dt - grid) > 1e-9 * grid
+        times = _check_run_grid(self.dt, self.t_grid, self.field, self.projection)
+        grid = np.array(times)
+        steps = np.rint(grid / self.dt)
+        off_step = np.abs(steps * self.dt - grid) > 1e-9 * grid
         if np.any(off_step):
             raise ValidationError(
                 f"t_grid times must be multiples of dt={self.dt:g}; "
                 f"t={grid[off_step][0]:g} is not"
+            )
+        shared = np.flatnonzero(np.diff(steps) <= 0)
+        if shared.size:
+            i = shared[0]
+            raise ValidationError(
+                f"t_grid times {times[i]!r} and {times[i + 1]!r} fall on the same step "
+                f"of dt={self.dt:g}; each record time needs a step of its own"
             )
         init = np.asarray(self.initial_spectrum, dtype=float)
         if init.shape != (self.n,):
@@ -193,7 +209,7 @@ class FlowSpec:
         if self.projection == "unit_interval" and (np.any(init < 0) or np.any(init > 1)):
             raise ValidationError("projection=unit_interval requires a start in [0,1]")
         object.__setattr__(self, "initial_spectrum", init)
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in grid))
+        object.__setattr__(self, "t_grid", times)
 
     @property
     def beta(self) -> int:
@@ -330,7 +346,7 @@ def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[E
 
     Each grid time t is recorded after round(t / dt) steps of
     :func:`euler_step` on the (R, n) stack (FlowSpec admits only grid
-    times that are multiples of dt). With constant g, h and b and no
+    times that are multiples of dt, each on a step of its own). With constant g, h and b and no
     projection the Euler scheme is exact (its increments are Gaussian
     sums), so such a flow takes one step per record gap. The block's
     (R, n, n) normals and its step matrices are allocated once; every

@@ -26,8 +26,15 @@ hierarchy, each sized from its own expansion (:func:`_taylor_family`),
 through the same separable interaction kernel as the empirical residuals.
 :func:`generic_moment_ode` (any start moments, on a dt grid) and
 :func:`jacobi_moments` read it too; RK4 of the hierarchy is only the tests'
-oracle. Also kept as oracles: the closed forms (:func:`semicircle_moments`,
-:func:`mp_moments`, :func:`geometric_w` / :func:`geometric_moments`).
+oracle. The laws with a CDF take their moments from exact rational closed
+forms instead: ``Semicircle.moments`` (so :class:`FreeDiffusion` too) from
+:func:`semicircle_moments`, ``MarchenkoPastur.moments`` and
+``MPMixture.moments`` from :func:`mp_moments` (m_k = c_k t^k). So these give
+the law rows of ``moments`` and ``compare`` for the ``wigner``,
+``wigner_real``, ``wishart``, ``wishart_nonunique``, ``free_bm`` and
+``free_ou`` presets. The geometric closed form (:func:`geometric_w` /
+:func:`geometric_moments`) is the tests' oracle for the ``geometric``
+preset's :class:`HierarchyLaw`.
 
 Normalization note (load-bearing): ``MarchenkoPastur(alpha, t, beta)`` is
 defined as the law solving the beta-indexed hierarchy with constant drift
@@ -48,6 +55,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyint, polymul
 
 from .errors import (
     NumericalError,
@@ -86,41 +94,6 @@ _TRAPEZOID_CAP = 2**16  # the most intervals before a weighted transform raises
 _TRAPEZOID_TOL = 1e-13  # two successive sums agree to this, relative
 _TRAPEZOID_TRUST = 1e-12  # the relative accuracy a returned integral promises
 _ROUNDOFF = 16 * np.finfo(float).eps  # attainable accuracy per unit of h sum |f|
-
-
-# ---------------------------------------------------------------------------
-# Exact polynomial arithmetic (ascending coefficients, Fractions)
-# ---------------------------------------------------------------------------
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _padd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for j, bj in enumerate(b):
-        out[j] += bj
-    return out
-
-
-def _pscale(a: list[Fraction], c: Fraction) -> list[Fraction]:
-    return [c * ai for ai in a]
-
-
-def _pint(a: list[Fraction]) -> list[Fraction]:
-    """Antiderivative with zero constant term."""
-    return [Fraction(0)] + [ai / (i + 1) for i, ai in enumerate(a)]
-
-
-def _catalan(j: int) -> int:
-    return math.comb(2 * j, j) // (j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +638,8 @@ def semicircle_moments(
         raise ValidationError("t must be finite and >= 0, center finite")
     centered = [Fraction(0)] * (k_max + 1)
     for j in range(k_max // 2 + 1):
-        centered[2 * j] = Fraction(_catalan(j)) * Fraction(beta, 2) ** j * Fraction(t) ** j
+        catalan = Fraction(math.comb(2 * j, j), j + 1)
+        centered[2 * j] = catalan * Fraction(beta, 2) ** j * Fraction(t) ** j
     c = Fraction(center)
     shifted = [
         sum(math.comb(k, j) * c ** (k - j) * centered[j] for j in range(k + 1))
@@ -876,27 +850,30 @@ class MarchenkoPastur(_LawBase):
 @functools.lru_cache(maxsize=32)
 def _mp_polys(alpha: float, beta: float, k_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """m_0..m_kmax of :func:`mp_moments` as exact polynomials in t, built
-    once per (alpha, beta, k_max); tuples, so no caller can change them."""
+    once per (alpha, beta, k_max); tuples, so no caller can change them.
+    Each m_k = c_k t^k is the tuple ``(0,)*k + (c_k,)``."""
     af = Fraction(alpha)
     bf = Fraction(beta)
-    polys: list[list[Fraction]] = [[Fraction(1)]]
+    c = [Fraction(1)]
     for k in range(1, k_max + 1):
-        deriv = _pscale(polys[k - 1], af * k)
-        for i in range(k - 1):
-            deriv = _padd(deriv, _pscale(_pmul(polys[i + 1], polys[k - 2 - i]), bf * k))
-        polys.append(_pint(deriv))
-    return tuple(tuple(p) for p in polys)
+        pairs = sum((c[i + 1] * c[k - 2 - i] for i in range(k - 1)), Fraction(0))
+        c.append(af * c[k - 1] + bf * pairs)
+    return tuple((Fraction(0),) * k + (ck,) for k, ck in enumerate(c))
 
 
 def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequence:
     """Exact Marchenko-Pastur moment recursion, polynomial in t.
 
         m_k(t) = alpha k int_0^t m_{k-1}
-                 + beta k sum_{i=0}^{k-2} int_0^t m_{i+1} m_{k-2-i},
+                 + beta k sum_{i=0}^{k-2} int_0^t m_{i+1} m_{k-2-i}.
 
-    computed with rational coefficient arithmetic (each m_k is a degree-k
-    polynomial in t with nonnegative coefficients, cached per
-    (alpha, beta, k_max) and evaluated at t).
+    Every term has degree k in t, so m_k(t) = c_k t^k with rational
+
+        c_0 = 1,  c_k = alpha c_{k-1} + beta sum_{i=0}^{k-2} c_{i+1} c_{k-2-i},
+
+    the Narayana polynomial sum_j N(k, j) alpha^j beta^{k-j} (cached per
+    (alpha, beta, k_max) and evaluated at t). These are the moments that
+    :meth:`MarchenkoPastur.moments` and :meth:`MPMixture.moments` return.
     """
     if not (0 <= alpha < math.inf and math.isfinite(beta)):
         raise ValidationError("alpha must be finite and >= 0, beta finite")
@@ -1119,21 +1096,16 @@ def geometric_w(k_max: int) -> list[list[Fraction]]:
 
         w_k'(x) = k sum_{i=0}^{k-2} w_{i+1}(x) w_{k-1-i}(x),  w_k(0) = 1,
 
-    integrated term-wise with rational coefficients. w_1 = 1, w_2 = 1+2x,
-    w_3 = 1+6x+6x^2, ...
+    integrated with numpy.polynomial on object arrays of Fractions, so
+    exactly. w_1 = 1, w_2 = 1+2x, w_3 = 1+6x+6x^2, ...
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    ws: list[list[Fraction]] = [[Fraction(1)]]
+    ws = [np.array([Fraction(1)], dtype=object)]
     for k in range(2, k_max + 1):
-        deriv: list[Fraction] = [Fraction(0)]
-        for i in range(k - 1):
-            deriv = _padd(deriv, _pmul(ws[i], ws[k - 2 - i]))
-        deriv = _pscale(deriv, Fraction(k))
-        wk = _pint(deriv)
-        wk[0] = Fraction(1)
-        ws.append(wk)
-    return ws
+        deriv = sum(polymul(ws[i], ws[k - 2 - i]) for i in range(k - 1))
+        ws.append(polyint(k * deriv, k=1))
+    return [list(w) for w in ws]
 
 
 def geometric_moments(a: float, alpha: float, beta: float, t: float, k_max: int) -> MomentSequence:

@@ -53,8 +53,9 @@ log-log slope, and a monotone-decrease flag.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -333,13 +334,18 @@ PRESETS: dict[str, PresetRow] = {
 
 
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Fill unset class parameters with the preset's defaults."""
+    """Fill unset class parameters with the preset's defaults, in a copy
+    that is not validated again: the table's defaults are finite."""
     updates = {
         key: default
         for key, (default, _) in PRESETS[cfg.preset].params.items()
         if default is not None and getattr(cfg, key) is None
     }
-    return replace(cfg, **updates) if updates else cfg
+    if not updates:
+        return cfg
+    resolved = copy.copy(cfg)
+    vars(resolved).update(updates)
+    return resolved
 
 
 def default_config(preset: str) -> ExperimentConfig:

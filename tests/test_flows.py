@@ -915,6 +915,12 @@ def test_flow_spec_validation():
     # float grids that are dt multiples up to rounding are accepted
     assert _flat_spec(2, dt=1e-3, t_grid=(0.0, 0.2 * 3 / 4)).t_grid[-1] == 0.2 * 3 / 4
     assert _flat_spec(2, dt=0.01, t_grid=(0.0, 0.03)).t_grid[-1] == 0.03
+    # each time is a multiple of dt within 1e-9 t, but both round to step 50
+    with pytest.raises(
+        ValidationError,
+        match=r"t_grid times 0\.5 and 0\.500000000001 fall on the same step of dt=0\.01",
+    ):
+        _flat_spec(2, dt=0.01, t_grid=(0.0, 0.5, 0.500000000001))
 
 
 def test_beta_property():

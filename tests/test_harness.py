@@ -286,6 +286,18 @@ def test_default_config_fills_parameters():
         default_config("bogus")
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_resolved_defaults_pass_the_config_checks(name):
+    """resolve_config fills the table's defaults into a copy that it does
+    not validate again; built afresh, that copy passes and comes out equal,
+    and the config it resolved keeps its unset parameters."""
+    unset = ExperimentConfig(preset=name, **PRESETS[name].config_defaults)
+    before = dict(vars(unset))
+    cfg = resolve_config(unset)
+    assert ExperimentConfig(**vars(cfg)) == cfg
+    assert vars(unset) == before
+
+
 # ---------------------------------------------------------------------------
 # the preset table
 
@@ -815,10 +827,25 @@ def test_cli_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
     )
 
 
-@pytest.mark.parametrize("command", list(csv_oracles.COMMANDS))
-def test_cli_validates_its_config_once_with_the_flags_applied(tmp_path, monkeypatch, command):
+# jacobi with p, q and a unset: the preset table fills them in
+_COUNTED_CASES = {
+    **{command: (command, TINY_WIGNER) for command in csv_oracles.COMMANDS},
+    **{
+        f"{command}-jacobi": (command, TINY_WIGNER.replace("wigner", "jacobi"))
+        for command in ("simulate", "compare", "moments")
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, text", list(_COUNTED_CASES.values()), ids=list(_COUNTED_CASES)
+)
+def test_cli_validates_its_config_once_with_the_flags_applied(
+    tmp_path, monkeypatch, command, text
+):
     """``--seed``, ``--threads`` and ``--out`` override the parsed values
-    before the one construction, so a subcommand validates one config."""
+    before the one construction, and the preset's defaults fill unset class
+    parameters without a second one, so a subcommand validates one config."""
     built = []
     post_init = ExperimentConfig.__post_init__
 
@@ -827,7 +854,7 @@ def test_cli_validates_its_config_once_with_the_flags_applied(tmp_path, monkeypa
         built.append((self.base_seed, self.threads, self.out_dir))
 
     monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
-    cfg = _write_cfg(tmp_path, TINY_WIGNER)
+    cfg = _write_cfg(tmp_path, text)
     out = str(tmp_path / "o")
     argv = [command, "--config", cfg, "--seed", "5", "--threads", "2", "--out", out]
     assert cli_main(argv) == 0
@@ -910,6 +937,21 @@ def test_cli_simulate_rejects_record_times_off_the_step_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "multiples of dt" in err
+    assert not (tmp_path / "o" / "simulate.csv").exists()
+
+
+def test_cli_simulate_rejects_record_times_that_share_a_step(tmp_path, capsys):
+    """0.5 and 0.500000000001 are both multiples of dt within tolerance but
+    round to one step, which would leave the row of 0.5 unwritten."""
+    cfg = _write_cfg(
+        tmp_path,
+        "preset = wishart\nn_list = 25\nreplica_count = 2\nt_grid = 0.0, 0.5, 0.500000000001\n",
+    )
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: t_grid times 0.5 and 0.500000000001 fall on the same step "
+        "of dt=0.001; each record time needs a step of its own\n"
+    )
     assert not (tmp_path / "o" / "simulate.csv").exists()
 
 

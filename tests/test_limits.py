@@ -183,6 +183,24 @@ def test_mp_moments_beta_one_catalan():
     assert np.allclose(mp_moments(1.0, 1.0, 1.0, 6).values, CATALAN)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta", [(0.0, 2.0), (0.3, 2.0), (0.5, 1.0), (1.0, 2.0), (2.5, 2.0), (4.0, 1.0)]
+)
+def test_mp_polys_are_narayana_monomials(alpha, beta):
+    """m_k = c_k t^k with c_k = sum_j N(k, j) alpha^j beta^(k-j), the
+    Narayana numbers N(k, j) = C(k, j) C(k, j-1) / k: exact, and independent
+    of the recursion that builds them."""
+    a, b = Fraction(alpha), Fraction(beta)
+    polys = limits_mod._mp_polys(alpha, beta, 12)
+    assert len(polys) == 13 and polys[0] == (1,)
+    for k in range(1, 13):
+        c_k = sum(
+            Fraction(math.comb(k, j) * math.comb(k, j - 1), k) * a**j * b ** (k - j)
+            for j in range(1, k + 1)
+        )
+        assert polys[k] == (0,) * k + (c_k,), k
+
+
 def test_mp_moments_match_rk4_hierarchy():
     for alpha, beta in ((1.0, 2.0), (2.5, 2.0), (1.0, 1.0), (0.5, 1.0)):
         exact = mp_moments(alpha, beta, 1.0, 6).values
