@@ -75,7 +75,7 @@ __all__ = ["main"]
 _INVERT_POINTS = 201
 _INVERT_EPS = (0.05, 0.025, 0.0125, 0.00625)
 _RESIDUAL_ATOMS = 400
-_RESIDUAL_DEGREES = (1, 2, 3, 4, 5, 6)
+_LAW_RESIDUAL_DEGREES = (1, 2, 3, 4, 5, 6)
 _ERR_STATS = tuple(f"{stat}_err" for stat in _MOMENT_STATS)
 
 
@@ -279,11 +279,11 @@ def cmd_residual(args) -> int:
     cfg = bundle.cfg
     proc = EmpiricalMeasureProcess.from_law(bundle.law, cfg.t_grid, _RESIDUAL_ATOMS)
     vals = limit_equation_residual(
-        proc, _monomials(_RESIDUAL_DEGREES), *bundle.residual_coefficients(), beta=bundle.beta
+        proc, _monomials(_LAW_RESIDUAL_DEGREES), *bundle.residual_coefficients(), beta=bundle.beta
     )
-    for k, val in zip(_RESIDUAL_DEGREES, vals):
+    for k, val in zip(_LAW_RESIDUAL_DEGREES, vals):
         print(f"residual (f = x^{k}): {val:.6g}")
-    stats = tuple(f"residual_x{k}" for k in _RESIDUAL_DEGREES)
+    stats = tuple(f"residual_x{k}" for k in _LAW_RESIDUAL_DEGREES)
     section = (0, "law", _texts(cfg.t_grid[-1:]), stats, _texts(vals))
     _write_csv(_out_dir(cfg) / "residual.csv", cfg.preset, [section])
     return 0

@@ -126,59 +126,51 @@ class EmpiricalMeasure:
         return np.mean(wv / (self.atoms - np.expand_dims(z, -1)) ** power, axis=-1)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EmpiricalMeasureProcess:
     """Empirical measures aligned with an ascending time grid.
 
-    The measures' sorted atoms are held as one (T, n) array, ``spectra``,
-    like :attr:`EigenPath.spectra`; ``measures`` gives its rows as
-    :class:`EmpiricalMeasure` objects, built on first use.
+    ``spectra`` is a (T, n) array like :attr:`EigenPath.spectra`: row i holds
+    the ascending atoms of the measure at ``t_grid[i]``. ``measures`` gives
+    its rows as :class:`EmpiricalMeasure` objects, built on first use.
     """
 
     t_grid: np.ndarray
     spectra: np.ndarray
 
-    def __init__(self, t_grid, measures):
-        measures = tuple(measures)
-        if len({m.n for m in measures}) > 1:
-            raise ValidationError("all measures must have the same atom count")
-        spectra = np.stack([m.atoms for m in measures]) if measures else np.empty((0, 0))
-        self._set(t_grid, spectra)
-
-    def _set(self, t_grid, spectra: np.ndarray) -> None:
-        grid = np.asarray(t_grid, dtype=float)
-        if grid.size != len(spectra) or grid.size == 0:
+    def __post_init__(self):
+        grid = np.asarray(self.t_grid, dtype=float)
+        spectra = np.asarray(self.spectra, dtype=float)
+        if spectra.ndim != 2 or spectra.shape[1] == 0:
+            raise ValidationError("empirical measure needs a nonempty 1-d atom array")
+        if grid.shape != spectra.shape[:1] or grid.size == 0:
             raise ValidationError("t_grid and measures must align and be nonempty")
         if not np.all(np.isfinite(grid)):
             raise ValidationError("t_grid entries must be finite")
-        if np.any(np.diff(grid) <= 0) and grid.size > 1:
+        if np.any(np.diff(grid) <= 0):
             raise ValidationError("t_grid must be strictly ascending")
+        if not np.isfinite(spectra).all():
+            raise ValidationError("empirical measure atoms must be finite")
+        if np.any(spectra[:, 1:] < spectra[:, :-1]):
+            raise ValidationError("each row of spectra must be ascending")
         object.__setattr__(self, "t_grid", grid)
         object.__setattr__(self, "spectra", spectra)
 
     @staticmethod
     def from_path(path: EigenPath) -> "EmpiricalMeasureProcess":
-        return EmpiricalMeasureProcess(
-            t_grid=path.t_grid,
-            measures=tuple(EmpiricalMeasure(s) for s in path.spectra),
-        )
+        return EmpiricalMeasureProcess(path.t_grid, path.spectra)
 
     @staticmethod
     def from_law(law, t_grid, atom_count: int) -> "EmpiricalMeasureProcess":
         """Quantile discretization of a limit-law family along a grid, row i
         the (ascending) ``law.at(t_i).quantile_atoms(atom_count)`` bit for bit:
-        the family's ``quantile_table``, no law built per time. A law without
-        a CDF, or an object that is no limit law, raises UnsupportedLawOperation;
-        ``atom_count`` must be an integer >= 1."""
+        the quantile atoms of the family's ``at_times`` table, no law built
+        per time. A law without a CDF, or an object that is no limit law,
+        raises UnsupportedLawOperation; ``atom_count`` must be an integer >= 1."""
         if not (isinstance(atom_count, numbers.Integral) and atom_count >= 1):
             raise ValidationError(f"atom_count must be an integer >= 1, got {atom_count!r}")
         _require_cdf(law)
-        spectra = law.quantile_table(t_grid, atom_count)
-        if not np.isfinite(spectra).all():
-            raise ValidationError("empirical measure atoms must be finite")
-        proc = object.__new__(EmpiricalMeasureProcess)
-        proc._set(t_grid, spectra)
-        return proc
+        return EmpiricalMeasureProcess(t_grid, law.at_times(t_grid).quantile_atoms(atom_count))
 
     @functools.cached_property
     def measures(self) -> tuple:

@@ -190,7 +190,7 @@ class FlowSpec:
         if np.any(off_step):
             raise ValidationError(
                 f"t_grid times must be multiples of dt={self.dt:g}; "
-                f"t={grid[off_step][0]:g} is not"
+                f"t={times[np.argmax(off_step)]!r} is not"
             )
         shared = np.flatnonzero(np.diff(steps) <= 0)
         if shared.size:

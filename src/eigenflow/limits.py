@@ -367,7 +367,7 @@ class _Family:
     ``dataclasses.replace`` of t that re-runs the law's own checks;
     ``has_cdf``; its laws at every time of a grid as one table
     (:meth:`at_times`, from ``_dilation(times)`` and the unit shape, see
-    :class:`_LawBase`); and its quantile and moment tables."""
+    :class:`_LawBase`); and its moment table."""
 
     has_cdf = True
     _shape_key = None
@@ -388,13 +388,6 @@ class _Family:
         _check_time(times)
         loc, scale = (np.broadcast_to(v, times.shape)[..., None] for v in self._dilation(times))
         return _Dilated(self._shape, loc, scale)
-
-    def quantile_table(self, times, count: int) -> np.ndarray:
-        """(T, count) table, row i ``at(t_i).quantile_atoms(count)`` bit for
-        bit: one outer product loc + scale * U of the dilations over the times
-        with the unit shape's cached quantiles U (a scale-0 row is exactly
-        loc)."""
-        return self.at_times(times).quantile_atoms(count)
 
     def moment_table(self, times, k_max: int) -> np.ndarray:
         """(T, k_max + 1) moments of ``at(t)`` at each of the times: the
@@ -1364,4 +1357,4 @@ class HierarchyLaw(_Family):
     def cdf(self, *args):
         raise UnsupportedLawOperation("hierarchy law exposes moments only")
 
-    density = quantile_table = at_times = cdf
+    density = at_times = cdf

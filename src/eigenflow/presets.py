@@ -2,27 +2,12 @@
 
 A class is the flow dX = g dW h + h dW* g + b dt, whose limit equation
 sees g and h only through g^2 and h^2. Each preset is one row of
-:data:`PRESETS`: its class parameters (default, description) and a map
-from the resolved config to the field, the ascending coefficient arrays
-``g2``, ``h2`` and ``b``, the start spectrum and the limit law. The stepper
-runs g = sqrt|g2|, h = sqrt|h2| and b; the residual sees g^2 and h^2.
-
-=====================  =========  =========  ===============  ==========================
-preset                 g2         h2         b                start; limit law
-=====================  =========  =========  ===============  ==========================
-``wigner``             [1/4]      [1]        [0]              0; semicircle, variance t
-``wigner_real``        [1/4]      [1]        [0]              0, real field; semicircle
-``wishart``            [0, 1]     [1]        [alpha]          just above 0; Marchenko-
-                                                              Pastur
-``wishart_nonunique``  [0, 1]     [1]        [alpha]          around 0, real field;
-                                                              two-component MP mixture
-``geometric``          [0, 1]     [0, 1]     [0, alpha]       a > 0; HierarchyLaw of
-                                                              its own arrays (moments)
-``jacobi``             [0, 1]     [1, -1]    [p, -(p+q)]      a in [0, 1]; the same
-``free_bm``            [sigma/2]  [sigma/2]  [theta]          0; free Brownian semicircle
-``free_ou``            [sigma/2]  [sigma/2]  [0, theta]       0; free OU semicircle
-``custom``             g2         h2         b (default [0])  a; none
-=====================  =========  =========  ===============  ==========================
+:data:`PRESETS` (``eigenflow presets`` lists them): its class parameters
+(default, description), the check that keeps its eigenvalues in their
+domain, and a map from the resolved config to the field, the ascending
+coefficient arrays ``g2``, ``h2`` and ``b``, the start spectrum and the
+limit law. The stepper runs g = sqrt|g2|, h = sqrt|h2| and b; the residual
+sees g^2 and h^2.
 
 ``wishart_nonunique`` starts with ceil((n+1-alpha n)/2) eigenvalues just
 below zero and the rest just above: it converges to the mixture, not the
@@ -210,13 +195,16 @@ class PresetRow:
     """One universality class as data.
 
     ``params`` maps each class parameter to ``(default, description)``; a
-    None default fills nothing in. ``build`` maps the resolved config to the
-    :class:`PresetBundle` fields other than ``cfg``. ``config_defaults``
-    holds the preset's own defaults for common config keys.
+    None default fills nothing in. ``check`` raises ValidationError when the
+    resolved config breaks one of the class's rules, such as the condition
+    that keeps its eigenvalues in their domain. ``build`` maps the resolved
+    config to the :class:`PresetBundle` fields other than ``cfg``.
+    ``config_defaults`` holds the preset's own defaults for common config keys.
     """
 
     params: dict
     build: Callable[[ExperimentConfig], dict]
+    check: Callable[[ExperimentConfig], None] = lambda cfg: None
     config_defaults: dict = field(default_factory=dict)
 
 
@@ -268,6 +256,59 @@ def _moments_only(g2: tuple, h2: tuple, b: tuple, a: float) -> dict:
     )
 
 
+def _check_wishart(cfg: ExperimentConfig) -> None:
+    if cfg.alpha <= 0:
+        raise ValidationError("wishart requires alpha > 0")
+    beta = 2
+    for n in cfg.n_list:
+        lhs, rhs = cfg.alpha * n, beta * (n - 1) + 2
+        if lhs < rhs:
+            raise ValidationError(
+                f"wishart drift validation failed at n={n}: "
+                f"alpha*n = {lhs:g} < {rhs:g} = beta*(n-1)+2; positivity of "
+                "the flow needs the log-determinant drift inequality "
+                "alpha*n >= beta*(n-1)+2"
+            )
+
+
+def _check_wishart_nonunique(cfg: ExperimentConfig) -> None:
+    if not 0.0 <= cfg.alpha < 1.0:
+        raise ValidationError("wishart_nonunique requires 0 <= alpha < 1 (the mixture regime)")
+    if any(n < 2 for n in cfg.n_list):
+        raise ValidationError("wishart_nonunique requires n >= 2")
+
+
+def _check_geometric(cfg: ExperimentConfig) -> None:
+    if cfg.a <= 0:
+        raise ValidationError("geometric requires a starting point a > 0")
+
+
+def _check_jacobi(cfg: ExperimentConfig) -> None:
+    if cfg.p <= 0 or cfg.q <= 0:
+        raise ValidationError("jacobi requires p > 0 and q > 0")
+    if not 0.0 <= cfg.a <= 1.0:
+        raise ValidationError("jacobi requires a starting point in [0, 1]")
+    beta = 2
+    for n in cfg.n_list:
+        lhs, rhs = n * min(cfg.p, cfg.q), n - 1 + 2.0 / beta
+        if lhs < rhs:
+            raise ValidationError(
+                f"jacobi containment validation failed at n={n}: "
+                f"n*min(p,q) = {lhs:g} < {rhs:g} = n-1+2/beta; the [0,1] "
+                "containment needs min(p_n, q_n) >= n-1+2/beta"
+            )
+
+
+def _check_sigma(cfg: ExperimentConfig) -> None:
+    if cfg.sigma < 0:
+        raise ValidationError(f"{cfg.preset} requires sigma >= 0")
+
+
+def _check_custom(cfg: ExperimentConfig) -> None:
+    if cfg.g2 is None or cfg.h2 is None:
+        raise ValidationError("custom preset requires g2 and h2 coefficient lists")
+
+
 PRESETS: dict[str, PresetRow] = {
     "wigner": PresetRow({}, lambda c: _flat("complex")),
     "wigner_real": PresetRow({}, lambda c: _flat("real")),
@@ -280,6 +321,7 @@ PRESETS: dict[str, PresetRow] = {
             field="complex", g2=_X, h2=_ONE, b=(c.alpha,), initial_spectrum=_near_zero,
             law=MarchenkoPastur(c.alpha, 1.0, beta=2),
         ),
+        check=_check_wishart,
     ),
     "wishart_nonunique": PresetRow(
         {
@@ -291,6 +333,7 @@ PRESETS: dict[str, PresetRow] = {
             initial_spectrum=lambda n: _nonunique_start(n, c.alpha),
             law=mp_mixture_two(c.alpha),
         ),
+        check=_check_wishart_nonunique,
         config_defaults={"n_list": (100,)},
     ),
     "geometric": PresetRow(
@@ -299,6 +342,7 @@ PRESETS: dict[str, PresetRow] = {
             "alpha": (0.0, "exponential drift rate, b_n = alpha n x"),
         },
         lambda c: _moments_only(_X, _X, (0.0, c.alpha), c.a),
+        check=_check_geometric,
     ),
     "jacobi": PresetRow(
         {
@@ -307,14 +351,17 @@ PRESETS: dict[str, PresetRow] = {
             "a": (0.5, "starting point mass in [0, 1]"),
         },
         lambda c: _moments_only(_X, (1.0, -1.0), (c.p, -(c.p + c.q)), c.a),
+        check=_check_jacobi,
     ),
     "free_bm": PresetRow(
         {"theta": (0.0, "constant drift"), "sigma": _SIGMA},
         lambda c: _free_diffusion(c, (c.theta,)),
+        check=_check_sigma,
     ),
     "free_ou": PresetRow(
         {"theta": (-1.0, "linear drift rate, b(x) = theta x"), "sigma": _SIGMA},
         lambda c: _free_diffusion(c, (0.0, c.theta)),
+        check=_check_sigma,
     ),
     "custom": PresetRow(
         {
@@ -329,6 +376,7 @@ PRESETS: dict[str, PresetRow] = {
             field=c.field, projection=c.projection, g2=c.g2, h2=c.h2,
             b=_ZERO if c.b is None else c.b, initial_spectrum=_point_mass(c.a), law=None,
         ),
+        check=_check_custom,
     ),
 }
 
@@ -357,65 +405,16 @@ def default_config(preset: str) -> ExperimentConfig:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Preset-specific validation; raises ValidationError before any compute."""
-    _validate(resolve_config(cfg))
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    name = cfg.preset
-    if name == "wishart":
-        if cfg.alpha is None or cfg.alpha <= 0:
-            raise ValidationError("wishart requires alpha > 0")
-        beta = 2
-        for n in cfg.n_list:
-            lhs = cfg.alpha * n
-            rhs = beta * (n - 1) + 2
-            if lhs < rhs:
-                raise ValidationError(
-                    f"wishart drift validation failed at n={n}: "
-                    f"alpha*n = {lhs:g} < {rhs:g} = beta*(n-1)+2; positivity of "
-                    "the flow needs the log-determinant drift inequality "
-                    "alpha*n >= beta*(n-1)+2"
-                )
-    elif name == "wishart_nonunique":
-        if cfg.alpha is None or not 0.0 <= cfg.alpha < 1.0:
-            raise ValidationError(
-                "wishart_nonunique requires 0 <= alpha < 1 (the mixture regime)"
-            )
-        if any(n < 2 for n in cfg.n_list):
-            raise ValidationError("wishart_nonunique requires n >= 2")
-    elif name == "geometric":
-        if cfg.a is None or cfg.a <= 0:
-            raise ValidationError("geometric requires a starting point a > 0")
-    elif name == "jacobi":
-        if cfg.p is None or cfg.q is None or cfg.p <= 0 or cfg.q <= 0:
-            raise ValidationError("jacobi requires p > 0 and q > 0")
-        if cfg.a is None or not 0.0 <= cfg.a <= 1.0:
-            raise ValidationError("jacobi requires a starting point in [0, 1]")
-        beta = 2
-        for n in cfg.n_list:
-            lhs = n * min(cfg.p, cfg.q)
-            rhs = n - 1 + 2.0 / beta
-            if lhs < rhs:
-                raise ValidationError(
-                    f"jacobi containment validation failed at n={n}: "
-                    f"n*min(p,q) = {lhs:g} < {rhs:g} = n-1+2/beta; the [0,1] "
-                    "containment needs min(p_n, q_n) >= n-1+2/beta"
-                )
-    elif name in ("free_bm", "free_ou"):
-        if cfg.sigma is None or cfg.sigma < 0:
-            raise ValidationError(f"{name} requires sigma >= 0")
-    elif name == "custom":
-        if cfg.g2 is None or cfg.h2 is None:
-            raise ValidationError(
-                "custom preset requires g2 and h2 coefficient lists"
-            )
+    cfg = resolve_config(cfg)
+    PRESETS[cfg.preset].check(cfg)
 
 
 def make_bundle(cfg: ExperimentConfig) -> PresetBundle:
-    """Resolve and validate a config, then build its row of :data:`PRESETS`."""
+    """Resolve a config, run its row's check, then build its row of :data:`PRESETS`."""
     cfg = resolve_config(cfg)
-    _validate(cfg)
-    return PresetBundle(cfg=cfg, **PRESETS[cfg.preset].build(cfg))
+    row = PRESETS[cfg.preset]
+    row.check(cfg)
+    return PresetBundle(cfg=cfg, **row.build(cfg))
 
 
 def build_flow_spec(cfg: ExperimentConfig, n: int) -> FlowSpec:

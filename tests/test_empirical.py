@@ -6,6 +6,8 @@ the limiting-equation residual is pinned on flows where it must vanish
 identically or follow a closed form.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -23,6 +25,7 @@ from eigenflow import (
     Semicircle,
     SpectralFunction,
     UnsupportedLawOperation,
+    ValidationError,
     em_sde_decomposition,
     ks_distance,
     limit_equation_residual,
@@ -57,8 +60,6 @@ def test_moments_hand_values():
 def test_moment_order_must_be_a_natural_number(k):
     """The running product x^k = x^(k-1) x has no fractional or negative
     order: such a k is refused by name."""
-    from eigenflow import ValidationError
-
     with pytest.raises(ValidationError, match="k must be an integer >= 0"):
         EmpiricalMeasure(np.array([1.0, 2.0])).moment(k)
 
@@ -322,8 +323,42 @@ def test_from_path_mirrors_spectra():
     proc = EmpiricalMeasureProcess.from_path(path)
     assert len(proc) == 2
     assert np.array_equal(proc.t_grid, path.t_grid)
+    assert proc.spectra.tobytes() == path.spectra.tobytes()
     for measure, row in zip(proc.measures, path.spectra):
-        assert np.array_equal(measure.atoms, np.sort(row))
+        assert np.array_equal(measure.atoms, row)
+
+
+@pytest.mark.parametrize(
+    "t_grid, spectra, message",
+    [
+        ((0.0, 1.0), np.zeros((3, 2)), "t_grid and measures must align and be nonempty"),
+        ((), np.zeros((0, 2)), "t_grid and measures must align and be nonempty"),
+        ((0.0, float("nan")), np.zeros((2, 2)), "t_grid entries must be finite"),
+        ((0.0, float("inf")), np.zeros((2, 2)), "t_grid entries must be finite"),
+        ((0.5, 0.5), np.zeros((2, 2)), "t_grid must be strictly ascending"),
+        ((0.0, 1.0), [[0.0, 1.0], [0.0, np.nan]], "empirical measure atoms must be finite"),
+        ((0.0, 1.0), [[0.0, 1.0], [-np.inf, 0.0]], "empirical measure atoms must be finite"),
+        ((0.0, 1.0), [[0.0, 1.0], [1.0, 0.0]], "each row of spectra must be ascending"),
+        ((0.0, 1.0), [0.0, 1.0], "empirical measure needs a nonempty 1-d atom array"),
+        ((0.0, 1.0), np.zeros((2, 2, 2)), "empirical measure needs a nonempty 1-d atom array"),
+        ((0.0, 1.0), np.zeros((2, 0)), "empirical measure needs a nonempty 1-d atom array"),
+    ],
+    ids=["misaligned", "empty", "grid_nan", "grid_inf", "grid_flat", "atom_nan", "atom_inf",
+         "descending_row", "spectra_1d", "spectra_3d", "no_atoms"],
+)
+def test_process_constructor_refusals(t_grid, spectra, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        EmpiricalMeasureProcess(t_grid, spectra)
+
+
+def test_process_fields_are_its_arguments():
+    """``(t_grid, spectra)`` are the fields, as float arrays; an ascending
+    row with ties is kept as given."""
+    proc = EmpiricalMeasureProcess((0.0, 0.5), [[1, 1, 2], [-3, 0, 0]])
+    assert proc.t_grid.dtype == float and proc.spectra.dtype == float
+    assert proc.t_grid.tolist() == [0.0, 0.5]
+    assert proc.spectra.tolist() == [[1.0, 1.0, 2.0], [-3.0, 0.0, 0.0]]
+    assert [m.atoms.tolist() for m in proc.measures] == proc.spectra.tolist()
 
 
 def test_from_law_uses_quantile_atoms():
@@ -390,8 +425,6 @@ def test_from_law_builds_no_law_per_time(monkeypatch):
 
 @pytest.mark.parametrize("grid", [(0.0, -0.5), (0.0, float("nan"))], ids=["negative", "nan"])
 def test_from_law_rejects_a_bad_time(grid):
-    from eigenflow import ValidationError
-
     with pytest.raises(ValidationError, match="t must be finite and >= 0"):
         EmpiricalMeasureProcess.from_law(MarchenkoPastur(2.5), grid, 10)
 
@@ -434,8 +467,6 @@ def test_distance_statistics_refuse_a_family_with_no_time(statistic):
 
 @pytest.mark.parametrize("atom_count", [0, -1, 2.5, "7"])
 def test_from_law_rejects_a_bad_atom_count(atom_count):
-    from eigenflow import ValidationError
-
     with pytest.raises(ValidationError, match="atom_count"):
         EmpiricalMeasureProcess.from_law(Semicircle(1.0), (0.0, 1.0), atom_count)
 
@@ -521,7 +552,7 @@ _KERNEL_CASES = [
 
 @pytest.mark.parametrize("atoms, g2, h2", _KERNEL_CASES)
 def test_interaction_kernel_matches_direct_double_sum(atoms, g2, h2):
-    proc = EmpiricalMeasureProcess((0.0,), (EmpiricalMeasure(atoms),))
+    proc = EmpiricalMeasureProcess((0.0,), atoms[None])
     lam = proc.measures[0].atoms
     for k in range(1, 13):
         coeffs = np.zeros(k + 1)
@@ -542,8 +573,7 @@ def test_residual_rows_match_per_row_calls(atoms, g2, h2):
     """A 2-D f gives each row's residual in one pass: mixed degrees, a
     degree-0 row (residual 0) and rows shorter than the widest."""
     grid = np.linspace(0.0, 0.5, 6)
-    measures = tuple(EmpiricalMeasure(atoms * (1.0 + t) + t * t) for t in grid)
-    proc = EmpiricalMeasureProcess(grid, measures)
+    proc = EmpiricalMeasureProcess(grid, np.stack([atoms * (1.0 + t) + t * t for t in grid]))
     rows = np.array([
         [4.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -574,7 +604,7 @@ def test_limit_terms_equal_the_per_measure_oracle_in_any_chunk(monkeypatch, n):
     rng = np.random.default_rng(40 + n)
     grid = np.linspace(0.0, 0.7, 8)
     atoms = np.sort(np.round(rng.standard_normal((grid.size, n)), 2), axis=-1)
-    proc = EmpiricalMeasureProcess(grid, tuple(EmpiricalMeasure(a) for a in atoms))
+    proc = EmpiricalMeasureProcess(grid, atoms)
     b = lambda x: 0.5 - x  # noqa: E731
     rows = np.eye(7)[1:]
     for coeffs in (rows, np.array([0.3, -1.0, 0.5, 2.0]), np.array([0.0, 1.0]), np.array([4.2])):
@@ -605,8 +635,6 @@ def test_residual_of_an_ensemble_is_each_path_residual(monkeypatch):
     """A list of paths takes one stacked pass, in one chunk or in chunks that
     end inside a path, and gives each path its own call's bits; an empty
     list and paths on different grids are refused."""
-    from eigenflow import ValidationError
-
     spec = _dyson_spec(7, "real", t_grid=(0.0, 0.25, 0.5))
     paths = simulate_ensemble(spec, 3, 8)
     args = (np.eye(5)[1:], lambda x: 0.25 + 0.0 * x, lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x)
@@ -625,8 +653,6 @@ def test_residual_of_an_ensemble_is_each_path_residual(monkeypatch):
 def test_residual_rejects_high_degree():
     law = Semicircle(1.0, beta=2)
     proc = EmpiricalMeasureProcess.from_law(law, (0.0, 1.0), 50)
-    from eigenflow import ValidationError
-
     with pytest.raises(ValidationError):
         limit_equation_residual(
             proc, np.zeros(14), lambda x: x, lambda x: x, lambda x: x, beta=2.0

@@ -257,6 +257,65 @@ def test_wishart_validation_precedes_simulation(monkeypatch):
     assert calls == []
 
 
+# One config per rule of a row's check, with its message.
+_CHECK_CASES = {
+    "wishart-alpha": ("preset = wishart\nalpha = 0\n", "wishart requires alpha > 0"),
+    "wishart-threshold": (
+        "preset = wishart\nalpha = 1.5\nn_list = 50\n",
+        "wishart drift validation failed at n=50: alpha*n = 75 < 100 = beta*(n-1)+2; "
+        "positivity of the flow needs the log-determinant drift inequality "
+        "alpha*n >= beta*(n-1)+2",
+    ),
+    "wishart_nonunique-alpha-high": (
+        "preset = wishart_nonunique\nalpha = 1\n",
+        "wishart_nonunique requires 0 <= alpha < 1 (the mixture regime)",
+    ),
+    "wishart_nonunique-alpha-low": (
+        "preset = wishart_nonunique\nalpha = -0.5\n",
+        "wishart_nonunique requires 0 <= alpha < 1 (the mixture regime)",
+    ),
+    "wishart_nonunique-n": (
+        "preset = wishart_nonunique\nn_list = 1, 8\n", "wishart_nonunique requires n >= 2"
+    ),
+    "geometric-a": ("preset = geometric\na = 0\n", "geometric requires a starting point a > 0"),
+    "jacobi-p": ("preset = jacobi\np = 0\n", "jacobi requires p > 0 and q > 0"),
+    "jacobi-q": ("preset = jacobi\nq = -1\n", "jacobi requires p > 0 and q > 0"),
+    "jacobi-a-low": ("preset = jacobi\na = -0.1\n", "jacobi requires a starting point in [0, 1]"),
+    "jacobi-a-high": ("preset = jacobi\na = 1.5\n", "jacobi requires a starting point in [0, 1]"),
+    "jacobi-containment": (
+        "preset = jacobi\np = 0.5\nq = 0.5\nn_list = 100\n",
+        "jacobi containment validation failed at n=100: n*min(p,q) = 50 < 100 = n-1+2/beta; "
+        "the [0,1] containment needs min(p_n, q_n) >= n-1+2/beta",
+    ),
+    "free_bm-sigma": ("preset = free_bm\nsigma = -1\n", "free_bm requires sigma >= 0"),
+    "free_ou-sigma": ("preset = free_ou\nsigma = -0.5\n", "free_ou requires sigma >= 0"),
+    "custom-none": ("preset = custom\n", "custom preset requires g2 and h2 coefficient lists"),
+    "custom-no-h2": (
+        "preset = custom\ng2 = 0.25\n", "custom preset requires g2 and h2 coefficient lists"
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", _CHECK_CASES.values(), ids=_CHECK_CASES.keys())
+def test_each_row_check_refuses_before_any_step(tmp_path, capsys, monkeypatch, text, message):
+    """The row's check gives one message through the API and the CLI, and
+    ``simulate`` exits 2 before any step and before making its directory."""
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("simulated before the row's check refused the config")
+
+    monkeypatch.setattr(presets_mod, "simulate_ensemble", no_steps)
+    cfg = parse_config_text(text)
+    for call in (validate_config, make_bundle):
+        with pytest.raises(ValidationError) as err:
+            call(cfg)
+        assert str(err.value) == message
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
 def test_wishart_default_alpha_passes():
     validate_config(default_config("wishart"))
 
@@ -395,17 +454,22 @@ def test_table_rows_follow_preset_names():
 
 
 def test_run_preset_resolves_validates_and_builds_once(monkeypatch):
-    counts = {"resolve_config": 0, "_validate": 0, "make_bundle": 0}
-    for key in counts:
-        original = getattr(presets_mod, key)
+    """One resolution, one run of the row's check and one bundle per run."""
+    counts = {"resolve_config": 0, "check": 0, "make_bundle": 0}
 
-        def counted(*args, _original=original, _key=key):
-            counts[_key] += 1
-            return _original(*args)
+    def counter(key, original):
+        def counted(*args):
+            counts[key] += 1
+            return original(*args)
 
-        monkeypatch.setattr(presets_mod, key, counted)
+        return counted
+
+    for key in ("resolve_config", "make_bundle"):
+        monkeypatch.setattr(presets_mod, key, counter(key, getattr(presets_mod, key)))
+    row = PRESETS["wigner"]
+    monkeypatch.setitem(PRESETS, "wigner", replace(row, check=counter("check", row.check)))
     run_preset(parse_config_text(TINY_WIGNER))
-    assert counts == {"resolve_config": 1, "_validate": 1, "make_bundle": 1}
+    assert counts == {"resolve_config": 1, "check": 1, "make_bundle": 1}
 
 
 def _count_noise_draws(monkeypatch):
@@ -889,6 +953,10 @@ _BENCH_SEAMS = {
     "empirical.EmpiricalMeasure": ("moment",),
     "empirical.EmpiricalMeasureProcess": ("from_law",),
 }
+# Tracer.patch keeps a staticmethod static and wraps any other binding as a
+# plain function, so these must stay staticmethods: a classmethod or a plain
+# method there would break every traced pass.
+_BENCH_STATIC_SEAMS = {"empirical.EmpiricalMeasureProcess": ("from_law",)}
 
 
 @pytest.mark.parametrize("owner", list(_BENCH_SEAMS))
@@ -899,6 +967,8 @@ def test_bench_tracer_seams_are_bound_where_it_patches_them(owner):
         target = getattr(target, cls)
     for name in _BENCH_SEAMS[owner]:
         assert name in target.__dict__, f"{owner}.{name}"
+    for name in _BENCH_STATIC_SEAMS.get(owner, ()):
+        assert isinstance(target.__dict__[name], staticmethod), f"{owner}.{name}"
 
 
 def test_run_preset_rows_carry_what_the_bench_checks_read():
@@ -938,6 +1008,19 @@ def test_cli_simulate_rejects_record_times_off_the_step_grid(tmp_path, capsys):
     assert err.startswith("validation error:")
     assert "multiples of dt" in err
     assert not (tmp_path / "o" / "simulate.csv").exists()
+
+
+def test_cli_simulate_names_the_off_step_time_as_written(tmp_path, capsys):
+    """The off-step message gives the time's repr: 0.5000001 is not a
+    multiple of dt = 0.001, though it prints as 0.5 in ``%g``. ``moments``
+    never steps, so the same grid passes there."""
+    cfg = _write_cfg(tmp_path, "preset = jacobi\nn_list = 4\nt_grid = 0.0, 0.5000001\n")
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: t_grid times must be multiples of dt=0.001; t=0.5000001 is not\n"
+    )
+    assert not (tmp_path / "o" / "simulate.csv").exists()
+    assert cli_main(["moments", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
 
 
 def test_cli_simulate_rejects_record_times_that_share_a_step(tmp_path, capsys):
@@ -1002,10 +1085,6 @@ def _tiny_flow_spec(**overrides):
     return eigenflow.FlowSpec(**kwargs)
 
 
-def _measures(count):
-    return (eigenflow.EmpiricalMeasure(np.zeros(2)),) * count
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -1031,7 +1110,7 @@ def _measures(count):
         lambda: eigenflow.mp_mixture_two(0.5).at(float("nan")),
         lambda: eigenflow.mp_mixture_three(2.0, 3.0).at(float("inf")),
         lambda: eigenflow.PointMass(float("nan")),
-        lambda: eigenflow.EmpiricalMeasureProcess((0.0, float("nan")), _measures(2)),
+        lambda: eigenflow.EmpiricalMeasureProcess((0.0, float("nan")), np.zeros((2, 2))),
         lambda: eigenflow.EmpiricalMeasure([0.1, float("nan"), 0.3]),
         lambda: eigenflow.EmpiricalMeasure([float("-inf"), 0.2]),
         lambda: eigenflow.mp_moments(float("nan"), 2, 1.0, 4),

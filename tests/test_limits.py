@@ -1024,7 +1024,7 @@ def test_jacobi_law_is_moments_only():
     with pytest.raises(UnsupportedLawOperation):
         law.density(np.array([0.5]))
     with pytest.raises(UnsupportedLawOperation):
-        law.quantile_table([0.0, 1.0], 10)
+        law.at_times([0.0, 1.0])
 
 
 def _assert_rel(values, oracle, rtol=1e-12):
