@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,6 +62,7 @@ from .config import ExperimentConfig, load_config
 from .empirical import EmpiricalMeasureProcess, limit_equation_residual
 from .errors import NumericalError, ValidationError
 from .presets import (
+    _CLASS_KEYS,
     _MOMENT_COUNT,
     _MOMENT_STATS,
     PRESETS,
@@ -172,9 +174,8 @@ def cmd_presets(args) -> int:
             print(f"    {key}: {desc}" + ("" if default is None else f" (default {default!r})"))
         if not row.params:
             print("    (no class parameters)")
-    print(
-        "common keys: n_list, replica_count, base_seed, dt, t_grid, out_dir, threads"
-    )
+    common = [f.name for f in fields(ExperimentConfig) if f.name not in ("preset", *_CLASS_KEYS)]
+    print(f"common keys: {', '.join(common)}")
     return 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError
-from .flows import _check_run_grid
+from .flows import _CHOICES, _check_run_grid
 
 __all__ = [
     "PRESET_NAMES",
@@ -49,13 +49,16 @@ PRESET_NAMES = (
 class ExperimentConfig:
     """Everything one experiment run needs, preset defaults not yet applied.
 
-    ``alpha``, ``a``, ``p``, ``q``, ``theta``, ``sigma`` are the class
-    parameters (each preset uses a subset; ``None`` means "preset
-    default"). ``g2``, ``h2``, ``b`` are ascending polynomial coefficient
-    arrays used only by the ``custom`` preset (squared coefficient
-    functions and the limiting drift). ``field`` and ``projection`` are
-    likewise only consulted by ``custom`` — the named presets fix their
-    own.
+    The class parameters are ``alpha``, ``a``, ``p``, ``q``, ``theta``,
+    ``sigma``, ``g2``, ``h2``, ``b``, ``field`` and ``projection``. Each
+    preset takes a subset, its row's ``params`` in
+    :data:`eigenflow.presets.PRESETS`; ``None`` means "preset default", and
+    a preset refuses a set key that it does not take. ``g2``, ``h2``, ``b``
+    are ascending polynomial coefficient arrays (squared coefficient
+    functions and the limiting drift); they, ``field`` and ``projection``
+    are ``custom``'s alone, since the named presets fix their own. The
+    other fields but ``preset`` are the common keys, which every preset
+    takes.
     """
 
     preset: str
@@ -73,8 +76,8 @@ class ExperimentConfig:
     g2: tuple | None = None
     h2: tuple | None = None
     b: tuple | None = None
-    field: str = "complex"
-    projection: str = "none"
+    field: str | None = None
+    projection: str | None = None
     out_dir: str = "."
     threads: int | None = None
 
@@ -93,7 +96,8 @@ class ExperimentConfig:
             raise ValidationError("replica_count must be >= 1")
         if self.base_seed < 0:
             raise ValidationError("base_seed must be >= 0")
-        self.t_grid = _check_run_grid(self.dt, self.t_grid, self.field, self.projection)
+        choices = {key: getattr(self, key) for key in _CHOICES if getattr(self, key) is not None}
+        self.t_grid = _check_run_grid(self.dt, self.t_grid, **choices)
         for key in ("alpha", "a", "p", "q", "theta", "sigma"):
             val = getattr(self, key)
             if val is not None and not math.isfinite(val):

@@ -75,7 +75,7 @@ def _moment_table(atoms: np.ndarray, k_max: int) -> np.ndarray:
     return out.reshape(atoms.shape[:-1] + (k_max + 1,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Uniform probability measure on a finite sorted atom set."""
 
@@ -126,7 +126,7 @@ class EmpiricalMeasure:
         return np.mean(wv / (self.atoms - np.expand_dims(z, -1)) ** power, axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalMeasureProcess:
     """Empirical measures aligned with an ascending time grid.
 

@@ -24,8 +24,10 @@ diagonal M_ii is real with mean w_i + dt b(w_i) and variance
 2 G(w_i, w_i) dt/n. :func:`euler_step` draws M from this variance profile
 directly; only its lower triangle and real diagonal carry the draw, and
 ``eigvalsh(UPLO="L")`` reads nothing else, so the step has exactly the
-law of the matrix scheme. Unprojected flows with constant g, h and b, for which
-Euler is exact, step straight from one record time to the next.
+law of the matrix scheme. A projection is no part of the scheme: the
+block stepper clips each step's eigenvalues into the projection domain
+and counts the clamped ones. Unprojected flows with constant g, h and b,
+for which Euler is exact, step straight from one record time to the next.
 
 Noise convention: a standard complex Brownian entry is B^1 + i B^2 with
 independent standard real parts, so E|W_ij(t)|^2 = 2t (real case:
@@ -85,19 +87,20 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# projection -> the domain each step's eigenvalues are clipped into
+# projection -> the domain the block stepper clips each step's eigenvalues into
 _DOMAINS = {"none": (-math.inf, math.inf), "nonneg": (0.0, math.inf), "unit_interval": (0.0, 1.0)}
-_PROJECTIONS = tuple(_DOMAINS)
 # field -> its Dyson index beta
 _DYSON_INDEX = {"complex": 2, "real": 1}
 _FIELDS = tuple(_DYSON_INDEX)
+# run key -> the values it may take
+_CHOICES = {"field": _FIELDS, "projection": tuple(_DOMAINS)}
 # cap on R * n^2 of one replica block: about 8 MB per complex temporary
 _BLOCK_ENTRIES = 1 << 19
 # one of them set to 1 keeps each replica process's BLAS single-threaded
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseIncrement:
     """One scaled matrix noise increment Delta W^(n) = n^{-1/2} Delta W.
 
@@ -113,9 +116,10 @@ class NoiseIncrement:
     dw: np.ndarray
 
 
-def _check_run_grid(dt, t_grid, field: str, projection: str) -> tuple[float, ...]:
-    """The step size, record grid, field and projection checks that a run's
-    config and its :class:`FlowSpec` share; returns the grid as floats."""
+def _check_run_grid(dt, t_grid, **choices) -> tuple[float, ...]:
+    """The step size and record grid checks that a run's config and its
+    :class:`FlowSpec` share, then each given ``field`` or ``projection`` in
+    ``choices`` against its values; returns the grid as floats."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError("dt must be positive and finite")
     grid = tuple(float(t) for t in t_grid)
@@ -123,10 +127,9 @@ def _check_run_grid(dt, t_grid, field: str, projection: str) -> tuple[float, ...
         raise ValidationError("t_grid entries must be finite")
     if not grid or grid[0] != 0.0 or any(t2 <= t1 for t1, t2 in zip(grid, grid[1:])):
         raise ValidationError("t_grid must be ascending and start at 0")
-    if field not in _FIELDS:
-        raise ValidationError(f"field must be one of {_FIELDS}")
-    if projection not in _PROJECTIONS:
-        raise ValidationError(f"projection must be one of {_PROJECTIONS}")
+    for key, value in choices.items():
+        if value not in _CHOICES[key]:
+            raise ValidationError(f"{key} must be one of {_CHOICES[key]}")
     return grid
 
 
@@ -158,7 +161,7 @@ def sample_noise(n: int, field: str, dt: float, stream: np.random.Generator) -> 
     return NoiseIncrement(n=n, field=field, dt=dt, dw=dw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowSpec:
     """Full specification of one matrix flow simulation.
 
@@ -183,7 +186,7 @@ class FlowSpec:
 
     def __post_init__(self):
         _check_dimension(self.n)
-        times = _check_run_grid(self.dt, self.t_grid, self.field, self.projection)
+        times = _check_run_grid(self.dt, self.t_grid, field=self.field, projection=self.projection)
         grid = np.array(times)
         steps = np.rint(grid / self.dt)
         off_step = np.abs(steps * self.dt - grid) > 1e-9 * grid
@@ -236,7 +239,7 @@ class PathDiagnostics:
     clamp_events: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPath:
     """Recorded sorted eigenvalue trajectories of one simulated path."""
 
@@ -247,60 +250,47 @@ class EigenPath:
 
 
 def euler_step(
-    w: np.ndarray,
-    spec: FlowSpec,
-    z: np.ndarray,
-    dt: float,
-    info: dict | None = None,
-    *,
-    out: np.ndarray | None = None,
+    w: np.ndarray, spec: FlowSpec, z: np.ndarray, dt: float, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """One Euler-Maruyama step of the sorted spectrum ``w``, in the eigenframe.
+    """One Euler-Maruyama step of the replica stack ``w``, in the eigenframe.
 
-    Returns the ascending eigenvalues of the step matrix M, drawn from its
-    variance profile (module docstring) and clipped into the projection
-    domain. With sigma_ij = sqrt(G(w_i, w_j) dt/n) off the diagonal and
-    sigma_ii = sqrt(2 G(w_i, w_i) dt/n), M_ij = sigma_ij (z_ij + i z_ji) for
-    i > j (real field: sigma_ij z_ij) and M_ii = w_i + dt b(w_i) +
-    sigma_ii z_ii; ``eigvalsh(UPLO="L")`` reads nothing else of M. ``w`` is
-    one spectrum of shape (n,) with standard normals ``z`` of shape (n, n),
-    or a stack of replicas (R, n) with ``z`` of shape (R, n, n) and one
-    ``eigvalsh``; M is assembled in ``out`` if given (shape ``z.shape``,
-    complex or float by field). Pass ``info`` (a dict) to receive the
-    number of clipped eigenvalues under key ``"clamped"`` (an int, or one
-    count per replica). Raises NumericalError, naming the flow and n, if a
-    step matrix is not finite; for a stack its ``replica`` is the index of
-    the first such replica.
+    ``w`` holds R sorted spectra, shape (R, n), and ``z`` their standard
+    normals, shape (R, n, n). Returns the (R, n) ascending eigenvalues of
+    the step matrices M, drawn from their variance profile (module
+    docstring), by one stacked ``eigvalsh``. With sigma_ij = sqrt(G(w_i,
+    w_j) dt/n) off the diagonal and sigma_ii = sqrt(2 G(w_i, w_i) dt/n),
+    M_ij = sigma_ij (z_ij + i z_ji) for i > j (real field: sigma_ij z_ij)
+    and M_ii = w_i + dt b(w_i) + sigma_ii z_ii; ``eigvalsh(UPLO="L")`` reads
+    nothing else of M. M is assembled in ``out`` if given (shape
+    ``z.shape``, complex or float by field). The step does not project:
+    :func:`_simulate_block` clips its result into the projection domain.
+    Raises NumericalError, naming the flow and n, if a step matrix is not
+    finite; its ``replica`` is the index of the first such replica.
     """
     n = spec.n
-    if z.shape != w.shape + (n,):
-        raise ValidationError("noise dimension does not match flow dimension")
+    if w.ndim != 2 or w.shape[1] != n or z.shape != w.shape + (n,):
+        raise ValidationError(f"euler_step takes an (R, {n}) stack and (R, {n}, {n}) normals")
     m = np.empty(z.shape, complex if spec.field == "complex" else float) if out is None else out
     # sigma_ij^2 = G(w_i, w_j) dt/n, from the separable half g^2(w_i) h^2(w_j) dt/n
-    half = (spec.g(w) ** 2 * (dt / n))[..., :, None] * spec.h(w)[..., None, :] ** 2
+    half = (spec.g(w) ** 2 * (dt / n))[:, :, None] * spec.h(w)[:, None, :] ** 2
     sigma = half + np.swapaxes(half, -1, -2)
     np.sqrt(sigma, out=sigma)
     diag = np.arange(n)
-    sigma[..., diag, diag] *= math.sqrt(2.0)
+    sigma[:, diag, diag] *= math.sqrt(2.0)
     if spec.field == "complex":
         np.multiply(sigma, z, out=m.real)
         np.multiply(sigma, np.swapaxes(z, -1, -2), out=m.imag)
     else:
         np.multiply(sigma, z, out=m)
-    m[..., diag, diag] += w + dt * spec.b(w)
+    m[:, diag, diag] += w + dt * spec.b(w)
     # checked before eigvalsh, which can return finite eigenvalues for NaN input
     if not np.all(np.isfinite(m)):
         finite = np.isfinite(m).all(axis=(-2, -1))
         raise NumericalError(
             f"flow {spec.name!r} (n={n}): step matrix is not finite",
-            replica=int(np.argmin(finite)) if finite.ndim else None,
+            replica=int(np.argmin(finite)),
         )
-    w_next = np.linalg.eigvalsh(m, UPLO="L")
-    clipped = np.clip(w_next, *_DOMAINS[spec.projection])
-    if info is not None:
-        clamped = np.count_nonzero(clipped != w_next, axis=-1)
-        info["clamped"] = clamped if clipped.ndim > 1 else int(clamped)
-    return clipped
+    return np.linalg.eigvalsh(m, UPLO="L")
 
 
 def matrix_euler_step(x: np.ndarray, spec: FlowSpec, noise: NoiseIncrement) -> np.ndarray:
@@ -346,14 +336,18 @@ def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[E
 
     Each grid time t is recorded after round(t / dt) steps of
     :func:`euler_step` on the (R, n) stack (FlowSpec admits only grid
-    times that are multiples of dt, each on a step of its own). With constant g, h and b and no
-    projection the Euler scheme is exact (its increments are Gaussian
-    sums), so such a flow takes one step per record gap. The block's
-    (R, n, n) normals and its step matrices are allocated once; every
-    step, each replica fills its slice of the normals from its own stream,
-    so a path does not depend on the other streams of its block. Path r is replica
-    ``first_replica + r``. Raises NumericalError, naming the replica and
-    the time, if a step matrix stops being finite.
+    times that are multiples of dt, each on a step of its own). After each
+    step the stack is clipped into the projection domain, and the clipped
+    eigenvalues count towards each path's ``clamp_events`` and
+    ``first_domain_exit``; this is the one place a projection applies.
+    With constant g, h and b and no projection the Euler scheme is exact
+    (its increments are Gaussian sums), so such a flow takes one step per
+    record gap. The block's (R, n, n) normals and its step matrices are
+    allocated once; every step, each replica fills its slice of the
+    normals from its own stream, so a path does not depend on the other
+    streams of its block. Path r is replica ``first_replica + r``. Raises
+    NumericalError, naming the replica and the time, if a step matrix
+    stops being finite.
     """
     dt = spec.dt
     record_steps = [int(round(t / dt)) for t in spec.t_grid]
@@ -369,19 +363,20 @@ def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[E
     spectra[:, 0] = w
     clamp_events = np.zeros(count, dtype=int)
     first_exit = np.full(count, np.nan)
-    info: dict = {}
+    domain = _DOMAINS[spec.projection]
     z = np.empty((count, spec.n, spec.n))
     m = np.empty_like(z, complex if spec.field == "complex" else float)
     for prev, step in zip(step_ends, step_ends[1:]):
         _draw_normals(streams, z)
         try:
-            w = euler_step(w, spec, z, (step - prev) * dt, info=info, out=m)
+            stepped = euler_step(w, spec, z, (step - prev) * dt, out=m)
         except NumericalError as exc:
             replica = first_replica + exc.replica
             raise NumericalError(
                 f"{exc} in replica {replica} at t={step * dt:.6g}", replica=replica
             ) from None
-        clamped = info["clamped"]
+        w = np.clip(stepped, *domain)
+        clamped = np.count_nonzero(w != stepped, axis=-1)
         if clamped.any():
             clamp_events += clamped
             first_exit[np.isnan(first_exit) & (clamped > 0)] = step * dt

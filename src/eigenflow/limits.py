@@ -52,7 +52,7 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyint, polymul
@@ -100,17 +100,12 @@ _ROUNDOFF = 16 * np.finfo(float).eps  # attainable accuracy per unit of h sum |f
 # Moment sequences
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class MomentSequence:
-    """Moments m_0..m_kmax of a law at a fixed time.
-
-    ``polys``, when present, holds each m_k as an exact rational
-    polynomial in t (ascending coefficients).
-    """
+    """Moments m_0..m_kmax of a law at a fixed time."""
 
     values: np.ndarray
     t: float | None = None
-    polys: Sequence[Sequence[Fraction]] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -166,7 +161,7 @@ def _check_hankel(values: np.ndarray, times) -> np.ndarray:
     return values
 
 
-@dataclass
+@dataclass(eq=False)
 class MomentPath:
     """Moments m_0..m_kmax on a time grid (rows aligned with t_grid)."""
 
@@ -841,17 +836,16 @@ class MarchenkoPastur(_LawBase):
 
 
 @functools.lru_cache(maxsize=32)
-def _mp_polys(alpha: float, beta: float, k_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    """m_0..m_kmax of :func:`mp_moments` as exact polynomials in t, built
-    once per (alpha, beta, k_max); tuples, so no caller can change them.
-    Each m_k = c_k t^k is the tuple ``(0,)*k + (c_k,)``."""
+def _mp_coefficients(alpha: float, beta: float, k_max: int) -> tuple[Fraction, ...]:
+    """The exact c_0..c_kmax of :func:`mp_moments`' m_k = c_k t^k, built
+    once per (alpha, beta, k_max); a tuple, so no caller can change it."""
     af = Fraction(alpha)
     bf = Fraction(beta)
     c = [Fraction(1)]
     for k in range(1, k_max + 1):
         pairs = sum((c[i + 1] * c[k - 2 - i] for i in range(k - 1)), Fraction(0))
         c.append(af * c[k - 1] + bf * pairs)
-    return tuple((Fraction(0),) * k + (ck,) for k, ck in enumerate(c))
+    return tuple(c)
 
 
 def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequence:
@@ -873,10 +867,10 @@ def mp_moments(alpha: float, beta: float, t: float, k_max: int) -> MomentSequenc
     _check_time(t)
     if k_max < 0:
         raise ValidationError("k_max must be >= 0")
-    polys = _mp_polys(alpha, beta, k_max)
+    coefficients = _mp_coefficients(alpha, beta, k_max)
     tf = Fraction(t)
-    values = np.array([float(_horner(tf, p)) for p in polys])
-    return MomentSequence(values, t=float(t), polys=polys).check_hankel()
+    values = np.array([float(c * tf**k) for k, c in enumerate(coefficients)])
+    return MomentSequence(values, t=float(t)).check_hankel()
 
 
 # ---------------------------------------------------------------------------

@@ -82,31 +82,28 @@ class SpectralFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     poly: np.ndarray | None = None
     square_poly: np.ndarray | None = None
-    name: str = "f"
 
     @staticmethod
-    def constant(c: float, name: str | None = None) -> "SpectralFunction":
+    def constant(c: float) -> "SpectralFunction":
         cval = float(c)
         return SpectralFunction(
             fn=lambda lam: np.full_like(np.asarray(lam, dtype=float), cval),
             poly=np.array([cval]),
             square_poly=np.array([cval * cval]),
-            name=name or f"const({c})",
         )
 
     @staticmethod
-    def from_poly(coeffs, name: str | None = None) -> "SpectralFunction":
+    def from_poly(coeffs) -> "SpectralFunction":
         """Polynomial function with ascending-degree coefficients."""
         c = np.asarray(coeffs, dtype=float)
         terms = tuple(np.atleast_1d(c).tolist())
         return SpectralFunction(
             fn=lambda lam: _horner(np.asarray(lam, dtype=float), terms),
             poly=c,
-            name=name or "poly",
         )
 
     @staticmethod
-    def sqrt_abs_poly(square_coeffs, name: str | None = None) -> "SpectralFunction":
+    def sqrt_abs_poly(square_coeffs) -> "SpectralFunction":
         """The function sqrt(|p(x)|), where p has the given coefficients.
 
         The absolute value matches how flow coefficients are defined on the
@@ -117,7 +114,6 @@ class SpectralFunction:
         return SpectralFunction(
             fn=lambda lam: np.sqrt(np.abs(p(lam))),
             square_poly=p.poly,
-            name=name or "sqrt_abs_poly",
         )
 
     @property

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -170,9 +170,9 @@ class PresetBundle:
     def coefficients(self) -> tuple[SpectralFunction, SpectralFunction, SpectralFunction]:
         """The stepper's g = sqrt|g2|, h = sqrt|h2| and drift b."""
         return (
-            SpectralFunction.sqrt_abs_poly(self.g2, name="g"),
-            SpectralFunction.sqrt_abs_poly(self.h2, name="h"),
-            SpectralFunction.from_poly(self.b, name="b"),
+            SpectralFunction.sqrt_abs_poly(self.g2),
+            SpectralFunction.sqrt_abs_poly(self.h2),
+            SpectralFunction.from_poly(self.b),
         )
 
     def residual_coefficients(self) -> tuple[Callable, Callable, Callable]:
@@ -369,8 +369,8 @@ PRESETS: dict[str, PresetRow] = {
             "h2": (None, "ascending coefficients of h^2 (required)"),
             "b": (None, "ascending coefficients of the limiting drift (default 0)"),
             "a": (0.0, "starting point mass position"),
-            "field": (None, "complex (beta=2) or real (beta=1)"),
-            "projection": (None, "none | nonneg | unit_interval"),
+            "field": ("complex", "complex (beta=2) or real (beta=1)"),
+            "projection": ("none", "none | nonneg | unit_interval"),
         },
         lambda c: dict(
             field=c.field, projection=c.projection, g2=c.g2, h2=c.h2,
@@ -381,12 +381,24 @@ PRESETS: dict[str, PresetRow] = {
 }
 
 
+# the class parameters, in ExperimentConfig's field order: each key that a row takes
+_CLASS_KEYS = tuple(
+    f.name for f in fields(ExperimentConfig)
+    if any(f.name in row.params for row in PRESETS.values())
+)
+
+
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Fill unset class parameters with the preset's defaults, in a copy
-    that is not validated again: the table's defaults are finite."""
+    """Refuse a set class parameter that the preset does not take, then fill
+    unset ones with the preset's defaults, in a copy that is not validated
+    again: the table's defaults are finite and among their key's values."""
+    params = PRESETS[cfg.preset].params
+    for key in _CLASS_KEYS:
+        if key not in params and getattr(cfg, key) is not None:
+            raise ValidationError(f"preset {cfg.preset!r} does not take {key!r}")
     updates = {
         key: default
-        for key, (default, _) in PRESETS[cfg.preset].params.items()
+        for key, (default, _) in params.items()
         if default is not None and getattr(cfg, key) is None
     }
     if not updates:

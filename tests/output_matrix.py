@@ -5,10 +5,11 @@ Usage::
     python3 tests/output_matrix.py PARENT_ROOT CHANGE_ROOT
 
 Each root is a checkout with the package under ``src/``. For each one, in
-its own temporary directory, this runs 81 invocations of
+its own temporary directory, this runs 82 invocations of
 ``python3 -m eigenflow.cli`` with ``PYTHONPATH=ROOT/src`` and
 ``OPENBLAS_NUM_THREADS=1``:
 
+- ``presets``, the preset listing, with no config;
 - every preset under ``simulate``, ``compare``, ``sweep``, ``moments``,
   ``invert`` and ``residual`` on a tiny config: n = 4, 8; 2 replicas;
   dt = 0.05; 21 record times on [0, 1]; alpha = 20 on ``wishart``;
@@ -52,7 +53,8 @@ TIMESTAMP = b"# timestamp="
 
 
 def invocations():
-    """(label, subcommand, config text) of each of the 81 invocations."""
+    """(label, subcommand, config text or None) of each of the 82 invocations."""
+    yield "presets", "presets", None
     for preset in PRESETS:
         tiny = f"preset = {preset}\n{TINY}{TINY_EXTRA.get(preset, '')}"
         for command in TINY_COMMANDS:
@@ -69,10 +71,12 @@ def run(root: Path, work: Path) -> dict[str, bytes]:
     for label, command, text in invocations():
         case = work / label
         case.mkdir()
-        (case / "exp.cfg").write_text(text, encoding="utf-8")
+        args = [command]
+        if text is not None:
+            (case / "exp.cfg").write_text(text, encoding="utf-8")
+            args += ["--config", "exp.cfg", "--out", "out"]
         proc = subprocess.run(
-            [sys.executable, "-m", "eigenflow.cli", command, "--config", "exp.cfg", "--out", "out"],
-            cwd=case, env=env, capture_output=True,
+            [sys.executable, "-m", "eigenflow.cli", *args], cwd=case, env=env, capture_output=True
         )
         files[f"{label}/exit"] = str(proc.returncode).encode()
         files[f"{label}/stdout"] = proc.stdout

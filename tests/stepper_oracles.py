@@ -12,7 +12,6 @@ step matrix has, entry for entry, the Gaussian law of the one
 import numpy as np
 
 from eigenflow import NoiseIncrement, NumericalError, ValidationError
-from eigenflow.flows import _DOMAINS
 
 
 def dw_step_matrix(w, spec, dw, dt):
@@ -25,9 +24,9 @@ def dw_step_matrix(w, spec, dw, dt):
     return m
 
 
-def dw_euler_step(w, spec, noise: NoiseIncrement, info=None):
+def dw_euler_step(w, spec, noise: NoiseIncrement):
     """One dW-form Euler step of ``w`` (shape (n,), or a stack (R, n) with
-    ``noise.dw`` of shape (R, n, n)), clipped into the projection domain."""
+    ``noise.dw`` of shape (R, n, n)), unprojected like ``euler_step``."""
     if noise.n != spec.n:
         raise ValidationError("noise dimension does not match flow dimension")
     m = dw_step_matrix(w, spec, noise.dw, noise.dt)
@@ -37,9 +36,4 @@ def dw_euler_step(w, spec, noise: NoiseIncrement, info=None):
             f"flow {spec.name!r} (n={spec.n}): step matrix is not finite",
             replica=int(np.argmin(finite)) if finite.ndim else None,
         )
-    w_next = np.linalg.eigvalsh(m)
-    clipped = np.clip(w_next, *_DOMAINS[spec.projection])
-    if info is not None:
-        clamped = np.count_nonzero(clipped != w_next, axis=-1)
-        info["clamped"] = clamped if clipped.ndim > 1 else int(clamped)
-    return clipped
+    return np.linalg.eigvalsh(m)

@@ -7,12 +7,12 @@ variance-profile step matrix against the dW form (the same mean and
 covariance exactly, the same law after one step, n^2 normals per replica
 step, and the eigvalsh lower-triangle contract it rests on), the spectrum
 stepper against the matrix step in law over many steps, record-to-record
-stepping of flat flows, projection diagnostics,
-recording and reproducibility contracts, the replica-block stepper against
-a per-replica loop (bit for bit), invariance under the replica-process
-split (and its worker cap), the free OU
-finite-n identity of the Euler scheme, and the superlinear coefficient-growth
-warning (read from the coefficients' degrees).
+stepping of flat flows, projection diagnostics (euler_step itself does not
+clip), recording and reproducibility contracts, the replica-block stepper
+against a per-replica loop that clips and counts itself (bit for bit),
+invariance under the replica-process split (and its worker cap), the free
+OU finite-n identity of the Euler scheme, and the superlinear
+coefficient-growth warning (read from the coefficients' degrees).
 """
 
 import concurrent.futures
@@ -134,12 +134,12 @@ def test_noise_validation():
 # ---------------------------------------------------------------------------
 # euler_step (spectrum, eigenframe) and matrix_euler_step (matrix oracle)
 
-SQRT_X = SpectralFunction.sqrt_abs_poly([0.0, 1.0], name="sqrt|x|")
+SQRT_X = SpectralFunction.sqrt_abs_poly([0.0, 1.0])
 COEFFICIENTS = {
     "wishart": (SQRT_X, ONE, SpectralFunction.constant(2.5)),
     "jacobi": (
         SQRT_X,
-        SpectralFunction.sqrt_abs_poly([1.0, -1.0], name="sqrt|1-x|"),
+        SpectralFunction.sqrt_abs_poly([1.0, -1.0]),
         SpectralFunction.from_poly([3.0, -6.0]),
     ),
     "constant": (HALF, ONE, SpectralFunction.constant(0.3)),
@@ -192,8 +192,8 @@ def test_euler_step_pure_drift():
     noise = sample_noise(n, "complex", dt, rng)
     out = matrix_euler_step(np.diag(w).astype(complex), spec, noise)
     assert np.allclose(out, np.diag(w) + c * dt * np.eye(n), atol=1e-15)
-    z = _normals(rng, spec)
-    assert np.allclose(euler_step(w, spec, z, dt), w + c * dt, atol=1e-15)
+    z = _normals(rng, spec, 1)
+    assert np.allclose(euler_step(w[None], spec, z, dt), w + c * dt, atol=1e-15)
 
 
 def test_euler_step_scalar_variance():
@@ -231,9 +231,34 @@ def test_euler_step_dimension_mismatch():
     with pytest.raises(ValidationError):
         matrix_euler_step(np.zeros((3, 3), dtype=complex), spec, noise)
     with pytest.raises(ValidationError):
-        euler_step(np.zeros(3), spec, _normals(rng, _flat_spec(4)), spec.dt)
+        euler_step(np.zeros((1, 3)), spec, _normals(rng, _flat_spec(4), 1), spec.dt)
     with pytest.raises(ValidationError):  # two replicas, normals for three
         euler_step(np.zeros((2, 3)), spec, _normals(rng, spec, 3), spec.dt)
+    with pytest.raises(ValidationError, match=r"an \(R, 3\) stack"):  # one spectrum, no stack
+        euler_step(np.zeros(3), spec, _normals(rng, spec), spec.dt)
+
+
+def test_euler_step_does_not_project():
+    """A step returns the scheme's eigenvalues as they are: a projected
+    spec steps bit for bit as its unprojected twin, below its domain too.
+    Only the block stepper clips."""
+    spec = FlowSpec(
+        n=6,
+        g=SQRT_X,
+        h=ONE,
+        b=ZERO,
+        initial_spectrum=np.full(6, 1e-3),
+        field="real",
+        dt=1e-2,
+        t_grid=(0.0, 1e-2),
+        projection="nonneg",
+    )
+    w = np.tile(spec.initial_spectrum, (4, 1))
+    z = _normals(np.random.default_rng(5), spec, 4)
+    stepped = euler_step(w, spec, z, spec.dt)
+    assert stepped.min() < 0.0
+    free = euler_step(w, replace(spec, projection="none"), z, spec.dt)
+    assert stepped.tobytes() == free.tobytes()
 
 
 @pytest.mark.parametrize("coefficients", sorted(COEFFICIENTS))
@@ -284,11 +309,11 @@ def test_step_matrix_covariance_equals_dw_form(field, coefficients):
     n, dt = 4, 0.05
     spec = _spec(n, coefficients, field=field, dt=dt)
     w = np.array([0.15, 0.4, 0.55, 0.85])
-    out = np.empty((n, n), complex if field == "complex" else float)
+    out = np.empty((1, n, n), complex if field == "complex" else float)
 
     def profile(z):
-        euler_step(w, spec, z, dt, out=out)
-        return _lower_coordinates(out, field)
+        euler_step(w[None], spec, z[None], dt, out=out)
+        return _lower_coordinates(out[0], field)
 
     def dw_form(dw):
         return _lower_coordinates(dw_step_matrix(w, spec, dw, dt), field)
@@ -442,7 +467,7 @@ def test_simulate_path_reports_explosion():
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalError, match="t="):
         simulate_path(spec, 0)
     # a drift that turns NaN past x = 0.5; eigvalsh alone would not notice it
-    nan_drift = SpectralFunction(fn=lambda x: np.where(x > 0.5, np.nan, 1.0), name="nan")
+    nan_drift = SpectralFunction(fn=lambda x: np.where(x > 0.5, np.nan, 1.0))
     spec = FlowSpec(
         n=2,
         g=ZERO,
@@ -658,29 +683,47 @@ def test_replica_processes_are_capped_by_cpus_and_replicas(monkeypatch, replicas
     assert [p.spectra.tobytes() for p in paths] == [p.spectra.tobytes() for p in serial]
 
 
+# projection -> its domain, written out here so that the tests pin it
+DOMAINS = {"none": (-np.inf, np.inf), "nonneg": (0.0, np.inf), "unit_interval": (0.0, 1.0)}
+
+
 def _oracle_path(spec, stream):
     """The per-replica stepping loop that the replica blocks replaced: one
-    1-D euler_step per step on normals drawn from the replica's stream,
-    record-to-record for unprojected constant coefficients. Returns the
-    recorded spectra and the clamp diagnostics."""
+    one-replica euler_step per step on normals drawn from the replica's
+    stream, record-to-record for unprojected constant coefficients, each
+    step clipped into the projection domain here and its eigenvalues
+    outside the domain counted. Returns the recorded spectra and the clamp
+    diagnostics."""
     dt = spec.dt
     record_steps = [int(round(t / dt)) for t in spec.t_grid]
     if spec.is_constant_coefficients and spec.projection == "none":
         step_ends = record_steps
     else:
         step_ends = range(record_steps[-1] + 1)
-    w = np.sort(spec.initial_spectrum)
-    spectra = [w]
-    clamps, first_exit, info = 0, None, {}
+    lo, hi = DOMAINS[spec.projection]
+    w = np.sort(spec.initial_spectrum)[None]
+    spectra = [w[0]]
+    clamps, first_exit = 0, None
     for prev, step in zip(step_ends, step_ends[1:]):
-        w = euler_step(w, spec, _normals(stream, spec), (step - prev) * dt, info=info)
-        if info["clamped"]:
-            clamps += info["clamped"]
+        stepped = euler_step(w, spec, _normals(stream, spec, 1), (step - prev) * dt)
+        outside = int(np.count_nonzero((stepped < lo) | (stepped > hi)))
+        w = np.clip(stepped, lo, hi)
+        if outside:
+            clamps += outside
             if first_exit is None:
                 first_exit = step * dt
         if step in record_steps:
-            spectra.append(w)
+            spectra.append(w[0])
     return np.array(spectra), clamps, first_exit
+
+
+def _custom_spec(projection, field, g2, h2, a):
+    """The n = 5 spec of a projected ``custom`` preset from a point mass at a."""
+    cfg = ExperimentConfig(
+        preset="custom", g2=g2, h2=h2, a=a, field=field, projection=projection,
+        dt=1e-2, t_grid=(0.0, 0.1, 0.2), n_list=(5,),
+    )
+    return build_flow_spec(cfg, 5)
 
 
 BLOCK_CASES = {
@@ -702,6 +745,10 @@ BLOCK_CASES = {
         7,
         None,
     ),
+    "custom-nonneg": (_custom_spec("nonneg", "real", (0.0, 1.0), (1.0,), 1e-3), 7, None),
+    "custom-unit-interval": (
+        _custom_spec("unit_interval", "complex", (0.0, 1.0), (1.0, -1.0), 0.995), 7, None
+    ),
     "one-replica": (_spec(5, "jacobi", dt=0.01, t_grid=(0.0, 0.1)), 1, None),
     # blocks of 3, 3 and 1 replicas
     "three-blocks": (_spec(5, "jacobi", dt=0.01, t_grid=(0.0, 0.1)), 7, 3 * 5 * 5 + 4),
@@ -711,7 +758,8 @@ BLOCK_CASES = {
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_ensemble_blocks_match_per_replica_loop(monkeypatch, case):
     """simulate_ensemble steps replicas as stacked blocks; spectra and
-    diagnostics equal the per-replica loop on the same streams bit for bit."""
+    diagnostics equal the per-replica loop on the same streams bit for bit,
+    projected flows (a FlowSpec's and two ``custom`` presets') included."""
     spec, replicas, block_entries = BLOCK_CASES[case]
     if block_entries is not None:
         monkeypatch.setattr(flows, "_BLOCK_ENTRIES", block_entries)

@@ -11,7 +11,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +237,32 @@ def test_package_import_graph():
     assert graph == _IMPORT_GRAPH
 
 
+_ARRAY_HOLDERS = {
+    "NoiseIncrement": lambda: flows_mod.sample_noise(3, "complex", 0.1, np.random.default_rng(0)),
+    "FlowSpec": lambda: build_flow_spec(default_config("wigner"), 3),
+    "EigenPath": lambda: eigenflow.simulate_path(
+        build_flow_spec(ExperimentConfig(preset="wigner", t_grid=(0.0, 0.01)), 3), 0
+    ),
+    "MomentSequence": lambda: eigenflow.mp_moments(1.0, 2.0, 1.0, 4),
+    "MomentPath": lambda: eigenflow.MomentPath(np.array([0.0, 1.0]), np.ones((2, 3))),
+    "EmpiricalMeasure": lambda: eigenflow.EmpiricalMeasure([0.0, 1.0]),
+    "EmpiricalMeasureProcess": lambda: eigenflow.EmpiricalMeasureProcess(
+        [0.0, 1.0], [[0.0, 1.0], [0.5, 2.0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_HOLDERS))
+def test_dataclasses_holding_arrays_compare_by_identity(name):
+    """A generated ``__eq__`` would compare the array fields as a tuple and
+    raise; these classes set ``eq=False``, so ``==`` is identity and
+    ``hash()`` works, for two instances built alike too."""
+    one, two = _ARRAY_HOLDERS[name](), _ARRAY_HOLDERS[name]()
+    assert type(one).__name__ == name
+    assert one == one and one != two and not (one == two)
+    assert hash(one) == hash(one) and len({one, two}) == 2
+
+
 def test_wishart_drift_inequality_message():
     cfg = ExperimentConfig(preset="wishart", alpha=1.5, n_list=(50,))
     with pytest.raises(ValidationError) as err:
@@ -314,6 +340,59 @@ def test_each_row_check_refuses_before_any_step(tmp_path, capsys, monkeypatch, t
     assert cli_main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"validation error: {message}\n"
     assert not out.exists()
+
+
+# A config that sets a class parameter its preset does not take, with the
+# first such key in ExperimentConfig's field order.
+_FOREIGN_KEY_CASES = {
+    "wigner-three-keys": ("preset = wigner\nalpha = 5\nfield = real\np = -3\n", "wigner", "alpha"),
+    "wigner_real-field": ("preset = wigner_real\nfield = real\n", "wigner_real", "field"),
+    "wishart-a": ("preset = wishart\na = 1\n", "wishart", "a"),
+    "geometric-projection": (
+        "preset = geometric\nprojection = nonneg\n", "geometric", "projection"
+    ),
+    "jacobi-alpha": ("preset = jacobi\nalpha = 1\n", "jacobi", "alpha"),
+    "free_ou-g2": ("preset = free_ou\ng2 = 0.5\n", "free_ou", "g2"),
+    "free_bm-field-default": ("preset = free_bm\nfield = complex\n", "free_bm", "field"),
+    "custom-theta": ("preset = custom\ng2 = 0.25\nh2 = 1\ntheta = 2\n", "custom", "theta"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, preset, key", _FOREIGN_KEY_CASES.values(), ids=_FOREIGN_KEY_CASES.keys()
+)
+@pytest.mark.parametrize("command", ["simulate", "moments"])
+def test_a_key_the_preset_does_not_take_is_refused(tmp_path, capsys, text, preset, key, command):
+    """A set class parameter that is not in the row's ``params`` is refused,
+    naming the preset and the key, even at the value a default would give:
+    through the API, and through the CLI with exit 2, one stderr line and
+    no output directory."""
+    message = f"preset {preset!r} does not take {key!r}"
+    cfg = parse_config_text(text)
+    for call in (resolve_config, validate_config, make_bundle):
+        with pytest.raises(ValidationError) as err:
+            call(cfg)
+        assert str(err.value) == message
+    out = tmp_path / "o"
+    assert cli_main([command, "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
+def test_field_and_projection_are_unset_until_custom_fills_them():
+    """A config leaves ``field`` and ``projection`` unset; ``custom``'s row
+    fills in complex and none, and a value that is no choice is refused
+    whatever the preset."""
+    cfg = ExperimentConfig(preset="custom", g2=(0.25,), h2=(1.0,))
+    assert (cfg.field, cfg.projection) == (None, None)
+    resolved = resolve_config(cfg)
+    assert (resolved.field, resolved.projection) == ("complex", "none")
+    bundle = make_bundle(cfg)
+    assert (bundle.field, bundle.projection) == ("complex", "none")
+    with pytest.raises(ValidationError, match=r"^field must be one of \('complex', 'real'\)$"):
+        ExperimentConfig(preset="wigner", field="quaternion")
+    with pytest.raises(ValidationError, match=r"^projection must be one of \('none', "):
+        ExperimentConfig(preset="custom", projection="box")
 
 
 def test_wishart_default_alpha_passes():
@@ -532,6 +611,20 @@ def test_cli_presets_prints_each_default_once(capsys):
             assert sections[name].count(line) == 1
         if row.params:
             assert len(sections[name]) == len(row.params)
+
+
+def test_cli_presets_common_keys_are_the_fields_no_row_takes(capsys):
+    """The ``common keys:`` line lists ExperimentConfig's fields but
+    ``preset`` and the class parameters (the union of the rows' params,
+    which the refusal of a foreign key reads), in field order."""
+    assert cli_main(["presets"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "common keys: n_list, replica_count, base_seed, dt, t_grid, out_dir, threads"
+    class_keys = set().union(*(row.params for row in PRESETS.values()))
+    assert set(presets_mod._CLASS_KEYS) == class_keys
+    names = [f.name for f in fields(ExperimentConfig)]
+    common = [name for name in names if name != "preset" and name not in class_keys]
+    assert last == f"common keys: {', '.join(common)}"
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from eigenflow.limits import (
     _unit_integral,
     _unit_quantiles,
 )
+from eigenflow.linalg import _horner
 from empirical_oracles import law_mesh
 from moment_oracles import (
     convolve_interaction_kernel,
@@ -191,14 +192,14 @@ def test_mp_polys_are_narayana_monomials(alpha, beta):
     Narayana numbers N(k, j) = C(k, j) C(k, j-1) / k: exact, and independent
     of the recursion that builds them."""
     a, b = Fraction(alpha), Fraction(beta)
-    polys = limits_mod._mp_polys(alpha, beta, 12)
-    assert len(polys) == 13 and polys[0] == (1,)
+    coefficients = limits_mod._mp_coefficients(alpha, beta, 12)
+    assert len(coefficients) == 13 and coefficients[0] == 1
     for k in range(1, 13):
         c_k = sum(
             Fraction(math.comb(k, j) * math.comb(k, j - 1), k) * a**j * b ** (k - j)
             for j in range(1, k + 1)
         )
-        assert polys[k] == (0,) * k + (c_k,), k
+        assert coefficients[k] == c_k, k
 
 
 def test_mp_moments_match_rk4_hierarchy():
@@ -217,20 +218,24 @@ def test_mp_second_moment_closed_form():
 
 def test_mp_moment_polynomials_nonnegative_coefficients():
     for alpha, beta in ((0.5, 1.0), (1.0, 1.0), (1.0, 2.0), (2.5, 2.0), (4.0, 2.0)):
-        seq = mp_moments(alpha, beta, 1.0, 10)
-        for poly in seq.polys:
-            assert all(c >= 0 for c in poly)
+        assert all(c >= 0 for c in limits_mod._mp_coefficients(alpha, beta, 10))
 
 
 def test_mp_moment_polynomials_are_cached_read_only_and_evaluated_per_t():
+    """m_k = c_k t^k from one cached tuple of exact c_k, whatever the t: each
+    value is the float of the exact Fraction, which is also what the Horner
+    pass over the padded polynomial (0, ..., 0, c_k) gave."""
+    built = limits_mod._mp_coefficients.cache_info().misses
     first = mp_moments(2.5, 2.0, 0.3, 8)
     again = mp_moments(2.5, 2.0, 0.7, 8)
-    assert first.polys is again.polys  # built once per (alpha, beta, k_max)
-    assert isinstance(first.polys, tuple) and all(isinstance(p, tuple) for p in first.polys)
+    coefficients = limits_mod._mp_coefficients(2.5, 2.0, 8)
+    assert limits_mod._mp_coefficients.cache_info().misses - built <= 1
+    assert isinstance(coefficients, tuple) and all(isinstance(c, Fraction) for c in coefficients)
     for t, seq in ((0.3, first), (0.7, again)):
         tf = Fraction(t)
-        want = [float(sum(c * tf**j for j, c in enumerate(p))) for p in seq.polys]
-        assert seq.values.tolist() == want
+        assert seq.values.tolist() == [float(c * tf**k) for k, c in enumerate(coefficients)]
+        padded = [(Fraction(0),) * k + (c,) for k, c in enumerate(coefficients)]
+        assert seq.values.tolist() == [float(_horner(tf, p)) for p in padded]
 
 
 def test_mp_density_quadrature_matches_recursion():
