@@ -44,6 +44,11 @@ normals unused.
 Replica blocks: the replicas of one ensemble step together, as a stack
 w of shape (R, n) with one stacked ``eigvalsh`` per step, in consecutive
 blocks whose R n^2 is capped by ``_BLOCK_ENTRIES`` (memory stays O(n^2)).
+A block allocates its three (R, n, n) arrays once: the normals, the step
+matrices and the noise profile sigma (sqrt(G(w_i, w_j) dt/n) off the
+diagonal), built in place; a step allocates nothing else of that size.
+A flat flow's sigma depends on the record gap alone and is built again
+only when the gap changes.
 
 Replica processes: with ``threads`` > 1 an ensemble is cut into contiguous
 replica ranges, one per worker; the caller steps the first range and
@@ -94,7 +99,8 @@ _DYSON_INDEX = {"complex": 2, "real": 1}
 _FIELDS = tuple(_DYSON_INDEX)
 # run key -> the values it may take
 _CHOICES = {"field": _FIELDS, "projection": tuple(_DOMAINS)}
-# cap on R * n^2 of one replica block: about 8 MB per complex temporary
+# cap on R * n^2 of one replica block; at the cap its float normals and
+# noise profile take 4 MB each and its step matrices 8 MB (complex) or 4 MB
 _BLOCK_ENTRIES = 1 << 19
 # one of them set to 1 keeps each replica process's BLAS single-threaded
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -249,47 +255,91 @@ class EigenPath:
     replica: int = 0
 
 
+def _not_finite(spec: FlowSpec, finite: np.ndarray) -> NumericalError:
+    """The NumericalError of a step, given whether each replica's step
+    matrix is ``finite``: it names the flow, n and the first replica whose
+    matrix is not."""
+    return NumericalError(
+        f"flow {spec.name!r} (n={spec.n}): step matrix is not finite",
+        replica=int(np.argmin(finite)),
+    )
+
+
+def _noise_profile(
+    w: np.ndarray, spec: FlowSpec, dt: float, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with the noise profile of the step matrices of the
+    (R, n) stack ``w`` over a step ``dt``, and return it: sigma_ij =
+    sqrt(G(w_i, w_j) dt/n) off the diagonal, sigma_ii = sqrt(2 G(w_i, w_i)
+    dt/n). ``out`` and ``scratch`` are float (R, n, n) arrays that do not
+    overlap; ``scratch`` takes the separable half g^2(w_i) h^2(w_j) dt/n,
+    so that the half and its transpose are summed into ``out`` (a sum in
+    place would overlap its own transpose, and numpy would copy). Raises
+    NumericalError if some sigma is not finite, naming the first replica
+    whose step matrix is then not finite.
+    """
+    n = spec.n
+    np.multiply((spec.g(w) ** 2 * (dt / n))[:, :, None], spec.h(w)[:, None, :] ** 2, out=scratch)
+    np.add(scratch, np.swapaxes(scratch, -1, -2), out=out)
+    np.sqrt(out, out=out)
+    diagonal = np.einsum("rii->ri", out)  # a writable view, in any layout
+    diagonal *= math.sqrt(2.0)
+    # sigma >= 0 and max propagates NaN, so the max is finite iff every sigma is
+    if not math.isfinite(out.max()):
+        # a finite sigma and a finite drift give a finite step matrix (see euler_step)
+        drift = w + dt * spec.b(w)
+        raise _not_finite(
+            spec, np.isfinite(out).all(axis=(-2, -1)) & np.isfinite(drift).all(axis=-1)
+        )
+    return out
+
+
 def euler_step(
-    w: np.ndarray, spec: FlowSpec, z: np.ndarray, dt: float, *, out: np.ndarray | None = None
+    w: np.ndarray,
+    spec: FlowSpec,
+    z: np.ndarray,
+    dt: float,
+    *,
+    out: np.ndarray | None = None,
+    sigma: np.ndarray | None = None,
 ) -> np.ndarray:
     """One Euler-Maruyama step of the replica stack ``w``, in the eigenframe.
 
     ``w`` holds R sorted spectra, shape (R, n), and ``z`` their standard
     normals, shape (R, n, n). Returns the (R, n) ascending eigenvalues of
     the step matrices M, drawn from their variance profile (module
-    docstring), by one stacked ``eigvalsh``. With sigma_ij = sqrt(G(w_i,
-    w_j) dt/n) off the diagonal and sigma_ii = sqrt(2 G(w_i, w_i) dt/n),
-    M_ij = sigma_ij (z_ij + i z_ji) for i > j (real field: sigma_ij z_ij)
-    and M_ii = w_i + dt b(w_i) + sigma_ii z_ii; ``eigvalsh(UPLO="L")`` reads
-    nothing else of M. M is assembled in ``out`` if given (shape
-    ``z.shape``, complex or float by field). The step does not project:
-    :func:`_simulate_block` clips its result into the projection domain.
-    Raises NumericalError, naming the flow and n, if a step matrix is not
-    finite; its ``replica`` is the index of the first such replica.
+    docstring), by one stacked ``eigvalsh``. With the noise profile
+    ``sigma`` of :func:`_noise_profile`, M_ij = sigma_ij (z_ij + i z_ji)
+    for i > j (real field: sigma_ij z_ij) and M_ii = w_i + dt b(w_i) +
+    sigma_ii z_ii; ``eigvalsh(UPLO="L")`` reads nothing else of M. M is
+    assembled in ``out`` if given (shape ``z.shape``, complex or float by
+    field). ``sigma`` is the profile of ``w`` and ``dt``, already built and
+    checked; if it is not given, the step builds one (using ``out``'s
+    storage as scratch). The step does not project: :func:`_simulate_block`
+    clips its result into the projection domain. Raises NumericalError,
+    naming the flow and n, if a step matrix is not finite; its ``replica``
+    is the index of the first such replica.
     """
     n = spec.n
     if w.ndim != 2 or w.shape[1] != n or z.shape != w.shape + (n,):
         raise ValidationError(f"euler_step takes an (R, {n}) stack and (R, {n}, {n}) normals")
     m = np.empty(z.shape, complex if spec.field == "complex" else float) if out is None else out
-    # sigma_ij^2 = G(w_i, w_j) dt/n, from the separable half g^2(w_i) h^2(w_j) dt/n
-    half = (spec.g(w) ** 2 * (dt / n))[:, :, None] * spec.h(w)[:, None, :] ** 2
-    sigma = half + np.swapaxes(half, -1, -2)
-    np.sqrt(sigma, out=sigma)
-    diag = np.arange(n)
-    sigma[:, diag, diag] *= math.sqrt(2.0)
+    if sigma is None:
+        sigma = _noise_profile(w, spec, dt, np.empty(z.shape), m.real)
     if spec.field == "complex":
         np.multiply(sigma, z, out=m.real)
         np.multiply(sigma, np.swapaxes(z, -1, -2), out=m.imag)
     else:
         np.multiply(sigma, z, out=m)
-    m[:, diag, diag] += w + dt * spec.b(w)
-    # checked before eigvalsh, which can return finite eigenvalues for NaN input
-    if not np.all(np.isfinite(m)):
-        finite = np.isfinite(m).all(axis=(-2, -1))
-        raise NumericalError(
-            f"flow {spec.name!r} (n={n}): step matrix is not finite",
-            replica=int(np.argmin(finite)),
-        )
+    diagonal = np.einsum("rii->ri", m)
+    diagonal += w + dt * spec.b(w)
+    # M is checked before eigvalsh, which can return finite eigenvalues for
+    # NaN input, and this check is exact: sigma^2 = G dt/n is a finite
+    # double (checked when sigma was built), so sigma <= sqrt(2 DBL_MAX);
+    # the normals are finite and far smaller than sqrt(DBL_MAX), so sigma z
+    # cannot overflow. Only the diagonal, which adds the drift, can fail.
+    if not np.isfinite(diagonal).all():
+        raise _not_finite(spec, np.isfinite(m).all(axis=(-2, -1)))
     return np.linalg.eigvalsh(m, UPLO="L")
 
 
@@ -337,25 +387,26 @@ def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[E
     Each grid time t is recorded after round(t / dt) steps of
     :func:`euler_step` on the (R, n) stack (FlowSpec admits only grid
     times that are multiples of dt, each on a step of its own). After each
-    step the stack is clipped into the projection domain, and the clipped
-    eigenvalues count towards each path's ``clamp_events`` and
-    ``first_domain_exit``; this is the one place a projection applies.
-    With constant g, h and b and no projection the Euler scheme is exact
-    (its increments are Gaussian sums), so such a flow takes one step per
-    record gap. The block's (R, n, n) normals and its step matrices are
-    allocated once; every step, each replica fills its slice of the
-    normals from its own stream, so a path does not depend on the other
-    streams of its block. Path r is replica ``first_replica + r``. Raises
-    NumericalError, naming the replica and the time, if a step matrix
-    stops being finite.
+    step of a projected flow the stack is clipped into the projection
+    domain, and the clipped eigenvalues count towards each path's
+    ``clamp_events`` and ``first_domain_exit``; this is the one place a
+    projection applies. With constant g, h and b and no projection the
+    Euler scheme is exact (its increments are Gaussian sums), so such a
+    flat flow takes one step per record gap; its noise profile depends on
+    the gap alone and is built again only when the gap changes. Any other
+    flow builds it every step. The block owns three (R, n, n) buffers,
+    allocated once: the normals, the step matrices and the noise profile;
+    a step allocates no other array of that shape. Every step, each
+    replica fills its slice of the normals from its own stream, so a path
+    does not depend on the other streams of its block. Path r is replica
+    ``first_replica + r``. Raises NumericalError, naming the replica and
+    the time, if a step matrix stops being finite.
     """
     dt = spec.dt
     record_steps = [int(round(t / dt)) for t in spec.t_grid]
     record_rows = {step: row for row, step in enumerate(record_steps)}
-    if spec.is_constant_coefficients and spec.projection == "none":
-        step_ends = record_steps
-    else:
-        step_ends = range(record_steps[-1] + 1)
+    flat = spec.is_constant_coefficients and spec.projection == "none"
+    step_ends = record_steps if flat else range(record_steps[-1] + 1)
 
     count = len(streams)
     w = np.tile(np.sort(spec.initial_spectrum), (count, 1))
@@ -363,23 +414,31 @@ def _simulate_block(spec: FlowSpec, streams: list, first_replica: int) -> list[E
     spectra[:, 0] = w
     clamp_events = np.zeros(count, dtype=int)
     first_exit = np.full(count, np.nan)
-    domain = _DOMAINS[spec.projection]
     z = np.empty((count, spec.n, spec.n))
     m = np.empty_like(z, complex if spec.field == "complex" else float)
+    sigma = np.empty_like(z)
+    profile_gap = None  # the steps in the gap that sigma was last built for
     for prev, step in zip(step_ends, step_ends[1:]):
         _draw_normals(streams, z)
+        gap = step - prev
         try:
-            stepped = euler_step(w, spec, z, (step - prev) * dt, out=m)
+            if not flat or gap != profile_gap:
+                _noise_profile(w, spec, gap * dt, sigma, m.real)
+                profile_gap = gap
+            stepped = euler_step(w, spec, z, gap * dt, out=m, sigma=sigma)
         except NumericalError as exc:
             replica = first_replica + exc.replica
             raise NumericalError(
                 f"{exc} in replica {replica} at t={step * dt:.6g}", replica=replica
             ) from None
-        w = np.clip(stepped, *domain)
-        clamped = np.count_nonzero(w != stepped, axis=-1)
-        if clamped.any():
-            clamp_events += clamped
-            first_exit[np.isnan(first_exit) & (clamped > 0)] = step * dt
+        if spec.projection == "none":
+            w = stepped
+        else:
+            w = np.clip(stepped, *_DOMAINS[spec.projection])
+            clamped = np.count_nonzero(w != stepped, axis=-1)
+            if clamped.any():
+                clamp_events += clamped
+                first_exit[np.isnan(first_exit) & (clamped > 0)] = step * dt
         if step in record_rows:
             spectra[:, record_rows[step]] = w
 

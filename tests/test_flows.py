@@ -8,17 +8,23 @@ covariance exactly, the same law after one step, n^2 normals per replica
 step, and the eigvalsh lower-triangle contract it rests on), the spectrum
 stepper against the matrix step in law over many steps, record-to-record
 stepping of flat flows, projection diagnostics (euler_step itself does not
-clip), recording and reproducibility contracts, the replica-block stepper
-against a per-replica loop that clips and counts itself (bit for bit),
-invariance under the replica-process split (and its worker cap), the free
-OU finite-n identity of the Euler scheme, and the superlinear
-coefficient-growth warning (read from the coefficients' degrees).
+clip), recording and reproducibility contracts, the finiteness check (a NaN
+or inf in a normal, g^2, h^2 or b names its replica and time), the
+replica-block stepper against a per-replica loop that clips and counts
+itself and builds its noise profile every step (bit for bit, flat flows
+with recurring record gaps included), the block's noise profile (built
+once per record gap of a flat flow, every step otherwise) and its
+allocation budget (no step-sized temporary, by tracemalloc), invariance
+under the replica-process split (and its worker cap), the free OU finite-n
+identity of the Euler scheme, and the superlinear coefficient-growth
+warning (read from the coefficients' degrees).
 """
 
 import concurrent.futures
 import logging
 import os
 import threading
+import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import astuple, replace
 
@@ -259,6 +265,19 @@ def test_euler_step_does_not_project():
     assert stepped.min() < 0.0
     free = euler_step(w, replace(spec, projection="none"), z, spec.dt)
     assert stepped.tobytes() == free.tobytes()
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_euler_step_assembles_in_a_strided_out(field):
+    """A caller's ``out`` need not be C-contiguous: assembled in a stack of
+    column-major matrices, a step returns the same eigenvalues bit for bit
+    (its drift reaches the diagonal through a view, not a copy)."""
+    spec = _spec(5, "jacobi", field=field)
+    w = np.tile(spec.initial_spectrum, (3, 1))
+    z = _normals(np.random.default_rng(12), spec, 3)
+    column_major = np.swapaxes(np.zeros((3, 5, 5), complex if field == "complex" else float), 1, 2)
+    stepped = euler_step(w, spec, z, spec.dt, out=column_major)
+    assert stepped.tobytes() == euler_step(w, spec, z, spec.dt).tobytes()
 
 
 @pytest.mark.parametrize("coefficients", sorted(COEFFICIENTS))
@@ -547,6 +566,51 @@ def test_ensemble_names_the_non_finite_replica(monkeypatch, block_entries, threa
     assert ("stream" in replica_1) == (threads == 1)
 
 
+def _poisoned(value, bad, rows, at_call=3):
+    """A coefficient that is ``value`` everywhere but ``bad`` on ``rows`` of
+    the stack at its ``at_call``-th evaluation. It has no polynomial, so its
+    flow steps every dt."""
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        y = np.full_like(x, value)
+        if len(calls) == at_call:
+            y[rows] = bad
+        return y
+
+    return SpectralFunction(fn=fn)
+
+
+@pytest.mark.parametrize("poisoned", ["g", "h", "b", "g-on-2-and-b-on-1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_non_finite_coefficient_names_the_replica_and_time(field, bad, poisoned):
+    """A NaN or inf in g, h or b (so in g^2, h^2 or the drift) on replica 1
+    at the third step raises NumericalError naming replica 1 and t = 0.03,
+    in either field: g and h through the check of the noise profile, b
+    through the check of the step matrices' diagonal. With g bad on replica
+    2 and b on replica 1 at the same step, the error names replica 1, the
+    first whose step matrix is not finite."""
+    rows = {"g": [2], "b": [1]} if poisoned == "g-on-2-and-b-on-1" else {poisoned: [1]}
+    values = {"g": 0.5, "h": 1.0, "b": 0.0}
+    spec = FlowSpec(
+        n=3,
+        **{key: _poisoned(value, bad, rows.get(key, [])) for key, value in values.items()},
+        initial_spectrum=np.zeros(3),
+        field=field,
+        dt=0.01,
+        t_grid=(0.0, 0.05),
+        name="poisoned",
+    )
+    with pytest.raises(NumericalError) as caught:
+        simulate_ensemble(spec, 3, base_seed=6)
+    assert str(caught.value) == (
+        "flow 'poisoned' (n=3): step matrix is not finite in replica 1 at t=0.03"
+    )
+    assert caught.value.replica == 1
+
+
 def test_scaling_consistency_across_n():
     """The n^{-1/2} noise scaling makes ensemble moments n-independent:
     the flat flow's mean second moment is t at every matrix size."""
@@ -726,10 +790,17 @@ def _custom_spec(projection, field, g2, h2, a):
     return build_flow_spec(cfg, 5)
 
 
+# record gaps 0.1, 0.2, 0.1, 0.1 and 0.2: a gap changes, recurs and repeats
+RECURRING_GAPS = (0.0, 0.1, 0.3, 0.4, 0.5, 0.7)
+
 BLOCK_CASES = {
     "complex-polynomial": (_spec(5, "jacobi", dt=0.01, t_grid=(0.0, 0.05, 0.2)), 7, None),
     "real-polynomial": (_spec(5, "wishart", field="real", dt=0.01, t_grid=(0.0, 0.1)), 7, None),
     "constant": (_spec(5, "constant", dt=0.01, t_grid=(0.0, 0.1, 0.3)), 7, None),
+    "constant-recurring-gaps": (_spec(5, "constant", dt=0.01, t_grid=RECURRING_GAPS), 7, None),
+    "real-constant-recurring-gaps": (
+        _spec(5, "constant", field="real", dt=0.01, t_grid=RECURRING_GAPS), 7, None
+    ),
     "nonneg-clamps": (
         FlowSpec(
             n=5,
@@ -777,6 +848,47 @@ def test_ensemble_blocks_match_per_replica_loop(monkeypatch, case):
         assert diags.max_eigenvalue == spectra[:, -1].max()
         clamped += clamps
     assert (clamped > 0) == (spec.projection != "none")
+
+
+def test_noise_profile_is_built_once_per_record_gap_of_a_flat_flow(monkeypatch):
+    """A flat flow builds its noise profile again only when the record gap
+    changes: over gaps 0.1, 0.2, 0.1, 0.1 and 0.2 it builds four, for 0.1,
+    0.2, 0.1 and 0.2. A flow with non-constant coefficients builds one every
+    step: 70 of dt = 0.01 on the same grid."""
+    builds = []
+    real_profile = flows._noise_profile
+
+    def counting_profile(w, spec, dt, out, scratch):
+        builds.append(dt)
+        return real_profile(w, spec, dt, out, scratch)
+
+    monkeypatch.setattr(flows, "_noise_profile", counting_profile)
+    simulate_path(_spec(5, "constant", dt=0.01, t_grid=RECURRING_GAPS), 0)
+    assert np.allclose(builds, [0.1, 0.2, 0.1, 0.2], rtol=1e-12, atol=0.0)
+    builds.clear()
+    simulate_path(_spec(5, "jacobi", dt=0.01, t_grid=RECURRING_GAPS), 0)
+    assert builds == [0.01] * 70
+
+
+def test_block_step_allocates_no_step_sized_temporary():
+    """Stepping a block of 4 replicas of a non-flat complex flow at n = 128
+    for three steps allocates less than one R n^2 float array beyond the
+    block's three buffers (normals, step matrices and noise profile): the
+    noise profile is built in its buffer, with the step matrices' storage
+    as scratch, and the finiteness check reads the diagonal."""
+    replicas, n = 4, 128
+    spec = _spec(n, "jacobi", dt=0.01, t_grid=(0.0, 0.03))
+    flows._simulate_block(spec, [replica_stream(3, r) for r in range(replicas)], 0)  # warm-up
+    streams = [replica_stream(3, r) for r in range(replicas)]
+    tracemalloc.start()
+    try:
+        flows._simulate_block(spec, streams, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array = replicas * n * n * np.dtype(float).itemsize
+    buffers = 4 * array  # float normals, complex step matrices, float noise profile
+    assert buffers <= peak < buffers + array, (peak - buffers) / array
 
 
 @pytest.mark.parametrize("n", [8, 16])
